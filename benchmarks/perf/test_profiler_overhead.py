@@ -3,12 +3,12 @@
 Run with ``pytest benchmarks/perf -m perf``.  Excluded from the default
 suite because it asserts on machine-dependent wall-clock timings.
 
-The teeth behind the performance observatory's own contract: routing
-sweeps through the instrumented kernel twin
-(:func:`repro.core.fastgibbs.fast_sweep_profiled`) may not slow the fit
-by more than a few percent, and the sampled chain must be bit-identical
-with a profiler installed or not — instrumentation reads
-``time.perf_counter`` only, never the RNG.
+The teeth behind the performance observatory's own contract: the one
+sweep kernel (:func:`repro.core.fastgibbs.fast_sweep`) times its phases
+only when a profiler is active, and turning that on may not slow the fit
+by more than a few percent; the sampled chain must be bit-identical with
+a profiler installed or not — the timers read ``time.perf_counter``
+only, never the RNG.
 
 The attribution tests are the acceptance bar for ``cold profile``: the
 phase table must account for at least 90% of the medium case's measured

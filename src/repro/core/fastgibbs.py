@@ -6,7 +6,8 @@ Eqs. (1)–(3) from the raw counters on each draw: per post that is ``O(C K)``
 evaluations, wrapped in dozens of small NumPy calls whose dispatch overhead
 dominates sweep time well before the corpus is large.  This module keeps a
 :class:`SweepCache` of exactly those factors and patches it incrementally
-as assignments move:
+as assignments move, and :func:`fast_sweep` — the one fast sweep kernel —
+walks every post and link against it:
 
 * **fused per-sweep weight caches** — the Eq. (3) community/time factor is
   one ``(C, K, T)`` array (``log interest + log time numerator - log time
@@ -33,7 +34,7 @@ as assignments move:
 
 Exactness contract
 ------------------
-The fast kernels are *bit-identical* to the reference kernels: every
+The fast kernel is *bit-identical* to the reference kernels: every
 cached value is produced by the same sequence of IEEE-754 operations the
 reference applies to the same integer counters (integer totals replace
 integer reductions; additions are fused only where IEEE addition order is
@@ -68,8 +69,9 @@ class SweepCache:
     """Incrementally-maintained per-sweep factor caches for one chain.
 
     A cache is bound to one :class:`CountState` *and* one
-    :class:`Hyperparameters`; it must observe every assignment move via
-    :meth:`post_moved` / :meth:`link_moved` (the fast kernels do this).
+    :class:`Hyperparameters`; it must observe every assignment move, which
+    :func:`fast_sweep` guarantees (post moves go through
+    :meth:`post_moved`, link moves patch the Eq. (2) factor inline).
     :meth:`check_consistency` verifies the cache against a from-scratch
     rebuild, mirroring :meth:`CountState.check_invariants`.
     """
@@ -103,8 +105,8 @@ class SweepCache:
         # Per-post/link metadata as plain Python lists (and the current
         # assignments mirrored alongside them): list indexing is several
         # times cheaper than NumPy scalar reads on the per-draw hot path.
-        # The mirrors are maintained by post_moved / the link kernel, which
-        # every fast kernel already routes through.
+        # The mirrors are maintained by post_moved / the link loop of
+        # fast_sweep, which every assignment move routes through.
         posts = state.posts
         self._times = posts.times.tolist()
         self._authors = posts.authors.tolist()
@@ -253,163 +255,6 @@ class SweepCache:
             expansions[post] = (words[rows], qs[:, None], counts[rows])
         return expansions
 
-    # -- weight evaluation (bit-identical to repro.core.gibbs) ----------------
-
-    def community_weights(
-        self, state: CountState, post: int, topic: int
-    ) -> np.ndarray:
-        """Eq. (1) over communities; cf. ``gibbs.post_community_weights``.
-
-        The reference's two integer reductions (topic totals, time-slice
-        totals) are replaced by the maintained ``n_comm_total`` and by
-        ``n_comm_topic[:, topic]`` (equal by the counter invariant); both
-        are integer-exact, so every float factor matches bit for bit.
-        """
-        hp = self.hp
-        author = self._authors[post]
-        t = self._times[post]
-        weights = np.add(state.n_user_comm[author], hp.rho, self._comm_buf)
-        factor = np.add(state.n_comm_topic[:, topic], hp.alpha, self._factor_buf)
-        np.divide(factor, self.comm_denom, factor)
-        np.multiply(weights, factor, weights)
-        np.add(state.n_comm_topic_time[:, topic, t], hp.epsilon, factor)
-        np.divide(factor, self.time_denom[:, topic], factor)
-        np.multiply(weights, factor, weights)
-        return weights
-
-    def topic_log_weights(
-        self, state: CountState, post: int, community: int, old_c: int, old_k: int
-    ) -> np.ndarray:
-        """Eq. (3) over topics with ``post`` virtually removed from
-        (old_c, old_k); cf. ``gibbs.post_topic_log_weights``.
-
-        The community/time factor is a single gather from the fused
-        ``base`` cache; the word term is one matrix gather + row
-        reduction; the length denominator is a cached-row reduction.
-        Virtual removal costs three patches: the post's own counts come
-        off row ``old_k`` of the gathered word-count matrix (making the
-        batched numerator exact for every topic at once), and the
-        ``old_k`` entries of the Polya denominator and — when ``community
-        == old_c`` — the base cell are rebuilt from the decremented
-        integers.
-        """
-        hp = self.hp
-        t = self._times[post]
-        base = self.base[community, t]
-        if self._all_distinct[post]:
-            # The reference reduces a C-contiguous (K, W) matrix row-wise
-            # (pairwise order); writing the transposed gather into a
-            # C-contiguous (K, W) buffer reproduces that exact reduction.
-            words, counts = self._post_words[post]
-            gathered = self.word_topic.take(words, axis=0)  # (W, K) rows
-            gathered[:, old_k] -= counts
-            W = len(words)
-            buf = self._kw_bufs.get(W)
-            if buf is None:
-                buf = self._kw_bufs[W] = np.empty((self.K, W))
-            terms = np.add(gathered.T, hp.beta, buf)
-            np.log(terms, terms)
-            numerator = np.add.reduce(terms, 1)
-        else:
-            # Reference loop order is (word column j, then q ascending);
-            # the precomputed expansion lays the terms out in exactly that
-            # order, and np.add.accumulate reduces them strictly left to
-            # right — the same float accumulation the loop performs
-            # (sequential accumulation commutes with the transpose).
-            # Virtual removal subtracts the multiplicities from the old_k
-            # column: (live + q) - m == (live - m) + q, integer-exact.
-            full_words, qs_col, mults = self._expanded[post]
-            ints = self.word_topic.take(full_words, axis=0)  # (L, K)
-            np.add(ints, qs_col, ints)
-            ints[:, old_k] -= mults
-            terms = ints + hp.beta
-            np.log(terms, terms)
-            np.add.accumulate(terms, 0, None, terms)
-            numerator = terms[-1]
-        length = self._lengths[post]
-        M = self.max_len
-        denominator = np.add.reduce(self.log_denom_terms[:, M : M + length], 1)
-        weights = np.add(base, numerator)
-        np.subtract(weights, denominator, weights)
-
-        # Patch entry old_k from the removed-state integers (scalar IEEE
-        # arithmetic is the elementwise arithmetic of the vector ops).
-        # The removed-state Polya denominator is the cached row's window at
-        # offset -length (same terms, same pairwise reduction order).
-        den = np.add.reduce(self.log_denom_terms[old_k, M - length : M])
-        if community == old_c:
-            # The (old_c, old_k) base cell is the one perturbed by removal;
-            # rebuild it from the decremented counters (same 3 logs as
-            # _touch_comm_cell).
-            n_ck = int(state.n_comm_topic[old_c, old_k]) - 1
-            logs = self._log3
-            logs[0] = n_ck + hp.alpha
-            logs[1] = n_ck + self._T_eps
-            logs[2] = (int(state.n_comm_topic_time[old_c, old_k, t]) - 1) + hp.epsilon
-            np.log(logs, logs)
-            base_val = logs[0] + (logs[2] - logs[1])
-        else:
-            base_val = base[old_k]
-        weights[old_k] = (base_val + numerator[old_k]) - den
-        return weights
-
-    def link_weights(self, state: CountState, link: int) -> np.ndarray:
-        """Eq. (2) over (c, c') pairs; cf. ``gibbs.link_weights``."""
-        hp = self.hp
-        src, dst = state.links[link]
-        src_membership = np.add(state.n_user_comm[src], hp.rho, self._comm_buf)
-        dst_membership = np.add(state.n_user_comm[dst], hp.rho, self._factor_buf)
-        weights = self._pair_buf
-        np.multiply(src_membership[:, None], dst_membership[None, :], weights)
-        np.multiply(weights, self.link_factor, weights)
-        return weights
-
-    # -- virtual-removal corrections ------------------------------------------
-    # Removing a post decrements only counters indexed by its current
-    # (old_c, old_k): evaluating Eq. (1)/(3) on the live counters therefore
-    # yields the reference's removed-state weight vector everywhere except
-    # that one entry, which these helpers recompute from the decremented
-    # integers with the reference's exact operation order (scalar IEEE-754
-    # arithmetic is the elementwise arithmetic of the vector ops).
-
-    def corrected_community_entry(
-        self, state: CountState, post: int, old_c: int, old_k: int
-    ) -> float:
-        """``community_weights(...)[old_c]`` as if the post were removed."""
-        hp = self.hp
-        t = self._times[post]
-        n_ck = int(state.n_comm_topic[old_c, old_k]) - 1
-        membership = (
-            int(state.n_user_comm[self._authors[post], old_c]) - 1
-        ) + hp.rho
-        interest = (n_ck + hp.alpha) / (
-            (int(self.n_comm_total[old_c]) - 1) + self._K_alpha
-        )
-        temporal = (
-            (int(state.n_comm_topic_time[old_c, old_k, t]) - 1) + hp.epsilon
-        ) / (n_ck + self._T_eps)
-        return (membership * interest) * temporal
-
-    # -- categorical draw with a reusable buffer ------------------------------
-
-    def draw(
-        self, weights: np.ndarray, rng: np.random.Generator, buffer: np.ndarray
-    ) -> tuple[int, bool]:
-        """Identical to ``gibbs.categorical_checked`` minus the overhead.
-
-        ``np.add.reduce`` / ``np.add.accumulate`` are the inner loops of
-        ``sum`` / ``cumsum``; calling them directly into the preallocated
-        same-length ``buffer`` skips wrapper dispatch and allocation
-        without changing a bit of the result.
-        """
-        total = np.add.reduce(weights)
-        if not math.isfinite(total) or total <= 0:
-            return int(rng.integers(len(weights))), True
-        np.add.accumulate(weights, 0, None, buffer)
-        index = int(buffer.searchsorted(rng.random() * total, side="right"))
-        last = len(buffer) - 1
-        return (index if index < last else last), False
-
     # -- incremental maintenance ----------------------------------------------
 
     def _touch_comm_cell(self, state: CountState, t: int, c: int, k: int) -> None:
@@ -468,14 +313,6 @@ class SweepCache:
             self._touch_topic_row(state, old_k)
             self._touch_topic_row(state, new_k)
 
-    def link_moved(self, state: CountState, c: int, c_prime: int) -> None:
-        """Observe one link leaving or entering the (c, c') cell."""
-        hp = self.hp
-        n = int(state.n_link_comm[c, c_prime])
-        self.link_factor[c, c_prime] = (n + hp.lambda1) / (
-            n + hp.lambda0 + hp.lambda1
-        )
-
     # -- verification ----------------------------------------------------------
 
     def check_consistency(self, state: CountState) -> None:
@@ -495,75 +332,7 @@ class SweepCache:
                 raise ValueError(f"SweepCache.{name} inconsistent with state")
 
 
-# -- fast kernels (mirror resample_post / resample_link / sweep) --------------
-
-
-def fast_resample_post(
-    state: CountState,
-    hp: Hyperparameters,
-    post: int,
-    rng: np.random.Generator,
-    cache: SweepCache,
-) -> tuple[int, int]:
-    """Cached-equivalent of :func:`repro.core.gibbs.resample_post`.
-
-    The post is removed *virtually*: weights are evaluated against the
-    live counters and the single entry its current assignment perturbs is
-    patched with the removed-state scalar.  Counters and caches mutate
-    only when the draw lands somewhere new.
-    """
-    old_c = cache._post_c[post]
-    old_k = cache._post_k[post]
-
-    community_weights = cache.community_weights(state, post, old_k)
-    community_weights[old_c] = cache.corrected_community_entry(
-        state, post, old_c, old_k
-    )
-    np.maximum(community_weights, _WEIGHT_FLOOR, out=community_weights)
-    new_c, degenerate_c = cache.draw(community_weights, rng, cache._cum_comm)
-
-    log_weights = cache.topic_log_weights(state, post, new_c, old_c, old_k)
-    np.subtract(log_weights, np.maximum.reduce(log_weights), log_weights)
-    np.exp(log_weights, log_weights)
-    np.maximum(log_weights, _WEIGHT_FLOOR, out=log_weights)
-    new_k, degenerate_k = cache.draw(log_weights, rng, cache._cum_topic)
-    state.degenerate_draws += int(degenerate_c) + int(degenerate_k)
-
-    if new_c != old_c or new_k != old_k:
-        state.move_post(post, new_c, new_k)
-        cache.post_moved(state, post, old_c, old_k, new_c, new_k)
-    return new_c, new_k
-
-
-def fast_resample_link(
-    state: CountState,
-    hp: Hyperparameters,
-    link: int,
-    rng: np.random.Generator,
-    cache: SweepCache,
-) -> tuple[int, int]:
-    """Cached-equivalent of :func:`repro.core.gibbs.resample_link`.
-
-    Links, unlike posts, change their (c, c') label on nearly every draw
-    once the chain has mixed (the C x C conditional is much flatter than
-    the post conditionals), so virtual removal would patch three slices
-    per draw only to mutate everything anyway.  The link kernel therefore
-    removes for real and wins by caching: the Eq. (2) occupation factor —
-    a full ``C x C`` recompute per draw in the reference — is maintained
-    per cell, and the weight matrix is built in preallocated buffers.
-    """
-    old_c, old_c_prime = state.remove_link(link)
-    cache.link_moved(state, old_c, old_c_prime)
-    weights = cache.link_weights(state, link).ravel()
-    np.maximum(weights, _WEIGHT_FLOOR, out=weights)
-    flat_index, degenerate = cache.draw(weights, rng, cache._cum_pair)
-    state.degenerate_draws += int(degenerate)
-    new_c, new_c_prime = divmod(flat_index, state.num_communities)
-    state.add_link(link, new_c, new_c_prime)
-    cache.link_moved(state, new_c, new_c_prime)
-    cache._link_c[link] = new_c
-    cache._link_cp[link] = new_c_prime
-    return new_c, new_c_prime
+# -- the sweep kernel (mirrors repro.core.gibbs.sweep's reference path) --------
 
 
 def fast_sweep(
@@ -573,20 +342,41 @@ def fast_sweep(
     post_order: list[int] | np.ndarray,
     link_order: list[int] | np.ndarray | None,
     cache: SweepCache,
+    profiler: _profiler.PhaseProfiler | None = None,
 ) -> None:
-    """One full Gibbs sweep through the fast kernels, with hoisted glue.
+    """One full Gibbs sweep through the cache: every post, then every link.
 
-    The per-draw numerical work is already a handful of vector ops, so
-    attribute chains, method dispatch and RNG/ufunc lookups are a
-    measurable slice of sweep time; this loop binds every loop-invariant
-    object to a local once per sweep instead of once per draw.  The body
-    is the same operation sequence as :func:`fast_resample_post` /
-    :func:`fast_resample_link` — which remain the single-draw entry
-    points and the readable form of the algorithm — so draws stay
-    bit-identical and the RNG is consumed in the same order (the link
-    visitation permutation, when not supplied, is drawn *after* the post
-    loop exactly as the reference sweep draws it).
+    Draw for draw this is the reference sweep of :mod:`repro.core.gibbs`
+    — ``resample_post`` (community by Eq. 1, then topic by Eq. 3) for each
+    post, ``resample_link`` (Eq. 2) for each link — with the same RNG
+    consumption order (the link visitation permutation, when not
+    supplied, is drawn *after* the post loop exactly as the reference
+    sweep draws it).  The per-draw numerical work is only a handful of
+    vector ops, so attribute chains, method dispatch and RNG/ufunc lookups
+    are a measurable slice of sweep time; the loop binds every
+    loop-invariant object to a local once per sweep instead of once per
+    draw.
+
+    Passing an active :class:`~repro.telemetry.profiler.PhaseProfiler` as
+    ``profiler`` times the sweep's phases; the one kernel times them only
+    then (a local flag guards every ``perf_counter`` read, so a dark sweep
+    pays a few bool checks per draw) and never reads the RNG for it, so
+    profiled and dark sweeps draw the identical chain.  Phase seconds
+    accumulate in local floats and are flushed once per sweep under paths
+    relative to the profiler's open stack (a worker's ``shard`` phase, or
+    nothing in a serial fit), rooted at ``sweep``: ``posts``/``links``
+    split into ``resample`` (conditional weights), ``draw`` (cdf +
+    inverse-transform draw) and ``update`` (counter and cache mutation),
+    and ``links;permutation`` times the link visitation shuffle.
     """
+    timed = profiler is not None
+    perf = time.perf_counter
+    posts_resample_s = posts_draw_s = posts_update_s = 0.0
+    links_resample_s = links_draw_s = links_update_s = 0.0
+    permutation_s = 0.0
+    if timed:
+        sweep_start = perf()
+
     if isinstance(post_order, np.ndarray):
         post_order = post_order.tolist()
 
@@ -648,12 +438,18 @@ def fast_sweep(
     degenerate = 0
 
     for post in post_order:
+        if timed:
+            t0 = perf()
         old_c = post_c[post]
         old_k = post_k[post]
         t = times[post]
         author = authors[post]
 
-        # Eq. (1) against the live counters (community_weights).
+        # Eq. (1) against the live counters.  The reference's two integer
+        # reductions (topic totals, time-slice totals) are replaced by the
+        # maintained n_comm_total and by n_comm_topic[:, old_k] (equal by
+        # the counter invariant); both are integer-exact, so every float
+        # factor matches bit for bit.
         weights = add(n_user_comm[author], rho, comm_buf)
         factor = add(n_comm_topic[:, old_k], alpha, factor_buf)
         div(factor, comm_denom, factor)
@@ -661,7 +457,10 @@ def fast_sweep(
         add(n_ctt[:, old_k, t], eps, factor)
         div(factor, time_denom[:, old_k], factor)
         mul(weights, factor, weights)
-        # Virtual removal: patch entry old_c (corrected_community_entry).
+        # Virtual removal: the post's own counts perturb only entry old_c,
+        # which is rebuilt from the decremented integers in the
+        # reference's operation order (scalar IEEE-754 arithmetic is the
+        # elementwise arithmetic of the vector ops).
         n_ck = int(n_comm_topic[old_c, old_k]) - 1
         n_ckt = int(n_ctt[old_c, old_k, t]) - 1
         weights[old_c] = (
@@ -669,6 +468,12 @@ def fast_sweep(
             * ((n_ck + alpha) / ((int(n_comm_total[old_c]) - 1) + K_alpha))
         ) * ((n_ckt + eps) / (n_ck + T_eps))
         maximum(weights, floor, out=weights)
+        if timed:
+            t1 = perf()
+            posts_resample_s += t1 - t0
+        # Categorical draw: np.add.reduce / np.add.accumulate are the inner
+        # loops of sum / cumsum, so this is gibbs.categorical_checked bit
+        # for bit, minus wrapper dispatch and allocation.
         total = reduce_(weights)
         if isfinite(total) and total > 0.0:
             accumulate(weights, 0, None, cum_comm)
@@ -677,10 +482,20 @@ def fast_sweep(
         else:
             new_c = int(integers(C))
             degenerate += 1
+        if timed:
+            t2 = perf()
+            posts_draw_s += t2 - t1
 
-        # Eq. (3) with the virtual-removal patches (topic_log_weights).
+        # Eq. (3) over topics with the post virtually removed from
+        # (old_c, old_k): a single gather from the fused base cache, a
+        # batched word term, and a cached-row length denominator.
         base = base_all[new_c, t]
         if all_distinct[post]:
+            # The reference reduces a C-contiguous (K, W) matrix row-wise
+            # (pairwise order); writing the transposed gather into a
+            # C-contiguous (K, W) buffer reproduces that exact reduction.
+            # The post's own counts come off column old_k first, making
+            # the numerator exact for every topic at once.
             words, counts = post_words[post]
             W = len(words)
             gathered = int_bufs.get(W)
@@ -695,6 +510,11 @@ def fast_sweep(
             log(terms, terms)
             numerator = reduce_(terms, 1)
         else:
+            # The reference loops word column j, then q ascending; the
+            # precomputed expansion lays the terms out in exactly that
+            # order and np.add.accumulate reduces them strictly left to
+            # right.  Removal subtracts the multiplicities from column
+            # old_k: (live + q) - m == (live - m) + q, integer-exact.
             full_words, qs_col, mults = expanded[post]
             L = len(full_words)
             ints = int_bufs.get(L)
@@ -714,6 +534,10 @@ def fast_sweep(
         denominator = reduce_(ldt[:, M : M + length], 1)
         lw = add(base, numerator, topic_buf)
         sub(lw, denominator, lw)
+        # Patch entry old_k from the removed-state integers: its Polya
+        # denominator is the cached row's window at offset -length, and
+        # when new_c == old_c its base cell is rebuilt from the
+        # decremented counters (the same 3 logs as _touch_comm_cell).
         den = reduce_(ldt[old_k, M - length : M])
         if new_c == old_c:
             log3[0] = n_ck + alpha
@@ -727,6 +551,9 @@ def fast_sweep(
         sub(lw, max_reduce(lw), lw)
         exp(lw, lw)
         maximum(lw, floor, out=lw)
+        if timed:
+            t3 = perf()
+            posts_resample_s += t3 - t2
         total = reduce_(lw)
         if isfinite(total) and total > 0.0:
             accumulate(lw, 0, None, cum_topic)
@@ -735,279 +562,15 @@ def fast_sweep(
         else:
             new_k = int(integers(K))
             degenerate += 1
+        if timed:
+            t4 = perf()
+            posts_draw_s += t4 - t3
 
         if new_c != old_c or new_k != old_k:
             move_post(post, new_c, new_k)
             post_moved(state, post, old_c, old_k, new_c, new_k)
-
-    state.degenerate_draws += degenerate
-    degenerate = 0
-    if not state.num_links:
-        return
-
-    # Draw the link permutation here, after the post loop, so the RNG
-    # stream matches the reference sweep exactly.
-    if link_order is None:
-        link_order = rng.permutation(state.num_links).tolist()
-    elif isinstance(link_order, np.ndarray):
-        link_order = link_order.tolist()
-
-    link_users = cache._link_users
-    link_c = cache._link_c
-    link_cp = cache._link_cp
-    link_src_comm = state.link_src_comm
-    link_dst_comm = state.link_dst_comm
-    link_factor = cache.link_factor
-    n_link_comm = state.n_link_comm
-    pair_buf = cache._pair_buf
-    pair_flat = pair_buf.ravel()
-    comm_col = comm_buf[:, None]
-    factor_row = factor_buf[None, :]
-    cum_pair = cache._cum_pair
-    lambda0 = hp.lambda0
-    lambda1 = hp.lambda1
-    CC = C * C
-    CC1 = CC - 1
-
-    # Links change label on nearly every draw (the C x C conditional is
-    # much flatter than the post conditionals), so virtual removal would
-    # patch three slices per draw only to mutate everything anyway; the
-    # link kernel removes for real and wins by caching the Eq. (2)
-    # occupation factor (a full C x C recompute per draw in the
-    # reference) per cell.  Same body as fast_resample_link, inlined.
-    for link in link_order:
-        src, dst = link_users[link]
-        old_c = link_c[link]
-        old_cp = link_cp[link]
-        n_user_comm[src, old_c] -= 1
-        n_user_comm[dst, old_cp] -= 1
-        n_link_comm[old_c, old_cp] -= 1
-        n = int(n_link_comm[old_c, old_cp])
-        link_factor[old_c, old_cp] = (n + lambda1) / (n + lambda0 + lambda1)
-        # Eq. (2) over the removed counters (link_weights).
-        add(n_user_comm[src], rho, comm_buf)
-        add(n_user_comm[dst], rho, factor_buf)
-        mul(comm_col, factor_row, pair_buf)
-        mul(pair_buf, link_factor, pair_buf)
-        maximum(pair_flat, floor, out=pair_flat)
-        total = reduce_(pair_flat)
-        if isfinite(total) and total > 0.0:
-            accumulate(pair_flat, 0, None, cum_pair)
-            index = cum_pair.searchsorted(random() * total, side="right")
-            flat_index = int(index) if index < CC1 else CC1
-        else:
-            flat_index = int(integers(CC))
-            degenerate += 1
-        new_c, new_cp = divmod(flat_index, C)
-        n_user_comm[src, new_c] += 1
-        n_user_comm[dst, new_cp] += 1
-        n_link_comm[new_c, new_cp] += 1
-        n = int(n_link_comm[new_c, new_cp])
-        link_factor[new_c, new_cp] = (n + lambda1) / (n + lambda0 + lambda1)
-        link_src_comm[link] = new_c
-        link_dst_comm[link] = new_cp
-        link_c[link] = new_c
-        link_cp[link] = new_cp
-
-    state.degenerate_draws += degenerate
-
-
-def fast_sweep_profiled(
-    state: CountState,
-    hp: Hyperparameters,
-    rng: np.random.Generator,
-    post_order: list[int] | np.ndarray,
-    link_order: list[int] | np.ndarray | None,
-    cache: SweepCache,
-    profiler,
-) -> None:
-    """:func:`fast_sweep` with phase-boundary timers for the profiler.
-
-    A deliberate duplicate: the dark path must not pay even a per-draw
-    branch for instrumentation, so the profiled variant is a separate
-    function selected by :func:`repro.core.gibbs.sweep` only while a
-    :class:`~repro.telemetry.profiler.PhaseProfiler` is active.  The
-    operation and RNG sequence is identical to :func:`fast_sweep` —
-    timers only read ``perf_counter`` and accumulate into local floats,
-    flushed to the profiler once per sweep — so profiled draws stay
-    bit-identical to dark draws (``tests/telemetry/test_profiler.py``
-    and the ``benchmarks/perf`` overhead gate both enforce this; keep
-    the two bodies in lockstep when touching either).
-
-    Phase paths are relative to the profiler's open stack (a worker's
-    ``shard`` phase, or nothing in a serial fit), rooted at ``sweep``:
-    ``posts``/``links`` split into ``resample`` (conditional weights),
-    ``draw`` (cdf + inverse-transform draw) and ``update`` (counter and
-    cache mutation).
-    """
-    perf = time.perf_counter
-    base_path = profiler.current_path() + ("sweep",)
-    posts_resample_s = posts_draw_s = posts_update_s = 0.0
-    links_resample_s = links_draw_s = links_update_s = 0.0
-    permutation_s = 0.0
-    sweep_start = perf()
-
-    if isinstance(post_order, np.ndarray):
-        post_order = post_order.tolist()
-
-    # Loop-invariant bindings: same set as fast_sweep.
-    n_user_comm = state.n_user_comm
-    n_comm_topic = state.n_comm_topic
-    n_ctt = state.n_comm_topic_time
-    n_comm_total = cache.n_comm_total
-    comm_denom = cache.comm_denom
-    time_denom = cache.time_denom
-    base_all = cache.base
-    ldt = cache.log_denom_terms
-    word_topic = cache.word_topic
-    times = cache._times
-    authors = cache._authors
-    lengths = cache._lengths
-    post_words = cache._post_words
-    all_distinct = cache._all_distinct
-    expanded = cache._expanded
-    kw_bufs = cache._kw_bufs
-    int_bufs = cache._int_bufs
-    flt_bufs = cache._flt_bufs
-    post_c = cache._post_c
-    post_k = cache._post_k
-    comm_buf = cache._comm_buf
-    factor_buf = cache._factor_buf
-    topic_buf = cache._topic_buf
-    cum_comm = cache._cum_comm
-    cum_topic = cache._cum_topic
-    log3 = cache._log3
-    rho = hp.rho
-    alpha = hp.alpha
-    eps = hp.epsilon
-    beta = hp.beta
-    K_alpha = cache._K_alpha
-    T_eps = cache._T_eps
-    M = cache.max_len
-    K = cache.K
-    C = state.num_communities
-    C1 = C - 1
-    K1 = K - 1
-    floor = _WEIGHT_FLOOR
-    random = rng.random
-    integers = rng.integers
-    isfinite = math.isfinite
-    add = np.add
-    sub = np.subtract
-    mul = np.multiply
-    div = np.divide
-    log = np.log
-    exp = np.exp
-    maximum = np.maximum
-    max_reduce = np.maximum.reduce
-    reduce_ = np.add.reduce
-    accumulate = np.add.accumulate
-    empty = np.empty
-    move_post = state.move_post
-    post_moved = cache.post_moved
-    degenerate = 0
-
-    for post in post_order:
-        t0 = perf()
-        old_c = post_c[post]
-        old_k = post_k[post]
-        t = times[post]
-        author = authors[post]
-
-        # Eq. (1) against the live counters (community_weights).
-        weights = add(n_user_comm[author], rho, comm_buf)
-        factor = add(n_comm_topic[:, old_k], alpha, factor_buf)
-        div(factor, comm_denom, factor)
-        mul(weights, factor, weights)
-        add(n_ctt[:, old_k, t], eps, factor)
-        div(factor, time_denom[:, old_k], factor)
-        mul(weights, factor, weights)
-        n_ck = int(n_comm_topic[old_c, old_k]) - 1
-        n_ckt = int(n_ctt[old_c, old_k, t]) - 1
-        weights[old_c] = (
-            ((int(n_user_comm[author, old_c]) - 1) + rho)
-            * ((n_ck + alpha) / ((int(n_comm_total[old_c]) - 1) + K_alpha))
-        ) * ((n_ckt + eps) / (n_ck + T_eps))
-        maximum(weights, floor, out=weights)
-        t1 = perf()
-        posts_resample_s += t1 - t0
-        total = reduce_(weights)
-        if isfinite(total) and total > 0.0:
-            accumulate(weights, 0, None, cum_comm)
-            index = cum_comm.searchsorted(random() * total, side="right")
-            new_c = int(index) if index < C1 else C1
-        else:
-            new_c = int(integers(C))
-            degenerate += 1
-        t2 = perf()
-        posts_draw_s += t2 - t1
-
-        # Eq. (3) with the virtual-removal patches (topic_log_weights).
-        base = base_all[new_c, t]
-        if all_distinct[post]:
-            words, counts = post_words[post]
-            W = len(words)
-            gathered = int_bufs.get(W)
-            if gathered is None:
-                gathered = int_bufs[W] = empty((W, K), np.int64)
-            word_topic.take(words, 0, gathered)
-            gathered[:, old_k] -= counts
-            buf = kw_bufs.get(W)
-            if buf is None:
-                buf = kw_bufs[W] = empty((K, W))
-            terms = add(gathered.T, beta, buf)
-            log(terms, terms)
-            numerator = reduce_(terms, 1)
-        else:
-            full_words, qs_col, mults = expanded[post]
-            L = len(full_words)
-            ints = int_bufs.get(L)
-            if ints is None:
-                ints = int_bufs[L] = empty((L, K), np.int64)
-            word_topic.take(full_words, 0, ints)
-            add(ints, qs_col, ints)
-            ints[:, old_k] -= mults
-            terms = flt_bufs.get(L)
-            if terms is None:
-                terms = flt_bufs[L] = empty((L, K))
-            add(ints, beta, terms)
-            log(terms, terms)
-            accumulate(terms, 0, None, terms)
-            numerator = terms[-1]
-        length = lengths[post]
-        denominator = reduce_(ldt[:, M : M + length], 1)
-        lw = add(base, numerator, topic_buf)
-        sub(lw, denominator, lw)
-        den = reduce_(ldt[old_k, M - length : M])
-        if new_c == old_c:
-            log3[0] = n_ck + alpha
-            log3[1] = n_ck + T_eps
-            log3[2] = n_ckt + eps
-            log(log3, log3)
-            base_val = log3[0] + (log3[2] - log3[1])
-        else:
-            base_val = base[old_k]
-        lw[old_k] = (base_val + numerator[old_k]) - den
-        sub(lw, max_reduce(lw), lw)
-        exp(lw, lw)
-        maximum(lw, floor, out=lw)
-        t3 = perf()
-        posts_resample_s += t3 - t2
-        total = reduce_(lw)
-        if isfinite(total) and total > 0.0:
-            accumulate(lw, 0, None, cum_topic)
-            index = cum_topic.searchsorted(random() * total, side="right")
-            new_k = int(index) if index < K1 else K1
-        else:
-            new_k = int(integers(K))
-            degenerate += 1
-        t4 = perf()
-        posts_draw_s += t4 - t3
-
-        if new_c != old_c or new_k != old_k:
-            move_post(post, new_c, new_k)
-            post_moved(state, post, old_c, old_k, new_c, new_k)
-        posts_update_s += perf() - t4
+        if timed:
+            posts_update_s += perf() - t4
 
     state.degenerate_draws += degenerate
     degenerate = 0
@@ -1015,12 +578,16 @@ def fast_sweep_profiled(
     num_links = 0
 
     if state.num_links:
-        t0 = perf()
+        if timed:
+            t0 = perf()
+        # Draw the link permutation here, after the post loop, so the RNG
+        # stream matches the reference sweep exactly.
         if link_order is None:
             link_order = rng.permutation(state.num_links).tolist()
         elif isinstance(link_order, np.ndarray):
             link_order = link_order.tolist()
-        permutation_s = perf() - t0
+        if timed:
+            permutation_s = perf() - t0
         num_links = len(link_order)
 
         link_users = cache._link_users
@@ -1040,8 +607,15 @@ def fast_sweep_profiled(
         CC = C * C
         CC1 = CC - 1
 
+        # Links change label on nearly every draw (the C x C conditional is
+        # much flatter than the post conditionals), so virtual removal
+        # would patch three slices per draw only to mutate everything
+        # anyway; the link kernel removes for real and wins by caching the
+        # Eq. (2) occupation factor (a full C x C recompute per draw in the
+        # reference) per cell.
         for link in link_order:
-            t0 = perf()
+            if timed:
+                t0 = perf()
             src, dst = link_users[link]
             old_c = link_c[link]
             old_cp = link_cp[link]
@@ -1049,17 +623,16 @@ def fast_sweep_profiled(
             n_user_comm[dst, old_cp] -= 1
             n_link_comm[old_c, old_cp] -= 1
             n = int(n_link_comm[old_c, old_cp])
-            link_factor[old_c, old_cp] = (n + lambda1) / (
-                n + lambda0 + lambda1
-            )
-            # Eq. (2) over the removed counters (link_weights).
+            link_factor[old_c, old_cp] = (n + lambda1) / (n + lambda0 + lambda1)
+            # Eq. (2) over the removed counters.
             add(n_user_comm[src], rho, comm_buf)
             add(n_user_comm[dst], rho, factor_buf)
             mul(comm_col, factor_row, pair_buf)
             mul(pair_buf, link_factor, pair_buf)
             maximum(pair_flat, floor, out=pair_flat)
-            t1 = perf()
-            links_resample_s += t1 - t0
+            if timed:
+                t1 = perf()
+                links_resample_s += t1 - t0
             total = reduce_(pair_flat)
             if isfinite(total) and total > 0.0:
                 accumulate(pair_flat, 0, None, cum_pair)
@@ -1068,36 +641,37 @@ def fast_sweep_profiled(
             else:
                 flat_index = int(integers(CC))
                 degenerate += 1
-            t2 = perf()
-            links_draw_s += t2 - t1
+            if timed:
+                t2 = perf()
+                links_draw_s += t2 - t1
             new_c, new_cp = divmod(flat_index, C)
             n_user_comm[src, new_c] += 1
             n_user_comm[dst, new_cp] += 1
             n_link_comm[new_c, new_cp] += 1
             n = int(n_link_comm[new_c, new_cp])
-            link_factor[new_c, new_cp] = (n + lambda1) / (
-                n + lambda0 + lambda1
-            )
+            link_factor[new_c, new_cp] = (n + lambda1) / (n + lambda0 + lambda1)
             link_src_comm[link] = new_c
             link_dst_comm[link] = new_cp
             link_c[link] = new_c
             link_cp[link] = new_cp
-            links_update_s += perf() - t2
+            if timed:
+                links_update_s += perf() - t2
 
         state.degenerate_draws += degenerate
 
-    sweep_elapsed = perf() - sweep_start
-    profiler.add(base_path, sweep_elapsed)
+    if not timed:
+        return
+    sweep_s = perf() - sweep_start
+    base_path = profiler.current_path() + ("sweep",)
+    profiler.add(base_path, sweep_s)
     if num_posts:
-        profiler.add(
-            base_path + ("posts", "resample"), posts_resample_s, num_posts
-        )
-        profiler.add(base_path + ("posts", "draw"), posts_draw_s, num_posts)
-        profiler.add(base_path + ("posts", "update"), posts_update_s, num_posts)
+        posts = base_path + ("posts",)
+        profiler.add(posts + ("resample",), posts_resample_s, num_posts)
+        profiler.add(posts + ("draw",), posts_draw_s, num_posts)
+        profiler.add(posts + ("update",), posts_update_s, num_posts)
     if num_links:
-        profiler.add(base_path + ("links", "permutation"), permutation_s)
-        profiler.add(
-            base_path + ("links", "resample"), links_resample_s, num_links
-        )
-        profiler.add(base_path + ("links", "draw"), links_draw_s, num_links)
-        profiler.add(base_path + ("links", "update"), links_update_s, num_links)
+        links = base_path + ("links",)
+        profiler.add(links + ("permutation",), permutation_s)
+        profiler.add(links + ("resample",), links_resample_s, num_links)
+        profiler.add(links + ("draw",), links_draw_s, num_links)
+        profiler.add(links + ("update",), links_update_s, num_links)

@@ -202,28 +202,25 @@ def sweep(
 
     ``cache`` selects the fast path: a
     :class:`~repro.core.fastgibbs.SweepCache` bound to ``state``/``hp``
-    routes every draw through the cached vectorised kernels, which are
-    bit-identical to the reference kernels (same weights, same RNG
-    consumption) but several times faster.  Without a cache the reference
-    kernels run — they remain the correctness oracle.
+    routes every draw through :func:`~repro.core.fastgibbs.fast_sweep`,
+    which is bit-identical to the reference kernels (same weights, same
+    RNG consumption) but several times faster, and which times its phases
+    only while a :class:`~repro.telemetry.profiler.PhaseProfiler` is
+    active.  Without a cache the reference kernels run — they remain the
+    correctness oracle.
     """
     if post_order is None:
         post_order = rng.permutation(state.num_posts)
     if cache is not None:
-        from .fastgibbs import fast_sweep, fast_sweep_profiled
+        from .fastgibbs import fast_sweep
 
         # fast_sweep draws the link permutation itself (after the post
         # loop, where this function draws it) so the RNG stream matches.
-        # The profiled twin is op-for-op identical; selecting it here
-        # keeps the dark path free of per-draw instrumentation branches.
-        prof = profiler.get_profiler()
         with trace.span("fast_sweep", posts=len(post_order)):
-            if prof is not None:
-                fast_sweep_profiled(
-                    state, hp, rng, post_order, link_order, cache, prof
-                )
-            else:
-                fast_sweep(state, hp, rng, post_order, link_order, cache)
+            fast_sweep(
+                state, hp, rng, post_order, link_order, cache,
+                profiler.get_profiler(),
+            )
         return
     posts = post_order.tolist() if isinstance(post_order, np.ndarray) else post_order
     for post in posts:

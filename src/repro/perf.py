@@ -1973,10 +1973,10 @@ def profiler_draws_match(
 ) -> bool:
     """True iff profiled and dark fits draw the identical chain.
 
-    The profiled sweep variant is a separate code path
-    (:func:`~repro.core.fastgibbs.fast_sweep_profiled`), so this is the
-    strongest claim the gate makes: same weights, same RNG consumption,
-    op for op.
+    :func:`~repro.core.fastgibbs.fast_sweep` times its phases only while
+    a profiler is active and never reads the RNG for it, so this is the
+    strongest claim the gate makes: the timed sweep draws the same
+    weights with the same RNG consumption, op for op.
     """
     from .telemetry import profiler as profiling
 
@@ -2010,7 +2010,7 @@ def run_profiler_overhead_case(
     Same ABBA/min-floor discipline as
     :func:`run_telemetry_overhead_case`: each rep times a dark fit and a
     fit with an active :class:`~repro.telemetry.profiler.PhaseProfiler`
-    (which routes sweeps through the instrumented kernel twin),
+    (which turns on the sweep kernel's phase timers),
     alternating order so machine drift hits both modes equally.  The
     perf gate asserts ``overhead_fraction`` stays under 3%.
     """

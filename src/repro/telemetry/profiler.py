@@ -15,8 +15,8 @@ contracts matter more here than anywhere else in the telemetry layer:
 * **never touch the RNG** — phases only read ``time.perf_counter``, so a
   profiled fit draws a chain bit-identical to a dark fit (enforced by
   ``benchmarks/perf/test_profiler_overhead.py``);
-* **stay out of the inner loop** — the fastgibbs kernels accumulate phase
-  seconds into local floats and flush once per sweep via :meth:`add`;
+* **stay out of the inner loop** — the fast sweep kernel accumulates phase
+  seconds into local floats and flushes once per sweep via :meth:`add`;
   the context-manager form is for per-superstep granularity (cache
   refresh, merge, dispatch), not per-document work.
 

@@ -2,8 +2,10 @@
 
 Covers the :class:`~repro.telemetry.profiler.PhaseProfiler` accounting
 primitives (nesting, absorb, drain round-trip), the attribution report
-and its collapsed-stack rendering, the bit-identical-draws contract of
-the instrumented kernel twin, and the synthetic-slowdown detection path
+and its collapsed-stack rendering, the phase rows and bit-identical-draws
+contract of the fast sweep kernel (which times its phases only while a
+profiler is active and never reads the RNG for it), and the
+synthetic-slowdown detection path
 (:func:`~repro.telemetry.profiler.compare_profiles`).
 """
 
@@ -226,10 +228,12 @@ class TestKernelInstrumentation:
             sweep(state, hp, rng, cache=cache)
         finally:
             profiling.set_profiler(previous)
-        paths = {path for path, _, _ in prof.items()}
-        assert ("sweep",) in paths
-        assert ("sweep", "posts", "resample") in paths
-        assert ("sweep", "links", "draw") in paths
+        counts = {path: count for path, count, _ in prof.items()}
+        assert counts[("sweep",)] == 1
+        for phase in ("resample", "draw", "update"):
+            assert counts[("sweep", "posts", phase)] == state.num_posts
+            assert counts[("sweep", "links", phase)] == state.num_links
+        assert counts[("sweep", "links", "permutation")] == 1
 
 
 class TestGauges:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.fastgibbs import SweepCache, fast_resample_link, fast_resample_post
-from repro.core.gibbs import resample_link, resample_post, sweep
+from repro.core.fastgibbs import SweepCache
+from repro.core.gibbs import sweep
 from repro.core.params import Hyperparameters
 from repro.core.state import CountState, StateError
 
@@ -110,30 +110,38 @@ class TestSweepEquivalence:
 
 
 class TestPerDrawKernels:
-    def test_fast_resample_post_matches_reference(self, hand_corpus, hp):
-        """Draw-by-draw: each fast kernel call returns the reference draw."""
-        rng_ref = np.random.default_rng(5)
-        rng_fast = np.random.default_rng(5)
-        ref = _init(hand_corpus, np.random.default_rng(1), C=3, K=2)
-        fst = _init(hand_corpus, np.random.default_rng(1), C=3, K=2)
-        cache = SweepCache(fst, hp)
-        for _round in range(3):
-            for post in range(ref.num_posts):
-                expected = resample_post(ref, hp, post, rng_ref)
-                got = fast_resample_post(fst, hp, post, rng_fast, cache)
-                assert got == expected
+    """Draw-by-draw equivalence through the public ``sweep()``: a one-item
+    visitation order makes each call exactly one post or one link draw."""
 
-    def test_fast_resample_link_matches_reference(self, hand_corpus, hp):
-        rng_ref = np.random.default_rng(6)
-        rng_fast = np.random.default_rng(6)
-        ref = _init(hand_corpus, np.random.default_rng(2), C=3, K=2)
-        fst = _init(hand_corpus, np.random.default_rng(2), C=3, K=2)
+    @staticmethod
+    def _run_single_draws(corpus, hp, init_seed, rng_seed, orders):
+        rng_ref = np.random.default_rng(rng_seed)
+        rng_fast = np.random.default_rng(rng_seed)
+        ref = _init(corpus, np.random.default_rng(init_seed), C=3, K=2)
+        fst = _init(corpus, np.random.default_rng(init_seed), C=3, K=2)
         cache = SweepCache(fst, hp)
         for _round in range(3):
-            for link in range(ref.num_links):
-                expected = resample_link(ref, hp, link, rng_ref)
-                got = fast_resample_link(fst, hp, link, rng_fast, cache)
-                assert got == expected
+            for post_order, link_order in orders(ref):
+                sweep(ref, hp, rng_ref, post_order=post_order,
+                      link_order=link_order)
+                sweep(fst, hp, rng_fast, post_order=post_order,
+                      link_order=link_order, cache=cache)
+                for want, got in zip(_chain_arrays(ref), _chain_arrays(fst)):
+                    np.testing.assert_array_equal(want, got)
+        np.testing.assert_array_equal(rng_ref.random(8), rng_fast.random(8))
+        cache.check_consistency(fst)
+
+    def test_each_post_draw_matches_reference(self, hand_corpus, hp):
+        self._run_single_draws(
+            hand_corpus, hp, init_seed=1, rng_seed=5,
+            orders=lambda s: [([post], []) for post in range(s.num_posts)],
+        )
+
+    def test_each_link_draw_matches_reference(self, hand_corpus, hp):
+        self._run_single_draws(
+            hand_corpus, hp, init_seed=2, rng_seed=6,
+            orders=lambda s: [([], [link]) for link in range(s.num_links)],
+        )
 
     def test_cache_rebuild_equals_incremental(self, tiny_corpus, hp):
         """The cache is a pure function of (state, hp): rebuilding it after
