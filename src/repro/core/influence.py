@@ -11,6 +11,7 @@ aggregated "other communities" corner.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,46 +24,77 @@ class InfluenceError(ValueError):
     """Raised for invalid influence computations."""
 
 
-def _validated_seeds(
-    probabilities: np.ndarray, seeds: list[int] | np.ndarray
+def _seed_sets(
+    probabilities: np.ndarray, seeds: list[int] | np.ndarray | None
 ) -> np.ndarray:
-    """Validate the IC inputs once; returns the seed indices as int64."""
+    """Validate the IC inputs; returns seed-set mask rows (``None``: each node)."""
     n = probabilities.shape[0]
     if probabilities.shape != (n, n):
         raise InfluenceError("probability matrix must be square")
     if ((probabilities < 0) | (probabilities > 1)).any():
         raise InfluenceError("activation probabilities must lie in [0, 1]")
+    if seeds is None:
+        return np.eye(n, dtype=bool)
     seed_idx = np.asarray(seeds, dtype=np.int64).reshape(-1)
-    if len(seed_idx) and not (
-        0 <= int(seed_idx.min()) and int(seed_idx.max()) < n
-    ):
-        bad = seed_idx[(seed_idx < 0) | (seed_idx >= n)][0]
-        raise InfluenceError(f"seed {int(bad)} out of range [0, {n})")
-    return seed_idx
+    bad = seed_idx[(seed_idx < 0) | (seed_idx >= n)]
+    if bad.size:
+        raise InfluenceError(f"seed {int(bad[0])} out of range [0, {n})")
+    return np.bincount(seed_idx, minlength=n)[None] > 0
 
 
-def _cascade(
-    probabilities: np.ndarray,
-    active: np.ndarray,
-    frontier: np.ndarray,
-    rng: np.random.Generator,
-) -> None:
-    """Run one IC realisation in place from ``frontier`` (validated inputs).
+# Uniform doubles drawn per block: caps a level's transient memory at
+# O(block + n^2) for any number of realisations.
+_DRAW_BLOCK = 1 << 14
 
-    Each BFS level draws one ``(len(frontier), n)`` uniform block and
-    reduces it against the frontier's probability rows — node ``v``
-    activates iff any newly-active ``u`` fires the ``u -> v`` edge, which
-    is exactly the per-edge semantics of the scalar loop (every edge out
-    of an activated node is tried once).
+
+def _batched_cascade(
+    probabilities: np.ndarray, active: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Run the IC realisations in the rows of ``active`` to completion, in place.
+
+    ``active`` is ``(R, n)`` boolean, one realisation per row, seeded.  All
+    rows advance level by level: each level draws one uniform per (frontier
+    entry, target) in row-major blocks of about ``_DRAW_BLOCK`` doubles and
+    ORs each row's fired edges, so every edge out of a newly active node is
+    tried exactly once, as in the scalar per-edge loop.
     """
-    while frontier.size:
-        flips = (
-            rng.random((frontier.size, probabilities.shape[0]))
-            < probabilities[frontier]
-        )
-        newly = flips.any(axis=0) & ~active
-        active |= newly
-        frontier = np.flatnonzero(newly)
+    n = active.shape[1]
+    step = max(1, _DRAW_BLOCK // n)
+    frontier = active.copy()
+    while True:
+        counts = np.count_nonzero(frontier, axis=1)
+        rows = np.flatnonzero(counts)
+        if not rows.size:
+            return active
+        # Split the frontier rows into blocks of about ``step`` entries.
+        ends = np.cumsum(counts[rows])
+        starts = np.searchsorted(ends, np.arange(0, ends[-1], step), "right")
+        for block in np.split(rows, np.unique(starts)[1:]):
+            owner, nodes = np.nonzero(frontier[block])
+            flips = rng.random((nodes.size, n)) < probabilities[nodes]
+            heads = np.flatnonzero(np.diff(owner, prepend=-1))
+            fired = np.logical_or.reduceat(flips, heads, axis=0) & ~active[block]
+            active[block] |= fired
+            frontier[block] = fired
+
+
+def _mean_spreads(
+    probabilities: np.ndarray,
+    seeds: list[int] | np.ndarray | None,
+    num_simulations: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Mean IC spread of each seed set of :func:`_seed_sets`.
+
+    All realisations run in one batched cascade: row ``g * num_simulations
+    + s`` is simulation ``s`` of seed set ``g``.
+    """
+    if num_simulations <= 0:
+        raise InfluenceError("num_simulations must be positive")
+    sets = _seed_sets(probabilities, seeds)
+    active = np.repeat(sets, num_simulations, axis=0)
+    _batched_cascade(probabilities, active, rng)
+    return np.count_nonzero(active.reshape(len(sets), -1), axis=1) / num_simulations
 
 
 def independent_cascade(
@@ -76,20 +108,16 @@ def independent_cascade(
     activates ``v`` (each edge fires at most once).  Returns the boolean
     activation vector.
 
-    .. note:: RNG stream (changed when the loop was vectorised)
+    .. note:: RNG stream (changed again when realisations were batched)
 
-       Each BFS level now consumes one batched ``(len(frontier), n)``
-       uniform draw, with the frontier in ascending node order and
-       duplicate seeds collapsed — instead of the original per-node
-       ``rng.random(n)`` calls in insertion order.  A fixed seed therefore
-       yields a *different* (equally valid) realisation than earlier
-       versions; the spread distribution is unchanged.
+       Every caller runs all its realisations as the rows of one batched
+       cascade: each BFS level draws, in row-major blocks of about 2^14
+       doubles, one ``n``-vector of uniforms per (realisation, node)
+       frontier entry.  Earlier versions looped per realisation (and before
+       that per node), so a fixed seed now yields *different*, equally
+       valid, realisations; the spread distribution is unchanged.
     """
-    seed_idx = _validated_seeds(probabilities, seeds)
-    active = np.zeros(probabilities.shape[0], dtype=bool)
-    active[seed_idx] = True
-    _cascade(probabilities, active, np.flatnonzero(active), rng)
-    return active
+    return _batched_cascade(probabilities, _seed_sets(probabilities, seeds), rng)[0]
 
 
 def expected_spread(
@@ -100,25 +128,10 @@ def expected_spread(
 ) -> float:
     """Monte-Carlo estimate of IC expected spread from ``seeds``.
 
-    Validation happens once up front (not per realisation), and the
-    per-realisation spreads accumulate into one vector whose mean is
-    returned.  Shares :func:`independent_cascade`'s batched RNG stream —
-    see its note on the stream change.
+    Shares :func:`independent_cascade`'s RNG stream — see its note.
     """
-    if num_simulations <= 0:
-        raise InfluenceError("num_simulations must be positive")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    seed_idx = _validated_seeds(probabilities, seeds)
-    seed_mask = np.zeros(probabilities.shape[0], dtype=bool)
-    seed_mask[seed_idx] = True
-    seed_frontier = np.flatnonzero(seed_mask)
-    sizes = np.empty(num_simulations, dtype=np.int64)
-    for index in range(num_simulations):
-        active = seed_mask.copy()
-        _cascade(probabilities, active, seed_frontier, rng)
-        sizes[index] = np.count_nonzero(active)
-    return float(sizes.mean())
+    rng = np.random.default_rng(0) if rng is None else rng
+    return float(_mean_spreads(probabilities, seeds, num_simulations, rng)[0])
 
 
 @dataclass
@@ -169,10 +182,7 @@ def community_influence(
     """Influence degree of every community at ``topic`` via single-seed IC."""
     probabilities = _activation_matrix(estimates, topic)
     rng = np.random.default_rng(seed)
-    C = probabilities.shape[0]
-    degree = np.empty(C)
-    for c in range(C):
-        degree[c] = expected_spread(probabilities, [c], num_simulations, rng)
+    degree = _mean_spreads(probabilities, None, num_simulations, rng)
     return CommunityInfluence(topic=topic, degree=degree)
 
 
@@ -231,35 +241,25 @@ def greedy_seed_selection(
     marketing campaigns.
     """
     n = probabilities.shape[0]
-    if probabilities.shape != (n, n):
-        raise InfluenceError("probability matrix must be square")
     if not 0 < num_seeds <= n:
         raise InfluenceError(f"num_seeds must lie in [1, {n}]")
     rng = np.random.default_rng(seed)
-
     seeds: list[int] = []
     spreads: list[float] = []
     current_spread = 0.0
-    # Lazy queue: (negative gain, node, round the gain was computed in).
-    import heapq
-
-    queue: list[tuple[float, int, int]] = []
-    for node in range(n):
-        gain = expected_spread(probabilities, [node], num_simulations, rng)
-        heapq.heappush(queue, (-gain, node, 0))
+    # Lazy queue: (negative gain, node, round the gain was computed in); the
+    # first round's gains are every single-seed spread, in one batched call.
+    gains = _mean_spreads(probabilities, None, num_simulations, rng)
+    queue = [(-float(gain), node, 0) for node, gain in enumerate(gains)]
+    heapq.heapify(queue)
 
     for round_index in range(1, num_seeds + 1):
         while True:
             negative_gain, node, computed_round = heapq.heappop(queue)
             if computed_round == round_index:
                 break
-            fresh = (
-                expected_spread(
-                    probabilities, seeds + [node], num_simulations, rng
-                )
-                - current_spread
-            )
-            heapq.heappush(queue, (-fresh, node, round_index))
+            fresh = expected_spread(probabilities, [*seeds, node], num_simulations, rng)
+            heapq.heappush(queue, (current_spread - fresh, node, round_index))
         seeds.append(node)
         current_spread += -negative_gain
         spreads.append(current_spread)

@@ -50,6 +50,11 @@ from ..core.prediction import (
 from ..telemetry import trace
 from .robustness import Deadline, DegenerateScoreError, LRUCache, ServingError
 
+#: Most Monte-Carlo realisations one influential query may ask for.  A cold
+#: query holds the influence lock for its whole run, and the deadline is only
+#: checked around it, so an unbounded count could stall every cold query.
+MAX_IC_SIMULATIONS = 10_000
+
 
 class ModelServer:
     """Precomputed, cache-accelerated query engine over a fitted model.
@@ -231,15 +236,19 @@ class ModelServer:
 
         The Monte-Carlo community influence is the expensive part; it is
         computed once per ``(topic, num_simulations)`` and cached, so a
-        hot topic answers from one matrix-vector product.
+        hot topic answers from one matrix-vector product.  ``num_simulations``
+        defaults to ``ic_simulations``; a value outside ``[1,
+        MAX_IC_SIMULATIONS]`` raises ``PredictionError`` before any run.
         """
         if deadline is not None:
             deadline.check("influential admission")
         if not 0 <= topic < self.estimates.num_topics:
             raise PredictionError(f"topic {topic} out of range")
         sims = self.ic_simulations if num_simulations is None else num_simulations
-        if sims <= 0:
-            raise PredictionError("num_simulations must be positive")
+        if not 0 < sims <= MAX_IC_SIMULATIONS:
+            raise PredictionError(
+                f"num_simulations must lie in [1, {MAX_IC_SIMULATIONS}]"
+            )
         key = (int(topic), int(sims))
         influence = self._influence_cache.get(key)
         cached = influence is not None

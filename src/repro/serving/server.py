@@ -13,7 +13,8 @@
 ``/v1/query/link``         POST    ``{"sources", "targets"}`` -> scores
 ``/v1/query/timestamp``    POST    ``{"author", "words"}`` (or batched
                                    ``"authors"``/``"words_per_post"``)
-``/v1/query/influential``  POST    ``{"topic", ...}`` -> community ranking + users
+``/v1/query/influential``  POST    ``{"topic", ...}`` -> community ranking + users;
+                                   ``num_simulations`` at most 10 000
 ``/v1/admin/reload``       POST    ``{"path"?}`` -> validate candidate, swap or
                                    roll back
 =========================  ======  ===============================================

@@ -16,6 +16,8 @@ from repro.core.prediction import (
 )
 from repro.datasets.corpus import Post
 from repro.serving import Deadline, DegenerateScoreError, ModelServer, ServingError
+from repro.serving import engine as engine_module
+from repro.serving.engine import MAX_IC_SIMULATIONS
 from repro.serving.robustness import DeadlineExceeded
 
 
@@ -135,6 +137,22 @@ class TestInfluential:
             engine.influential(estimates.num_topics)
         with pytest.raises(PredictionError):
             engine.influential(0, num_simulations=0)
+
+    def test_simulation_cap_rejects_before_any_run(self, estimates, monkeypatch):
+        ran = []
+
+        def recording(estimates, topic, num_simulations, seed):
+            ran.append(num_simulations)
+            return community_influence(estimates, topic, 1, seed)
+
+        monkeypatch.setattr(engine_module, "community_influence", recording)
+        engine = ModelServer(estimates, ic_simulations=10)
+        with pytest.raises(PredictionError, match="num_simulations"):
+            engine.influential(0, num_simulations=MAX_IC_SIMULATIONS + 1)
+        assert ran == []
+        assert engine.describe()["influence_cache"]["entries"] == 0
+        engine.influential(0, num_simulations=MAX_IC_SIMULATIONS)
+        assert ran == [MAX_IC_SIMULATIONS]
 
 
 class TestTopInfluentialUsers:

@@ -7,6 +7,8 @@ from http.client import HTTPConnection
 
 import pytest
 
+from repro.serving import engine as engine_module
+from repro.serving.engine import MAX_IC_SIMULATIONS
 from repro.serving.server import _LEGACY_ROUTES, _SUNSET
 
 
@@ -63,6 +65,20 @@ class TestV1Envelope:
         assert status == 400
         assert payload["error"] == "bad_request"
         assert payload["api_version"] == "v1"
+
+    def test_influential_simulation_cap_is_bad_request(
+        self, serve, engine, monkeypatch
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no simulation may run above the cap")
+
+        monkeypatch.setattr(engine_module, "community_influence", forbidden)
+        server = serve(engine=engine)
+        body = {"topic": 0, "num_simulations": MAX_IC_SIMULATIONS + 1}
+        status, payload, _ = request(server, "POST", "/v1/query/influential", body)
+        assert status == 400
+        assert payload["error"] == "bad_request"
+        assert "num_simulations" in payload["detail"]
 
     def test_unknown_route_is_404(self, serve, engine):
         server = serve(engine=engine)

@@ -1,17 +1,77 @@
 """Unit tests for repro.core.influence (§6.6, Independent Cascade, Fig. 16)."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.estimates import ParameterEstimates
 from repro.core.influence import (
     CommunityInfluence,
     InfluenceError,
+    _activation_matrix,
     community_influence,
     expected_spread,
     independent_cascade,
     pentagon_embedding,
     user_influence,
 )
+
+
+def exact_spread(probs: np.ndarray, seeds: list[int]) -> tuple[float, float]:
+    """Exact mean and variance of the IC spread from ``seeds``.
+
+    IC is reachability from the seeds in the random live-edge graph, where
+    each edge is live independently with its probability, so enumerating
+    every live-edge subgraph weighted by its probability gives the exact
+    spread distribution.
+    """
+    n = len(probs)
+    edges = [(u, v) for u in range(n) for v in range(n) if probs[u, v] > 0]
+    mean = second = 0.0
+    for live in itertools.product((False, True), repeat=len(edges)):
+        weight = np.prod(
+            [probs[e] if on else 1.0 - probs[e] for e, on in zip(edges, live)]
+        )
+        reached, stack = set(seeds), list(seeds)
+        while stack:
+            u = stack.pop()
+            for (a, b), on in zip(edges, live):
+                if on and a == u and b not in reached:
+                    reached.add(b)
+                    stack.append(b)
+        mean += weight * len(reached)
+        second += weight * len(reached) ** 2
+    return mean, second - mean**2
+
+
+#: A 4-node graph with mixed edge probabilities, a cycle and a sure edge.
+MIXED_GRAPH = np.array(
+    [
+        [0.0, 0.5, 0.3, 0.0],
+        [0.0, 0.0, 0.8, 0.2],
+        [0.4, 0.0, 0.0, 1.0],
+        [0.0, 0.1, 0.0, 0.0],
+    ]
+)
+
+
+def assert_close_to_exact(estimate, probs, seeds, num_simulations):
+    """Within four Monte-Carlo standard errors of the exact expectation."""
+    mean, variance = exact_spread(probs, seeds)
+    assert abs(estimate - mean) <= 4 * np.sqrt(variance / num_simulations) + 1e-12
+
+
+@st.composite
+def cascade_inputs(draw):
+    n = draw(st.integers(1, 7))
+    entry = st.sampled_from([0.0, 0.0, 1.0]) | st.floats(0.0, 1.0)
+    probs = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n)))
+    seeds = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    return probs.reshape(n, n), seeds, draw(st.integers(0, 2**32 - 1))
 
 
 class TestIndependentCascade:
@@ -58,6 +118,20 @@ class TestIndependentCascade:
         with pytest.raises(InfluenceError):
             independent_cascade(np.zeros((2, 2)), [5], rng)
 
+    @settings(max_examples=200, deadline=None)
+    @given(cascade_inputs())
+    def test_activations_are_closed_and_explained(self, inputs):
+        """Every active non-seed node has an active in-neighbour with p > 0,
+        and every p = 1 edge out of an active node lands on an active node."""
+        probs, seeds, rng_seed = inputs
+        active = independent_cascade(probs, seeds, np.random.default_rng(rng_seed))
+        is_seed = np.zeros(len(probs), dtype=bool)
+        is_seed[seeds] = True
+        assert active[is_seed].all()
+        explained = (probs[active] > 0).any(axis=0)
+        assert explained[active & ~is_seed].all()
+        assert active[(probs[active] == 1.0).any(axis=0)].all()
+
 
 class TestExpectedSpread:
     def test_chain_spread_value(self):
@@ -74,9 +148,53 @@ class TestExpectedSpread:
     def test_rejects_bad_simulation_count(self):
         with pytest.raises(InfluenceError):
             expected_spread(np.zeros((2, 2)), [0], 0)
+        with pytest.raises(InfluenceError):
+            expected_spread(np.zeros((2, 2)), [0], -3)
+
+    @pytest.mark.parametrize("seeds", [[0], [3], [1, 2]])
+    def test_matches_exact_expectation(self, seeds):
+        sims = 20_000
+        value = expected_spread(MIXED_GRAPH, seeds, sims, np.random.default_rng(5))
+        assert_close_to_exact(value, MIXED_GRAPH, seeds, sims)
 
 
 class TestCommunityInfluence:
+    def test_degrees_match_exact_expectation(self, estimates):
+        probs = _activation_matrix(estimates, topic=0)
+        sims = 20_000
+        influence = community_influence(estimates, topic=0, num_simulations=sims)
+        for c in range(estimates.num_communities):
+            assert_close_to_exact(influence.degree[c], probs, [c], sims)
+
+    def test_rejects_bad_simulation_count(self, estimates):
+        for sims in (0, -1):
+            with pytest.raises(InfluenceError):
+                community_influence(estimates, topic=0, num_simulations=sims)
+
+    def test_draw_blocks_bound_memory(self):
+        """Peak memory is the activation and frontier matrices plus a few MB.
+
+        An unblocked first level would draw ``R x n`` doubles (160 MB here).
+        """
+        C, sims = 200, 500
+        eta = np.full((C, C), 0.002)
+        eta[0, 1] = 1.0  # rescaled to 0.9; every other edge fires w.p. 0.0018
+        estimates = ParameterEstimates(
+            pi=np.full((2, C), 1 / C),
+            theta=np.ones((C, 1)),
+            phi=np.full((1, 3), 1 / 3),
+            psi=np.full((1, C, 2), 0.5),
+            eta=eta,
+        )
+        matrix_bytes = C * sims * C
+        tracemalloc.start()
+        try:
+            influence = community_influence(estimates, 0, num_simulations=sims)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (influence.degree >= 1.0).all()
+        assert peak < 2 * matrix_bytes + 6 * 2**20
     def test_degrees_at_least_one(self, estimates):
         influence = community_influence(estimates, topic=0, num_simulations=30)
         assert (influence.degree >= 1.0).all()
