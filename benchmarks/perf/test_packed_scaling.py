@@ -13,11 +13,11 @@ The gate fits the format's headline claims:
 * **sub-linear, capped training memory** — mmap-backed training never
   copies the corpus (workers map the file read-only; the OS shares the
   pages), so what remains resident is the sampler's own working state —
-  ``CountState`` + the fast path's per-post ``SweepCache`` metadata,
-  which grows with posts but several times slower than the token stream
-  plus per-worker pickled copies would.  Asserted two ways: a fixed
-  generous ceiling at both scales, and RSS growth strictly below the
-  token growth.
+  ``CountState`` + the fast path's ``SweepCache`` (its largest log table
+  has one entry per token), which grows several times slower than the
+  token stream plus per-worker pickled copies would.  Asserted two ways:
+  a fixed generous ceiling at both scales, and RSS growth strictly below
+  the token growth.
 * **linear time** — sweep and generation time grow no worse than ~2.5x
   the token ratio between the two scales, catching any accidental
   quadratic (e.g. the per-link O(users) CDF rebuild this gate originally
@@ -39,9 +39,8 @@ pytestmark = pytest.mark.perf
 #: Fixed RSS ceilings (MB), identical at every scale.  Generation is
 #: genuinely flat (~165MB at 10^5 users, dominated by interpreter +
 #: numpy); its ceiling is several times the observed peak.  Training
-#: carries the sampler's per-post working state (``SweepCache``
-#: metadata; ~720MB observed at 10^5 users with children folded in), so
-#: its ceiling is a generous cap that would still catch the failure this
+#: carries the sampler's working state (``CountState`` + ``SweepCache``),
+#: so its ceiling is a generous cap that would still catch the failure this
 #: PR removes — per-worker pickled corpus copies — or any accidental
 #: full-corpus materialisation on top of the sampler state.
 GENERATE_RSS_CEILING_MB = 700

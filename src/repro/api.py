@@ -19,9 +19,9 @@ hot-swap reload.  All three are keyword-only past their subjects, like
 :class:`COLDConfig` is a frozen, validated value object — build one per
 study, derive variants with :meth:`COLDConfig.evolve`, and every entry
 point (this module, the CLI, the benchmark harness) consumes it the same
-way.  :func:`fit` runs the cached vectorised Gibbs kernels by default
-(``config.fast``); draws are bit-identical to the reference kernels, so
-seeded results do not depend on the switch.
+way.  :func:`fit` runs the native sweep kernel by default
+(``config.fast``); it draws the reference kernels' chain, so seeded
+results do not depend on the switch.
 
 Convergence tooling is re-exported here too: :func:`run_chains` fits
 several independently seeded chains concurrently and :func:`diagnose`

@@ -212,8 +212,8 @@ def _add_train(subparsers: argparse._SubParsersAction) -> None:
     parser.add_argument("--no-network", action="store_true")
     parser.add_argument(
         "--reference-kernels", action="store_true",
-        help="use the uncached reference Gibbs kernels (draws are "
-        "bit-identical either way; this only trades speed for simplicity)",
+        help="use the reference Gibbs kernels instead of the native one "
+        "(same draws either way; this only trades speed for simplicity)",
     )
     parser.add_argument(
         "--verify-corpus", action="store_true",

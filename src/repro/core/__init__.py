@@ -4,8 +4,8 @@ Layout mirrors the paper:
 
 * ``params`` / ``state`` / ``gibbs`` / ``likelihood`` — collapsed Gibbs
   inference (§4, Appendix A);
-* ``fastgibbs`` — the cached vectorised sweep kernels (bit-identical to
-  ``gibbs``, benchmarked by ``repro.perf``);
+* ``fastgibbs`` — the native sweep kernel (``_sweep.c``) and its cache
+  (draws identical to ``gibbs``, benchmarked by ``repro.perf``);
 * ``config`` — the frozen :class:`COLDConfig` consumed by every entry point;
 * ``estimates`` / ``model`` — the fitted model facade (§3);
 * ``diffusion`` — topic-sensitive community influence, Eq. (4) / Fig. 5;

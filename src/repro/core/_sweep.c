@@ -1,0 +1,457 @@
+/*
+ * Native collapsed-Gibbs sweep kernel for COLD (paper Eqs. 1-3).
+ *
+ * Built at first use by repro.core.fastgibbs (plain `cc`, loaded with
+ * ctypes) and driven one sweep at a time: cold_sweep_posts walks the
+ * post visitation order (community by Eq. 1, then topic by Eq. 3),
+ * cold_sweep_links the link order (Eq. 2).  Both read the CountState
+ * counters and the PostTable CSR columns in place, mutate counters and
+ * assignments exactly like CountState.move_post / remove_link+add_link,
+ * and patch the SweepCache factors a move invalidates.
+ *
+ * Exactness rules (see the fastgibbs module docstring):
+ *   - every log has an integer+constant argument and is read from a
+ *     table that np.log built (log_beta[n] == np.log(n + beta), ...);
+ *   - sums reproduce numpy's pairwise_sum (pairwise_sum below), running
+ *     sums are sequential, and no expression is contracted into an FMA
+ *     (the loader passes -ffp-contract=off);
+ *   - exp is libm's, which may differ from np.exp by one ULP.
+ *
+ * Uniforms come in pre-drawn (u, one per draw).  A degenerate draw
+ * (non-finite or non-positive weight total) is never resolved here: the
+ * kernel leaves the state as it was before that draw and returns the
+ * draw's index, and the caller replays the RNG, draws the uniform
+ * fallback with rng.integers and resumes with it as `forced`.
+ */
+
+#define _POSIX_C_SOURCE 199309L
+
+#include <math.h>
+#include <stdint.h>
+#include <time.h>
+
+typedef struct {
+    int64_t C, K, T, V, D, E; /* D posts and E links in the corpus */
+    int64_t timed;     /* nonzero: time split items into phase_s */
+    int64_t pending_c; /* out: community drawn before a degenerate topic draw */
+    double rho, alpha, epsilon, lambda0, lambda1, K_alpha, T_eps, floor;
+    /* PostTable columns and the (E, 2) link array (read only) */
+    const int64_t *authors, *times, *lengths, *offsets, *words, *counts;
+    const int64_t *links;
+    /* CountState counters and assignments (mutated) */
+    int64_t *n_user_comm, *n_comm_topic, *n_ctt, *n_topic_word;
+    int64_t *n_topic_total, *n_link_comm;
+    int64_t *post_comm, *post_topic, *link_src_comm, *link_dst_comm;
+    /* SweepCache factors (mutated) and log tables (read only) */
+    int64_t *n_comm_total, *word_topic;
+    double *base, *link_factor;
+    const double *log_beta, *log_alpha, *log_T_eps, *log_eps, *log_V_beta;
+    /* scratch: 4 * max(C * C, K) + K * (max unique words per post) */
+    double *scratch;
+    /* split items' seconds: posts resample/draw/update, then links' */
+    double phase_s[6];
+} cold_sweep_ctx;
+
+int64_t cold_sweep_ctx_size(void) { return (int64_t)sizeof(cold_sweep_ctx); }
+
+static double now(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)ts.tv_sec + (double)ts.tv_nsec * 1e-9;
+}
+
+/*
+ * Phase timing.  A timed call reads the clock only within every
+ * SPLIT_STRIDE-th item (post or link, in visitation order), at its start
+ * and at each of its phase boundaries; the caller scales these split
+ * items' phase seconds up to the wall time it measured around the call.
+ * A clock read at every phase boundary of every item would cost a
+ * sizeable fraction of a ~3 us post.
+ */
+#define SPLIT_STRIDE 16
+
+/* Charge the time since the previous lap to slot `slot`. */
+static void lap(cold_sweep_ctx *x, double *last, int slot)
+{
+    const double t = now();
+    x->phase_s[slot] += t - *last;
+    *last = t;
+}
+
+/* numpy's pairwise_sum for float64: sequential below 8 elements, eight
+ * accumulators up to a block of 128, halving (at multiples of 8) above. */
+static double pairwise_sum(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = 0.;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) +
+                     ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* np.add.reduce of a 1-D float64 array (and of each row of a 2-D one):
+ * the identity, plus the pairwise sum of every element. */
+static double reduce_sum(const double *a, int64_t n)
+{
+    return 0. + pairwise_sum(a, n);
+}
+
+/* np.add.accumulate: a strictly left-to-right running sum. */
+static void accumulate(const double *a, int64_t n, double *out)
+{
+    double run = a[0];
+    out[0] = run;
+    for (int64_t i = 1; i < n; i++) {
+        run += a[i];
+        out[i] = run;
+    }
+}
+
+/* np.maximum(x, floor) elementwise, NaN propagating. */
+static void floor_weights(double *w, int64_t n, double floor)
+{
+    for (int64_t i = 0; i < n; i++)
+        if (!(w[i] >= floor || isnan(w[i])))
+            w[i] = floor;
+}
+
+/* gibbs.categorical_checked's draw for finite positive `total`:
+ * searchsorted(cumsum(w), u * total, side="right"), clamped to n - 1. */
+static int64_t categorical(const double *w, int64_t n, double total, double u,
+                           double *cum)
+{
+    accumulate(w, n, cum);
+    const double key = u * total;
+    int64_t lo = 0, hi = n;
+    while (lo < hi) {
+        const int64_t mid = lo + ((hi - lo) >> 1);
+        if (cum[mid] <= key)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo < n - 1 ? lo : n - 1;
+}
+
+/* Every order entry in [start, n) indexes one of `size` items. */
+static int in_range(const int64_t *order, int64_t start, int64_t n,
+                    int64_t size)
+{
+    for (int64_t i = start; i < n; i++)
+        if (order[i] < 0 || order[i] >= size)
+            return 0;
+    return 1;
+}
+
+static int degenerate(double total) { return !(isfinite(total) && total > 0.0); }
+
+/* Refresh the Eq. (3) base row of cell (c, k) after n_ck or n_ckt moved. */
+static void touch_cell(cold_sweep_ctx *x, int64_t c, int64_t k)
+{
+    const int64_t K = x->K, T = x->T, ck = c * K + k;
+    const int64_t n_ck = x->n_comm_topic[ck];
+    const double interest = x->log_alpha[n_ck];
+    const double denom = x->log_T_eps[n_ck];
+    const int64_t *n_ckt = x->n_ctt + ck * T;
+    double *base = x->base + c * T * K + k;
+    for (int64_t t = 0; t < T; t++)
+        base[t * K] = interest + (x->log_eps[n_ckt[t]] - denom);
+}
+
+/* Eq. (2)'s cached occupation factor of community pair cell `cc`. */
+static void touch_link_cell(cold_sweep_ctx *x, int64_t cc)
+{
+    const double n = (double)x->n_link_comm[cc];
+    x->link_factor[cc] = (n + x->lambda1) / ((n + x->lambda0) + x->lambda1);
+}
+
+/*
+ * Resample posts order[draw / 2 .. n).  Draw 2i is post i's community,
+ * draw 2i + 1 its topic.  `forced` (>= 0) is the value of draw `draw`
+ * (a degenerate draw's uniform fallback); when `draw` is odd,
+ * `pending_c` is the community post draw / 2 already drew.  Returns -1
+ * when done, -2 (having changed nothing) when one of those entries is
+ * not a post, else the index of a degenerate draw (nothing of that post has
+ * been applied).
+ */
+int64_t cold_sweep_posts(cold_sweep_ctx *x, const int64_t *order, int64_t n,
+                         int64_t draw, int64_t forced, int64_t pending_c,
+                         const double *u)
+{
+    const int64_t C = x->C, K = x->K, T = x->T, V = x->V;
+    const int64_t wide = C * C > K ? C * C : K;
+    double *w = x->scratch, *cum = w + wide, *num = cum + wide;
+    double *terms = num + wide;
+    if (!in_range(order, draw >> 1, n, x->D))
+        return -2;
+    double last = 0.;
+    int64_t c_known = (draw & 1) ? pending_c : forced;
+    int64_t k_known = (draw & 1) ? forced : -1;
+
+    for (int64_t i = draw >> 1; i < n; i++) {
+        const int64_t p = order[i];
+        const int64_t old_c = x->post_comm[p], old_k = x->post_topic[p];
+        const int64_t t = x->times[p], a = x->authors[p];
+        const int64_t ck_old = old_c * K + old_k;
+        /* Virtual removal: the post's own counts perturb only the
+         * entries indexed by its current assignment. */
+        const int64_t n_ck = x->n_comm_topic[ck_old] - 1;
+        const int64_t n_ckt = x->n_ctt[ck_old * T + t] - 1;
+        const int split = x->timed && i % SPLIT_STRIDE == 0;
+        int64_t new_c, new_k;
+
+        if (split)
+            last = now();
+        if (c_known >= 0) {
+            new_c = c_known;
+        } else {
+            /* Eq. (1) over communities, live counters. */
+            const int64_t *nuc = x->n_user_comm + a * C;
+            for (int64_t c = 0; c < C; c++) {
+                const int64_t ck = c * K + old_k;
+                const double nc = (double)x->n_comm_topic[ck];
+                double weight = (double)nuc[c] + x->rho;
+                weight *= (nc + x->alpha) /
+                          ((double)x->n_comm_total[c] + x->K_alpha);
+                weight *= ((double)x->n_ctt[ck * T + t] + x->epsilon) /
+                          (nc + x->T_eps);
+                w[c] = weight;
+            }
+            w[old_c] = (((double)(nuc[old_c] - 1) + x->rho) *
+                        (((double)n_ck + x->alpha) /
+                         ((double)(x->n_comm_total[old_c] - 1) + x->K_alpha))) *
+                       (((double)n_ckt + x->epsilon) /
+                        ((double)n_ck + x->T_eps));
+            floor_weights(w, C, x->floor);
+            if (split)
+                lap(x, &last, 0);
+            const double total = reduce_sum(w, C);
+            if (degenerate(total)) {
+                if (split)
+                    lap(x, &last, 1);
+                return 2 * i;
+            }
+            new_c = categorical(w, C, total, *u++, cum);
+            if (split)
+                lap(x, &last, 1);
+        }
+
+        if (k_known >= 0) {
+            new_k = k_known;
+        } else {
+            /* Eq. (3) over topics with the post virtually removed. */
+            const double *base = x->base + (new_c * T + t) * K;
+            const int64_t lo = x->offsets[p], W = x->offsets[p + 1] - lo;
+            const int64_t L = x->lengths[p];
+            const int64_t *words = x->words + lo, *counts = x->counts + lo;
+            int distinct = 1;
+            for (int64_t j = 0; j < W; j++)
+                if (counts[j] != 1)
+                    distinct = 0;
+            if (distinct) {
+                /* Reference: log(n_k^v + beta) row-reduced over a (K, W)
+                 * matrix, pairwise order per topic. */
+                for (int64_t j = 0; j < W; j++) {
+                    const int64_t *row = x->word_topic + words[j] * K;
+                    for (int64_t k = 0; k < K; k++)
+                        terms[k * W + j] = x->log_beta[row[k]];
+                    terms[old_k * W + j] = x->log_beta[row[old_k] - 1];
+                }
+                for (int64_t k = 0; k < K; k++)
+                    num[k] = reduce_sum(terms + k * W, W);
+            } else {
+                /* Reference: word j, then q ascending, summed strictly
+                 * left to right from the first term. */
+                int first = 1;
+                for (int64_t j = 0; j < W; j++) {
+                    const int64_t *row = x->word_topic + words[j] * K;
+                    const int64_t m = counts[j];
+                    for (int64_t q = 0; q < m; q++) {
+                        for (int64_t k = 0; k < K; k++) {
+                            const int64_t nkv = row[k] - (k == old_k ? m : 0);
+                            const double term = x->log_beta[nkv + q];
+                            num[k] = first ? term : num[k] + term;
+                        }
+                        first = 0;
+                    }
+                }
+            }
+            /* Polya denominator: log(n_k + o + V beta), o = 0 .. L - 1,
+             * is a contiguous window of the table. */
+            double *lw = w;
+            for (int64_t k = 0; k < K; k++) {
+                /* old_k's window is the removed one, den_old below;
+                 * n_topic_total[old_k] still counts the post, so its
+                 * unremoved window could run past the table's end. */
+                if (k == old_k)
+                    continue;
+                const double den =
+                    reduce_sum(x->log_V_beta + x->n_topic_total[k], L);
+                lw[k] = (base[k] + num[k]) - den;
+            }
+            const double den_old =
+                reduce_sum(x->log_V_beta + x->n_topic_total[old_k] - L, L);
+            double base_old = base[old_k];
+            if (new_c == old_c)
+                base_old = x->log_alpha[n_ck] +
+                           (x->log_eps[n_ckt] - x->log_T_eps[n_ck]);
+            lw[old_k] = (base_old + num[old_k]) - den_old;
+            double top = lw[0];
+            for (int64_t k = 1; k < K; k++)
+                if (!(top >= lw[k] || isnan(top)))
+                    top = lw[k];
+            for (int64_t k = 0; k < K; k++)
+                lw[k] = exp(lw[k] - top);
+            floor_weights(lw, K, x->floor);
+            if (split)
+                lap(x, &last, 0);
+            const double total = reduce_sum(lw, K);
+            if (degenerate(total)) {
+                if (split)
+                    lap(x, &last, 1);
+                x->pending_c = new_c;
+                return 2 * i + 1;
+            }
+            new_k = categorical(lw, K, total, *u++, cum);
+            if (split)
+                lap(x, &last, 1);
+        }
+        c_known = k_known = -1;
+
+        if (new_c != old_c || new_k != old_k) {
+            /* CountState.move_post's net deltas, then the cache patches. */
+            const int64_t ck_new = new_c * K + new_k;
+            x->post_comm[p] = new_c;
+            x->post_topic[p] = new_k;
+            if (new_c != old_c) {
+                x->n_user_comm[a * C + old_c] -= 1;
+                x->n_user_comm[a * C + new_c] += 1;
+                x->n_comm_total[old_c] -= 1;
+                x->n_comm_total[new_c] += 1;
+            }
+            x->n_comm_topic[ck_old] -= 1;
+            x->n_comm_topic[ck_new] += 1;
+            x->n_ctt[ck_old * T + t] -= 1;
+            x->n_ctt[ck_new * T + t] += 1;
+            if (new_k != old_k) {
+                const int64_t lo = x->offsets[p], hi = x->offsets[p + 1];
+                for (int64_t j = lo; j < hi; j++) {
+                    const int64_t v = x->words[j], m = x->counts[j];
+                    x->n_topic_word[old_k * V + v] -= m;
+                    x->n_topic_word[new_k * V + v] += m;
+                    x->word_topic[v * K + old_k] -= m;
+                    x->word_topic[v * K + new_k] += m;
+                }
+                x->n_topic_total[old_k] -= x->lengths[p];
+                x->n_topic_total[new_k] += x->lengths[p];
+            }
+            touch_cell(x, old_c, old_k);
+            touch_cell(x, new_c, new_k);
+        }
+        if (split)
+            lap(x, &last, 2);
+    }
+    return -1;
+}
+
+/*
+ * Resample links order[draw .. n) by Eq. (2); `forced` (>= 0) is the
+ * flat (c, c') index of link `draw`.  Returns -1 when done, -2 (having
+ * changed nothing) when one of those entries is not a link, else the
+ * index of a degenerate draw (that link's removal undone).
+ */
+int64_t cold_sweep_links(cold_sweep_ctx *x, const int64_t *order, int64_t n,
+                         int64_t draw, int64_t forced, int64_t pending_c,
+                         const double *u)
+{
+    const int64_t C = x->C, CC = C * C;
+    const int64_t wide = CC > x->K ? CC : x->K;
+    double *pair = x->scratch, *cum = pair + wide, *src_w = cum + wide;
+    double *dst_w = src_w + C;
+    if (!in_range(order, draw, n, x->E))
+        return -2;
+    double last = 0.;
+    (void)pending_c;
+
+    for (int64_t i = draw; i < n; i++, forced = -1) {
+        const int64_t e = order[i];
+        const int64_t src = x->links[2 * e], dst = x->links[2 * e + 1];
+        const int64_t old_c = x->link_src_comm[e], old_cp = x->link_dst_comm[e];
+        const int split = x->timed && i % SPLIT_STRIDE == 0;
+        int64_t flat;
+
+        if (split)
+            last = now();
+        x->n_user_comm[src * C + old_c] -= 1;
+        x->n_user_comm[dst * C + old_cp] -= 1;
+        x->n_link_comm[old_c * C + old_cp] -= 1;
+        touch_link_cell(x, old_c * C + old_cp);
+        if (forced >= 0) {
+            flat = forced;
+        } else {
+            for (int64_t c = 0; c < C; c++) {
+                src_w[c] = (double)x->n_user_comm[src * C + c] + x->rho;
+                dst_w[c] = (double)x->n_user_comm[dst * C + c] + x->rho;
+            }
+            for (int64_t c = 0; c < C; c++)
+                for (int64_t cp = 0; cp < C; cp++)
+                    pair[c * C + cp] =
+                        (src_w[c] * dst_w[cp]) * x->link_factor[c * C + cp];
+            floor_weights(pair, CC, x->floor);
+            if (split)
+                lap(x, &last, 3);
+            const double total = reduce_sum(pair, CC);
+            if (degenerate(total)) {
+                x->n_user_comm[src * C + old_c] += 1;
+                x->n_user_comm[dst * C + old_cp] += 1;
+                x->n_link_comm[old_c * C + old_cp] += 1;
+                touch_link_cell(x, old_c * C + old_cp);
+                if (split)
+                    lap(x, &last, 4);
+                return i;
+            }
+            flat = categorical(pair, CC, total, *u++, cum);
+            if (split)
+                lap(x, &last, 4);
+        }
+        const int64_t new_c = flat / C, new_cp = flat % C;
+        x->n_user_comm[src * C + new_c] += 1;
+        x->n_user_comm[dst * C + new_cp] += 1;
+        x->n_link_comm[new_c * C + new_cp] += 1;
+        touch_link_cell(x, new_c * C + new_cp);
+        x->link_src_comm[e] = new_c;
+        x->link_dst_comm[e] = new_cp;
+        if (split)
+            lap(x, &last, 5);
+    }
+    return -1;
+}
+
+/* Test entry points: the kernel's own reduction helpers, so a wrong
+ * summation order fails a direct comparison with numpy. */
+double cold_reduce_sum(const double *a, int64_t n) { return reduce_sum(a, n); }
+
+void cold_accumulate(const double *a, int64_t n, double *out)
+{
+    if (n > 0)
+        accumulate(a, n, out);
+}

@@ -130,9 +130,9 @@ class COLDConfig:
     seed:
         Sampler RNG seed; fits are reproducible given a seed.
     fast:
-        Use the cached vectorised Gibbs kernels (bit-identical draws to
-        the reference kernels, several times faster); ``False`` selects
-        the reference kernels, kept as the correctness oracle.
+        Use the native sweep kernel (the reference kernels' draws, many
+        times faster); ``False`` selects the reference kernels, kept as
+        the correctness oracle.
     executor:
         How parallel node work runs when ``num_nodes > 1``:
         ``"simulated"`` (sequential with simulated-cluster timing),

@@ -1,338 +1,519 @@
-"""Cached, vectorised collapsed-Gibbs sweep — the fast path.
+"""Native collapsed-Gibbs sweep — the fast path.
 
 The reference kernels in :mod:`repro.core.gibbs` re-derive every factor of
-Eqs. (1)–(3) from the raw counters on each draw: per post that is ``O(C K)``
-/ ``O(K T)`` integer reduction work plus ``O(K (W + L))`` fresh ``log``
-evaluations, wrapped in dozens of small NumPy calls whose dispatch overhead
-dominates sweep time well before the corpus is large.  This module keeps a
-:class:`SweepCache` of exactly those factors and patches it incrementally
-as assignments move, and :func:`fast_sweep` — the one fast sweep kernel —
-walks every post and link against it:
+Eqs. (1)–(3) from the raw counters on each draw, through dozens of small
+NumPy calls whose dispatch overhead, not arithmetic, sets sweep time.
+This module keeps a :class:`SweepCache` of those factors and runs the
+whole per-draw loop in one plain-C kernel, ``_sweep.c``:
 
-* **fused per-sweep weight caches** — the Eq. (3) community/time factor is
-  one ``(C, K, T)`` array (``log interest + log time numerator - log time
-  denominator``, so a post's topic weights start from a single gather); the
-  Eq. (1) denominators and the Eq. (2) link factor are cached the same way
-  and refreshed only when a counter they read changes;
-* **batched word evaluation** — a post's word term is one matrix gather +
-  row reduction over its unique words, never a per-word Python loop;
-* **reusable draw buffer** — each categorical draw accumulates into a
-  preallocated buffer (``np.add.accumulate``) and does one
-  ``searchsorted``, calling raw ufuncs to skip wrapper dispatch;
-* **sparse cell iteration** — cache construction fills cold (community,
-  topic) cells with the shared zero-count value and computes real rows
-  only for :meth:`CountState.active_comm_topic_cells`;
-* **virtual removal** — removing a post before evaluating its conditional
-  only perturbs the weight entries indexed by its *current* assignment, so
-  the post kernel evaluates against the live counters and patches that
-  single entry with a scalar correction.  State and caches are then
-  mutated only when the draw actually moves the post (a minority of draws
-  once the chain has mixed), via the net-delta
-  :meth:`CountState.move_post`.  Links change label on nearly every draw
-  (their C x C conditional is much flatter), so the link kernel removes
-  for real and wins through the cached Eq. (2) factor instead.
+* **the kernel** walks every post (community by Eq. 1, then topic by
+  Eq. 3, with the post *virtually removed*: its own counts perturb only
+  the weight entries of its current assignment, which are patched from
+  the decremented integers) and then every link (Eq. 2, removed for
+  real).  It reads the :class:`~repro.core.state.PostTable` CSR columns
+  and the :class:`~repro.core.state.CountState` counters in place,
+  applies :meth:`CountState.move_post`'s net deltas, and patches the
+  cache entries a move invalidates;
+* **the cache** holds the fused Eq. (3) community/time factor ``base``
+  (``(C, T, K)``: log interest + log time numerator - log time
+  denominator), a transposed word-count mirror ``word_topic`` (one
+  contiguous ``(K,)`` row per word), the Eq. (2) link factor and the
+  exact community totals — plus **log tables**: every ``log`` the
+  sampler takes has an integer+constant argument, so ``np.log`` builds
+  ``log(n + beta)``, ``log(n + alpha)``, ``log(n + T eps)``,
+  ``log(n + eps)`` and ``log(n + V beta)`` once per cache and the kernel
+  only indexes them.  Building a cache has no per-post Python work.
+
+The library is compiled with the system ``cc`` at first use
+(``-O2 -fPIC -shared -ffp-contract=off``, never ``-ffast-math``) into
+``~/.cache/repro/`` — or, only when that cannot be created or written,
+a private ``repro-<uid>`` directory in the temp directory — under a
+name keyed on the source, flags and platform, written to a temporary
+file and ``os.replace``-d so concurrent builds are safe.  The directory
+and the library must belong to the user and be writable by no one else;
+otherwise neither is used.  Without a compiler (or a usable cache
+directory), :func:`fast_sweep` runs the reference kernels and logs one
+WARNING.
 
 Exactness contract
 ------------------
-The fast kernel is *bit-identical* to the reference kernels: every
-cached value is produced by the same sequence of IEEE-754 operations the
-reference applies to the same integer counters (integer totals replace
-integer reductions; additions are fused only where IEEE addition order is
-preserved), reductions keep the reference's pairwise-summation order
-(``np.add.reduce`` is exactly what ``ndarray.sum`` calls), and the RNG is
-consumed identically — one uniform per draw, the same uniform fallback on
-degenerate weights.  A fixed seed therefore yields the same chain, draw
-for draw; ``tests/test_fastgibbs.py`` enforces this and the perf harness
-re-checks it on every run.  The reference kernels remain the oracle;
+Every cached factor is bit-identical to a NumPy rebuild
+(:meth:`SweepCache.check_consistency`): the log tables *are* ``np.log``
+values (libm's ``log`` differs from NumPy's SIMD ``log`` on some hosts,
+so the kernel never calls it), the elementwise IEEE-754 operations are
+the reference's in the reference's association order (no FMA
+contraction), sums reproduce NumPy's ``pairwise_sum`` (8 accumulators,
+128-element blocks, sequential below 8 elements) and running sums are
+sequential.  The uniforms are the reference's: Python draws each loop's
+uniforms in blocks of ``rng.random(n)`` (the same PCG64 doubles as
+``n`` scalar calls), the link permutation between the two loops, and on
+a degenerate draw rewinds the generator to the block's start, replays
+up to that draw and calls ``rng.integers`` exactly as the reference
+does.  A block covers at most ``_BLOCK_ITEMS`` posts or links, so a
+degenerate draw costs at most one block of replayed uniforms.
+
+The one exception is ``exp``: the Eq. (3) topic weights use libm's
+``exp``, which differs from ``np.exp`` by at most one ULP on about 4.6%
+of doubles.  Topic weights are therefore not bit-identical, and a draw
+can differ from the reference only when ``u * total`` lands within one
+ULP of a cdf boundary — in practice never: the same seed yields the
+reference chain draw for draw, which ``tests/test_fastgibbs.py`` and
+the perf harness check.  The reference kernels remain the oracle;
 ``fast=False`` selects them anywhere a model is built.
 """
 
 from __future__ import annotations
 
-import math
+import ctypes
+import hashlib
+import logging
+import os
+import shutil
+import stat
+import subprocess
+import sysconfig
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
 from ..telemetry import profiler as _profiler
 from ..telemetry import tracing as trace
-from .gibbs import _WEIGHT_FLOOR
+from .gibbs import _WEIGHT_FLOOR, reference_sweep
 from .params import Hyperparameters
 from .state import CountState
 
-#: Clamp applied to never-read negative-argument entries of the extended
-#: Polya denominator rows before the log (keeps them finite, warning-free).
-_LOG_CLAMP = 1e-300
+_log = logging.getLogger(__name__)
+
+# -- the native library ---------------------------------------------------------
+
+_SOURCE = Path(__file__).with_name("_sweep.c")
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_UNLOADED = object()
+_library: object = _UNLOADED
+
+
+#: CountState counters and assignments the kernel mutates in place.
+_STATE_ARRAYS = (
+    "n_user_comm", "n_comm_topic", "n_comm_topic_time", "n_topic_word",
+    "n_topic_total", "n_link_comm",
+    "post_comm", "post_topic", "link_src_comm", "link_dst_comm",
+)
+#: SweepCache arrays, in kernel order: two mutated int64 arrays, then
+#: float64 arrays (the log tables only read).
+_CACHE_ARRAYS = (
+    "n_comm_total", "word_topic", "base", "link_factor",
+    "log_beta", "log_alpha", "log_T_eps", "log_eps", "log_V_beta", "_scratch",
+)
+
+
+class _Context(ctypes.Structure):
+    """Mirror of ``cold_sweep_ctx`` in ``_sweep.c`` (field order matters)."""
+
+    _fields_ = (
+        [
+            (name, ctypes.c_int64)
+            for name in ("C", "K", "T", "V", "D", "E", "timed", "pending_c")
+        ]
+        + [
+            (name, ctypes.c_double)
+            for name in (
+                "rho", "alpha", "epsilon", "lambda0", "lambda1",
+                "K_alpha", "T_eps", "floor",
+            )
+        ]
+        + [
+            (name, ctypes.c_void_p)
+            for name in (
+                "authors", "times", "lengths", "offsets", "words", "counts",
+                "links", *_STATE_ARRAYS, *_CACHE_ARRAYS,
+            )
+        ]
+        + [("phase_s", ctypes.c_double * 6)]
+    )
+
+
+def _cache_dir() -> Path:
+    """The per-user build cache directory, created private (mode 0o700).
+
+    ``~/.cache/repro``; only when that cannot be created or written, a
+    ``repro-<uid>`` directory in the temp directory.  Either must belong
+    to this user and be writable by no one else, or it is refused.
+    """
+    if os.name != "posix":
+        raise OSError("the native sweep kernel needs a POSIX platform")
+    directory = Path.home() / ".cache" / "repro"
+    try:
+        directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+        usable = os.access(directory, os.W_OK)
+    except OSError:
+        usable = False
+    if not usable:
+        directory = Path(tempfile.gettempdir()) / f"repro-{os.getuid()}"
+        directory.mkdir(mode=0o700, exist_ok=True)
+    _check_private(directory, stat.S_ISDIR)
+    return directory
+
+
+def _check_private(path: Path, is_kind) -> None:
+    """Refuse ``path`` unless it is of the right kind, belongs to this
+    user and is writable by neither group nor others (anyone who can
+    write the library or its directory could run code in this process).
+    """
+    info = os.stat(path)
+    if (
+        not is_kind(info.st_mode)
+        or info.st_uid != os.getuid()
+        or info.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+    ):
+        raise OSError(
+            f"{path} is not private to this user (owner uid {info.st_uid}, "
+            f"mode {stat.filemode(info.st_mode)})"
+        )
+
+
+def _library_name() -> str:
+    """The built library's file name, keyed on source, flags and platform."""
+    key = hashlib.sha256(
+        b"\0".join(
+            [
+                _SOURCE.read_bytes(),
+                " ".join(_CFLAGS).encode(),
+                sysconfig.get_platform().encode(),
+            ]
+        )
+    ).hexdigest()[:16]
+    return f"_sweep-{key}.so"
+
+
+def _compile() -> Path:
+    """The built library's path, compiling ``_sweep.c`` unless cached."""
+    directory = _cache_dir()
+    path = directory / _library_name()
+    if not path.exists():
+        compiler = shutil.which("cc")
+        if compiler is None:
+            raise OSError("no C compiler ('cc') on PATH")
+        fd, tmp = tempfile.mkstemp(prefix=path.name, suffix=".tmp", dir=directory)
+        os.close(fd)
+        try:
+            subprocess.run(
+                [compiler, *_CFLAGS, "-o", tmp, str(_SOURCE), "-lm"],
+                check=True,
+                capture_output=True,
+                text=True,
+            )
+            # The linker creates its output under the umask; make it
+            # private before it becomes visible under its final name.
+            os.chmod(tmp, 0o700)
+            os.replace(tmp, path)
+        except subprocess.CalledProcessError as exc:
+            raise OSError(f"cc failed: {exc.stderr.strip()[-500:]}") from exc
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    _check_private(path, stat.S_ISREG)
+    return path
+
+
+def native_kernel() -> ctypes.CDLL | None:
+    """The compiled sweep library, built on first use; ``None`` without one.
+
+    The outcome is resolved once per process: a failed build (no ``cc``,
+    a compile error, no writable cache directory) logs one WARNING and
+    every later :func:`fast_sweep` runs the reference kernels.
+    """
+    global _library
+    if _library is _UNLOADED:
+        try:
+            lib = ctypes.CDLL(str(_compile()))
+            i64, ptr = ctypes.c_int64, ctypes.c_void_p
+            for name, restype, argtypes in (
+                ("cold_sweep_ctx_size", i64, []),
+                ("cold_sweep_posts", i64, [ptr, ptr, i64, i64, i64, i64, ptr]),
+                ("cold_sweep_links", i64, [ptr, ptr, i64, i64, i64, i64, ptr]),
+                ("cold_reduce_sum", ctypes.c_double, [ptr, i64]),
+                ("cold_accumulate", None, [ptr, i64, ptr]),
+            ):
+                function = getattr(lib, name)
+                function.restype, function.argtypes = restype, argtypes
+            if lib.cold_sweep_ctx_size() != ctypes.sizeof(_Context):
+                raise OSError("cold_sweep_ctx layout mismatch")
+            _library = lib
+        except OSError as exc:
+            _log.warning(
+                "native sweep kernel unavailable (%s); fast sweeps run the "
+                "reference kernels",
+                exc,
+            )
+            _library = None
+    return _library
+
+
+def _address(array: np.ndarray, dtype: type, writable: bool = False) -> int:
+    """``array``'s data pointer, after checking the layout the kernel assumes."""
+    if (
+        array.dtype != dtype
+        or not array.flags.c_contiguous
+        or (writable and not array.flags.writeable)
+    ):
+        raise TypeError(
+            f"sweep kernel needs a C-contiguous{' writable' if writable else ''} "
+            f"{np.dtype(dtype).name} array, got {array.dtype} "
+            f"(flags: {array.flags})"
+        )
+    return array.ctypes.data
+
+
+# -- the cache ------------------------------------------------------------------
+
+
+def _kernel_arrays(state: CountState) -> tuple[np.ndarray, ...]:
+    """The state arrays the kernel reads (PostTable, links) and mutates."""
+    posts = state.posts
+    return (
+        posts.authors, posts.times, posts.lengths, posts.offsets,
+        posts.unique_words, posts.unique_counts, state.links,
+        *(getattr(state, name) for name in _STATE_ARRAYS),
+    )
+
+
+def _table_sizes(state: CountState) -> tuple[int, int, int]:
+    """The largest index into each log table: posts, tokens, word frequency.
+
+    No Gibbs move changes them: a count of posts in a cell never exceeds
+    the posts counted, a topic's token total (plus an offset below a
+    post's length) never exceeds the tokens, and a topic-word count (plus
+    a repeat index below its multiplicity) never exceeds the word's
+    corpus frequency.
+    """
+    return (
+        int(state.n_comm_topic.sum()),
+        int(state.n_topic_total.sum()),
+        int(state.n_topic_word.sum(axis=0).max()) if state.n_topic_word.size else 0,
+    )
 
 
 class SweepCache:
-    """Incrementally-maintained per-sweep factor caches for one chain.
+    """Incrementally-maintained factor caches and log tables for one chain.
 
     A cache is bound to one :class:`CountState` *and* one
-    :class:`Hyperparameters`; it must observe every assignment move, which
-    :func:`fast_sweep` guarantees (post moves go through
-    :meth:`post_moved`, link moves patch the Eq. (2) factor inline).
-    :meth:`check_consistency` verifies the cache against a from-scratch
-    rebuild, mirroring :meth:`CountState.check_invariants`.
+    :class:`Hyperparameters`; it must observe every assignment move,
+    which :func:`fast_sweep` guarantees (the native kernel patches it on
+    every move).  :meth:`check_consistency` verifies the cache against a
+    from-scratch rebuild, mirroring :meth:`CountState.check_invariants`.
     """
+
+    #: Every cached array, compared bit for bit by check_consistency.
+    _ARRAYS = (
+        "n_comm_total", "base", "word_topic", "link_factor",
+        "log_beta", "log_alpha", "log_T_eps", "log_eps", "log_V_beta",
+    )
 
     def __init__(self, state: CountState, hp: Hyperparameters) -> None:
         with trace.span("sweepcache.build"), _profiler.phase("cache_build"):
-            self._build(state, hp)
-
-    def _build(self, state: CountState, hp: Hyperparameters) -> None:
-        self.hp = hp
-        C = state.num_communities
-        K = state.num_topics
-        self.C = C
-        self.K = K
-        self.T = state.n_comm_topic_time.shape[2]
-        self.V = state.n_topic_word.shape[1]
-        lengths = state.posts.lengths
-        self.max_len = int(lengths.max()) if len(lengths) else 1
-        self._arange_ext = np.arange(
-            -self.max_len, self.max_len, dtype=np.int64
-        )
-        self._bind_counters(state)
-
-        # -- per-post metadata and scratch buffers -----------------------------
-        # Posts whose words are all distinct take the batched word path; the
-        # rest get precomputed (word-column, ascending-q) expansions so the
-        # Polya loop runs as one sequential np.add.accumulate (the same
-        # left-to-right accumulation order as the reference loop).
-        self._all_distinct = self._distinct_word_flags(state).tolist()
-        self._expanded = self._expand_repeated_posts(state)
-        # Per-post/link metadata as plain Python lists (and the current
-        # assignments mirrored alongside them): list indexing is several
-        # times cheaper than NumPy scalar reads on the per-draw hot path.
-        # The mirrors are maintained by post_moved / the link loop of
-        # fast_sweep, which every assignment move routes through.
-        posts = state.posts
-        self._times = posts.times.tolist()
-        self._authors = posts.authors.tolist()
-        self._lengths = posts.lengths.tolist()
-        self._post_words = [posts.words_of(p) for p in range(len(posts))]
-        self._link_users = state.links.tolist()
-        self._bind_assignments(state)
-        self._cum_comm = np.empty(C, dtype=np.float64)
-        self._cum_topic = np.empty(K, dtype=np.float64)
-        self._topic_buf = np.empty(K, dtype=np.float64)
-        self._cum_pair = np.empty(C * C, dtype=np.float64)
-        self._denom_int = np.empty(2 * self.max_len, dtype=np.int64)
-        self._log3 = np.empty(3, dtype=np.float64)
-        self._kw_bufs: dict[int, np.ndarray] = {}
-        self._int_bufs: dict[int, np.ndarray] = {}
-        self._flt_bufs: dict[int, np.ndarray] = {}
-        self._comm_buf = np.empty(C, dtype=np.float64)
-        self._factor_buf = np.empty(C, dtype=np.float64)
-        self._pair_buf = np.empty((C, C), dtype=np.float64)
-        self._K_alpha = K * hp.alpha
-        self._T_eps = self.T * hp.epsilon
-        self._V_beta = self.V * hp.beta
+            self.hp = hp
+            self.C = state.num_communities
+            self.K = state.num_topics
+            self.T = state.n_comm_topic_time.shape[2]
+            self.V = state.n_topic_word.shape[1]
+            self._table_sizes: tuple[int, int, int] | None = None
+            self._bind_counters(state)
 
     def refresh(self, state: CountState) -> None:
         """Rebind to ``state``'s current counters and assignments.
 
         ``state`` must hold the same corpus (post table and links) the
         cache was built from; only its counters and assignment arrays may
-        differ.  Every corpus-static structure — the repeated-word
-        expansions, per-post metadata lists, scratch buffers — is reused,
-        and the counter-derived factor caches are recomputed with the
-        exact operation sequence of a fresh build, so the refreshed cache
-        is bit-identical to ``SweepCache(state, hp)`` at roughly a tenth
-        of the cost.  The parallel workers call this once per superstep
-        after resetting their private counters to the merged snapshot,
-        which is what makes per-shard dispatch overhead scale with the
-        shard instead of the corpus.
+        differ.  The counter-derived factors are recomputed with the exact
+        operations of a fresh build (the log tables depend only on corpus
+        totals and are kept), so the refreshed cache is bit-identical to
+        ``SweepCache(state, hp)``.  The parallel workers call this once
+        per superstep after resetting their private counters to the
+        merged snapshot.
         """
         with trace.span("sweepcache.refresh"), _profiler.phase(
             "cache_refresh"
         ):
             self._bind_counters(state)
-            self._bind_assignments(state)
+
+    @property
+    def comm_denom(self) -> np.ndarray:
+        """The Eq. (1) interest denominator ``n_c^(.) + K alpha`` per community."""
+        return self.n_comm_total + self.K * self.hp.alpha
 
     def _bind_counters(self, state: CountState) -> None:
         """(Re)compute every counter-derived factor cache from ``state``."""
         hp = self.hp
-        C = self.C
-        K = self.K
+        sizes = _table_sizes(state)
+        if sizes != self._table_sizes:
+            self._table_sizes = sizes
+            posts = np.arange(sizes[0] + 1)
+            self.log_alpha = np.log(posts + hp.alpha)
+            self.log_T_eps = np.log(posts + self.T * hp.epsilon)
+            self.log_eps = np.log(posts + hp.epsilon)
+            self.log_V_beta = np.log(np.arange(sizes[1] + 1) + self.V * hp.beta)
+            self.log_beta = np.log(np.arange(sizes[2] + 1) + hp.beta)
 
-        # -- Eq. (1) factors ---------------------------------------------------
-        # n_c^(.) totals as exact integers, plus the interest denominator
-        # (n_c^(.) + K alpha) and temporal denominator (n_c^(k) + T eps)
-        # as ready-to-divide floats.
+        # n_c^(.) as exact integers (the Eq. 1 interest denominator).
         self.n_comm_total = state.n_comm_topic.sum(axis=1)
-        self.comm_denom = self.n_comm_total + K * hp.alpha
-        self.time_denom = state.n_comm_topic + self.T * hp.epsilon
 
-        # -- Eq. (3) fused community/time factor -------------------------------
-        # base[c, t, k] = log(n_c^k + alpha)
-        #               + (log(n_ck^t + eps) - log(n_ck^(.) + T eps)),
-        # evaluated in the reference's association order.  The (C, T, K)
+        # Eq. (3) fused community/time factor, in the reference's
+        # association order: base[c, t, k] = log(n_c^k + alpha)
+        # + (log(n_ck^t + eps) - log(n_ck^(.) + T eps)).  The (C, T, K)
         # layout makes the per-post gather ``base[c, t]`` one contiguous
-        # row.  Cold (c, k) cells share the zero-count value; only active
-        # cells get real rows (CountState.active_comm_topic_cells).
-        self.log_temporal = np.full(
-            (C, self.T, K), np.log(hp.epsilon), dtype=np.float64
+        # row.
+        n_ck = state.n_comm_topic
+        self.base = np.empty((self.C, self.T, self.K))
+        np.subtract(
+            self.log_eps[state.n_comm_topic_time].transpose(0, 2, 1),
+            self.log_T_eps[n_ck][:, None, :],
+            out=self.base,
         )
-        log_eps = np.log(hp.epsilon)
-        cold_base = np.log(hp.alpha) + (log_eps - np.log(self.T * hp.epsilon))
-        self.base = np.full((C, self.T, K), cold_base, dtype=np.float64)
-        cs, ks = state.active_comm_topic_cells()
-        if len(cs):
-            rows = np.log(state.n_comm_topic_time[cs, ks, :] + hp.epsilon)
-            self.log_temporal[cs, :, ks] = rows
-            interest = np.log(state.n_comm_topic[cs, ks] + hp.alpha)
-            denom = np.log(state.n_comm_topic[cs, ks] + self.T * hp.epsilon)
-            self.base[cs, :, ks] = interest[:, None] + (rows - denom[:, None])
+        np.add(self.log_alpha[n_ck][:, None, :], self.base, out=self.base)
 
-        # -- Eq. (3) Polya length denominator ----------------------------------
-        # Row k holds log(n_k^(.) + o + V beta) for offsets o in
-        # [-max_len, max_len): a post of length L reduces the slice at
-        # offset 0 for its live denominator and the slice at offset -L for
-        # its removed-state denominator (a post of length L in topic k
-        # guarantees n_k^(.) >= L, so every read entry has a non-negative
-        # integer argument; unread negative-argument entries are clamped
-        # to a tiny positive before the log purely to keep it finite and
-        # warning-free).  The integer-first addition order is preserved.
-        terms = (
-            state.n_topic_total[:, None]
-            + self._arange_ext[None, :]
-            + self.V * hp.beta
-        )
-        np.maximum(terms, _LOG_CLAMP, out=terms)
-        self.log_denom_terms = np.log(terms)
-
-        # -- Eq. (3) word-count mirror -----------------------------------------
-        # Transposed copy of ``n_topic_word``: a post's gather becomes one
-        # contiguous (K,)-row read per unique word instead of K scattered
-        # element reads, which is most of the eval's memory traffic.
+        # Transposed copy of n_topic_word: a post's word term reads one
+        # contiguous (K,) row per word instead of K scattered elements.
         self.word_topic = np.ascontiguousarray(state.n_topic_word.T)
 
-        # -- Eq. (2) link factor ----------------------------------------------
+        # Eq. (2) link factor.
         self.link_factor = (state.n_link_comm + hp.lambda1) / (
             state.n_link_comm + hp.lambda0 + hp.lambda1
         )
 
-    def _bind_assignments(self, state: CountState) -> None:
-        """Remirror the current assignments into the hot-path lists."""
-        self._post_c = state.post_comm.tolist()
-        self._post_k = state.post_topic.tolist()
-        self._link_c = state.link_src_comm.tolist()
-        self._link_cp = state.link_dst_comm.tolist()
+        # The kernel's view of state and cache, built here so a sweep
+        # pays no set-up.
+        self._bind_context(state)
 
-    @staticmethod
-    def _distinct_word_flags(state: CountState) -> np.ndarray:
-        """``flags[p]`` is true iff post ``p`` has no repeated word."""
-        posts = state.posts
-        flags = np.ones(len(posts), dtype=bool)
-        if len(posts.unique_counts):
-            spans = np.diff(posts.offsets)
-            owners = np.repeat(np.arange(len(posts)), spans)
-            flags[owners[posts.unique_counts > 1]] = False
-        return flags
+    def _bind_context(self, state: CountState) -> None:
+        """Point a fresh kernel context at ``state``'s arrays and this cache's.
 
-    def _expand_repeated_posts(
-        self, state: CountState
-    ) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """``post -> (words, q column, multiplicities)`` for repeated-word posts.
-
-        Each post with a repeated word expands its multiset into ``L``
-        (vocab word, ascending ``q``, multiplicity) triples in the
-        reference loop's (word, q) order, so its Polya numerator becomes
-        one batched gather + sequential accumulate at eval time (``q`` is
-        stored as an ``(L, 1)`` column, ready to broadcast across topics;
-        the multiplicities are what virtual removal subtracts from the
-        gathered ``old_k`` column).
+        Every index the kernel takes stays in bounds only for the corpus
+        and dimensions the cache was built from, so any other ``state``
+        is refused.
         """
-        expansions: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        for post, distinct in enumerate(self._all_distinct):
-            if distinct:
-                continue
-            words, counts = state.posts.words_of(post)
-            rows = np.repeat(np.arange(len(counts)), counts)
-            qs = np.concatenate([np.arange(int(m)) for m in counts])
-            expansions[post] = (words[rows], qs[:, None], counts[rows])
-        return expansions
-
-    # -- incremental maintenance ----------------------------------------------
-
-    def _touch_comm_cell(self, state: CountState, t: int, c: int, k: int) -> None:
-        """Refresh the Eq. (1)/(3) factors that read cell (c, k) at slice t."""
+        if (
+            state.n_comm_topic_time.shape != (self.C, self.K, self.T)
+            or state.n_topic_word.shape[1] != self.V
+            or _table_sizes(state) != self._table_sizes
+        ):
+            raise ValueError(
+                "SweepCache was built for another corpus; build a new one"
+            )
+        self._ctx_arrays = _kernel_arrays(state)
+        spans = np.diff(state.posts.offsets)
+        self._scratch = np.empty(
+            4 * max(self.C * self.C, self.K)
+            + self.K * (int(spans.max()) if len(spans) else 0)
+        )
         hp = self.hp
-        n_ck = int(state.n_comm_topic[c, k])
-        denom_arg = n_ck + self._T_eps
-        logs = self._log3
-        logs[0] = n_ck + hp.alpha
-        logs[1] = denom_arg
-        logs[2] = int(state.n_comm_topic_time[c, k, t]) + hp.epsilon
-        np.log(logs, logs)
-        self.comm_denom[c] = int(self.n_comm_total[c]) + self._K_alpha
-        self.time_denom[c, k] = denom_arg
-        self.log_temporal[c, t, k] = logs[2]
-        row = self.base[c, :, k]
-        np.subtract(self.log_temporal[c, :, k], logs[1], row)
-        np.add(row, logs[0], row)
+        ctx = _Context(
+            C=self.C, K=self.K, T=self.T, V=self.V,
+            D=state.num_posts, E=state.num_links,
+            rho=hp.rho, alpha=hp.alpha, epsilon=hp.epsilon,
+            lambda0=hp.lambda0, lambda1=hp.lambda1,
+            K_alpha=self.K * hp.alpha, T_eps=self.T * hp.epsilon,
+            floor=_WEIGHT_FLOOR,
+        )
+        read_only = len(self._ctx_arrays) - len(_STATE_ARRAYS)
+        pointers = [
+            _address(array, np.int64, writable=i >= read_only)
+            for i, array in enumerate(self._ctx_arrays)
+        ] + [
+            _address(getattr(self, name), np.int64 if i < 2 else np.float64)
+            for i, name in enumerate(_CACHE_ARRAYS)
+        ]
+        fields = [f for f, kind in _Context._fields_ if kind is ctypes.c_void_p]
+        for field, pointer in zip(fields, pointers):
+            setattr(ctx, field, pointer)
+        self._ctx = ctx
 
-    def _touch_topic_row(self, state: CountState, k: int) -> None:
-        """Refresh the Polya denominator row of topic k (n_k^(.) changed)."""
-        ints = np.add(self._arange_ext, state.n_topic_total[k], self._denom_int)
-        terms = self.log_denom_terms[k]
-        np.add(ints, self._V_beta, terms)
-        np.maximum(terms, _LOG_CLAMP, out=terms)
-        np.log(terms, terms)
+    def _context(self, state: CountState, timed: bool) -> _Context:
+        """The kernel context for one sweep of ``state``, phase slots zeroed.
 
-    def post_moved(
-        self,
-        state: CountState,
-        post: int,
-        old_c: int,
-        old_k: int,
-        new_c: int,
-        new_k: int,
-    ) -> None:
-        """Observe ``state.move_post(post, new_c, new_k)`` from (old_c, old_k).
-
-        Only the two touched (community, topic) cells — and, if the topic
-        changed, the two Polya denominator rows — need refreshing; a post
-        that does not move never reaches this method at all (the virtual
-        removal leaves every counter and cache entry as-is).
+        A ``state`` whose arrays are not the ones the context points at
+        (its fields were rebound) gets a fresh, checked context.
         """
-        t = self._times[post]
-        self._post_c[post] = new_c
-        self._post_k[post] = new_k
-        if new_c != old_c:
-            self.n_comm_total[old_c] -= 1
-            self.n_comm_total[new_c] += 1
-        self._touch_comm_cell(state, t, old_c, old_k)
-        self._touch_comm_cell(state, t, new_c, new_k)
-        if new_k != old_k:
-            words, counts = self._post_words[post]
-            self.word_topic[words, old_k] -= counts
-            self.word_topic[words, new_k] += counts
-            self._touch_topic_row(state, old_k)
-            self._touch_topic_row(state, new_k)
-
-    # -- verification ----------------------------------------------------------
+        arrays = _kernel_arrays(state)
+        if any(a is not b for a, b in zip(arrays, self._ctx_arrays)):
+            self._bind_context(state)
+        ctx = self._ctx
+        ctx.timed = int(timed)
+        ctx.pending_c = -1
+        ctx.phase_s = (ctypes.c_double * 6)()
+        return ctx
 
     def check_consistency(self, state: CountState) -> None:
         """Verify every cache against a from-scratch rebuild (tests/debug)."""
         fresh = SweepCache(state, self.hp)
-        for name in (
-            "n_comm_total",
-            "comm_denom",
-            "time_denom",
-            "log_temporal",
-            "base",
-            "log_denom_terms",
-            "link_factor",
-            "word_topic",
-        ):
+        for name in self._ARRAYS:
             if not np.array_equal(getattr(self, name), getattr(fresh, name)):
                 raise ValueError(f"SweepCache.{name} inconsistent with state")
 
 
-# -- the sweep kernel (mirrors repro.core.gibbs.sweep's reference path) --------
+# -- the sweep ------------------------------------------------------------------
+
+
+#: Posts or links per uniform block: a degenerate draw rewinds and
+#: replays at most one block.
+_BLOCK_ITEMS = 4096
+
+
+def _run_kernel(
+    kernel,
+    ctx: _Context,
+    order: np.ndarray,
+    arities: tuple[int, ...],
+    rng: np.random.Generator,
+    loop_start: float | None,
+) -> tuple[int, float, float]:
+    """Drive one kernel over ``order``.
+
+    Returns the number of degenerate draws, and — when timed, i.e. given
+    the ``perf_counter`` reading the loop started at — the seconds spent
+    drawing uniform blocks and the loop's wall seconds.  Each item takes
+    ``len(arities)`` draws; draw ``d`` is over ``arities[d % len(arities)]``
+    outcomes.  The kernel runs ``_BLOCK_ITEMS`` items at a time on one
+    block of uniforms.  When it stops at a degenerate draw, the generator
+    is rewound to the block's start, the uniforms the kernel consumed are
+    replayed, the reference's uniform fallback ``rng.integers(n)`` is
+    drawn, and the kernel resumes at that draw with the fallback forced —
+    the reference's exact RNG stream.
+    """
+    perf = time.perf_counter
+    timed = loop_start is not None
+    bitgen = rng.bit_generator
+    width = len(arities)
+    draw, forced, pending = 0, -1, -1
+    degenerate = 0
+    rng_s = 0.0
+    ctx_ptr = ctypes.addressof(ctx)
+    while draw < width * len(order):
+        stop = min(len(order), draw // width + _BLOCK_ITEMS)
+        first = draw + (forced >= 0)
+        if timed:
+            start = perf()
+        saved = bitgen.state
+        uniforms = rng.random(width * stop - first)
+        if timed:
+            rng_s += perf() - start
+        hit = kernel(
+            ctx_ptr, order.ctypes.data, stop, draw, forced, pending,
+            uniforms.ctypes.data,
+        )
+        if hit == -1:
+            draw, forced, pending = width * stop, -1, -1
+            continue
+        bitgen.state = saved
+        if hit == -2:
+            raise IndexError("sweep visitation order indexes a missing item")
+        rng.random(hit - first)
+        forced = int(rng.integers(arities[hit % width]))
+        pending = ctx.pending_c
+        draw = hit
+        degenerate += 1
+    return degenerate, rng_s, perf() - loop_start if timed else 0.0
 
 
 def fast_sweep(
@@ -344,319 +525,64 @@ def fast_sweep(
     cache: SweepCache,
     profiler: _profiler.PhaseProfiler | None = None,
 ) -> None:
-    """One full Gibbs sweep through the cache: every post, then every link.
+    """One full Gibbs sweep through the native kernel: every post, then every link.
 
     Draw for draw this is the reference sweep of :mod:`repro.core.gibbs`
     — ``resample_post`` (community by Eq. 1, then topic by Eq. 3) for each
     post, ``resample_link`` (Eq. 2) for each link — with the same RNG
     consumption order (the link visitation permutation, when not
     supplied, is drawn *after* the post loop exactly as the reference
-    sweep draws it).  The per-draw numerical work is only a handful of
-    vector ops, so attribute chains, method dispatch and RNG/ufunc lookups
-    are a measurable slice of sweep time; the loop binds every
-    loop-invariant object to a local once per sweep instead of once per
-    draw.
+    sweep draws it).  Without a native library it *is* the reference
+    sweep, followed by a cache refresh.
 
     Passing an active :class:`~repro.telemetry.profiler.PhaseProfiler` as
-    ``profiler`` times the sweep's phases; the one kernel times them only
-    then (a local flag guards every ``perf_counter`` read, so a dark sweep
-    pays a few bool checks per draw) and never reads the RNG for it, so
-    profiled and dark sweeps draw the identical chain.  Phase seconds
-    accumulate in local floats and are flushed once per sweep under paths
+    ``profiler`` times the sweep's phases; the kernel reads its clock
+    (``CLOCK_MONOTONIC``, the clock behind ``perf_counter``) only then and
+    never reads the RNG for it, so profiled and dark sweeps draw the
+    identical chain.  Phase seconds are flushed once per sweep under paths
     relative to the profiler's open stack (a worker's ``shard`` phase, or
     nothing in a serial fit), rooted at ``sweep``: ``posts``/``links``
-    split into ``resample`` (conditional weights), ``draw`` (cdf +
-    inverse-transform draw) and ``update`` (counter and cache mutation),
-    and ``links;permutation`` times the link visitation shuffle.
+    split into ``resample`` (conditional weights), ``draw`` (uniforms,
+    cdf and inverse-transform draw) and ``update`` (counter and cache
+    mutation), and ``links;permutation`` times the link visitation
+    shuffle.  Each loop's wall time is measured whole, Python side
+    included (context binding, uniform blocks, RNG rewinds, the foreign
+    call); the kernel splits only every 16th item by phase (clock reads
+    would otherwise be a sizeable slice of a microsecond-scale draw), and
+    the loop's time outside the uniform blocks is divided in those
+    items' proportions (:func:`_split_phases`).
     """
+    lib = native_kernel()
+    if lib is None:
+        reference_sweep(state, hp, rng, post_order, link_order)
+        cache.refresh(state)
+        return
     timed = profiler is not None
     perf = time.perf_counter
-    posts_resample_s = posts_draw_s = posts_update_s = 0.0
-    links_resample_s = links_draw_s = links_update_s = 0.0
-    permutation_s = 0.0
-    if timed:
-        sweep_start = perf()
-
-    if isinstance(post_order, np.ndarray):
-        post_order = post_order.tolist()
-
-    # Loop-invariant bindings (all mutated in place, never rebound).
-    n_user_comm = state.n_user_comm
-    n_comm_topic = state.n_comm_topic
-    n_ctt = state.n_comm_topic_time
-    n_comm_total = cache.n_comm_total
-    comm_denom = cache.comm_denom
-    time_denom = cache.time_denom
-    base_all = cache.base
-    ldt = cache.log_denom_terms
-    word_topic = cache.word_topic
-    times = cache._times
-    authors = cache._authors
-    lengths = cache._lengths
-    post_words = cache._post_words
-    all_distinct = cache._all_distinct
-    expanded = cache._expanded
-    kw_bufs = cache._kw_bufs
-    int_bufs = cache._int_bufs
-    flt_bufs = cache._flt_bufs
-    post_c = cache._post_c
-    post_k = cache._post_k
-    comm_buf = cache._comm_buf
-    factor_buf = cache._factor_buf
-    topic_buf = cache._topic_buf
-    cum_comm = cache._cum_comm
-    cum_topic = cache._cum_topic
-    log3 = cache._log3
-    rho = hp.rho
-    alpha = hp.alpha
-    eps = hp.epsilon
-    beta = hp.beta
-    K_alpha = cache._K_alpha
-    T_eps = cache._T_eps
-    M = cache.max_len
-    K = cache.K
+    sweep_start = perf() if timed else None
     C = state.num_communities
-    C1 = C - 1
-    K1 = K - 1
-    floor = _WEIGHT_FLOOR
-    random = rng.random
-    integers = rng.integers
-    isfinite = math.isfinite
-    add = np.add
-    sub = np.subtract
-    mul = np.multiply
-    div = np.divide
-    log = np.log
-    exp = np.exp
-    maximum = np.maximum
-    max_reduce = np.maximum.reduce
-    reduce_ = np.add.reduce
-    accumulate = np.add.accumulate
-    empty = np.empty
-    move_post = state.move_post
-    post_moved = cache.post_moved
-    degenerate = 0
-
-    for post in post_order:
-        if timed:
-            t0 = perf()
-        old_c = post_c[post]
-        old_k = post_k[post]
-        t = times[post]
-        author = authors[post]
-
-        # Eq. (1) against the live counters.  The reference's two integer
-        # reductions (topic totals, time-slice totals) are replaced by the
-        # maintained n_comm_total and by n_comm_topic[:, old_k] (equal by
-        # the counter invariant); both are integer-exact, so every float
-        # factor matches bit for bit.
-        weights = add(n_user_comm[author], rho, comm_buf)
-        factor = add(n_comm_topic[:, old_k], alpha, factor_buf)
-        div(factor, comm_denom, factor)
-        mul(weights, factor, weights)
-        add(n_ctt[:, old_k, t], eps, factor)
-        div(factor, time_denom[:, old_k], factor)
-        mul(weights, factor, weights)
-        # Virtual removal: the post's own counts perturb only entry old_c,
-        # which is rebuilt from the decremented integers in the
-        # reference's operation order (scalar IEEE-754 arithmetic is the
-        # elementwise arithmetic of the vector ops).
-        n_ck = int(n_comm_topic[old_c, old_k]) - 1
-        n_ckt = int(n_ctt[old_c, old_k, t]) - 1
-        weights[old_c] = (
-            ((int(n_user_comm[author, old_c]) - 1) + rho)
-            * ((n_ck + alpha) / ((int(n_comm_total[old_c]) - 1) + K_alpha))
-        ) * ((n_ckt + eps) / (n_ck + T_eps))
-        maximum(weights, floor, out=weights)
-        if timed:
-            t1 = perf()
-            posts_resample_s += t1 - t0
-        # Categorical draw: np.add.reduce / np.add.accumulate are the inner
-        # loops of sum / cumsum, so this is gibbs.categorical_checked bit
-        # for bit, minus wrapper dispatch and allocation.
-        total = reduce_(weights)
-        if isfinite(total) and total > 0.0:
-            accumulate(weights, 0, None, cum_comm)
-            index = cum_comm.searchsorted(random() * total, side="right")
-            new_c = int(index) if index < C1 else C1
-        else:
-            new_c = int(integers(C))
-            degenerate += 1
-        if timed:
-            t2 = perf()
-            posts_draw_s += t2 - t1
-
-        # Eq. (3) over topics with the post virtually removed from
-        # (old_c, old_k): a single gather from the fused base cache, a
-        # batched word term, and a cached-row length denominator.
-        base = base_all[new_c, t]
-        if all_distinct[post]:
-            # The reference reduces a C-contiguous (K, W) matrix row-wise
-            # (pairwise order); writing the transposed gather into a
-            # C-contiguous (K, W) buffer reproduces that exact reduction.
-            # The post's own counts come off column old_k first, making
-            # the numerator exact for every topic at once.
-            words, counts = post_words[post]
-            W = len(words)
-            gathered = int_bufs.get(W)
-            if gathered is None:
-                gathered = int_bufs[W] = empty((W, K), np.int64)
-            word_topic.take(words, 0, gathered)
-            gathered[:, old_k] -= counts
-            buf = kw_bufs.get(W)
-            if buf is None:
-                buf = kw_bufs[W] = empty((K, W))
-            terms = add(gathered.T, beta, buf)
-            log(terms, terms)
-            numerator = reduce_(terms, 1)
-        else:
-            # The reference loops word column j, then q ascending; the
-            # precomputed expansion lays the terms out in exactly that
-            # order and np.add.accumulate reduces them strictly left to
-            # right.  Removal subtracts the multiplicities from column
-            # old_k: (live + q) - m == (live - m) + q, integer-exact.
-            full_words, qs_col, mults = expanded[post]
-            L = len(full_words)
-            ints = int_bufs.get(L)
-            if ints is None:
-                ints = int_bufs[L] = empty((L, K), np.int64)
-            word_topic.take(full_words, 0, ints)
-            add(ints, qs_col, ints)
-            ints[:, old_k] -= mults
-            terms = flt_bufs.get(L)
-            if terms is None:
-                terms = flt_bufs[L] = empty((L, K))
-            add(ints, beta, terms)
-            log(terms, terms)
-            accumulate(terms, 0, None, terms)
-            numerator = terms[-1]
-        length = lengths[post]
-        denominator = reduce_(ldt[:, M : M + length], 1)
-        lw = add(base, numerator, topic_buf)
-        sub(lw, denominator, lw)
-        # Patch entry old_k from the removed-state integers: its Polya
-        # denominator is the cached row's window at offset -length, and
-        # when new_c == old_c its base cell is rebuilt from the
-        # decremented counters (the same 3 logs as _touch_comm_cell).
-        den = reduce_(ldt[old_k, M - length : M])
-        if new_c == old_c:
-            log3[0] = n_ck + alpha
-            log3[1] = n_ck + T_eps
-            log3[2] = n_ckt + eps
-            log(log3, log3)
-            base_val = log3[0] + (log3[2] - log3[1])
-        else:
-            base_val = base[old_k]
-        lw[old_k] = (base_val + numerator[old_k]) - den
-        sub(lw, max_reduce(lw), lw)
-        exp(lw, lw)
-        maximum(lw, floor, out=lw)
-        if timed:
-            t3 = perf()
-            posts_resample_s += t3 - t2
-        total = reduce_(lw)
-        if isfinite(total) and total > 0.0:
-            accumulate(lw, 0, None, cum_topic)
-            index = cum_topic.searchsorted(random() * total, side="right")
-            new_k = int(index) if index < K1 else K1
-        else:
-            new_k = int(integers(K))
-            degenerate += 1
-        if timed:
-            t4 = perf()
-            posts_draw_s += t4 - t3
-
-        if new_c != old_c or new_k != old_k:
-            move_post(post, new_c, new_k)
-            post_moved(state, post, old_c, old_k, new_c, new_k)
-        if timed:
-            posts_update_s += perf() - t4
-
+    posts = np.ascontiguousarray(post_order, dtype=np.int64)
+    links = np.empty(0, dtype=np.int64)
+    ctx = cache._context(state, timed)
+    degenerate, posts_rng_s, posts_s = _run_kernel(
+        lib.cold_sweep_posts, ctx, posts, (C, cache.K), rng, sweep_start
+    )
     state.degenerate_draws += degenerate
-    degenerate = 0
-    num_posts = len(post_order)
-    num_links = 0
-
+    permutation_s = links_rng_s = links_s = 0.0
     if state.num_links:
-        if timed:
-            t0 = perf()
-        # Draw the link permutation here, after the post loop, so the RNG
-        # stream matches the reference sweep exactly.
+        links_start = perf() if timed else None
         if link_order is None:
-            link_order = rng.permutation(state.num_links).tolist()
-        elif isinstance(link_order, np.ndarray):
-            link_order = link_order.tolist()
-        if timed:
-            permutation_s = perf() - t0
-        num_links = len(link_order)
-
-        link_users = cache._link_users
-        link_c = cache._link_c
-        link_cp = cache._link_cp
-        link_src_comm = state.link_src_comm
-        link_dst_comm = state.link_dst_comm
-        link_factor = cache.link_factor
-        n_link_comm = state.n_link_comm
-        pair_buf = cache._pair_buf
-        pair_flat = pair_buf.ravel()
-        comm_col = comm_buf[:, None]
-        factor_row = factor_buf[None, :]
-        cum_pair = cache._cum_pair
-        lambda0 = hp.lambda0
-        lambda1 = hp.lambda1
-        CC = C * C
-        CC1 = CC - 1
-
-        # Links change label on nearly every draw (the C x C conditional is
-        # much flatter than the post conditionals), so virtual removal
-        # would patch three slices per draw only to mutate everything
-        # anyway; the link kernel removes for real and wins by caching the
-        # Eq. (2) occupation factor (a full C x C recompute per draw in the
-        # reference) per cell.
-        for link in link_order:
+            # Draw the link permutation here, after the post loop, so the
+            # RNG stream matches the reference sweep exactly.
+            links = rng.permutation(state.num_links)
             if timed:
-                t0 = perf()
-            src, dst = link_users[link]
-            old_c = link_c[link]
-            old_cp = link_cp[link]
-            n_user_comm[src, old_c] -= 1
-            n_user_comm[dst, old_cp] -= 1
-            n_link_comm[old_c, old_cp] -= 1
-            n = int(n_link_comm[old_c, old_cp])
-            link_factor[old_c, old_cp] = (n + lambda1) / (n + lambda0 + lambda1)
-            # Eq. (2) over the removed counters.
-            add(n_user_comm[src], rho, comm_buf)
-            add(n_user_comm[dst], rho, factor_buf)
-            mul(comm_col, factor_row, pair_buf)
-            mul(pair_buf, link_factor, pair_buf)
-            maximum(pair_flat, floor, out=pair_flat)
-            if timed:
-                t1 = perf()
-                links_resample_s += t1 - t0
-            total = reduce_(pair_flat)
-            if isfinite(total) and total > 0.0:
-                accumulate(pair_flat, 0, None, cum_pair)
-                index = cum_pair.searchsorted(random() * total, side="right")
-                flat_index = int(index) if index < CC1 else CC1
-            else:
-                flat_index = int(integers(CC))
-                degenerate += 1
-            if timed:
-                t2 = perf()
-                links_draw_s += t2 - t1
-            new_c, new_cp = divmod(flat_index, C)
-            n_user_comm[src, new_c] += 1
-            n_user_comm[dst, new_cp] += 1
-            n_link_comm[new_c, new_cp] += 1
-            n = int(n_link_comm[new_c, new_cp])
-            link_factor[new_c, new_cp] = (n + lambda1) / (n + lambda0 + lambda1)
-            link_src_comm[link] = new_c
-            link_dst_comm[link] = new_cp
-            link_c[link] = new_c
-            link_cp[link] = new_cp
-            if timed:
-                links_update_s += perf() - t2
-
+                permutation_s = perf() - links_start
+                links_start += permutation_s
+        else:
+            links = np.ascontiguousarray(link_order, dtype=np.int64)
+        degenerate, links_rng_s, links_s = _run_kernel(
+            lib.cold_sweep_links, ctx, links, (C * C,), rng, links_start
+        )
         state.degenerate_draws += degenerate
 
     if not timed:
@@ -664,14 +590,30 @@ def fast_sweep(
     sweep_s = perf() - sweep_start
     base_path = profiler.current_path() + ("sweep",)
     profiler.add(base_path, sweep_s)
-    if num_posts:
-        posts = base_path + ("posts",)
-        profiler.add(posts + ("resample",), posts_resample_s, num_posts)
-        profiler.add(posts + ("draw",), posts_draw_s, num_posts)
-        profiler.add(posts + ("update",), posts_update_s, num_posts)
-    if num_links:
-        links = base_path + ("links",)
-        profiler.add(links + ("permutation",), permutation_s)
-        profiler.add(links + ("resample",), links_resample_s, num_links)
-        profiler.add(links + ("draw",), links_draw_s, num_links)
-        profiler.add(links + ("update",), links_update_s, num_links)
+    for name, count, slots, loop_s, rng_s in (
+        ("posts", len(posts), ctx.phase_s[0:3], posts_s, posts_rng_s),
+        ("links", len(links), ctx.phase_s[3:6], links_s, links_rng_s),
+    ):
+        if not count:
+            continue
+        path = base_path + (name,)
+        if name == "links":
+            profiler.add(path + ("permutation",), permutation_s)
+        resample, draw, update = _split_phases(slots, loop_s - rng_s)
+        profiler.add(path + ("resample",), resample, count)
+        profiler.add(path + ("draw",), draw + rng_s, count)
+        profiler.add(path + ("update",), update, count)
+
+
+def _split_phases(split_s: list[float], loop_s: float) -> list[float]:
+    """``[resample, draw, update]`` seconds that sum to ``loop_s``.
+
+    ``split_s`` are the kernel's phase seconds for the items it split;
+    ``loop_s`` is the loop's wall time outside the uniform blocks, which
+    also covers the unsplit items and the Python side, and is divided
+    in the split items' proportions.
+    """
+    measured = sum(split_s)
+    if measured <= 0.0:
+        return [loop_s, 0.0, 0.0]
+    return [seconds * loop_s / measured for seconds in split_s]

@@ -203,11 +203,12 @@ def sweep(
     ``cache`` selects the fast path: a
     :class:`~repro.core.fastgibbs.SweepCache` bound to ``state``/``hp``
     routes every draw through :func:`~repro.core.fastgibbs.fast_sweep`,
-    which is bit-identical to the reference kernels (same weights, same
-    RNG consumption) but several times faster, and which times its phases
-    only while a :class:`~repro.telemetry.profiler.PhaseProfiler` is
-    active.  Without a cache the reference kernels run — they remain the
-    correctness oracle.
+    the native kernel, which draws the reference chain (same conditionals,
+    same RNG consumption; see its exactness contract) many times faster,
+    and which times its phases only while a
+    :class:`~repro.telemetry.profiler.PhaseProfiler` is active.  Without
+    a cache the reference kernels run — they remain the correctness
+    oracle.
     """
     if post_order is None:
         post_order = rng.permutation(state.num_posts)
@@ -222,6 +223,22 @@ def sweep(
                 profiler.get_profiler(),
             )
         return
+    reference_sweep(state, hp, rng, post_order, link_order)
+
+
+def reference_sweep(
+    state: CountState,
+    hp: Hyperparameters,
+    rng: np.random.Generator,
+    post_order: list[int] | np.ndarray,
+    link_order: list[int] | np.ndarray | None,
+) -> None:
+    """The reference kernels over ``post_order``, then every link.
+
+    The link permutation, when not supplied, is drawn after the post
+    loop; :func:`~repro.core.fastgibbs.fast_sweep` draws it at the same
+    point.
+    """
     posts = post_order.tolist() if isinstance(post_order, np.ndarray) else post_order
     for post in posts:
         resample_post(state, hp, int(post), rng)

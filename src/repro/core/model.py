@@ -117,12 +117,12 @@ class COLDModel:
     seed:
         Seed of the sampler's RNG; fits are reproducible given a seed.
     fast:
-        Run sweeps through the cached vectorised Gibbs kernels
-        (:mod:`repro.core.fastgibbs`).  The fast path is bit-identical to
-        the reference kernels — same weights, same RNG consumption, so
-        the same seed yields the same chain — just several times faster;
-        ``fast=False`` selects the reference kernels, kept as the
-        correctness oracle.
+        Run sweeps through the native sweep kernel
+        (:mod:`repro.core.fastgibbs`).  It draws the reference kernels'
+        chain — same conditionals, same RNG consumption, so the same
+        seed yields the same chain (see that module's exactness
+        contract) — many times faster; ``fast=False`` selects the
+        reference kernels, kept as the correctness oracle.
     executor, num_nodes, num_workers:
         ``num_nodes > 1`` routes :meth:`fit` through the parallel sampler
         (:class:`~repro.parallel.sampler.ParallelCOLDSampler`) on that

@@ -120,9 +120,9 @@ class ParallelCOLDSampler:
     :meth:`fit`, ``estimates_`` holds the averaged parameter estimates and
     ``report_`` the per-superstep cluster timings that Figures 13–14 use.
     Arguments are keyword-only; positional use is deprecated (warns once
-    per process).  ``fast`` selects the cached vectorised Gibbs kernels
-    per node — draws are bit-identical to the reference kernels, so a
-    seeded parallel fit produces the same chain either way.
+    per process).  ``fast`` selects the native sweep kernel per node —
+    it draws the reference kernels' chain, so a seeded parallel fit
+    produces the same chain either way.
 
     ``executor`` picks how node work runs: ``"simulated"`` (sequential,
     deterministic timing), ``"threads"`` (thread pool, GIL-limited), or

@@ -197,10 +197,9 @@ def worker_main(worker_id: int, init: dict, conn) -> None:
     link_offsets = data["shard_link_offsets"]
     rng = np.random.default_rng()
     # The private state and its SweepCache persist across commands: the
-    # corpus-static cache structures (word expansions, metadata lists) are
-    # built once, and each run resets the counters to the fresh snapshot
-    # and calls the bit-identical ``SweepCache.refresh`` — so per-dispatch
-    # overhead scales with the shard, not the corpus.
+    # cache's log tables are built once, and each run resets the counters
+    # to the fresh snapshot and calls the bit-identical
+    # ``SweepCache.refresh``.
     local: CountState | None = None
     cache: SweepCache | None = None
     parent_pid = int(init.get("parent_pid", os.getppid()))

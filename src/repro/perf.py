@@ -12,9 +12,8 @@ Two things keep the numbers honest:
 * **equivalence first** — every case replays a few sweeps through both
   paths from the same seed and records ``draws_match``; a speedup over
   kernels that draw a *different* chain would be meaningless.
-* **occupancy alongside** — the fast path's sparse cell iteration gains
-  depend on how concentrated the chain is, so each case reports its
-  (community, topic) occupancy summary via
+* **occupancy alongside** — each case reports how concentrated the
+  chain is, its (community, topic) occupancy summary via
   :meth:`~repro.core.state.CountState.top_comm_topic_cells`.
 
 A second suite (``cold bench --parallel``, written as
@@ -148,8 +147,7 @@ class BenchCase:
 
     The planted generator uses half the model's latent dimensions (floored
     at 4), so the chain has real structure to find without being handed
-    the answer — occupancy then concentrates the way fitted chains do,
-    which is what the fast path's sparse iteration is built for.
+    the answer — occupancy then concentrates the way fitted chains do.
     """
 
     name: str
@@ -1976,7 +1974,7 @@ def profiler_draws_match(
     :func:`~repro.core.fastgibbs.fast_sweep` times its phases only while
     a profiler is active and never reads the RNG for it, so this is the
     strongest claim the gate makes: the timed sweep draws the same
-    weights with the same RNG consumption, op for op.
+    weights with the same RNG consumption.
     """
     from .telemetry import profiler as profiling
 

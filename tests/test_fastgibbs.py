@@ -1,17 +1,26 @@
-"""Exactness tests for repro.core.fastgibbs (the cached sweep kernels).
+"""Exactness tests for repro.core.fastgibbs (the native sweep kernel).
 
-The fast path's contract is *bit-identical draws*: from the same seed it
+The fast path's contract is *identical draws*: from the same seed it
 must walk the exact chain the reference kernels walk — same assignments,
 same degenerate-draw tally, same RNG stream position.  Every test here
-compares against the reference implementation, never against expected
-values of its own.
+compares against the reference implementation (or, for the kernel's
+reduction helpers, against NumPy itself), never against expected values
+of its own.
 """
 
 from __future__ import annotations
 
+import logging
+import math
+import os
+import shutil
+import stat
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.core import fastgibbs
 from repro.core.fastgibbs import SweepCache
 from repro.core.gibbs import sweep
 from repro.core.params import Hyperparameters
@@ -107,6 +116,47 @@ class TestSweepEquivalence:
             chains.append(_chain_arrays(state))
         for ref, fst in zip(chains[0], chains[1]):
             np.testing.assert_array_equal(ref, fst)
+
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_dominant_topic_matches_reference(self, tiny_corpus, hp, K):
+        """Every post starts in topic 0, whose token total is then the
+        corpus's: the Polya denominator reads the log table's last
+        entries (and with K = 1 every post stays there)."""
+        runs = []
+        for fast in (False, True):
+            rng = np.random.default_rng(5)
+            state = _init(tiny_corpus, rng, K=K)
+            for post in range(state.num_posts):
+                state.move_post(post, int(state.post_comm[post]), 0)
+            cache = SweepCache(state, hp) if fast else None
+            for _ in range(3):
+                sweep(state, hp, rng, cache=cache)
+            runs.append((_chain_arrays(state), rng.random(8)))
+            if fast:
+                state.check_invariants()
+                cache.check_consistency(state)
+        (ref, ref_follow), (fst, fst_follow) = runs
+        for want, got in zip(ref, fst):
+            np.testing.assert_array_equal(want, got)
+        np.testing.assert_array_equal(ref_follow, fst_follow)
+
+    def test_small_uniform_blocks_match_reference(
+        self, tiny_corpus, hp, monkeypatch
+    ):
+        """Loops spanning many uniform blocks draw the reference chain."""
+        monkeypatch.setattr(fastgibbs, "_BLOCK_ITEMS", 5)
+        runs = []
+        for fast in (False, True):
+            rng = np.random.default_rng(42)
+            state = _init(tiny_corpus, rng)
+            cache = SweepCache(state, hp) if fast else None
+            for _ in range(3):
+                sweep(state, hp, rng, cache=cache)
+            runs.append((_chain_arrays(state), rng.random(8)))
+        (ref, ref_follow), (fst, fst_follow) = runs
+        for want, got in zip(ref, fst):
+            np.testing.assert_array_equal(want, got)
+        np.testing.assert_array_equal(ref_follow, fst_follow)
 
 
 class TestPerDrawKernels:
@@ -254,4 +304,243 @@ class TestModelIntegration:
         for field in ("pi", "theta", "phi", "psi", "eta"):
             np.testing.assert_array_equal(
                 getattr(fast.estimates_, field), getattr(ref.estimates_, field)
+            )
+
+
+def _native():
+    lib = fastgibbs.native_kernel()
+    if lib is None:
+        pytest.skip("no native sweep kernel (no C compiler)")
+    return lib
+
+
+def _ptr(array: np.ndarray) -> int:
+    return array.ctypes.data
+
+
+class TestNativeReductionOrder:
+    """The kernel's sums must be NumPy's, bit for bit: a wrong summation
+    order fails here directly instead of as a rare flipped draw."""
+
+    @staticmethod
+    def _values(rng, shape):
+        return rng.standard_normal(shape) * np.exp(rng.uniform(-30, 30, shape))
+
+    def test_reduce_sum_matches_add_reduce_for_every_length(self):
+        lib = _native()
+        rng = np.random.default_rng(0)
+        for n in range(1, 301):
+            x = self._values(rng, n)
+            got = lib.cold_reduce_sum(_ptr(x), n)
+            assert got == np.add.reduce(x), n
+
+    def test_accumulate_matches_add_accumulate_for_every_length(self):
+        lib = _native()
+        rng = np.random.default_rng(1)
+        for n in range(1, 301):
+            x = self._values(rng, n)
+            out = np.empty(n)
+            lib.cold_accumulate(_ptr(x), n, _ptr(out))
+            np.testing.assert_array_equal(out, np.add.accumulate(x), err_msg=n)
+
+    def test_polya_window_matches_reference_denominator(self):
+        """The Polya denominator sums a window of the ``log(n + V beta)``
+        table; the reference row-reduces ``log(n_k + o + V beta)``."""
+        lib = _native()
+        rng = np.random.default_rng(2)
+        V_beta = 20.0
+        log_V_beta = np.log(np.arange(60_000) + V_beta)
+        totals = rng.integers(0, 50_000, size=40)
+        for L in range(1, 301):
+            want = np.log(
+                totals[:, None] + np.arange(L)[None, :] + V_beta
+            ).sum(axis=1)
+            got = [lib.cold_reduce_sum(_ptr(log_V_beta[n:]), L) for n in totals]
+            np.testing.assert_array_equal(got, want, err_msg=L)
+
+    def test_reduce_sum_matches_contiguous_word_term_rows(self):
+        """The distinct-word Eq. (3) numerator row-reduces a C-contiguous
+        (K, W) matrix."""
+        lib = _native()
+        rng = np.random.default_rng(3)
+        for K, W in ((40, 1), (40, 7), (40, 8), (3, 129), (40, 300)):
+            terms = self._values(rng, (K, W))
+            got = [lib.cold_reduce_sum(_ptr(row), W) for row in terms]
+            np.testing.assert_array_equal(got, terms.sum(axis=1))
+
+
+class TestDegenerateDraws:
+    """Non-finite weight totals force the reference's uniform fallback;
+    the native path must rewind, replay and resume on the same RNG
+    stream."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # (n + rho)^2 sits at the overflow edge of the Eq. (2) total,
+            # so a minority of link draws are degenerate: the sweep
+            # replays part of a uniform block before each fallback.
+            dict(rho=7.07e153, lambda0=20.0),
+            # V beta overflows: every Polya denominator is inf, so every
+            # topic draw is degenerate (the odd-draw resume path, after
+            # the post's regular community draw).
+            dict(beta=1e308),
+            # Every link's outer product overflows too.
+            dict(rho=1.5e308, beta=1e308),
+            # Finite hyperparameters cannot make Eq. (1) non-finite, so
+            # alpha = inf skips validation: every community draw (the
+            # even-draw path) and every topic draw is degenerate.
+            dict(alpha=math.inf),
+        ],
+        ids=["some-links", "all-topics", "topics-and-links", "all-posts"],
+    )
+    @pytest.mark.parametrize("block", [None, 3], ids=["one-block", "blocks"])
+    def test_native_matches_reference_on_degenerate_weights(
+        self, tiny_corpus, overrides, block, monkeypatch
+    ):
+        _native()
+        if block is not None:
+            monkeypatch.setattr(fastgibbs, "_BLOCK_ITEMS", block)
+        hp = Hyperparameters(
+            rho=0.5, alpha=0.5, beta=0.01, epsilon=0.01, lambda0=2.0,
+            lambda1=0.1,
+        )
+        for name, value in overrides.items():
+            object.__setattr__(hp, name, value)
+        runs = []
+        for fast in (False, True):
+            rng = np.random.default_rng(21)
+            state = _init(tiny_corpus, rng)
+            cache = SweepCache(state, hp) if fast else None
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(2):
+                    sweep(state, hp, rng, cache=cache)
+            runs.append((_chain_arrays(state), rng.random(8)))
+            if fast:
+                state.check_invariants()
+                with np.errstate(over="ignore", invalid="ignore"):
+                    cache.check_consistency(state)
+        (ref, ref_follow), (fst, fst_follow) = runs
+        for want, got in zip(ref, fst):
+            np.testing.assert_array_equal(want, got)
+        np.testing.assert_array_equal(ref_follow, fst_follow)
+        draws = 2 * (2 * tiny_corpus.num_posts + tiny_corpus.num_links)
+        assert 0 < ref[-1] <= draws
+
+
+class TestKernelGuards:
+    """Indices the native kernel would read out of bounds are rejected
+    before any pointer is passed."""
+
+    @pytest.mark.parametrize(
+        "post_order, link_order",
+        [([0, 99], [0]), ([-1], [0]), ([0], [0, 99]), ([0], [-1])],
+    )
+    def test_out_of_range_order_is_rejected(
+        self, hand_corpus, hp, post_order, link_order
+    ):
+        _native()
+        state = _init(hand_corpus, np.random.default_rng(0), C=3, K=2)
+        cache = SweepCache(state, hp)
+        bad_links = max(link_order) >= state.num_links or min(link_order) < 0
+        # A bad link order is found after the post loop ran, as in the
+        # reference sweep; only the rejected loop must leave no trace.
+        untouched = (2, 3) if bad_links else (0, 1, 2, 3)
+        before = _chain_arrays(state)
+        with pytest.raises(IndexError):
+            sweep(state, hp, np.random.default_rng(1), post_order=post_order,
+                  link_order=link_order, cache=cache)
+        after = _chain_arrays(state)
+        for index in untouched:
+            np.testing.assert_array_equal(before[index], after[index])
+        state.check_invariants()
+        cache.check_consistency(state)
+
+    def test_cache_rejects_another_corpus(self, hand_corpus, tiny_corpus, hp):
+        _native()
+        cache = SweepCache(_init(hand_corpus, np.random.default_rng(0)), hp)
+        other = _init(tiny_corpus, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="another corpus"):
+            sweep(other, hp, np.random.default_rng(1), cache=cache)
+
+
+class TestNativeLoader:
+    def test_native_kernel_loaded_whenever_cc_exists(self):
+        """CI must not go green on the reference fallback."""
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler on PATH")
+        assert fastgibbs.native_kernel() is not None
+
+    def test_unwritable_home_cache_builds_in_private_temp_dir(
+        self, monkeypatch, tmp_path
+    ):
+        """When ``~/.cache/repro`` cannot be created (here: HOME is a
+        regular file) the build goes to a per-user temp directory."""
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler on PATH")
+        home = tmp_path / "home"
+        home.write_text("not a directory")
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.setattr(fastgibbs.tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(fastgibbs, "_library", fastgibbs._UNLOADED)
+        assert fastgibbs.native_kernel() is not None
+        private = tmp_path / f"repro-{os.getuid()}"
+        assert stat.S_IMODE(private.stat().st_mode) == 0o700
+        assert [path.name for path in private.iterdir()] == [
+            fastgibbs._library_name()
+        ]
+
+    @pytest.mark.parametrize("shared", ["directory", "library"])
+    def test_library_writable_by_others_is_neither_loaded_nor_rebuilt(
+        self, monkeypatch, tmp_path, caplog, shared
+    ):
+        """A genuine build planted where group or others could have
+        written it is refused, and nothing is written next to it."""
+        genuine = _native()
+        home = tmp_path / "home"
+        cache = home / ".cache" / "repro"
+        cache.mkdir(parents=True, mode=0o700)
+        planted = cache / fastgibbs._library_name()
+        shutil.copyfile(genuine._name, planted)
+        planted.chmod(0o755)
+        (cache if shared == "directory" else planted).chmod(0o777)
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.setattr(fastgibbs, "_library", fastgibbs._UNLOADED)
+        with caplog.at_level(logging.WARNING, logger="repro.core.fastgibbs"):
+            assert fastgibbs.native_kernel() is None
+        assert "not private to this user" in caplog.text
+        assert list(cache.iterdir()) == [planted]
+        assert planted.read_bytes() == Path(genuine._name).read_bytes()
+
+    def test_no_compiler_falls_back_to_reference_with_one_warning(
+        self, tiny_corpus, monkeypatch, tmp_path, caplog
+    ):
+        from repro.core.model import COLDModel
+        from repro.parallel.sampler import ParallelCOLDSampler
+
+        monkeypatch.setattr(fastgibbs, "_library", fastgibbs._UNLOADED)
+        monkeypatch.setattr(fastgibbs, "_cache_dir", lambda: tmp_path)
+        monkeypatch.setattr(fastgibbs.shutil, "which", lambda name: None)
+        kwargs = dict(num_communities=3, num_topics=4, prior="scaled", seed=0)
+        with caplog.at_level(logging.WARNING, logger="repro.core.fastgibbs"):
+            fast = COLDModel(**kwargs).fit(tiny_corpus, num_iterations=3)
+            procs = ParallelCOLDSampler(
+                num_nodes=2, executor="processes", num_workers=2, **kwargs
+            ).fit(tiny_corpus, num_iterations=3)
+        assert fastgibbs.native_kernel() is None
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING
+                    and r.name == "repro.core.fastgibbs"]
+        assert len(warnings) == 1
+        ref = COLDModel(fast=False, **kwargs).fit(tiny_corpus, num_iterations=3)
+        ref_procs = ParallelCOLDSampler(
+            num_nodes=2, fast=False, **kwargs
+        ).fit(tiny_corpus, num_iterations=3)
+        for field in ("pi", "theta", "phi", "psi", "eta"):
+            np.testing.assert_array_equal(
+                getattr(fast.estimates_, field), getattr(ref.estimates_, field)
+            )
+        for name in ("post_comm", "post_topic", "link_src_comm",
+                     "link_dst_comm"):
+            np.testing.assert_array_equal(
+                getattr(procs.state_, name), getattr(ref_procs.state_, name)
             )
