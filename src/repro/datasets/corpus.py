@@ -59,7 +59,7 @@ class Post:
             raise CorpusValidationError(f"timestamp must be >= 0, got {self.timestamp}")
         if len(self.words) == 0:
             raise CorpusError("posts must contain at least one word")
-        if any(w < 0 for w in self.words):
+        if min(self.words) < 0:
             raise CorpusValidationError("word ids must be >= 0")
 
     def __len__(self) -> int:

@@ -54,6 +54,7 @@ import os
 import struct
 import tempfile
 import zlib
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -256,26 +257,29 @@ class PackedCorpusWriter:
                 f"post {self.num_posts}: timestamp {timestamp} out of range "
                 f"[0, {self.num_time_slices})"
             )
-        tokens = [int(w) for w in words]
-        if not tokens:
+        tokens = np.asarray(words if isinstance(words, np.ndarray) else list(words))
+        if tokens.ndim != 1 or tokens.dtype.kind not in "iu":
+            # Floats, bools, strings or ids past int64: int() each one.
+            tokens = np.array([int(w) for w in tokens.tolist()], dtype=object)
+        ids = tokens.tolist()
+        if not ids:
             raise PackedCorpusError(
                 f"post {self.num_posts}: posts must contain at least one word"
             )
+        if min(ids) < 0 or max(ids) >= self.vocab_size:
+            bad = next(w for w in ids if not 0 <= w < self.vocab_size)
+            raise CorpusValidationError(
+                f"post {self.num_posts}: word id {bad} out of range "
+                f"[0, {self.vocab_size})"
+            )
         # First-appearance-order unique multiset — the exact semantics of
         # Post.word_counts(), which the samplers' PostTable is built on.
-        counts: dict[int, int] = {}
-        for token in tokens:
-            if not 0 <= token < self.vocab_size:
-                raise CorpusValidationError(
-                    f"post {self.num_posts}: word id {token} out of range "
-                    f"[0, {self.vocab_size})"
-                )
-            counts[token] = counts.get(token, 0) + 1
+        counts = Counter(ids)
         self._buf_authors.append(author)
         self._buf_times.append(timestamp)
-        self._buf_lengths.append(len(tokens))
-        self._buf_tokens.extend(tokens)
-        self.num_tokens += len(tokens)
+        self._buf_lengths.append(len(ids))
+        self._buf_tokens.extend(ids)
+        self.num_tokens += len(ids)
         self._buf_token_offsets.append(self.num_tokens)
         self._buf_unique_words.extend(counts.keys())
         self._buf_unique_counts.extend(counts.values())
@@ -372,17 +376,14 @@ class PackedCorpusWriter:
         blob = _ColumnSpool(self._spool_dir, "vocab_blob", np.uint8)
         offsets = _ColumnSpool(self._spool_dir, "vocab_offsets", np.int64)
         offsets.append([0])
+        tokens = self.vocabulary.to_list()
         total = 0
-        pending: list[int] = []
-        for token in self.vocabulary.to_list():
-            encoded = token.encode("utf-8")
-            blob.append(np.frombuffer(encoded, dtype=np.uint8))
-            total += len(encoded)
-            pending.append(total)
-            if len(pending) >= 65536:
-                offsets.append(pending)
-                pending = []
-        offsets.append(pending)
+        for start in range(0, len(tokens), 65536):
+            encoded = [token.encode("utf-8") for token in tokens[start:start + 65536]]
+            blob.append(np.frombuffer(b"".join(encoded), dtype=np.uint8))
+            ends = total + np.cumsum([len(e) for e in encoded])
+            offsets.append(ends)
+            total = int(ends[-1])
         blob.finish()
         offsets.finish()
         self._spools["vocab_blob"] = blob

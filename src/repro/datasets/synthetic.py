@@ -19,6 +19,12 @@ draw a per-user out-degree and sample each link's endpoint communities and
 target user proportionally to the same ``pi`` / ``eta`` factors.  This keeps
 the planted block structure (the quantity COLD estimates) while producing a
 sparse network directly.
+
+Draw note: one loop, :func:`_planted_draws`, holds the whole RNG call
+sequence, and both generators consume it.  Every categorical draw looks up
+a CDF table built once per world (:func:`_choice_cdfs`), drawing exactly
+what ``Generator.choice`` would from the same uniforms without rebuilding
+the CDF per call.  The tables have the shapes of the planted tensors.
 """
 
 from __future__ import annotations
@@ -312,76 +318,98 @@ def _generic_vocabulary(config: SyntheticConfig) -> Vocabulary:
     return Vocabulary(f"term{v:05d}" for v in range(config.vocab_size)).freeze()
 
 
-def generate_posts(
-    config: SyntheticConfig, truth: GroundTruth, rng: np.random.Generator
-) -> tuple[list[Post], np.ndarray, np.ndarray]:
-    """Run steps 3(b) of Algorithm 1 for every user."""
-    posts: list[Post] = []
-    communities: list[int] = []
-    topics: list[int] = []
-    C, K = config.num_communities, config.num_topics
-    for user in range(config.num_users):
-        num_posts = max(1, int(rng.poisson(config.mean_posts_per_user)))
-        cs = rng.choice(C, size=num_posts, p=truth.pi[user])
-        for c in cs:
-            k = rng.choice(K, p=truth.theta[c])
-            length = max(1, int(rng.poisson(config.mean_words_per_post)))
-            words = rng.choice(config.vocab_size, size=length, p=truth.phi[k])
-            t = rng.choice(config.num_time_slices, p=truth.psi[k, c])
-            posts.append(
-                Post(author=user, words=tuple(int(w) for w in words), timestamp=int(t))
-            )
-            communities.append(int(c))
-            topics.append(int(k))
-    return posts, np.asarray(communities), np.asarray(topics)
+def _choice_cdfs(p: np.ndarray) -> np.ndarray:
+    """Row CDFs of the distributions along the last axis of ``p``.
 
-
-def generate_links(
-    config: SyntheticConfig, truth: GroundTruth, rng: np.random.Generator
-) -> list[tuple[int, int]]:
-    """Sparse link sampling preserving the planted block structure.
-
-    For each link of user ``i``: draw source community ``s ~ pi_i``, then a
-    destination community ``c' ~ eta_{s,.}`` (normalised), then a target user
-    ``i' ~ pi_{.,c'}`` (normalised over users).  This is the sparse analogue
-    of Algorithm 1 step 3(c).
+    ``Generator.choice(n, size, p=row)`` re-validates ``row`` and rebuilds
+    ``row.cumsum()`` on every call: a 2,000-entry cumsum for a 40-word
+    post.  This runs the same checks (finite, non-negative, sums to one
+    within ``sqrt(eps)``; ``ValueError`` otherwise) and the same
+    arithmetic (cumsum, then divide by the last entry) once per table, so
+    ``cdfs[row].searchsorted(rng.random(size), side="right")`` consumes
+    the same uniforms and returns the same indices.
     """
-    C = config.num_communities
-    # Per-community user-selection weights: column-normalised memberships.
-    column_weights = truth.pi / truth.pi.sum(axis=0, keepdims=True)
-    target_cdfs = _target_cdfs(column_weights)
-    links: set[tuple[int, int]] = set()
-    for user in range(config.num_users):
-        degree = int(rng.poisson(config.mean_links_per_user))
-        for _ in range(degree):
-            s = rng.choice(C, p=truth.pi[user])
-            row = truth.eta[s] / truth.eta[s].sum()
-            c_dst = rng.choice(C, p=row)
-            target = _draw_target(target_cdfs, c_dst, rng)
-            if target != user:
-                links.add((user, target))
-    return sorted(links)
-
-
-def _target_cdfs(column_weights: np.ndarray) -> np.ndarray:
-    """Per-community target-user CDFs, precomputed once.
-
-    ``rng.choice(num_users, p=w)`` rebuilds ``w.cumsum()`` on every call —
-    O(num_users) per *link*, which turns the link pass quadratic in users.
-    Hoisting the cumsum keeps each draw O(log num_users).  The arithmetic
-    (cumsum, then divide by the last entry) replicates ``Generator.choice``
-    exactly, so draws are bit-identical to the historical per-call path.
-    """
-    cdfs = column_weights.cumsum(axis=0)
-    cdfs /= cdfs[-1, :]
+    p = np.ascontiguousarray(p, dtype=np.float64)
+    if not np.isfinite(p).all():
+        raise ValueError("probabilities contain non-finite values")
+    if (p < 0).any():
+        raise ValueError("probabilities are not non-negative")
+    if (np.abs(p.sum(axis=-1) - 1.0) > np.sqrt(np.finfo(np.float64).eps)).any():
+        raise ValueError("probabilities do not sum to 1")
+    cdfs = p.cumsum(axis=-1)
+    cdfs /= cdfs[..., -1:]
     return cdfs
 
 
-def _draw_target(target_cdfs: np.ndarray, community: int, rng) -> int:
-    """One target-user draw, bit-identical to ``rng.choice(U, p=w_c)``."""
-    return int(
-        target_cdfs[:, community].searchsorted(rng.random(), side="right")
+def _target_cdfs(pi: np.ndarray) -> np.ndarray:
+    """``(C, U)`` per-community target-user CDFs.
+
+    A link into community ``c'`` picks its target user proportionally to
+    ``pi_{.,c'}``, the column-normalised memberships.  As a table this is
+    an O(log U) draw instead of a per-call O(U) cumsum per link, which
+    would turn the link pass quadratic in users.
+    """
+    weights = np.ascontiguousarray(pi.T)
+    weights /= pi.sum(axis=0)[:, None]
+    return _choice_cdfs(weights)
+
+
+def _planted_draws(
+    config: SyntheticConfig, truth: GroundTruth, rng: np.random.Generator
+):
+    """Steps 3(b)-(c) of Algorithm 1: the one RNG call sequence of both generators.
+
+    Yields every post as ``(user, t, words, c, k)`` in author order
+    (``words`` an int64 array), then every link as ``(user, target)`` in
+    sorted order.  Links are sparse: for each of user ``i``'s links draw a
+    source community ``s ~ pi_i``, a destination community
+    ``c' ~ eta_{s,.}`` (normalised), then a target user ``i' ~ pi_{.,c'}``
+    (normalised over users), and drop self-links and repeats.  Every
+    source is the current user, so each user's sorted link set, emitted
+    in user order, is the globally sorted link list.
+    """
+    pi = _choice_cdfs(truth.pi)
+    theta = _choice_cdfs(truth.theta)
+    phi = _choice_cdfs(truth.phi)
+    psi = _choice_cdfs(truth.psi)
+    eta = _choice_cdfs(truth.eta / truth.eta.sum(axis=1, keepdims=True))
+    for user in range(config.num_users):
+        num_posts = max(1, int(rng.poisson(config.mean_posts_per_user)))
+        for c in pi[user].searchsorted(rng.random(num_posts), side="right").tolist():
+            k = int(theta[c].searchsorted(rng.random(), side="right"))
+            length = max(1, int(rng.poisson(config.mean_words_per_post)))
+            words = phi[k].searchsorted(rng.random(length), side="right")
+            t = int(psi[k, c].searchsorted(rng.random(), side="right"))
+            yield user, t, words, c, k
+    # Built after the posts pass, so this (C, U) table never coexists
+    # with the packed writer's chunk buffers.
+    targets = _target_cdfs(truth.pi)
+    for user in range(config.num_users):
+        user_targets: set[int] = set()
+        for _ in range(int(rng.poisson(config.mean_links_per_user))):
+            s = pi[user].searchsorted(rng.random(), side="right")
+            c_dst = eta[s].searchsorted(rng.random(), side="right")
+            target = int(targets[c_dst].searchsorted(rng.random(), side="right"))
+            if target != user:
+                user_targets.add(target)
+        for target in sorted(user_targets):
+            yield user, target
+
+
+def _plant_world(
+    config: SyntheticConfig | None, seed: int | None
+) -> tuple[SyntheticConfig, GroundTruth, np.random.Generator, Vocabulary]:
+    """Validated config, planted parameters, the live RNG and the vocabulary."""
+    config = config or SyntheticConfig()
+    config.validate()
+    if seed is not None:
+        config = replace(config, seed=seed)
+    rng = np.random.default_rng(config.seed)
+    truth = plant_parameters(config, rng)
+    vocabulary = (
+        _themed_vocabulary(config) if config.themed else _generic_vocabulary(config)
     )
+    return config, truth, rng, vocabulary
 
 
 def generate_corpus(
@@ -392,17 +420,21 @@ def generate_corpus(
     ``seed`` overrides ``config.seed`` when given, which keeps call sites
     that sweep seeds readable.
     """
-    config = config or SyntheticConfig()
-    config.validate()
-    if seed is not None:
-        config = replace(config, seed=seed)
-    rng = np.random.default_rng(config.seed)
-    truth = plant_parameters(config, rng)
-    posts, post_communities, post_topics = generate_posts(config, truth, rng)
-    links = generate_links(config, truth, rng)
-    vocabulary = (
-        _themed_vocabulary(config) if config.themed else _generic_vocabulary(config)
-    )
+    config, truth, rng, vocabulary = _plant_world(config, seed)
+    posts: list[Post] = []
+    links: list[tuple[int, int]] = []
+    communities: list[int] = []
+    topics: list[int] = []
+    # One shared int object per word id: posts hold no per-token ints.
+    word_ids = np.arange(config.vocab_size).astype(object)
+    for draw in _planted_draws(config, truth, rng):
+        if len(draw) == 2:
+            links.append(draw)
+            continue
+        user, t, words, c, k = draw
+        posts.append(Post(user, tuple(word_ids[words].tolist()), t))
+        communities.append(c)
+        topics.append(k)
     corpus = SocialCorpus(
         num_users=config.num_users,
         num_time_slices=config.num_time_slices,
@@ -410,8 +442,8 @@ def generate_corpus(
         links=links,
         vocabulary=vocabulary,
     )
-    truth.post_communities = post_communities
-    truth.post_topics = post_topics
+    truth.post_communities = np.asarray(communities)
+    truth.post_topics = np.asarray(topics)
     return corpus, truth
 
 
@@ -424,34 +456,20 @@ def generate_packed_corpus(
 ) -> tuple[PackedCorpus, GroundTruth]:
     """Stream the planted COLD process to a ``.coldpack`` file.
 
-    Runs the *same RNG call sequence* as :func:`generate_corpus` — plant,
-    then per-user posts, then per-user links — but streams every post to
-    a :class:`~repro.datasets.packed.PackedCorpusWriter` in
+    Consumes the same draw loop as :func:`generate_corpus`, but streams
+    every post to a :class:`~repro.datasets.packed.PackedCorpusWriter` in
     ``chunk_tokens``-sized flushes instead of materialising ``Post``
-    objects, so peak RSS is bounded by the planted parameter tensors
-    (O(users x communities)) regardless of how many tokens are
-    generated.  At equal seed the resulting corpus is bit-identical to
-    the in-RAM path: same posts, same links, same vocabulary.
-
-    Links are deduplicated per user, which equals the in-RAM path's
-    global dedup because every link's source *is* the current user, and
-    ``sorted(links)`` orders by source first — so emitting each user's
-    sorted link set in user order reproduces the global sorted order.
+    objects.  Peak RSS is therefore bounded by the planted parameter
+    tensors plus their CDF tables of the same shapes (O(users x
+    communities + topics x vocabulary)), however many tokens are
+    generated.  At equal seed the corpus is bit-identical to the in-RAM
+    path: same posts, same links, same vocabulary.
 
     ``keep_latents=True`` records the drawn per-post community/topic
     latents on the returned :class:`GroundTruth` (two O(posts) arrays —
     leave it off at million-user scale).
     """
-    config = config or SyntheticConfig()
-    config.validate()
-    if seed is not None:
-        config = replace(config, seed=seed)
-    rng = np.random.default_rng(config.seed)
-    truth = plant_parameters(config, rng)
-    vocabulary = (
-        _themed_vocabulary(config) if config.themed else _generic_vocabulary(config)
-    )
-    C, K = config.num_communities, config.num_topics
+    config, truth, rng, vocabulary = _plant_world(config, seed)
     communities: list[int] = []
     topics: list[int] = []
     writer = PackedCorpusWriter(
@@ -463,34 +481,15 @@ def generate_packed_corpus(
         chunk_tokens=chunk_tokens,
     )
     try:
-        # Posts pass — RNG calls exactly as generate_posts().
-        for user in range(config.num_users):
-            num_posts = max(1, int(rng.poisson(config.mean_posts_per_user)))
-            cs = rng.choice(C, size=num_posts, p=truth.pi[user])
-            for c in cs:
-                k = rng.choice(K, p=truth.theta[c])
-                length = max(1, int(rng.poisson(config.mean_words_per_post)))
-                words = rng.choice(config.vocab_size, size=length, p=truth.phi[k])
-                t = rng.choice(config.num_time_slices, p=truth.psi[k, c])
-                writer.add_post(user, int(t), words)
-                if keep_latents:
-                    communities.append(int(c))
-                    topics.append(int(k))
-        # Links pass — RNG calls exactly as generate_links().
-        column_weights = truth.pi / truth.pi.sum(axis=0, keepdims=True)
-        target_cdfs = _target_cdfs(column_weights)
-        for user in range(config.num_users):
-            degree = int(rng.poisson(config.mean_links_per_user))
-            user_links: set[tuple[int, int]] = set()
-            for _ in range(degree):
-                s = rng.choice(C, p=truth.pi[user])
-                row = truth.eta[s] / truth.eta[s].sum()
-                c_dst = rng.choice(C, p=row)
-                target = _draw_target(target_cdfs, c_dst, rng)
-                if target != user:
-                    user_links.add((user, target))
-            for src, dst in sorted(user_links):
-                writer.add_link(src, dst)
+        for draw in _planted_draws(config, truth, rng):
+            if len(draw) == 2:
+                writer.add_link(*draw)
+                continue
+            user, t, words, c, k = draw
+            writer.add_post(user, t, words)
+            if keep_latents:
+                communities.append(c)
+                topics.append(k)
         packed_path = writer.finalize()
     except BaseException:
         writer.abort()

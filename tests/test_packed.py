@@ -145,6 +145,25 @@ class TestWriterValidation:
         assert not (tmp_path / "bad.coldpack").exists()
 
 
+class TestWriterPosts:
+    def test_error_names_first_bad_word_in_post_order(self, tmp_path):
+        writer = PackedCorpusWriter(
+            tmp_path / "bad.coldpack", num_users=2, num_time_slices=2,
+            vocab_size=10,
+        )
+        writer.add_post(0, 0, [1])
+        for words in ([3, 12, -1, 10], np.array([3, 12, -1, 10])):
+            with pytest.raises(CorpusValidationError, match=r"post 1: word id 12 "):
+                writer.add_post(1, 1, words)
+        with pytest.raises(CorpusValidationError, match="word id -4 "):
+            writer.add_post(1, 1, (2, -4, 99))
+        # Rejected posts leave no trace: the next post is still post 1.
+        writer.add_post(1, 1, np.array([4, 2, 4], dtype=np.uint8))
+        with PackedCorpus.open(writer.finalize()) as packed:
+            assert packed.num_posts == 2
+            assert packed.posts[1].words == (4, 2, 4)
+
+
 class TestCorruptionDetection:
     def test_truncated_file_names_path(self, packed_path):
         data = packed_path.read_bytes()

@@ -1,8 +1,13 @@
 """Unit tests for repro.datasets.synthetic (the planted COLD generator)."""
 
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.datasets import synthetic
+from repro.datasets.corpus import Post
 from repro.datasets.synthetic import (
     GroundTruth,
     SyntheticConfig,
@@ -11,8 +16,53 @@ from repro.datasets.synthetic import (
     dataset1,
     dataset2,
     generate_corpus,
+    generate_packed_corpus,
     plant_parameters,
 )
+
+#: The e2e benchmark's MEDIUM world: 600 users, ~4.9K posts of ~40 words.
+MEDIUM_WORLD = SyntheticConfig(
+    num_users=600, num_communities=10, num_topics=20, num_time_slices=12,
+    vocab_size=2000, mean_posts_per_user=8.0, mean_words_per_post=40.0,
+    mean_links_per_user=3.0,
+)
+
+
+def choice_oracle(config: SyntheticConfig):
+    """The planted process with one ``rng.choice(n, p=row)`` call per draw.
+
+    The reference both generators must reproduce draw for draw.  Returns
+    the planted truth, posts, sorted links and per-post ``(c, k)`` latents.
+    """
+    rng = np.random.default_rng(config.seed)
+    truth = plant_parameters(config, rng)
+    C, K, U = config.num_communities, config.num_topics, config.num_users
+    posts, latents, links = [], [], set()
+    for user in range(U):
+        num_posts = max(1, int(rng.poisson(config.mean_posts_per_user)))
+        for c in rng.choice(C, size=num_posts, p=truth.pi[user]):
+            k = rng.choice(K, p=truth.theta[c])
+            length = max(1, int(rng.poisson(config.mean_words_per_post)))
+            words = rng.choice(config.vocab_size, size=length, p=truth.phi[k])
+            t = rng.choice(config.num_time_slices, p=truth.psi[k, c])
+            posts.append(Post(user, tuple(int(w) for w in words), int(t)))
+            latents.append((int(c), int(k)))
+    column_weights = truth.pi / truth.pi.sum(axis=0, keepdims=True)
+    for user in range(U):
+        for _ in range(int(rng.poisson(config.mean_links_per_user))):
+            s = rng.choice(C, p=truth.pi[user])
+            c_dst = rng.choice(C, p=truth.eta[s] / truth.eta[s].sum())
+            target = int(rng.choice(U, p=column_weights[:, c_dst]))
+            if target != user:
+                links.add((user, target))
+    return truth, posts, sorted(links), latents
+
+
+def _preset_config(preset, seed: int) -> SyntheticConfig:
+    """The config a preset such as ``dataset1`` hands to generate_corpus."""
+    with mock.patch.object(synthetic, "generate_corpus") as generate:
+        preset(seed=seed)
+    return generate.call_args.args[0]
 
 
 class TestConfigValidation:
@@ -178,3 +228,102 @@ class TestPresets:
         corpus, truth = benchmark_world(seed=1, num_users=40)
         assert corpus.num_users == 40
         assert truth.num_communities == 4
+
+
+ORACLE_WORLDS = {
+    "default": lambda seed: SyntheticConfig(seed=seed),
+    "dataset1": lambda seed: _preset_config(dataset1, seed),
+    "benchmark_world": lambda seed: _preset_config(benchmark_world, seed),
+    "medium": lambda seed: replace(MEDIUM_WORLD, seed=seed),
+    "themed": lambda seed: SyntheticConfig(themed=True, num_users=80, seed=seed),
+}
+
+
+class TestChoiceOracle:
+    """Both generators draw exactly what per-call ``rng.choice`` draws."""
+
+    @pytest.mark.parametrize("seed", [7, 8, 100])
+    @pytest.mark.parametrize("world", sorted(ORACLE_WORLDS))
+    def test_generators_reproduce_choice_oracle(self, world, seed, tmp_path):
+        config = ORACLE_WORLDS[world](seed)
+        truth, posts, links, latents = choice_oracle(config)
+        communities = np.array([c for c, _ in latents])
+        topics = np.array([k for _, k in latents])
+        vocabulary = (
+            synthetic._themed_vocabulary(config) if config.themed
+            else synthetic._generic_vocabulary(config)
+        )
+
+        corpus, ram_truth = generate_corpus(config)
+        assert corpus.posts == posts
+        assert corpus.links == links
+        assert corpus.vocabulary == vocabulary
+        np.testing.assert_array_equal(ram_truth.pi, truth.pi)
+        np.testing.assert_array_equal(ram_truth.post_communities, communities)
+        np.testing.assert_array_equal(ram_truth.post_topics, topics)
+
+        packed, packed_truth = generate_packed_corpus(
+            config, path=tmp_path / "w.coldpack", keep_latents=True
+        )
+        with packed:
+            assert list(packed.posts) == posts
+            assert sorted(packed.link_set()) == links
+            assert packed.num_links == len(links)
+            assert packed.vocabulary == vocabulary
+        np.testing.assert_array_equal(packed_truth.post_communities, communities)
+        np.testing.assert_array_equal(packed_truth.post_topics, topics)
+
+
+def _corrupt(row: np.ndarray, defect: str) -> None:
+    """Break one probability row in place, as ``Generator.choice`` rejects."""
+    if defect == "nan":
+        row[0] = np.nan
+    elif defect == "inf":
+        row[0] = np.inf
+    elif defect == "negative":  # still sums to one
+        row[1] += row[0] + 0.1
+        row[0] = -0.1
+    else:
+        row *= 1.01
+
+
+#: Every planted tensor with every defect, except a rescaled ``eta`` row:
+#: eta rows are normalised before drawing, so their scale is not a defect.
+BAD_ROWS = [
+    (tensor, defect)
+    for tensor in ("pi", "theta", "phi", "psi", "eta")
+    for defect in ("nan", "inf", "negative", "sum_1.01")
+    if (tensor, defect) != ("eta", "sum_1.01")
+]
+
+
+class TestDrawValidation:
+    """A bad planted tensor fails as ``rng.choice`` would, before any draw."""
+
+    @pytest.mark.parametrize("tensor,defect", BAD_ROWS)
+    @np.errstate(invalid="ignore")
+    def test_bad_row_raises_value_error_like_choice(self, tensor, defect):
+        config = SyntheticConfig(
+            num_users=6, num_communities=3, num_topics=3, num_time_slices=4,
+            vocab_size=30, anchors_per_topic=4, seed=1,
+        )
+        truth = plant_parameters(config, np.random.default_rng(1))
+        array = getattr(truth, tensor)
+        row = array.reshape(-1, array.shape[-1])[0]
+        _corrupt(row, defect)
+        drawn_row = row / row.sum() if tensor == "eta" else row
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(row.size, p=drawn_row)
+
+        rng = np.random.default_rng(2)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            next(synthetic._planted_draws(config, truth, rng))
+        assert rng.bit_generator.state == before
+
+    def test_bad_truth_fails_generate_corpus(self):
+        truth = plant_parameters(SyntheticConfig(), np.random.default_rng(0))
+        truth.theta[0, 0] = np.nan
+        with mock.patch.object(synthetic, "plant_parameters", return_value=truth):
+            with pytest.raises(ValueError):
+                generate_corpus(SyntheticConfig())
