@@ -230,7 +230,8 @@ def _add_train(subparsers: argparse._SubParsersAction) -> None:
         "--executor", choices=["simulated", "threads", "processes"],
         default="simulated",
         help="how parallel node work runs: 'simulated' (sequential, "
-        "simulated-cluster timing), 'threads' (GIL-limited), or "
+        "simulated-cluster timing), 'threads' (a thread pool; shards "
+        "overlap only inside the native sweep, which releases the GIL), or "
         "'processes' (shared-memory worker processes, true multi-core); "
         "draws are identical across executors for a given seed",
     )

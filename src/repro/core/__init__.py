@@ -5,7 +5,9 @@ Layout mirrors the paper:
 * ``params`` / ``state`` / ``gibbs`` / ``likelihood`` — collapsed Gibbs
   inference (§4, Appendix A);
 * ``fastgibbs`` — the native sweep kernel (``_sweep.c``) and its cache
-  (draws identical to ``gibbs``, benchmarked by ``repro.perf``);
+  (draws identical to ``gibbs``, benchmarked by ``repro.perf``), and the
+  loader of the one native library, which also holds ``influence``'s
+  Independent Cascade kernel (``_cascade.c``);
 * ``config`` — the frozen :class:`COLDConfig` consumed by every entry point;
 * ``estimates`` / ``model`` — the fitted model facade (§3);
 * ``diffusion`` — topic-sensitive community influence, Eq. (4) / Fig. 5;

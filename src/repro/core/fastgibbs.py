@@ -1,4 +1,4 @@
-"""Native collapsed-Gibbs sweep — the fast path.
+"""Native collapsed-Gibbs sweep — the fast path — and the native library.
 
 The reference kernels in :mod:`repro.core.gibbs` re-derive every factor of
 Eqs. (1)–(3) from the raw counters on each draw, through dozens of small
@@ -24,16 +24,19 @@ whole per-draw loop in one plain-C kernel, ``_sweep.c``:
   ``log(n + eps)`` and ``log(n + V beta)`` once per cache and the kernel
   only indexes them.  Building a cache has no per-post Python work.
 
-The library is compiled with the system ``cc`` at first use
-(``-O2 -fPIC -shared -ffp-contract=off``, never ``-ffast-math``) into
-``~/.cache/repro/`` — or, only when that cannot be created or written,
-a private ``repro-<uid>`` directory in the temp directory — under a
-name keyed on the source, flags and platform, written to a temporary
-file and ``os.replace``-d so concurrent builds are safe.  The directory
-and the library must belong to the user and be writable by no one else;
-otherwise neither is used.  Without a compiler (or a usable cache
-directory), :func:`fast_sweep` runs the reference kernels and logs one
-WARNING.
+One library holds two kernels: the sweep (``_sweep.c``) and the
+Independent Cascade Monte-Carlo of :mod:`repro.core.influence`
+(``_cascade.c``).  :func:`native_kernel` compiles both sources with the
+system ``cc`` at first use (``-O2 -fPIC -shared -ffp-contract=off``,
+never ``-ffast-math``) into ``~/.cache/repro/`` — or, only when that
+cannot be created or written, a private ``repro-<uid>`` directory in
+the temp directory — under a name keyed on the sources, flags and
+platform, written to a temporary file and ``os.replace``-d so
+concurrent builds are safe.  The directory and the library must belong
+to the user and be writable by no one else; otherwise neither is used.
+Without a compiler (or a usable cache directory) there is one fallback:
+both callers run their numpy reference kernels, and the loader logs one
+WARNING for the process.
 
 Exactness contract
 ------------------
@@ -88,7 +91,9 @@ _log = logging.getLogger(__name__)
 
 # -- the native library ---------------------------------------------------------
 
-_SOURCE = Path(__file__).with_name("_sweep.c")
+_SOURCES = tuple(
+    Path(__file__).with_name(name) for name in ("_sweep.c", "_cascade.c")
+)
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _UNLOADED = object()
 _library: object = _UNLOADED
@@ -142,7 +147,7 @@ def _cache_dir() -> Path:
     to this user and be writable by no one else, or it is refused.
     """
     if os.name != "posix":
-        raise OSError("the native sweep kernel needs a POSIX platform")
+        raise OSError("the native kernels need a POSIX platform")
     directory = Path.home() / ".cache" / "repro"
     try:
         directory.mkdir(mode=0o700, parents=True, exist_ok=True)
@@ -174,21 +179,21 @@ def _check_private(path: Path, is_kind) -> None:
 
 
 def _library_name() -> str:
-    """The built library's file name, keyed on source, flags and platform."""
+    """The built library's file name, keyed on sources, flags and platform."""
     key = hashlib.sha256(
         b"\0".join(
             [
-                _SOURCE.read_bytes(),
+                *(source.read_bytes() for source in _SOURCES),
                 " ".join(_CFLAGS).encode(),
                 sysconfig.get_platform().encode(),
             ]
         )
     ).hexdigest()[:16]
-    return f"_sweep-{key}.so"
+    return f"_native-{key}.so"
 
 
 def _compile() -> Path:
-    """The built library's path, compiling ``_sweep.c`` unless cached."""
+    """The built library's path, compiling the sources unless cached."""
     directory = _cache_dir()
     path = directory / _library_name()
     if not path.exists():
@@ -199,7 +204,7 @@ def _compile() -> Path:
         os.close(fd)
         try:
             subprocess.run(
-                [compiler, *_CFLAGS, "-o", tmp, str(_SOURCE), "-lm"],
+                [compiler, *_CFLAGS, "-o", tmp, *map(str, _SOURCES), "-lm"],
                 check=True,
                 capture_output=True,
                 text=True,
@@ -218,11 +223,12 @@ def _compile() -> Path:
 
 
 def native_kernel() -> ctypes.CDLL | None:
-    """The compiled sweep library, built on first use; ``None`` without one.
+    """The compiled library, built on first use; ``None`` without one.
 
     The outcome is resolved once per process: a failed build (no ``cc``,
-    a compile error, no writable cache directory) logs one WARNING and
-    every later :func:`fast_sweep` runs the reference kernels.
+    a compile error, no writable cache directory) logs one WARNING, and
+    every later :func:`fast_sweep` and influence cascade runs its
+    reference kernel.
     """
     global _library
     if _library is _UNLOADED:
@@ -235,6 +241,7 @@ def native_kernel() -> ctypes.CDLL | None:
                 ("cold_sweep_links", i64, [ptr, ptr, i64, i64, i64, i64, ptr]),
                 ("cold_reduce_sum", ctypes.c_double, [ptr, i64]),
                 ("cold_accumulate", None, [ptr, i64, ptr]),
+                ("cold_ic_cascade", None, [ptr, i64, ptr, i64, ptr]),
             ):
                 function = getattr(lib, name)
                 function.restype, function.argtypes = restype, argtypes
@@ -243,8 +250,8 @@ def native_kernel() -> ctypes.CDLL | None:
             _library = lib
         except OSError as exc:
             _log.warning(
-                "native sweep kernel unavailable (%s); fast sweeps run the "
-                "reference kernels",
+                "native kernels unavailable (%s); fast sweeps and influence "
+                "cascades run the reference kernels",
                 exc,
             )
             _library = None
@@ -259,7 +266,7 @@ def _address(array: np.ndarray, dtype: type, writable: bool = False) -> int:
         or (writable and not array.flags.writeable)
     ):
         raise TypeError(
-            f"sweep kernel needs a C-contiguous{' writable' if writable else ''} "
+            f"native kernel needs a C-contiguous{' writable' if writable else ''} "
             f"{np.dtype(dtype).name} array, got {array.dtype} "
             f"(flags: {array.flags})"
         )

@@ -7,6 +7,15 @@ for the topic of interest).  User influence combines the user's memberships
 with community influence, and Figure 16's pentagon layout embeds users as
 ``pi``-weighted convex combinations of the top-4 communities plus an
 aggregated "other communities" corner.
+
+Every Monte-Carlo caller runs its realisations as the rows of one
+batched cascade (:func:`_cascade`).  With a numpy ``PCG64`` generator it
+runs in the native library's ``cold_ic_cascade`` (``_cascade.c``, built
+and loaded by :func:`repro.core.fastgibbs.native_kernel`), which draws
+the same uniforms in the same order as the numpy kernel
+:func:`_batched_cascade` and leaves the generator in the same state.
+The numpy kernel is the oracle, and the fallback for any other bit
+generator or when no library could be built.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ import numpy as np
 
 from .diffusion import zeta_for_topic
 from .estimates import ParameterEstimates
+from .fastgibbs import _address, native_kernel
 
 
 class InfluenceError(ValueError):
@@ -31,8 +41,8 @@ def _seed_sets(
     n = probabilities.shape[0]
     if probabilities.shape != (n, n):
         raise InfluenceError("probability matrix must be square")
-    if ((probabilities < 0) | (probabilities > 1)).any():
-        raise InfluenceError("activation probabilities must lie in [0, 1]")
+    if not ((probabilities >= 0) & (probabilities <= 1)).all():
+        raise InfluenceError("activation probabilities must be finite, in [0, 1]")
     if seeds is None:
         return np.eye(n, dtype=bool)
     seed_idx = np.asarray(seeds, dtype=np.int64).reshape(-1)
@@ -52,11 +62,14 @@ def _batched_cascade(
 ) -> np.ndarray:
     """Run the IC realisations in the rows of ``active`` to completion, in place.
 
-    ``active`` is ``(R, n)`` boolean, one realisation per row, seeded.  All
-    rows advance level by level: each level draws one uniform per (frontier
-    entry, target) in row-major blocks of about ``_DRAW_BLOCK`` doubles and
-    ORs each row's fired edges, so every edge out of a newly active node is
-    tried exactly once, as in the scalar per-edge loop.
+    The numpy reference kernel: :func:`_cascade` runs it only when the
+    native one cannot draw from ``rng``, and tests hold the native kernel
+    to it.  ``active`` is ``(R, n)`` boolean, one realisation per row,
+    seeded.  All rows advance level by level: each level draws one uniform
+    per (frontier entry, target) in row-major blocks of about
+    ``_DRAW_BLOCK`` doubles and ORs each row's fired edges, so every edge
+    out of a newly active node is tried exactly once, as in the scalar
+    per-edge loop.
     """
     n = active.shape[1]
     step = max(1, _DRAW_BLOCK // n)
@@ -78,6 +91,44 @@ def _batched_cascade(
             frontier[block] = fired
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _cascade(
+    probabilities: np.ndarray, active: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """:func:`_batched_cascade`'s realisations, natively when possible.
+
+    ``active`` (``(R, n)``, C-contiguous, as every caller builds it) is
+    run in place as a ``uint8`` view.  The native kernel advances a copy
+    of the ``PCG64`` state and only ``state.state`` is written back (under
+    the bit generator's lock), so the activations and the generator's
+    next draws are bit-identical to the numpy kernel's.  The foreign call
+    releases the GIL.
+    """
+    lib = native_kernel()
+    bitgen = rng.bit_generator
+    if lib is None or type(bitgen) is not np.random.PCG64:
+        return _batched_cascade(probabilities, active, rng)
+    probabilities = np.ascontiguousarray(probabilities, dtype=np.float64)
+    with bitgen.lock:
+        state = bitgen.state
+        pcg = state["state"]
+        words = np.array(
+            [pcg["state"] >> 64, pcg["state"] & _MASK64,
+             pcg["inc"] >> 64, pcg["inc"] & _MASK64],
+            dtype=np.uint64,
+        )
+        lib.cold_ic_cascade(
+            _address(probabilities, np.float64), probabilities.shape[0],
+            _address(active.view(np.uint8), np.uint8, writable=True),
+            active.shape[0], words.ctypes.data,
+        )
+        pcg["state"] = int(words[0]) << 64 | int(words[1])
+        bitgen.state = state
+    return active
+
+
 def _mean_spreads(
     probabilities: np.ndarray,
     seeds: list[int] | np.ndarray | None,
@@ -93,7 +144,7 @@ def _mean_spreads(
         raise InfluenceError("num_simulations must be positive")
     sets = _seed_sets(probabilities, seeds)
     active = np.repeat(sets, num_simulations, axis=0)
-    _batched_cascade(probabilities, active, rng)
+    _cascade(probabilities, active, rng)
     return np.count_nonzero(active.reshape(len(sets), -1), axis=1) / num_simulations
 
 
@@ -108,16 +159,19 @@ def independent_cascade(
     activates ``v`` (each edge fires at most once).  Returns the boolean
     activation vector.
 
-    .. note:: RNG stream (changed again when realisations were batched)
+    .. note:: RNG stream
 
        Every caller runs all its realisations as the rows of one batched
-       cascade: each BFS level draws, in row-major blocks of about 2^14
-       doubles, one ``n``-vector of uniforms per (realisation, node)
-       frontier entry.  Earlier versions looped per realisation (and before
-       that per node), so a fixed seed now yields *different*, equally
-       valid, realisations; the spread distribution is unchanged.
+       cascade: each BFS level draws, realisation by realisation and
+       frontier node by frontier node (both ascending), one ``n``-vector
+       of uniforms per frontier entry.  The native kernel and the numpy
+       fallback draw this same stream, so a fixed seed gives the same
+       realisations with or without a compiler.  Versions before the
+       batched cascade looped per realisation (and before that per node)
+       and gave *different*, equally valid, realisations; the spread
+       distribution is unchanged.
     """
-    return _batched_cascade(probabilities, _seed_sets(probabilities, seeds), rng)[0]
+    return _cascade(probabilities, _seed_sets(probabilities, seeds), rng)[0]
 
 
 def expected_spread(

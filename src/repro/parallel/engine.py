@@ -39,7 +39,8 @@ Executors
 ---------
 ``"simulated"`` runs tasks sequentially and *reports* parallel time —
 deterministic, contention-free measurement.  ``"threads"`` runs tasks on a
-thread pool (GIL-limited for pure-Python kernels).  ``"processes"`` is the
+thread pool: the native sweep is a ctypes call that releases the GIL, the
+Python around it holds the GIL.  ``"processes"`` is the
 true multi-core mode: the caller's tasks dispatch shards to a
 :class:`~repro.parallel.worker.ProcessWorkerPool` whose workers share the
 corpus/snapshot/assignment arrays via shared memory.  The engine drives

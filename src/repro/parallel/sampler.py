@@ -125,7 +125,8 @@ class ParallelCOLDSampler:
     produces the same chain either way.
 
     ``executor`` picks how node work runs: ``"simulated"`` (sequential,
-    deterministic timing), ``"threads"`` (thread pool, GIL-limited), or
+    deterministic timing), ``"threads"`` (thread pool; shards overlap only
+    inside the native sweep, a ctypes call that releases the GIL), or
     ``"processes"`` (a shared-memory worker pool; true multi-core).  All
     three draw the identical chain for a given ``seed`` and ``num_nodes``.
     ``num_workers`` (``processes`` only) caps the worker processes;

@@ -237,8 +237,9 @@ class ModelServer:
         The Monte-Carlo community influence is the expensive part; it is
         computed once per ``(topic, num_simulations)`` and cached, so a
         hot topic answers from one matrix-vector product.  ``num_simulations``
-        defaults to ``ic_simulations``; a value outside ``[1,
-        MAX_IC_SIMULATIONS]`` raises ``PredictionError`` before any run.
+        defaults to ``ic_simulations``.  A value outside ``[1,
+        MAX_IC_SIMULATIONS]``, ``size < 1`` or ``top_users < 0`` raises
+        ``PredictionError`` before any cache lookup or run.
         """
         if deadline is not None:
             deadline.check("influential admission")
@@ -249,6 +250,10 @@ class ModelServer:
             raise PredictionError(
                 f"num_simulations must lie in [1, {MAX_IC_SIMULATIONS}]"
             )
+        if size < 1:
+            raise PredictionError("size must be positive")
+        if top_users < 0:
+            raise PredictionError("top_users must be non-negative")
         key = (int(topic), int(sims))
         influence = self._influence_cache.get(key)
         cached = influence is not None

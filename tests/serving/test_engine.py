@@ -154,6 +154,23 @@ class TestInfluential:
         engine.influential(0, num_simulations=MAX_IC_SIMULATIONS)
         assert ran == [MAX_IC_SIMULATIONS]
 
+    @pytest.mark.parametrize(
+        ("field", "value"), [("size", 0), ("size", -3), ("top_users", -2)]
+    )
+    def test_bad_sizes_reject_before_any_run(self, estimates, field, value):
+        engine = ModelServer(estimates, ic_simulations=10)
+        misses = engine.describe()["influence_cache"]["misses"]
+        with pytest.raises(PredictionError, match=field):
+            engine.influential(0, **{field: value})
+        cache = engine.describe()["influence_cache"]
+        assert (cache["misses"], cache["entries"]) == (misses, 0)
+
+    def test_zero_top_users_ranks_communities_only(self, estimates):
+        result = ModelServer(estimates, ic_simulations=10).influential(
+            0, size=1, top_users=0
+        )
+        assert result["top_users"] == [] and len(result["communities"]) == 1
+
 
 class TestTopInfluentialUsers:
     def test_orders_by_score_desc(self, estimates):

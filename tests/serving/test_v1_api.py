@@ -80,6 +80,21 @@ class TestV1Envelope:
         assert payload["error"] == "bad_request"
         assert "num_simulations" in payload["detail"]
 
+    @pytest.mark.parametrize(
+        ("field", "value"), [("size", 0), ("top_users", -2)]
+    )
+    def test_influential_bad_sizes_are_bad_request(
+        self, serve, engine, field, value
+    ):
+        server = serve(engine=engine)
+        misses = engine.describe()["influence_cache"]["misses"]
+        body = {"topic": 0, "num_simulations": 5, field: value}
+        status, payload, _ = request(server, "POST", "/v1/query/influential", body)
+        assert status == 400
+        assert payload["error"] == "bad_request"
+        assert field in payload["detail"]
+        assert engine.describe()["influence_cache"]["misses"] == misses
+
     def test_unknown_route_is_404(self, serve, engine):
         server = serve(engine=engine)
         status, _payload, _ = request(server, "POST", "/v1/query/nope", {})

@@ -1,6 +1,7 @@
 """Unit tests for repro.core.influence (§6.6, Independent Cascade, Fig. 16)."""
 
 import itertools
+import logging
 import tracemalloc
 
 import numpy as np
@@ -8,13 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import fastgibbs, influence
 from repro.core.estimates import ParameterEstimates
 from repro.core.influence import (
+    _DRAW_BLOCK,
     CommunityInfluence,
     InfluenceError,
     _activation_matrix,
+    _batched_cascade,
+    _cascade,
     community_influence,
     expected_spread,
+    greedy_seed_selection,
     independent_cascade,
     pentagon_embedding,
     user_influence,
@@ -117,6 +123,16 @@ class TestIndependentCascade:
             independent_cascade(np.full((2, 2), 1.5), [0], rng)
         with pytest.raises(InfluenceError):
             independent_cascade(np.zeros((2, 2)), [5], rng)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_probabilities(self, rng, bad):
+        probs = np.array([[0.0, bad], [0.5, 0.0]])
+        with pytest.raises(InfluenceError, match="finite"):
+            independent_cascade(probs, [0], rng)
+        with pytest.raises(InfluenceError, match="finite"):
+            expected_spread(probs, [0], 10, rng)
+        with pytest.raises(InfluenceError, match="finite"):
+            greedy_seed_selection(probs, 1, 10)
 
     @settings(max_examples=200, deadline=None)
     @given(cascade_inputs())
@@ -296,3 +312,129 @@ class TestPentagonEmbedding:
         corners = embedding.dominant_corner()
         assert corners.shape == (estimates.num_users,)
         assert corners.max() <= 4
+
+
+def _native():
+    lib = fastgibbs.native_kernel()
+    if lib is None:
+        pytest.skip("no native kernels (no C compiler)")
+    return lib
+
+
+def _reference_only(monkeypatch):
+    """Route every cascade in ``influence`` to the numpy kernel."""
+    monkeypatch.setattr(influence, "native_kernel", lambda: None)
+
+
+@st.composite
+def batched_cascades(draw):
+    """A probability matrix, ``R`` seeded realisations and a generator seed.
+
+    ``R`` reaches past three of the reference kernel's draw blocks, so the
+    numpy side splits its levels across block boundaries.
+    """
+    n = draw(st.integers(1, 12))
+    entry = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    probs = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n)))
+    seed_sets = draw(
+        st.lists(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=n),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    masks = np.zeros((len(seed_sets), n), dtype=bool)
+    for row, seeds in enumerate(seed_sets):
+        masks[row, seeds] = True
+    rows = draw(st.integers(1, 3 * (_DRAW_BLOCK // n) + 2))
+    active = np.resize(masks, (rows, n))
+    return probs.reshape(n, n), active, draw(st.integers(0, 2**32 - 1))
+
+
+class TestNativeCascade:
+    """The native kernel against its oracle, the numpy ``_batched_cascade``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(batched_cascades(), st.booleans())
+    def test_identical_activations_and_generator_state(self, case, buffered):
+        _native()
+        probs, active, seed = case
+        reference, native = np.random.default_rng(seed), np.random.default_rng(seed)
+        if buffered:  # leaves half a uint64 in the generator (has_uint32)
+            reference.integers(0, 7, dtype=np.uint32)
+            native.integers(0, 7, dtype=np.uint32)
+        want = _batched_cascade(probs, active.copy(), reference)
+        got = _cascade(probs, active.copy(), native)
+        assert got.dtype == bool
+        np.testing.assert_array_equal(got, want)
+        assert native.bit_generator.state == reference.bit_generator.state
+        assert native.integers(0, 2**31, dtype=np.uint32) == reference.integers(
+            0, 2**31, dtype=np.uint32
+        )
+        assert native.random() == reference.random()
+
+    def test_community_influence_degrees_unchanged(self, estimates, monkeypatch):
+        _native()
+        native = [
+            community_influence(estimates, k, num_simulations=50, seed=3).degree
+            for k in range(estimates.num_topics)
+        ]
+        _reference_only(monkeypatch)
+        for k, degree in enumerate(native):
+            want = community_influence(estimates, k, num_simulations=50, seed=3)
+            np.testing.assert_array_equal(degree, want.degree)
+
+    def test_greedy_seeds_and_spreads_unchanged(self, monkeypatch):
+        _native()
+        probs = np.random.default_rng(4).random((9, 9)) * 0.4
+        np.fill_diagonal(probs, 0.0)
+        native = greedy_seed_selection(probs, num_seeds=4, num_simulations=80)
+        _reference_only(monkeypatch)
+        assert native == greedy_seed_selection(probs, num_seeds=4, num_simulations=80)
+
+    @pytest.mark.parametrize(
+        ("bit_generator", "reference_calls"),
+        [(np.random.PCG64, 0), (np.random.Philox, 1), (np.random.MT19937, 1)],
+    )
+    def test_only_pcg64_runs_natively(
+        self, bit_generator, reference_calls, monkeypatch
+    ):
+        """PCG64 never reaches the numpy kernel; any other bit generator
+        takes it and still estimates the exact expectation."""
+        if bit_generator is np.random.PCG64:
+            _native()
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return _batched_cascade(*args)
+
+        monkeypatch.setattr(influence, "_batched_cascade", recording)
+        sims = 20_000
+        rng = np.random.Generator(bit_generator(5))
+        value = expected_spread(MIXED_GRAPH, [0], sims, rng)
+        assert len(calls) == reference_calls
+        assert_close_to_exact(value, MIXED_GRAPH, [0], sims)
+
+    def test_no_compiler_falls_back_to_reference_with_one_warning(
+        self, estimates, monkeypatch, tmp_path, caplog
+    ):
+        """No silent fallback: without a library the results are the same
+        and the loader says so once."""
+        _native()
+        native = community_influence(estimates, 0, num_simulations=40).degree
+        single = independent_cascade(MIXED_GRAPH, [0, 3], np.random.default_rng(2))
+        monkeypatch.setattr(fastgibbs, "_library", fastgibbs._UNLOADED)
+        monkeypatch.setattr(fastgibbs, "_cache_dir", lambda: tmp_path)
+        monkeypatch.setattr(fastgibbs.shutil, "which", lambda name: None)
+        with caplog.at_level(logging.WARNING, logger="repro.core.fastgibbs"):
+            fallback = community_influence(estimates, 0, num_simulations=40).degree
+            again = independent_cascade(
+                MIXED_GRAPH, [0, 3], np.random.default_rng(2)
+            )
+        assert fastgibbs.native_kernel() is None
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING
+                    and r.name == "repro.core.fastgibbs"]
+        assert len(warnings) == 1
+        np.testing.assert_array_equal(native, fallback)
+        np.testing.assert_array_equal(single, again)
