@@ -88,7 +88,8 @@ def test_ablation_negative_link_weight(benchmark, corpus, cascade_split):
         for kappa in (1.0, 5.0, 25.0):
             hp = Hyperparameters.scaled(BENCH_C, BENCH_K, corpus, kappa=kappa)
             model = COLDModel(
-                BENCH_C, BENCH_K, hyperparameters=hp, seed=0
+                num_communities=BENCH_C, num_topics=BENCH_K,
+                hyperparameters=hp, seed=0,
             ).fit(corpus, num_iterations=SWEEP_ITERS)
             predictor = DiffusionPredictor(model.estimates_)
             results[kappa] = averaged_diffusion_auc(

@@ -53,7 +53,8 @@ def _time_all(corpus) -> dict[str, float]:
     times["COLD"] = sw.seconds
 
     sampler = ParallelCOLDSampler(
-        BENCH_C, BENCH_K, num_nodes=8, prior="scaled", seed=0
+        num_communities=BENCH_C, num_topics=BENCH_K, num_nodes=8,
+        prior="scaled", seed=0,
     ).fit(corpus, num_iterations=TRAIN_ITERS)
     times["COLD (8)"] = sampler.training_seconds()
     return times

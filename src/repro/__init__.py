@@ -17,8 +17,7 @@ The classes behind it stay public for advanced use::
     model = COLDModel(num_communities=4, num_topics=6, seed=0).fit(corpus)
     predictor = DiffusionPredictor(model.estimates_)
 
-Constructor arguments are keyword-only across the package; positional
-use still works but emits a one-time :class:`DeprecationWarning`.
+Constructor arguments are keyword-only across the package.
 
 Subpackages: ``repro.datasets`` (corpora + synthetic generation),
 ``repro.core`` (the COLD model and analyses), ``repro.parallel`` (the

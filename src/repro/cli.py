@@ -14,8 +14,10 @@ Subcommands mirror the lifecycle of a COLD study:
   held-out corpus slice;
 * ``bench``     — the Gibbs sweep benchmark (reference vs fast kernels),
   written as ``BENCH_gibbs.json``; with ``--parallel``, the parallel
-  scaling benchmark over cluster nodes, written as
-  ``BENCH_parallel.json``;
+  scaling benchmark over cluster nodes (``BENCH_parallel.json``); with
+  ``--diagnostics`` or ``--streaming``, the quality-streaming overhead
+  and incremental-update suites.  Serving is measured over ``/v1`` by
+  the end-to-end harness, ``benchmarks/e2e/run.py``;
 * ``profile``   — phase-attribute sweep wall time with the training-plane
   performance observatory (:mod:`repro.telemetry.profiler`): attribution
   table, collapsed-stack output for flamegraphs, worker utilization and
@@ -305,7 +307,9 @@ def _add_predict(subparsers: argparse._SubParsersAction) -> None:
 def _add_bench(subparsers: argparse._SubParsersAction) -> None:
     parser = subparsers.add_parser(
         "bench",
-        help="benchmark the Gibbs kernels, or parallel scaling (--parallel)",
+        help="benchmark the Gibbs kernels, parallel scaling (--parallel), "
+        "quality streaming (--diagnostics) or incremental updates "
+        "(--streaming)",
     )
     parser.add_argument(
         "output", type=Path, nargs="?", default=None,
@@ -338,11 +342,6 @@ def _add_bench(subparsers: argparse._SubParsersAction) -> None:
         "off) instead of the serial Gibbs kernels",
     )
     parser.add_argument(
-        "--serving", action="store_true",
-        help="benchmark the prediction serving layer (QPS and client-side "
-        "p50/p99 over a live loopback server) instead of the Gibbs kernels",
-    )
-    parser.add_argument(
         "--streaming", action="store_true",
         help="benchmark incremental updates against a full batch refit "
         "(per-update latency, speedup, statistical equivalence) instead "
@@ -355,14 +354,6 @@ def _add_bench(subparsers: argparse._SubParsersAction) -> None:
     parser.add_argument(
         "--bootstrap-fraction", type=float, default=0.6, metavar="F",
         help="event fraction for the --streaming bootstrap fit",
-    )
-    parser.add_argument(
-        "--requests", type=int, default=600,
-        help="timed requests per --serving case (default: 600)",
-    )
-    parser.add_argument(
-        "--concurrency", type=int, default=4,
-        help="client threads for --serving (default: 4)",
     )
     parser.add_argument(
         "--stride", type=int, default=10,
@@ -519,8 +510,8 @@ def _add_serve(subparsers: argparse._SubParsersAction) -> None:
         "model: JSON endpoints for retweet/link/timestamp/influential "
         "queries plus /healthz, /readyz, and /metrics; every request gets "
         "a deadline and a bounded admission queue (overload sheds with "
-        "503 + Retry-After).  SIGHUP or POST /admin/reload hot-swaps the "
-        "model after validating it (rolls back on failure); "
+        "503 + Retry-After).  SIGHUP or POST /v1/admin/reload hot-swaps "
+        "the model after validating it (rolls back on failure); "
         "SIGTERM/SIGINT drain in-flight requests and exit cleanly.",
         parents=[_telemetry_parent()],
     )
@@ -1064,15 +1055,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         write_benchmark,
         write_diagnostics_benchmark,
         write_parallel_benchmark,
-        write_serving_benchmark,
         write_streaming_benchmark,
     )
 
-    exclusive = [args.parallel, args.diagnostics, args.serving, args.streaming]
+    exclusive = [args.parallel, args.diagnostics, args.streaming]
     if sum(exclusive) > 1:
         raise TelemetryError(
-            "--parallel, --diagnostics, --serving, and --streaming are "
-            "exclusive"
+            "--parallel, --diagnostics, and --streaming are exclusive"
         )
     if args.packed_large and not args.parallel:
         raise TelemetryError("--packed-large requires --parallel")
@@ -1090,8 +1079,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             output = Path("BENCH_parallel.json")
         elif args.diagnostics:
             output = Path("BENCH_diagnostics.json")
-        elif args.serving:
-            output = Path("BENCH_serving.json")
         elif args.streaming:
             output = Path("BENCH_streaming.json")
         else:
@@ -1119,23 +1106,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 f"{record['refit_seconds']*1e3:.1f}ms full refit, "
                 f"speedup {record['speedup']:.1f}x, "
                 f"equivalent={record['equivalent']}, "
-                f"peak rss {record['peak_rss_mb']:.0f}MB"
-            )
-        return _bench_finish(payload, output, args, baseline)
-
-    if args.serving:
-        payload = write_serving_benchmark(
-            output,
-            cases=cases,
-            num_requests=args.requests,
-            concurrency=args.concurrency,
-        )
-        for record in payload["cases"]:
-            print(
-                f"{record['name']:>8}: {record['qps']:.0f} qps, "
-                f"p50 {record['p50_ms']:.2f}ms, p99 {record['p99_ms']:.2f}ms, "
-                f"{record['completed']}/{record['num_requests']} ok, "
-                f"{record['errors']} errors, "
                 f"peak rss {record['peak_rss_mb']:.0f}MB"
             )
         return _bench_finish(payload, output, args, baseline)

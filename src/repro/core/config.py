@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
-from .._compat import warn_renamed_field
 from ..telemetry.logconfig import parse_level
 from .params import Hyperparameters
 
@@ -99,10 +98,6 @@ class StreamConfig:
             raise ConfigError("checkpoint_interval must be positive when given")
         if self.max_new_slices <= 0:
             raise ConfigError("max_new_slices must be positive")
-
-
-#: StreamConfig field names, for the deprecated flat-alias path below.
-_STREAM_FIELDS = frozenset(f.name for f in fields(StreamConfig))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -263,37 +258,7 @@ class COLDConfig:
         }
 
     def evolve(self, **changes: object) -> "COLDConfig":
-        """A copy with ``changes`` applied (validated like a fresh config).
-
-        Flat ``stream_<field>`` keywords (the pre-:class:`StreamConfig`
-        spelling) are still accepted but deprecated: each warns once per
-        process and folds into the nested ``stream`` config.  Use
-        ``evolve(stream=StreamConfig(...))`` going forward.
-        """
-        flat = {
-            name: changes.pop(name)
-            for name in list(changes)
-            if name.startswith("stream_")
-            and name[len("stream_"):] in _STREAM_FIELDS
-        }
-        if flat:
-            stream = changes.get("stream", self.stream)
-            if stream is None:
-                stream = StreamConfig()
-            if not isinstance(stream, StreamConfig):
-                raise ConfigError(
-                    "stream must be a StreamConfig when combining with "
-                    "deprecated stream_* keywords"
-                )
-            for name in flat:
-                warn_renamed_field(
-                    f"COLDConfig.{name}",
-                    f"COLDConfig.stream.{name[len('stream_'):]}",
-                )
-            changes["stream"] = replace(
-                stream,
-                **{name[len("stream_"):]: value for name, value in flat.items()},
-            )
+        """A copy with ``changes`` applied (validated like a fresh config)."""
         known = {f.name for f in fields(self)}
         unknown = set(changes) - known
         if unknown:

@@ -25,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .._compat import warn_positional_use
 from ..datasets.corpus import SocialCorpus
 from ..datasets.stream import CorpusIncrement, LinkEvent, PostEvent
 from ..resilience.checkpoint import (
@@ -134,45 +133,17 @@ class COLDModel:
         timings land in ``cluster_report_``.
 
     A single :class:`~repro.core.config.COLDConfig` may be passed instead
-    of the keywords above: ``COLDModel(config)``.  Arguments are otherwise
-    keyword-only; positional use is deprecated (it warns once per process
-    and will stop working in a future release).
+    of the keywords above: ``COLDModel(config)``.  Every other argument
+    is keyword-only.
     """
 
-    #: Pre-keyword-only positional parameter order, honoured (with a
-    #: DeprecationWarning) for legacy call sites.
-    _LEGACY_ORDER = (
-        "num_communities",
-        "num_topics",
-        "hyperparameters",
-        "include_network",
-        "kappa",
-        "prior",
-        "seed",
-    )
-
-    def __init__(self, config: COLDConfig | None = None, *args, **kwargs) -> None:
-        if config is not None and not isinstance(config, COLDConfig):
-            # Legacy positional style: the first positional argument was
-            # num_communities, not a config.
-            args = (config, *args)
-            config = None
-        if args:
-            warn_positional_use(
-                "COLDModel", "e.g. num_communities, num_topics, ..."
-            )
-            if len(args) > len(self._LEGACY_ORDER):
-                raise TypeError(
-                    f"COLDModel() takes at most {len(self._LEGACY_ORDER)} "
-                    f"positional arguments ({len(args)} given)"
-                )
-            for name, value in zip(self._LEGACY_ORDER, args):
-                if name in kwargs:
-                    raise TypeError(
-                        f"COLDModel() got multiple values for argument {name!r}"
-                    )
-                kwargs[name] = value
+    def __init__(self, config: COLDConfig | None = None, **kwargs) -> None:
         if config is not None:
+            if not isinstance(config, COLDConfig):
+                raise TypeError(
+                    "COLDModel() takes a COLDConfig or keyword arguments, "
+                    f"not a positional {type(config).__name__}"
+                )
             if kwargs:
                 raise ModelError(
                     "pass either a COLDConfig or keyword arguments, not both"

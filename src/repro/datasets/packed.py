@@ -905,13 +905,10 @@ class PackedCorpus:
     def to_social_corpus(self) -> SocialCorpus:
         """Materialise the full in-RAM :class:`SocialCorpus` equivalent.
 
-        O(posts) Python objects — only sensible at test/debug scale.  The
-        result carries ``packed_source`` so the processes executor can
-        warn when it is about to pickle data that is already packed on
-        disk.
+        O(posts) Python objects — only sensible at test/debug scale.
         """
         self._require_open()
-        corpus = SocialCorpus(
+        return SocialCorpus(
             num_users=self.num_users,
             num_time_slices=self.num_time_slices,
             posts=list(self.posts),
@@ -919,8 +916,6 @@ class PackedCorpus:
             vocabulary=self.vocabulary,
             vocab_size=self.vocab_size,
         )
-        corpus.packed_source = self.path
-        return corpus
 
     def subset_posts(self, indices) -> SocialCorpus:
         """An in-RAM corpus of the selected posts (links unchanged)."""

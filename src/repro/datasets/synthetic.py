@@ -35,7 +35,6 @@ import numpy as np
 
 from pathlib import Path
 
-from .._compat import keyword_only
 from .corpus import Post, SocialCorpus
 from .packed import PackedCorpus, PackedCorpusWriter
 from .vocabulary import Vocabulary
@@ -111,8 +110,7 @@ class SyntheticError(ValueError):
     """Raised for invalid synthetic-corpus configurations."""
 
 
-@keyword_only
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SyntheticConfig:
     """Knobs of the planted COLD process.
 

@@ -63,7 +63,6 @@ from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .._compat import keyword_only
 from ..resilience.faults import FaultError, FaultPlan
 from ..resilience.retry import RetryError, RetryPolicy
 from ..telemetry import tracing as trace
@@ -178,7 +177,6 @@ class ClusterReport:
         return sum(s.retries for s in self.supersteps)
 
 
-@keyword_only
 class SimulatedCluster:
     """Runs node tasks and reports simulated synchronous-cluster timing.
 
@@ -208,6 +206,7 @@ class SimulatedCluster:
 
     def __init__(
         self,
+        *,
         num_nodes: int,
         executor: str = "simulated",
         fault_plan: FaultPlan | None = None,

@@ -32,8 +32,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .. import _compat
-from .._compat import keyword_only
 from ..core.estimates import ParameterEstimates, average_estimates, estimate_from_state
 from ..core.fastgibbs import SweepCache
 from ..core.gibbs import sweep
@@ -112,17 +110,15 @@ class _Snapshot:
         )
 
 
-@keyword_only
 class ParallelCOLDSampler:
     """COLD inference over ``num_nodes`` simulated cluster nodes.
 
     Mirrors :class:`~repro.core.model.COLDModel`'s interface; after
     :meth:`fit`, ``estimates_`` holds the averaged parameter estimates and
     ``report_`` the per-superstep cluster timings that Figures 13–14 use.
-    Arguments are keyword-only; positional use is deprecated (warns once
-    per process).  ``fast`` selects the native sweep kernel per node —
-    it draws the reference kernels' chain, so a seeded parallel fit
-    produces the same chain either way.
+    Arguments are keyword-only.  ``fast`` selects the native sweep
+    kernel per node — it draws the reference kernels' chain, so a seeded
+    parallel fit produces the same chain either way.
 
     ``executor`` picks how node work runs: ``"simulated"`` (sequential,
     deterministic timing), ``"threads"`` (thread pool; shards overlap only
@@ -136,6 +132,7 @@ class ParallelCOLDSampler:
 
     def __init__(
         self,
+        *,
         num_communities: int = 20,
         num_topics: int = 20,
         num_nodes: int = 4,
@@ -280,17 +277,6 @@ class ParallelCOLDSampler:
                     # file; workers re-open it read-only instead of having
                     # the post/link columns copied into shared memory.
                     packed_path = getattr(corpus, "packed_path", None)
-                    if packed_path is None and (
-                        getattr(corpus, "packed_source", None) is not None
-                    ):
-                        _compat.warn_deprecated(
-                            "pickle-corpus-dispatch",
-                            "dispatching a materialised corpus to the "
-                            "'processes' executor copies every post into "
-                            "shared memory; this corpus came from a packed "
-                            "file — fit the PackedCorpus directly so "
-                            "workers map the .coldpack instead",
-                        )
                     pool = ProcessWorkerPool(
                         state,
                         hp,

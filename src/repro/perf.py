@@ -106,7 +106,6 @@ __all__ = [
     "run_parallel_case",
     "run_profile_case",
     "run_profiler_overhead_case",
-    "run_serving_case",
     "run_streaming_benchmark",
     "run_streaming_case",
     "run_telemetry_overhead_case",
@@ -114,7 +113,6 @@ __all__ = [
     "write_benchmark",
     "write_parallel_benchmark",
     "write_diagnostics_benchmark",
-    "write_serving_benchmark",
     "write_streaming_benchmark",
 ]
 
@@ -633,281 +631,6 @@ def write_diagnostics_benchmark(
                 reps=reps,
                 stride=stride,
                 equivalence_sweeps=equivalence_sweeps,
-            )
-            for case in cases
-        ],
-    }
-    atomic_write_text(Path(path), json.dumps(payload, indent=2) + "\n")
-    return payload
-
-
-def _serving_client_worker(
-    host: str,
-    port: int,
-    requests: list[tuple[str, dict]],
-    cursor: list[int],
-    cursor_lock,
-    samples: list[tuple[str, float, int]],
-    samples_lock,
-) -> None:
-    """One load-generator thread: a persistent connection draining the mix.
-
-    Client-side latency (request sent -> body read) over a keep-alive
-    HTTP/1.1 connection, which is how a real serving client measures it:
-    connection setup is amortised away and every sample includes JSON
-    encode/decode plus the full server pipeline.  Every request carries a
-    client-supplied ``X-Request-Id`` and the sample records whether the
-    server echoed it back — exercising the correlation-id contract under
-    the same load the latency numbers come from.
-    """
-    import http.client
-
-    conn = http.client.HTTPConnection(host, port, timeout=30)
-    local: list[tuple[str, float, int, bool]] = []
-    try:
-        while True:
-            with cursor_lock:
-                if cursor[0] >= len(requests):
-                    break
-                index = cursor[0]
-                cursor[0] += 1
-            path, body = requests[index]
-            payload = json.dumps(body)
-            request_id = f"perf-{index:06d}"
-            start = time.perf_counter()
-            try:
-                conn.request(
-                    "POST", path, body=payload,
-                    headers={
-                        "Content-Type": "application/json",
-                        "X-Request-Id": request_id,
-                    },
-                )
-                response = conn.getresponse()
-                response.read()
-                status = response.status
-                rid_ok = response.getheader("X-Request-Id") == request_id
-            except OSError:
-                # Reconnect once (keep-alive churn), count as an error.
-                conn.close()
-                conn = http.client.HTTPConnection(host, port, timeout=30)
-                status = 0
-                rid_ok = False
-            local.append((path, time.perf_counter() - start, status, rid_ok))
-    finally:
-        conn.close()
-        with samples_lock:
-            samples.extend(local)
-
-
-def _scrape_prometheus(host: str, port: int) -> dict:
-    """Scrape ``/metrics`` as Prometheus text and validate the exposition.
-
-    Parses the body with the in-repo strict parser, so a malformed
-    exposition (bad escaping, torn series, duplicate samples) fails the
-    benchmark run instead of shipping silently.
-    """
-    import http.client
-
-    from .telemetry import parse_prometheus_text
-
-    conn = http.client.HTTPConnection(host, port, timeout=30)
-    try:
-        conn.request("GET", "/metrics", headers={"Accept": "text/plain"})
-        response = conn.getresponse()
-        body = response.read().decode("utf-8")
-        content_type = response.getheader("Content-Type") or ""
-    finally:
-        conn.close()
-    parsed = parse_prometheus_text(body)
-    requests_total = sum(
-        sample.value for sample in parsed.series("serving_requests_total")
-    )
-    return {
-        "valid": True,
-        "content_type": content_type,
-        "samples": len(parsed.samples),
-        "families": len(parsed.types),
-        "requests_total": requests_total,
-    }
-
-
-def _serving_request_mix(
-    num_requests: int, num_users: int, vocab_size: int
-) -> list[tuple[str, dict]]:
-    """A deterministic retweet/link/timestamp/influential request mix."""
-    mix: list[tuple[str, dict]] = []
-    for index in range(num_requests):
-        source = index % num_users
-        other = (index + 1) % num_users
-        words = [(index * 3 + offset) % vocab_size for offset in range(3)]
-        kind = index % 4
-        if kind == 0:
-            mix.append((
-                "/predict/retweet",
-                {"source": source, "candidates": [other, (index + 2) % num_users],
-                 "words": words},
-            ))
-        elif kind == 1:
-            mix.append((
-                "/predict/link", {"sources": [source], "targets": [other]}
-            ))
-        elif kind == 2:
-            mix.append((
-                "/predict/timestamp", {"author": source, "words": words}
-            ))
-        else:
-            mix.append(("/query/influential", {"topic": index % 4}))
-    return mix
-
-
-def run_serving_case(
-    case: BenchCase,
-    fit_iterations: int = 30,
-    num_requests: int = 600,
-    concurrency: int = 4,
-    warmup_requests: int = 60,
-    deadline_ms: int = 5000,
-) -> dict:
-    """Throughput/latency of the serving layer on one case; JSON record.
-
-    Fits a small model on the case's synthetic corpus (fit quality is
-    irrelevant to serving cost — tensor shapes are what matter), boots a
-    real :class:`~repro.serving.server.ColdHTTPServer` on a loopback
-    port, and drives a deterministic retweet/link/timestamp/influential
-    mix from ``concurrency`` persistent-connection client threads.
-    Reports client-side p50/p99 per endpoint and aggregate QPS; the
-    warmup phase populates the fold and influence caches first, exactly
-    like a production server that has been up for a minute.
-    """
-    import threading
-
-    from .serving import ColdHTTPServer, ModelServer, ServerConfig
-
-    corpus = case.build_corpus()
-    model = COLDModel(
-        num_communities=case.num_communities,
-        num_topics=case.num_topics,
-        seed=case.seed,
-    ).fit(corpus, num_iterations=fit_iterations)
-    assert model.estimates_ is not None
-    engine = ModelServer(model.estimates_, ic_simulations=50)
-    config = ServerConfig(
-        port=0,
-        deadline_ms=deadline_ms,
-        max_inflight=max(concurrency * 2, 8),
-        max_waiting=max(concurrency * 4, 16),
-    )
-    server = ColdHTTPServer(config, engine=engine)
-    thread = threading.Thread(target=server.serve_until_shutdown, daemon=True)
-    thread.start()
-    host, port = server.server_address[0], server.server_address[1]
-    num_users = model.estimates_.num_users
-    vocab = model.estimates_.vocab_size
-
-    def drive(mix: list[tuple[str, dict]]) -> tuple[list, float]:
-        samples: list[tuple[str, float, int]] = []
-        cursor = [0]
-        cursor_lock = threading.Lock()
-        samples_lock = threading.Lock()
-        workers = [
-            threading.Thread(
-                target=_serving_client_worker,
-                args=(host, port, mix, cursor, cursor_lock,
-                      samples, samples_lock),
-                daemon=True,
-            )
-            for _ in range(concurrency)
-        ]
-        start = time.perf_counter()
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=300)
-        return samples, time.perf_counter() - start
-
-    try:
-        drive(_serving_request_mix(warmup_requests, num_users, vocab))
-        samples, wall = drive(
-            _serving_request_mix(num_requests, num_users, vocab)
-        )
-        exposition = _scrape_prometheus(host, port)
-    finally:
-        server.begin_drain()
-        thread.join(timeout=30)
-
-    by_endpoint: dict[str, list[float]] = {}
-    errors = 0
-    rid_mismatches = 0
-    for path, seconds, status, rid_ok in samples:
-        if status == 200:
-            by_endpoint.setdefault(path, []).append(seconds)
-        else:
-            errors += 1
-        if status and not rid_ok:
-            rid_mismatches += 1
-    endpoints = {}
-    for path, latencies in sorted(by_endpoint.items()):
-        arr = np.asarray(latencies)
-        endpoints[path] = {
-            "count": int(arr.size),
-            "p50_ms": round(float(np.percentile(arr, 50)) * 1e3, 3),
-            "p99_ms": round(float(np.percentile(arr, 99)) * 1e3, 3),
-            "mean_ms": round(float(arr.mean()) * 1e3, 3),
-        }
-    all_ok = np.asarray(
-        [seconds for _, seconds, status, _ in samples if status == 200]
-    )
-    return {
-        "name": case.name,
-        "config": asdict(case),
-        "model": {
-            "num_users": num_users,
-            "num_communities": model.estimates_.num_communities,
-            "num_topics": model.estimates_.num_topics,
-            "vocab_size": vocab,
-        },
-        "concurrency": concurrency,
-        "num_requests": num_requests,
-        "completed": int(all_ok.size),
-        "errors": errors,
-        "qps": round(len(samples) / wall, 1),
-        "p50_ms": round(float(np.percentile(all_ok, 50)) * 1e3, 3),
-        "p99_ms": round(float(np.percentile(all_ok, 99)) * 1e3, 3),
-        "endpoints": endpoints,
-        "request_id_mismatches": rid_mismatches,
-        "metrics_exposition": exposition,
-        "cache": engine.describe()["fold_cache"],
-        "peak_rss_mb": peak_rss_mb(),
-    }
-
-
-def write_serving_benchmark(
-    path: str | Path,
-    cases: tuple[BenchCase, ...] = (SMOKE, MEDIUM),
-    fit_iterations: int = 30,
-    num_requests: int = 600,
-    concurrency: int = 4,
-) -> dict:
-    """Run the serving suite and atomically write its JSON to ``path``."""
-    payload = {
-        "benchmark": "prediction serving layer, QPS and client-side latency",
-        "harness": "repro.perf",
-        **environment_stamp(),
-        "cpu_count": os.cpu_count(),
-        "method": {
-            "num_requests": num_requests,
-            "concurrency": concurrency,
-            "clients": "persistent HTTP/1.1 connections, client-side timing",
-            "mix": "retweet/link/timestamp/influential round-robin",
-            "warmup": "caches populated by a warmup phase before timing",
-        },
-        "cases": [
-            run_serving_case(
-                case,
-                fit_iterations=fit_iterations,
-                num_requests=num_requests,
-                concurrency=concurrency,
             )
             for case in cases
         ],

@@ -281,16 +281,16 @@ def run_chaos(
         other = (index + 1) % num_users
         words = [index % vocab_size]
         if kind == 0:
-            return "/predict/retweet", {
+            return "/v1/query/retweet", {
                 "source": source,
                 "candidates": [other, (index + 2) % num_users],
                 "words": words,
             }
         if kind == 1:
-            return "/predict/link", {"sources": [source], "targets": [other]}
+            return "/v1/query/link", {"sources": [source], "targets": [other]}
         if kind == 2:
-            return "/predict/timestamp", {"author": source, "words": words}
-        return "/query/influential", {"topic": 0, "num_simulations": 20}
+            return "/v1/query/timestamp", {"author": source, "words": words}
+        return "/v1/query/influential", {"topic": 0, "num_simulations": 20}
 
     indices = list(range(num_requests))
     index_lock = threading.Lock()
@@ -301,7 +301,7 @@ def run_chaos(
         if candidate is not None:
             body["path"] = str(candidate)
         status, payload = _request(
-            host, port, "POST", "/admin/reload", body, timeout=request_timeout
+            host, port, "POST", "/v1/admin/reload", body, timeout=request_timeout
         )
         with report_lock:
             if status == 200 and payload is not None and "error" not in payload:

@@ -21,12 +21,7 @@
 
 ``/v1/`` responses share one envelope: ``{"result": ..., "model_generation":
 N, "api_version": "v1", "elapsed_ms": ...}`` on success, and every error
-payload carries ``api_version`` too.  The pre-versioning routes
-(``/predict/retweet``, ``/predict/link``, ``/predict/timestamp``,
-``/query/influential``, ``/admin/reload``) remain as aliases with their
-original *flat* response shape, but every legacy response carries
-``Deprecation: true``, a ``Sunset`` date, and a ``Link`` header pointing
-at the ``/v1/`` successor; migrate before the sunset.
+payload carries ``api_version`` too.  Any other path is a 404.
 
 Every request runs the robustness pipeline: *admission* (bounded queue;
 beyond it a 503 shed with ``Retry-After``), *circuit breaker* (degenerate
@@ -37,7 +32,7 @@ the body or an ``X-Deadline-Ms`` header; expiry is a structured 504), and
 unexpected handler failures a **structured** 500 — never a default HTML
 error page, never a torn connection).
 
-Hot-swap reload (``/admin/reload`` or ``SIGHUP``) builds a candidate
+Hot-swap reload (``/v1/admin/reload`` or ``SIGHUP``) builds a candidate
 engine off to the side, runs its self-check queries, and atomically swaps
 the engine reference only on success; failures (missing file, corrupt
 archive, degenerate scores) roll back to the serving engine with
@@ -102,6 +97,16 @@ _BAD_REQUEST_ERRORS = (
     TypeError,
     ValueError,
 )
+
+def _is_model_path(path: object) -> bool:
+    """Whether a reload ``path`` can name a model file at all.
+
+    ``Path.with_suffix`` raises ``ValueError`` on a path with an empty
+    name (``""``, ``"."``, ``"/"``); such a path is a malformed request,
+    not a candidate to roll back.
+    """
+    return isinstance(path, str) and Path(path).name != ""
+
 
 #: Loader failures a reload candidate may exhibit; all roll back.
 _RELOAD_ERRORS = (
@@ -299,43 +304,22 @@ class _Handler(BaseHTTPRequestHandler):
         finally:
             reset_request_id(token)
 
-    def _route(self) -> tuple[str, dict[str, str] | None]:
-        """Resolve the request path to its canonical (``/v1/``) route.
-
-        Returns ``(canonical_path, deprecation_headers)`` —
-        the headers are ``None`` for native ``/v1/`` requests.
-        """
-        successor = _LEGACY_ROUTES.get(self.path)
-        if successor is None:
-            return self.path, None
-        self.server.registry.counter("serving_legacy_requests_total").inc()
-        return successor, _deprecation_headers(successor)
-
     def _finish(
         self,
         status: int,
         payload: dict,
-        deprecation: dict[str, str] | None,
         headers: dict[str, str] | None = None,
     ) -> None:
-        """Send a payload in the route's dialect.
+        """Send a ``/v1/`` payload, stamped with ``api_version``.
 
-        ``/v1/`` responses are stamped with ``api_version``; legacy
-        responses keep their flat pre-versioning shape but carry the
-        deprecation headers.  Both dialects carry the same top-level
-        ``request_id`` field (the one envelope key that is uniform across
-        shapes — correlate a response with its logs and trace by it).
+        The top-level ``request_id`` field correlates a response with its
+        logs and trace.
         """
+        payload = {**payload, "api_version": "v1"}
         request_id = getattr(self, "request_id", None)
-        if deprecation is None:
-            payload = {**payload, "api_version": "v1"}
-            merged = headers
-        else:
-            payload = dict(payload)
-            merged = {**deprecation, **(headers or {})}
         if request_id is not None:
             payload.setdefault("request_id", request_id)
-        self._send_json(status, payload, headers=merged)
+        self._send_json(status, payload, headers=headers)
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         token = self._begin_request()
@@ -356,11 +340,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _handle_post(self) -> None:
         server = self.server
-        endpoint, deprecation = self._route()
-        if endpoint == _RELOAD_ROUTE:
-            self._handle_reload(deprecation)
+        if self.path == _RELOAD_ROUTE:
+            self._handle_reload()
             return
-        method = server.query_methods().get(endpoint)
+        method = server.query_methods().get(self.path)
         if method is None:
             self._send_json(404, {"error": "not_found", "path": self.path})
             return
@@ -378,9 +361,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         except (json.JSONDecodeError, UnicodeDecodeError, ValueError, TypeError) as exc:
             _endpoint_counter(metrics, "serving_bad_requests_total", label).inc()
-            self._finish(
-                400, {"error": "bad_request", "detail": str(exc)}, deprecation
-            )
+            self._finish(400, {"error": "bad_request", "detail": str(exc)})
             return
         # A half-open probe must always report back: any exit that is not
         # record_success/record_failure releases the probe slot in the
@@ -427,25 +408,19 @@ class _Handler(BaseHTTPRequestHandler):
             server.slo.record(True, elapsed)
             elapsed_ms = round(elapsed * 1e3, 3)
             with trace.span("respond", endpoint=label, status=200):
-                if deprecation is None:
-                    self._finish(
-                        200,
-                        {
-                            "result": result,
-                            "model_generation": server.generation,
-                            "elapsed_ms": elapsed_ms,
-                        },
-                        deprecation,
-                    )
-                else:
-                    result["generation"] = server.generation
-                    result["elapsed_ms"] = elapsed_ms
-                    self._finish(200, result, deprecation)
+                self._finish(
+                    200,
+                    {
+                        "result": result,
+                        "model_generation": server.generation,
+                        "elapsed_ms": elapsed_ms,
+                    },
+                )
         except DeadlineExceededResponse as response:
             _endpoint_counter(metrics, "serving_timeouts_total", label).inc()
             server.slo.record(False)
             release_probe()
-            self._finish(504, response.payload, deprecation)
+            self._finish(504, response.payload)
         except QueueFullError as exc:
             metrics.counter("serving_shed_total").inc()
             server.slo.record(False)
@@ -454,30 +429,24 @@ class _Handler(BaseHTTPRequestHandler):
                 503,
                 {"error": "shed", "detail": str(exc),
                  "retry_after_seconds": exc.retry_after},
-                deprecation,
                 headers={"Retry-After": f"{max(int(exc.retry_after), 1)}"},
             )
         except CircuitOpenError as exc:
             metrics.counter("serving_circuit_rejections_total").inc()
             server.slo.record(False)
-            self._finish(
-                503, {"error": "circuit_open", "detail": str(exc)}, deprecation
-            )
+            self._finish(503, {"error": "circuit_open", "detail": str(exc)})
         except DegenerateScoreError as exc:
             server.breaker.record_failure()
             probe_resolved = True
             metrics.counter("serving_degenerate_total").inc()
             server.slo.record(False)
-            self._finish(
-                503, {"error": "degenerate", "detail": str(exc)}, deprecation
-            )
+            self._finish(503, {"error": "degenerate", "detail": str(exc)})
         except _BAD_REQUEST_ERRORS as exc:
             _endpoint_counter(metrics, "serving_bad_requests_total", label).inc()
             release_probe()
             self._finish(
                 400,
                 {"error": "bad_request", "detail": f"{type(exc).__name__}: {exc}"},
-                deprecation,
             )
         except Exception:
             server.slo.record(False)
@@ -504,18 +473,23 @@ class _Handler(BaseHTTPRequestHandler):
         if plan.should_fail(label, index):
             raise ChaosError(f"injected failure in {label} request {index}")
 
-    def _handle_reload(self, deprecation: dict[str, str] | None) -> None:
+    def _handle_reload(self) -> None:
         try:
             body = self._read_body()
         except PayloadTooLarge as exc:
             self._payload_too_large(exc)
             return
         except (json.JSONDecodeError, UnicodeDecodeError, ValueError) as exc:
-            self._finish(
-                400, {"error": "bad_request", "detail": str(exc)}, deprecation
-            )
+            self._finish(400, {"error": "bad_request", "detail": str(exc)})
             return
         path = body.get("path")
+        if path is not None and not _is_model_path(path):
+            self._finish(
+                400,
+                {"error": "bad_request",
+                 "detail": "path must be null or a string naming a model file"},
+            )
+            return
         try:
             with trace.span("reload", path=str(path)):
                 generation = self.server.reload(path)
@@ -524,24 +498,14 @@ class _Handler(BaseHTTPRequestHandler):
                 409,
                 {"error": "reload_failed", "detail": str(exc),
                  "generation": self.server.generation},
-                deprecation,
             )
         except Exception:
             self._internal_error()
         else:
-            if deprecation is None:
-                self._finish(
-                    200,
-                    {"result": {"status": "reloaded"},
-                     "model_generation": generation},
-                    deprecation,
-                )
-            else:
-                self._finish(
-                    200,
-                    {"status": "reloaded", "generation": generation},
-                    deprecation,
-                )
+            self._finish(
+                200,
+                {"result": {"status": "reloaded"}, "model_generation": generation},
+            )
 
     def _internal_error(self) -> None:
         """Last-resort structured 500 — the 'no unstructured 500s' guarantee."""
@@ -651,31 +615,8 @@ _QUERY_METHODS = {
     "/v1/query/influential": influential,
 }
 
-#: The versioned admin route (canonical; ``/admin/reload`` aliases it).
+#: The versioned admin route.
 _RELOAD_ROUTE = "/v1/admin/reload"
-
-#: Pre-versioning aliases -> their ``/v1/`` successors.  Legacy responses
-#: keep the original flat payload shape (no envelope) so old clients
-#: parse unchanged, but always carry the deprecation headers below.
-_LEGACY_ROUTES = {
-    "/predict/retweet": "/v1/query/retweet",
-    "/predict/link": "/v1/query/link",
-    "/predict/timestamp": "/v1/query/timestamp",
-    "/query/influential": "/v1/query/influential",
-    "/admin/reload": _RELOAD_ROUTE,
-}
-
-#: RFC 8594 sunset date announced on every legacy response.
-_SUNSET = "Mon, 01 Mar 2027 00:00:00 GMT"
-
-
-def _deprecation_headers(successor: str) -> dict[str, str]:
-    """The RFC 8594-style headers every legacy-route response carries."""
-    return {
-        "Deprecation": "true",
-        "Sunset": _SUNSET,
-        "Link": f'<{successor}>; rel="successor-version"',
-    }
 
 
 class ColdHTTPServer(ThreadingHTTPServer):

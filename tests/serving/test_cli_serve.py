@@ -87,11 +87,11 @@ def test_serve_boot_query_reload_drain(model_path):
 
         status, scored = _post(
             port,
-            "/predict/retweet",
+            "/v1/query/retweet",
             {"source": 0, "candidates": [1, 2], "words": [0]},
         )
         assert status == 200
-        assert len(scored["scores"]) == 2
+        assert len(scored["result"]["scores"]) == 2
 
         # SIGHUP: hot-swap reload from the same path bumps the generation.
         process.send_signal(signal.SIGHUP)
@@ -106,11 +106,11 @@ def test_serve_boot_query_reload_drain(model_path):
         # Queries keep working across the swap.
         status, scored = _post(
             port,
-            "/predict/link",
+            "/v1/query/link",
             {"sources": [0], "targets": [1]},
         )
         assert status == 200
-        assert scored["generation"] == 2
+        assert scored["model_generation"] == 2
 
         # SIGTERM: graceful drain, clean exit.
         process.send_signal(signal.SIGTERM)

@@ -1,8 +1,8 @@
 """The serving observability plane: request ids, exposition, SLO, freshness.
 
 End-to-end over a live :class:`ColdHTTPServer`: the ``X-Request-Id``
-contract (adopt/mint, echo header, uniform envelope field in *both* API
-dialects), content-negotiated Prometheus exposition validated by the
+contract (adopt/mint, echo header, uniform envelope field on success and
+error responses), content-negotiated Prometheus exposition validated by the
 in-repo strict parser — including under concurrent chaos load — SLO
 detail on readiness, publish freshness gauges, and the ``metrics_out``
 snapshot stream that feeds ``cold monitor --serving``.
@@ -73,22 +73,6 @@ class TestRequestIdContract:
         )
         assert status == 200
         assert payload["request_id"] != "bad id with spaces"
-
-    def test_legacy_envelope_carries_same_field(self, serve, engine):
-        """Regression: the request-id field is uniform across dialects."""
-        server = serve(engine=engine)
-        status, payload, headers = request(
-            server,
-            "POST",
-            "/predict/retweet",
-            RETWEET_BODY,
-            headers={"X-Request-Id": "legacy-rid"},
-        )
-        assert status == 200
-        assert headers["Deprecation"] == "true"
-        # Legacy responses stay flat but carry the same top-level key.
-        assert payload["request_id"] == "legacy-rid"
-        assert "scores" in payload
 
     def test_error_responses_carry_request_id(self, serve, engine):
         server = serve(engine=engine)
@@ -171,7 +155,7 @@ class TestPrometheusExposition:
         def hammer() -> None:
             while not stop.is_set():
                 try:
-                    request(server, "POST", "/predict/retweet", RETWEET_BODY)
+                    request(server, "POST", "/v1/query/retweet", RETWEET_BODY)
                 except Exception as exc:  # noqa: BLE001 - collected for assert
                     client_errors.append(exc)
                     return

@@ -42,13 +42,13 @@ class TestQueryEndpoints:
         status, payload, _ = request(
             server,
             "POST",
-            "/predict/retweet",
+            "/v1/query/retweet",
             {"source": 0, "candidates": [1, 2, 3], "words": [0, 4]},
         )
         assert status == 200
-        assert len(payload["scores"]) == 3
-        assert all(0.0 <= s <= 1.0 for s in payload["scores"])
-        assert payload["generation"] == 1
+        assert len(payload["result"]["scores"]) == 3
+        assert all(0.0 <= s <= 1.0 for s in payload["result"]["scores"])
+        assert payload["model_generation"] == 1
         assert payload["elapsed_ms"] >= 0
 
     def test_link_batch_and_broadcast(self, serve, engine, estimates):
@@ -56,43 +56,48 @@ class TestQueryEndpoints:
         status, payload, _ = request(
             server,
             "POST",
-            "/predict/link",
+            "/v1/query/link",
             {"sources": [0, 1], "targets": [2, 3]},
         )
         assert status == 200
-        assert len(payload["scores"]) == 2
+        assert len(payload["result"]["scores"]) == 2
         status, scalar, _ = request(
-            server, "POST", "/predict/link", {"source": 0, "targets": [2, 3]}
+            server, "POST", "/v1/query/link", {"source": 0, "targets": [2, 3]}
         )
         assert status == 200
-        assert len(scalar["scores"]) == 2
+        assert len(scalar["result"]["scores"]) == 2
 
     def test_timestamp_single_and_batch(self, serve, engine, estimates):
         server = serve(engine=engine)
         status, one, _ = request(
-            server, "POST", "/predict/timestamp", {"author": 0, "words": [0, 1]}
+            server, "POST", "/v1/query/timestamp", {"author": 0, "words": [0, 1]}
         )
         assert status == 200
-        assert len(one["slices"]) == 1
-        assert 0 <= one["slices"][0] < estimates.num_time_slices
-        np.testing.assert_allclose(sum(one["confidences"][0]), 1.0, rtol=1e-6)
+        assert len(one["result"]["slices"]) == 1
+        assert 0 <= one["result"]["slices"][0] < estimates.num_time_slices
+        np.testing.assert_allclose(
+            sum(one["result"]["confidences"][0]), 1.0, rtol=1e-6
+        )
         status, many, _ = request(
             server,
             "POST",
-            "/predict/timestamp",
+            "/v1/query/timestamp",
             {"authors": [0, 1], "words_per_post": [[0], [1, 2]]},
         )
         assert status == 200
-        assert len(many["slices"]) == 2
+        assert len(many["result"]["slices"]) == 2
 
     def test_influential(self, serve, engine):
         server = serve(engine=engine)
         status, payload, _ = request(
-            server, "POST", "/query/influential", {"topic": 0, "size": 2, "top_users": 3}
+            server,
+            "POST",
+            "/v1/query/influential",
+            {"topic": 0, "size": 2, "top_users": 3},
         )
         assert status == 200
-        assert len(payload["communities"]) == 2
-        assert len(payload["top_users"]) == 3
+        assert len(payload["result"]["communities"]) == 2
+        assert len(payload["result"]["top_users"]) == 3
 
     def test_health_and_ready(self, serve, engine):
         server = serve(engine=engine)
@@ -110,7 +115,7 @@ class TestQueryEndpoints:
         request(
             server,
             "POST",
-            "/predict/retweet",
+            "/v1/query/retweet",
             {"source": 0, "candidates": [1], "words": [0]},
         )
         status, metrics, _ = request(server, "GET", "/metrics")
@@ -123,10 +128,10 @@ class TestErrorMapping:
     def test_bad_request_payloads(self, serve, engine):
         server = serve(engine=engine)
         cases = [
-            ("/predict/retweet", {"source": 0, "candidates": [1], "words": []}),
-            ("/predict/retweet", {"candidates": [1], "words": [0]}),
-            ("/predict/retweet", "not a dict"),
-            ("/predict/link", {"sources": [0], "targets": [10**6]}),
+            ("/v1/query/retweet", {"source": 0, "candidates": [1], "words": []}),
+            ("/v1/query/retweet", {"candidates": [1], "words": [0]}),
+            ("/v1/query/retweet", "not a dict"),
+            ("/v1/query/link", {"sources": [0], "targets": [10**6]}),
         ]
         for path, body in cases:
             status, payload, _ = request(server, "POST", path, body)
@@ -136,7 +141,7 @@ class TestErrorMapping:
 
     def test_unknown_path_404(self, serve, engine):
         server = serve(engine=engine)
-        status, payload, _ = request(server, "POST", "/predict/nope", {})
+        status, payload, _ = request(server, "POST", "/v1/query/nope", {})
         assert status == 404
         assert payload["error"] == "not_found"
         status, payload, _ = request(server, "GET", "/nope")
@@ -147,7 +152,7 @@ class TestErrorMapping:
         status, payload, _ = request(
             server,
             "POST",
-            "/predict/retweet",
+            "/v1/query/retweet",
             {"source": 0, "candidates": [1], "words": [0], "deadline_ms": -5},
         )
         assert status == 400
@@ -158,7 +163,7 @@ class TestErrorMapping:
         try:
             conn.request(
                 "POST",
-                "/predict/retweet",
+                "/v1/query/retweet",
                 body=b"{not json",
                 headers={"Content-Type": "application/json"},
             )
@@ -172,14 +177,14 @@ class TestErrorMapping:
     def test_oversized_body_413(self, serve, engine):
         server = serve(engine=engine, max_body_bytes=128)
         big = {"source": 0, "candidates": list(range(500)), "words": [0]}
-        status, payload, _ = request(server, "POST", "/predict/retweet", big)
+        status, payload, _ = request(server, "POST", "/v1/query/retweet", big)
         assert status == 413
         assert payload["error"] == "payload_too_large"
         # The oversized body was never buffered and the server keeps serving.
         status, payload, _ = request(
             server,
             "POST",
-            "/predict/retweet",
+            "/v1/query/retweet",
             {"source": 0, "candidates": [1], "words": [0]},
         )
         assert status == 200
@@ -195,7 +200,7 @@ class TestErrorMapping:
         sent = []
 
         class Stub:
-            path = "/predict/retweet"
+            path = "/v1/query/retweet"
             close_connection = False
             _response_started = True
             server = SimpleNamespace(registry=MetricsRegistry())
@@ -219,7 +224,7 @@ class TestDeadlines:
         status, payload, _ = request(
             server,
             "POST",
-            "/predict/retweet",
+            "/v1/query/retweet",
             {"source": 0, "candidates": [1], "words": [0]},
         )
         elapsed = time.monotonic() - start
@@ -232,7 +237,7 @@ class TestDeadlines:
         status, payload, _ = request(
             server,
             "POST",
-            "/predict/retweet",
+            "/v1/query/retweet",
             {"source": 0, "candidates": [1], "words": [0]},
         )
         assert status == 200
@@ -245,7 +250,7 @@ class TestDeadlines:
         status, payload, _ = request(
             server,
             "POST",
-            "/predict/link",
+            "/v1/query/link",
             {"sources": [0], "targets": [1]},
             headers={"X-Deadline-Ms": "100"},
         )
@@ -274,7 +279,7 @@ class TestLoadShedding:
                 request(
                     server,
                     "POST",
-                    "/predict/retweet",
+                    "/v1/query/retweet",
                     {"source": 0, "candidates": [1], "words": [0]},
                 )
             )
@@ -285,7 +290,7 @@ class TestLoadShedding:
         status, payload, headers = request(
             server,
             "POST",
-            "/predict/retweet",
+            "/v1/query/retweet",
             {"source": 1, "candidates": [2], "words": [0]},
         )
         slow.join(timeout=10)
@@ -311,11 +316,11 @@ class TestCircuitBreaker:
         )
         body = {"source": 0, "candidates": [1], "words": [0]}
         for _ in range(2):
-            status, payload, _ = request(server, "POST", "/predict/retweet", body)
+            status, payload, _ = request(server, "POST", "/v1/query/retweet", body)
             assert status == 503
             assert payload["error"] == "degenerate"
         # Breaker is now open: requests fail fast without touching the engine.
-        status, payload, _ = request(server, "POST", "/predict/retweet", body)
+        status, payload, _ = request(server, "POST", "/v1/query/retweet", body)
         assert status == 503
         assert payload["error"] == "circuit_open"
         # Readiness goes red; liveness stays green.
@@ -336,7 +341,7 @@ class TestCircuitBreaker:
         status, payload, _ = request(
             server,
             "POST",
-            "/predict/retweet",
+            "/v1/query/retweet",
             {"source": 0, "candidates": [1], "words": [0]},
         )
         assert status == 500
@@ -360,7 +365,7 @@ class TestCircuitBreaker:
             engine=engine, breaker_threshold=1, breaker_cooldown_seconds=0.1
         )
         body = {"source": 0, "candidates": [1], "words": [0]}
-        status, payload, _ = request(server, "POST", "/predict/retweet", body)
+        status, payload, _ = request(server, "POST", "/v1/query/retweet", body)
         assert (status, payload["error"]) == (503, "degenerate")
         assert server.breaker.state == "open"
         time.sleep(0.15)
@@ -368,14 +373,14 @@ class TestCircuitBreaker:
         # The probe request dies on bad input (missing "source" -> 400)
         # without ever recording a verdict; the probe slot must be freed.
         status, payload, _ = request(
-            server, "POST", "/predict/retweet", {"candidates": [1], "words": [0]}
+            server, "POST", "/v1/query/retweet", {"candidates": [1], "words": [0]}
         )
         assert (status, payload["error"]) == (400, "bad_request")
         # The model has recovered: the next request becomes the new probe,
         # scores cleanly, and closes the breaker (a leaked slot would pin
         # every request here to 503 circuit_open forever).
         engine.degenerate = False
-        status, payload, _ = request(server, "POST", "/predict/retweet", body)
+        status, payload, _ = request(server, "POST", "/v1/query/retweet", body)
         assert status == 200, payload
         assert server.breaker.state == "closed"
 
@@ -397,19 +402,19 @@ class TestCircuitBreaker:
 class TestReload:
     def test_reload_bumps_generation(self, serve, model_path):
         server = serve(model_path=model_path)
-        status, payload, _ = request(server, "POST", "/admin/reload", {})
+        status, payload, _ = request(server, "POST", "/v1/admin/reload", {})
         assert status == 200
-        assert payload["status"] == "reloaded"
-        assert payload["generation"] == 2
+        assert payload["result"]["status"] == "reloaded"
+        assert payload["model_generation"] == 2
         # Queries keep working on the new generation.
         status, scored, _ = request(
             server,
             "POST",
-            "/predict/retweet",
+            "/v1/query/retweet",
             {"source": 0, "candidates": [1], "words": [0]},
         )
         assert status == 200
-        assert scored["generation"] == 2
+        assert scored["model_generation"] == 2
 
     def test_corrupt_candidate_rolls_back(self, serve, model_path, tmp_path):
         from repro.serving.chaos import corrupt_model_copy
@@ -417,7 +422,7 @@ class TestReload:
         corrupt = corrupt_model_copy(model_path, tmp_path)
         server = serve(model_path=model_path)
         status, payload, _ = request(
-            server, "POST", "/admin/reload", {"path": str(corrupt)}
+            server, "POST", "/v1/admin/reload", {"path": str(corrupt)}
         )
         assert status == 409
         assert payload["error"] == "reload_failed"
@@ -426,11 +431,11 @@ class TestReload:
         status, scored, _ = request(
             server,
             "POST",
-            "/predict/retweet",
+            "/v1/query/retweet",
             {"source": 0, "candidates": [1], "words": [0]},
         )
         assert status == 200
-        assert scored["generation"] == 1
+        assert scored["model_generation"] == 1
         status, _, _ = request(server, "GET", "/readyz")
         assert status == 200
         _, metrics, _ = request(server, "GET", "/metrics")
@@ -439,7 +444,7 @@ class TestReload:
     def test_missing_candidate_rolls_back(self, serve, model_path, tmp_path):
         server = serve(model_path=model_path)
         status, payload, _ = request(
-            server, "POST", "/admin/reload", {"path": str(tmp_path / "nope")}
+            server, "POST", "/v1/admin/reload", {"path": str(tmp_path / "nope")}
         )
         assert status == 409
         assert payload["error"] == "reload_failed"
@@ -448,13 +453,13 @@ class TestReload:
         server = serve(model_path=model_path, breaker_threshold=1)
         server.breaker.record_failure()
         assert server.breaker.state == "open"
-        status, _, _ = request(server, "POST", "/admin/reload", {})
+        status, _, _ = request(server, "POST", "/v1/admin/reload", {})
         assert status == 200
         assert server.breaker.state == "closed"
 
     def test_inprocess_reload_without_path_requires_model_path(self, serve, engine):
         server = serve(engine=engine)
-        status, payload, _ = request(server, "POST", "/admin/reload", {})
+        status, payload, _ = request(server, "POST", "/v1/admin/reload", {})
         assert status == 409
 
 
@@ -471,7 +476,7 @@ class TestDrain:
             status, payload, _ = request(
                 server,
                 "POST",
-                "/predict/retweet",
+                "/v1/query/retweet",
                 {"source": 0, "candidates": [1], "words": [0]},
             )
             assert status == 503

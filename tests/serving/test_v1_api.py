@@ -1,15 +1,15 @@
-"""The versioned /v1/ HTTP surface and its legacy-route deprecation aliases."""
+"""The versioned /v1/ HTTP surface, the server's only query dialect."""
 
 from __future__ import annotations
 
 import json
 from http.client import HTTPConnection
 
+import numpy as np
 import pytest
 
 from repro.serving import engine as engine_module
 from repro.serving.engine import MAX_IC_SIMULATIONS
-from repro.serving.server import _LEGACY_ROUTES, _SUNSET
 
 
 def request(server, method, path, body=None, headers=None, timeout=15.0):
@@ -43,19 +43,16 @@ class TestV1Envelope:
         assert payload["model_generation"] == server.generation
         assert payload["elapsed_ms"] >= 0
         assert "result" in payload
-        # v1 responses carry no deprecation headers.
-        assert "Deprecation" not in headers
-        assert "Sunset" not in headers
+        assert headers["X-Request-Id"] == payload["request_id"]
 
     def test_result_matches_legacy_payload(self, serve, engine):
+        """The envelope's scores are the engine's, rounded to 9 places."""
         server = serve(engine=engine)
         _, v1, _ = request(
             server, "POST", "/v1/query/link", QUERIES["/v1/query/link"]
         )
-        _, legacy, _ = request(
-            server, "POST", "/predict/link", QUERIES["/v1/query/link"]
-        )
-        assert v1["result"]["scores"] == legacy["scores"]
+        expected = engine.link(np.array([0]), np.array([1]))
+        assert v1["result"]["scores"] == [round(float(s), 9) for s in expected]
 
     def test_errors_are_enveloped_too(self, serve, engine):
         server = serve(engine=engine)
@@ -103,46 +100,30 @@ class TestV1Envelope:
         assert status == 404
 
 
-class TestLegacyAliases:
+class TestRetiredRoutes:
     @pytest.mark.parametrize(
-        ("legacy", "successor"),
-        sorted(
-            (alias, target)
-            for alias, target in _LEGACY_ROUTES.items()
-            if target in QUERIES
-        ),
+        "path",
+        [
+            "/predict/retweet",
+            "/predict/link",
+            "/predict/timestamp",
+            "/query/influential",
+            "/admin/reload",
+        ],
     )
-    def test_deprecation_headers(self, serve, engine, legacy, successor):
+    def test_pre_v1_paths_are_not_found(self, serve, engine, path):
         server = serve(engine=engine)
-        status, payload, headers = request(
-            server, "POST", legacy, QUERIES[successor]
-        )
-        assert status == 200
-        assert headers["Deprecation"] == "true"
-        assert headers["Sunset"] == _SUNSET
-        assert headers["Link"] == f'<{successor}>; rel="successor-version"'
-        # Legacy payloads keep the flat pre-versioning shape.
-        assert "result" not in payload
-        assert "api_version" not in payload
+        status, payload, _ = request(server, "POST", path, {})
+        assert status == 404
+        assert payload["error"] == "not_found"
+        assert server.generation == 1
 
-    def test_legacy_flat_fields_preserved(self, serve, engine):
-        server = serve(engine=engine)
-        status, payload, _ = request(
-            server, "POST", "/predict/retweet", QUERIES["/v1/query/retweet"]
-        )
-        assert status == 200
-        assert payload["generation"] == server.generation
-        assert payload["elapsed_ms"] >= 0
-        assert len(payload["scores"]) == 2
-
-    def test_legacy_requests_counted(self, serve, engine):
+    def test_metrics_carry_no_legacy_counter(self, serve, engine):
         server = serve(engine=engine)
         request(server, "POST", "/predict/link", QUERIES["/v1/query/link"])
-        request(server, "POST", "/v1/query/link", QUERIES["/v1/query/link"])
         status, metrics, _ = request(server, "GET", "/metrics")
         assert status == 200
-        counters = metrics["counters"]
-        assert counters.get("serving_legacy_requests_total") == 1
+        assert not any("legacy" in name for name in metrics["counters"])
 
 
 class TestVersionedReload:
@@ -155,18 +136,31 @@ class TestVersionedReload:
         assert payload["result"]["status"] == "reloaded"
         assert payload["model_generation"] == 2
         assert payload["api_version"] == "v1"
-        assert "Deprecation" not in headers
+        assert headers["X-Request-Id"] == payload["request_id"]
 
-    def test_legacy_reload_flat_with_headers(self, serve, model_path):
+    def test_null_path_reloads_the_serving_model(self, serve, model_path):
         server = serve(model_path=model_path)
-        status, payload, headers = request(
-            server, "POST", "/admin/reload", {"path": str(model_path)}
+        status, payload, _ = request(
+            server, "POST", "/v1/admin/reload", {"path": None}
         )
         assert status == 200
-        request_id = payload.pop("request_id")
-        assert request_id == headers["X-Request-Id"]
-        assert payload == {"status": "reloaded", "generation": 2}
-        assert headers["Deprecation"] == "true"
+        assert payload["model_generation"] == 2
+
+    @pytest.mark.parametrize(
+        "path", [123, ["x"], {"a": 1}, "", False, ".", "/"]
+    )
+    def test_malformed_path_is_bad_request(self, serve, model_path, path):
+        server = serve(model_path=model_path)
+        status, payload, _ = request(
+            server, "POST", "/v1/admin/reload", {"path": path}
+        )
+        assert status == 400
+        assert payload["error"] == "bad_request"
+        assert payload["api_version"] == "v1"
+        assert server.generation == 1
+        counters = request(server, "GET", "/metrics")[1]["counters"]
+        assert counters.get("serving_reload_attempts_total", 0) == 0
+        assert counters.get("serving_internal_errors_total", 0) == 0
 
     def test_v1_reload_failure_enveloped(self, serve, model_path, tmp_path):
         server = serve(model_path=model_path)

@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.config import COLDConfig, ConfigError, StreamConfig
 from repro.core.model import COLDModel, ModelError, UpdateReport
-from repro._compat import reset_positional_warnings
 
 
 class TestUpdateBasics:
@@ -166,18 +165,9 @@ class TestStreamConfig:
         assert isinstance(config.stream, StreamConfig)
         assert config.stream.window_posts == 9
 
-    def test_flat_alias_evolves_with_deprecation_warning(self):
-        reset_positional_warnings()
-        config = COLDConfig()
-        with pytest.warns(DeprecationWarning, match="stream.window_posts"):
-            evolved = config.evolve(stream_window_posts=64)
-        assert evolved.stream.window_posts == 64
-        # Once per process: the second evolve is silent.
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            config.evolve(stream_window_posts=32)
+    def test_flat_stream_spelling_is_an_unknown_field(self):
+        with pytest.raises(ConfigError, match="stream_window_posts"):
+            COLDConfig().evolve(stream_window_posts=64)
 
     def test_model_normalises_stream_dict(self):
         model = COLDModel(

@@ -1,10 +1,9 @@
-"""API-surface tests: __all__ consistency, the stable facade, deprecations.
+"""API-surface tests: __all__ consistency, the stable facade, keyword-only.
 
 Covers the public surface promised in README's "Stable API" table: the
 ``repro.api`` facade (:class:`COLDConfig` + ``fit``/``save``/``load``),
-the keyword-only constructor contract with its one-time positional
-deprecation shim, and the CLI flag aliases that mirror config field
-names.
+the keyword-only constructor contract (positional use is a
+``TypeError``), and the CLI flag aliases that mirror config field names.
 """
 
 import importlib
@@ -13,7 +12,9 @@ import json
 import numpy as np
 import pytest
 
-from repro._compat import reset_positional_warnings
+from repro import COLDConfig, COLDModel, ParallelCOLDSampler
+from repro.datasets.synthetic import SyntheticConfig
+from repro.parallel.engine import SimulatedCluster
 
 PACKAGES = [
     "repro",
@@ -198,10 +199,9 @@ class TestFacade:
 
 
 class TestKeywordOnlyDeprecation:
-    def test_coldmodel_accepts_config_positionally(self):
-        from repro import COLDConfig, COLDModel
+    """Constructors take keywords only; positional use is a ``TypeError``."""
 
-        reset_positional_warnings()
+    def test_coldmodel_accepts_config_positionally(self):
         import warnings
 
         with warnings.catch_warnings():
@@ -210,55 +210,66 @@ class TestKeywordOnlyDeprecation:
         assert (model.num_communities, model.num_topics) == (5, 6)
 
     def test_coldmodel_rejects_config_plus_kwargs(self):
-        from repro import COLDConfig, COLDModel
         from repro.core.model import ModelError
 
         with pytest.raises(ModelError):
             COLDModel(COLDConfig(), num_topics=4)
 
-    def test_legacy_positionals_warn_once_per_class(self):
-        from repro import COLDModel
-
-        reset_positional_warnings()
-        with pytest.warns(DeprecationWarning, match="keyword"):
-            COLDModel(3, 4)
-        import warnings
-
-        with warnings.catch_warnings():  # second use: silent
-            warnings.simplefilter("error")
-            model = COLDModel(3, 4)
-        assert (model.num_communities, model.num_topics) == (3, 4)
-
-    def test_parallel_sampler_positionals_warn(self):
-        from repro import ParallelCOLDSampler
-
-        reset_positional_warnings()
-        with pytest.warns(DeprecationWarning):
-            sampler = ParallelCOLDSampler(3, 4)
-        assert (sampler.num_communities, sampler.num_topics) == (3, 4)
-
-    def test_synthetic_config_positionals_warn(self):
-        from repro.datasets.synthetic import SyntheticConfig
-
-        reset_positional_warnings()
-        with pytest.warns(DeprecationWarning):
-            config = SyntheticConfig(25)
-        assert config.num_users == 25
+    @pytest.mark.parametrize(
+        "positional, keyword",
+        [
+            (
+                lambda: COLDModel(3, 4),
+                lambda: COLDModel(num_communities=3, num_topics=4),
+            ),
+            (
+                lambda: ParallelCOLDSampler(3, 4),
+                lambda: ParallelCOLDSampler(num_communities=3, num_topics=4),
+            ),
+            (lambda: SimulatedCluster(2), lambda: SimulatedCluster(num_nodes=2)),
+            (lambda: SyntheticConfig(25), lambda: SyntheticConfig(num_users=25)),
+        ],
+        ids=["COLDModel", "ParallelCOLDSampler", "SimulatedCluster", "SyntheticConfig"],
+    )
+    def test_positional_arguments_raise_type_error(self, positional, keyword):
+        with pytest.raises(TypeError):
+            positional()
+        keyword()
 
     def test_keyword_calls_never_warn(self):
         import warnings
 
-        from repro import COLDModel, ParallelCOLDSampler
-        from repro.datasets.synthetic import SyntheticConfig
-        from repro.parallel.engine import SimulatedCluster
-
-        reset_positional_warnings()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             COLDModel(num_communities=2, num_topics=2)
             ParallelCOLDSampler(num_communities=2, num_topics=2)
             SyntheticConfig(num_users=10)
             SimulatedCluster(num_nodes=2)
+
+    @pytest.mark.parametrize("tree", ["src", "benchmarks", "examples"])
+    def test_no_positional_callers_in_repo(self, tree):
+        """Benchmarks and examples sit outside ``testpaths``; a positional
+        constructor call there would only fail when someone runs them."""
+        import ast
+        from pathlib import Path
+
+        keyword_only = {
+            "COLDModel", "ParallelCOLDSampler", "SimulatedCluster", "SyntheticConfig",
+        }
+        root = Path(__file__).resolve().parent.parent / tree
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not (isinstance(node, ast.Call) and node.args):
+                    continue
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name not in keyword_only:
+                    continue
+                if name == "COLDModel" and len(node.args) == 1:
+                    continue  # COLDModel(config) is the one positional form
+                offenders.append(f"{path.relative_to(root.parent)}:{node.lineno}")
+        assert offenders == []
 
 
 class TestCLIAliases:

@@ -16,12 +16,10 @@ Three contracts under test:
 
 from __future__ import annotations
 
-import warnings
 
 import numpy as np
 import pytest
 
-from repro._compat import reset_positional_warnings
 from repro.core.model import COLDModel, ModelError
 from repro.core.state import CountState, PostTable
 from repro.datasets.corpus import CorpusValidationError, SocialCorpus
@@ -100,7 +98,6 @@ class TestRoundTrip:
         assert social.posts == small_corpus.posts
         assert social.links == small_corpus.links
         assert social.vocabulary == small_corpus.vocabulary
-        assert social.packed_source == packed_path
 
     def test_mmap_arrays_are_read_only(self, packed_path):
         with PackedCorpus.open(packed_path) as packed:
@@ -294,20 +291,3 @@ class TestModelIntegration:
             model.fit(packed, num_iterations=2)
             with pytest.raises(ModelError, match="packed"):
                 model.update([])
-
-    def test_pickle_dispatch_deprecation_warns_once(self, packed_path):
-        reset_positional_warnings()
-        try:
-            with PackedCorpus.open(packed_path) as packed:
-                social = packed.to_social_corpus()
-                kwargs = dict(
-                    num_communities=4, num_topics=6, num_nodes=2,
-                    executor="processes", num_workers=2, seed=3, fast=True,
-                )
-                with pytest.warns(DeprecationWarning, match="packed"):
-                    ParallelCOLDSampler(**kwargs).fit(social, num_iterations=1)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")  # second fit must stay quiet
-                    ParallelCOLDSampler(**kwargs).fit(social, num_iterations=1)
-        finally:
-            reset_positional_warnings()
