@@ -1,7 +1,11 @@
 """Opt-in perf gate: out-of-core packed corpora must scale linearly in data.
 
-Run with ``pytest benchmarks/perf -m perf``.  Excluded from the default
-suite because the 10^5-user point costs minutes of wall time.
+Run with ``pytest benchmarks/perf -m perf -k packed -s``: the gate
+prints the study's record (per scale point: tokens, file size,
+generation and training wall time, peak RSS), so this one command
+re-measures the out-of-core study EXPERIMENTS.md documents.  Excluded
+from the default suite because the 10^5-user point costs minutes of
+wall time.
 
 The gate fits the format's headline claims:
 
@@ -30,6 +34,8 @@ speedup that draws a different chain would be meaningless.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.perf import run_packed_scaling_case
@@ -51,6 +57,7 @@ def test_packed_scaling_linear_in_data_with_flat_rss():
     record = run_packed_scaling_case(
         scales=(10_000, 100_000), num_nodes=4, num_workers=2, sweeps=2
     )
+    print(json.dumps(record, indent=2))
     assert record["draws_match"], (
         "mmap-backed processes fit diverged from the in-RAM simulated oracle"
     )

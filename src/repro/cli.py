@@ -13,11 +13,10 @@ Subcommands mirror the lifecycle of a COLD study:
 * ``predict``   — time-stamp prediction accuracy of a trained model on a
   held-out corpus slice;
 * ``bench``     — the Gibbs sweep benchmark (reference vs fast kernels),
-  written as ``BENCH_gibbs.json``; with ``--parallel``, the parallel
-  scaling benchmark over cluster nodes (``BENCH_parallel.json``); with
-  ``--diagnostics`` or ``--streaming``, the quality-streaming overhead
-  and incremental-update suites.  Serving is measured over ``/v1`` by
-  the end-to-end harness, ``benchmarks/e2e/run.py``;
+  written as ``BENCH_gibbs.json``; with ``--diagnostics``, the
+  quality-streaming overhead suite (``BENCH_diagnostics.json``).
+  Parallel fits, streaming and serving are timed end to end by
+  ``benchmarks/e2e/run.py``;
 * ``profile``   — phase-attribute sweep wall time with the training-plane
   performance observatory (:mod:`repro.telemetry.profiler`): attribution
   table, collapsed-stack output for flamegraphs, worker utilization and
@@ -34,8 +33,7 @@ Subcommands mirror the lifecycle of a COLD study:
   bootstrap-fit on the head of an event JSONL, then fold the remainder
   in incremental batches, publishing model generations to a directory
   (and, with ``--serve``, hot-swapping an in-process server on every
-  publish).  ``cold bench --streaming`` measures per-update cost against
-  a full batch refit (``BENCH_streaming.json``).
+  publish).
 
 ``train`` handles SIGINT/SIGTERM gracefully: the fit stops at the next
 sweep boundary, writes a final checkpoint when checkpointing is enabled,
@@ -307,80 +305,39 @@ def _add_predict(subparsers: argparse._SubParsersAction) -> None:
 def _add_bench(subparsers: argparse._SubParsersAction) -> None:
     parser = subparsers.add_parser(
         "bench",
-        help="benchmark the Gibbs kernels, parallel scaling (--parallel), "
-        "quality streaming (--diagnostics) or incremental updates "
-        "(--streaming)",
+        help="benchmark the Gibbs kernels, or quality streaming "
+        "(--diagnostics)",
     )
     parser.add_argument(
         "output", type=Path, nargs="?", default=None,
         help="output JSON path (default: BENCH_gibbs.json, or "
-        "BENCH_parallel.json with --parallel)",
+        "BENCH_diagnostics.json with --diagnostics)",
     )
     parser.add_argument(
         "--cases", nargs="+", choices=["smoke", "medium"],
         default=None,
         help="which benchmark cases to run (default: smoke medium, or "
-        "just medium with --parallel)",
+        "just medium with --diagnostics)",
     )
     parser.add_argument("--warmup", type=int, default=10)
     parser.add_argument("--reps", type=int, default=5)
     parser.add_argument("--sweeps-per-rep", type=int, default=2)
-    parser.add_argument(
-        "--parallel", action="store_true",
-        help="benchmark parallel sampling scaling over cluster nodes "
-        "instead of the serial Gibbs kernels",
-    )
-    parser.add_argument(
-        "--packed-large", action="store_true",
-        help="with --parallel: additionally run the out-of-core packed "
-        "sweep (chunked .coldpack generation plus mmap-backed training at "
-        "1K/10K/100K users, per-point peak RSS); takes minutes",
-    )
     parser.add_argument(
         "--diagnostics", action="store_true",
         help="benchmark quality-streaming overhead (diagnostics on vs "
         "off) instead of the serial Gibbs kernels",
     )
     parser.add_argument(
-        "--streaming", action="store_true",
-        help="benchmark incremental updates against a full batch refit "
-        "(per-update latency, speedup, statistical equivalence) instead "
-        "of the Gibbs kernels",
-    )
-    parser.add_argument(
-        "--updates", type=int, default=5,
-        help="incremental updates per --streaming case (default: 5)",
-    )
-    parser.add_argument(
-        "--bootstrap-fraction", type=float, default=0.6, metavar="F",
-        help="event fraction for the --streaming bootstrap fit",
-    )
-    parser.add_argument(
         "--stride", type=int, default=10,
         help="quality-streaming stride for --diagnostics (default: 10)",
     )
     parser.add_argument(
-        "--nodes", type=int, nargs="+", default=[1, 2, 4, 8],
-        help="node counts for the --parallel scaling curve",
-    )
-    parser.add_argument(
-        "--executor", choices=["simulated", "threads", "processes"],
-        default="processes",
-        help="executor under test for --parallel (default: processes)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker processes per fit for --parallel with the "
-        "processes executor (default: one per node)",
-    )
-    parser.add_argument(
-        "--sweeps", type=int, default=None,
-        help="Gibbs sweeps per timed fit (default: 5 for --parallel, "
-        "20 for --diagnostics)",
+        "--sweeps", type=int, default=20,
+        help="Gibbs sweeps per timed fit for --diagnostics (default: 20)",
     )
     parser.add_argument(
         "--equivalence-sweeps", type=int, default=2,
-        help="sweeps of the --parallel draws_match equivalence check",
+        help="sweeps of the --diagnostics draws_match equivalence check",
     )
     parser.add_argument(
         "--compare", action="store_true",
@@ -1049,72 +1006,42 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .perf import (
+        DIAGNOSTICS_BENCHMARK,
+        GIBBS_BENCHMARK,
         MEDIUM,
-        PACKED_SCALES,
         SMOKE,
+        resolve_baseline,
         write_benchmark,
         write_diagnostics_benchmark,
-        write_parallel_benchmark,
-        write_streaming_benchmark,
     )
 
-    exclusive = [args.parallel, args.diagnostics, args.streaming]
-    if sum(exclusive) > 1:
-        raise TelemetryError(
-            "--parallel, --diagnostics, and --streaming are exclusive"
+    if args.diagnostics:
+        suite, default_cases, default_output = (
+            DIAGNOSTICS_BENCHMARK, ["medium"], "BENCH_diagnostics.json"
         )
-    if args.packed_large and not args.parallel:
-        raise TelemetryError("--packed-large requires --parallel")
+    else:
+        suite, default_cases, default_output = (
+            GIBBS_BENCHMARK, ["smoke", "medium"], "BENCH_gibbs.json"
+        )
     available = {"smoke": SMOKE, "medium": MEDIUM}
-    case_names = args.cases
-    if case_names is None:
-        case_names = (
-            ["medium"] if args.parallel or args.diagnostics or args.streaming
-            else ["smoke", "medium"]
-        )
+    case_names = args.cases if args.cases is not None else default_cases
     cases = tuple(available[name] for name in dict.fromkeys(case_names))
-    output = args.output
-    if output is None:
-        if args.parallel:
-            output = Path("BENCH_parallel.json")
-        elif args.diagnostics:
-            output = Path("BENCH_diagnostics.json")
-        elif args.streaming:
-            output = Path("BENCH_streaming.json")
-        else:
-            output = Path("BENCH_gibbs.json")
-    baseline = None
-    if args.compare:
-        # Read the baseline *before* the run overwrites the snapshot at
-        # the output path (the default baseline when no --baseline given).
-        from .perf import resolve_baseline
-
-        baseline = resolve_baseline(args.baseline, output)
+    output = args.output if args.output is not None else Path(default_output)
+    # Read the baseline *before* the run overwrites the snapshot at the
+    # output path (the default baseline when no --baseline given); from a
+    # ledger, take only this suite's records.
+    baseline = (
+        resolve_baseline(args.baseline, output, benchmark=suite)
+        if args.compare
+        else None
+    )
     print(f"benchmarking {len(cases)} case(s): {', '.join(c.name for c in cases)}")
-
-    if args.streaming:
-        payload = write_streaming_benchmark(
-            output,
-            cases=cases,
-            num_updates=args.updates,
-            bootstrap_fraction=args.bootstrap_fraction,
-        )
-        for record in payload["cases"]:
-            print(
-                f"{record['name']:>8}: "
-                f"{record['mean_update_seconds']*1e3:.1f}ms per update vs "
-                f"{record['refit_seconds']*1e3:.1f}ms full refit, "
-                f"speedup {record['speedup']:.1f}x, "
-                f"equivalent={record['equivalent']}, "
-                f"peak rss {record['peak_rss_mb']:.0f}MB"
-            )
-        return _bench_finish(payload, output, args, baseline)
 
     if args.diagnostics:
         payload = write_diagnostics_benchmark(
             output,
             cases=cases,
-            sweeps=args.sweeps if args.sweeps is not None else 20,
+            sweeps=args.sweeps,
             reps=args.reps,
             stride=args.stride,
             equivalence_sweeps=args.equivalence_sweeps,
@@ -1128,49 +1055,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 f"overhead {record['overhead_fraction']:+.1%}, "
                 f"draws_match={record['draws_match']}, "
                 f"peak rss {record['peak_rss_mb']:.0f}MB"
-            )
-        return _bench_finish(payload, output, args, baseline)
-
-    if args.parallel:
-        payload = write_parallel_benchmark(
-            output,
-            cases=cases,
-            node_counts=tuple(args.nodes),
-            executor=args.executor,
-            num_workers=args.workers,
-            sweeps=args.sweeps if args.sweeps is not None else 5,
-            equivalence_sweeps=args.equivalence_sweeps,
-            packed_scales=PACKED_SCALES if args.packed_large else (),
-        )
-        for record in payload["cases"]:
-            for point in record["scaling"]:
-                print(
-                    f"{record['name']:>8} @ {point['nodes']} node(s): "
-                    f"{point['cluster_seconds_per_sweep']*1e3:.1f}ms cluster "
-                    f"time per sweep, "
-                    f"speedup {point['speedup_vs_1_node']:.2f}x"
-                )
-            print(
-                f"{record['name']:>8}: draws_match={record['draws_match']} "
-                f"({record['executor']} vs simulated at "
-                f"{record['draws_match_nodes']} nodes), "
-                f"peak rss {record['peak_rss_mb']:.0f}MB"
-            )
-        packed = payload.get("packed_scaling")
-        if packed:
-            for point in packed["scaling"]:
-                print(
-                    f"  packed @ {point['users']:>7} users "
-                    f"({point['tokens']} tokens, {point['file_mb']:.1f}MB "
-                    f"file): generate {point['generate_seconds']:.1f}s at "
-                    f"{point['generate_peak_rss_mb']:.0f}MB peak rss, train "
-                    f"{point['wall_seconds_per_sweep']:.2f}s/sweep at "
-                    f"{point['train_peak_rss_mb']:.0f}MB peak rss"
-                )
-            print(
-                f"  packed: draws_match={packed['draws_match']} "
-                f"(mmap processes vs in-RAM simulated at "
-                f"{packed['draws_match_users']} users)"
             )
         return _bench_finish(payload, output, args, baseline)
 

@@ -16,20 +16,14 @@ Two things keep the numbers honest:
   chain is, its (community, topic) occupancy summary via
   :meth:`~repro.core.state.CountState.top_comm_topic_cells`.
 
-A second suite (``cold bench --parallel``, written as
-``BENCH_parallel.json``) measures the parallel sampler's scaling over
-cluster nodes with a chosen executor, applying the same discipline:
-executor equivalence against the sequential ``simulated`` oracle is
-re-checked on every run and recorded as ``draws_match``.
-
-A third harness (:func:`run_telemetry_overhead_case`, gated by
+A second harness (:func:`run_telemetry_overhead_case`, gated by
 ``benchmarks/perf/test_telemetry_overhead.py``) enforces the telemetry
 layer's off-by-default-cheap contract: per-sweep wall time with
 ``metrics_out``/``trace_out`` enabled must stay within a few percent of
 a dark fit, and the drawn chain must be bit-identical either way
 (telemetry never consumes RNG).
 
-A fourth harness (:func:`run_diagnostics_overhead_case`, gated by
+A third harness (:func:`run_diagnostics_overhead_case`, gated by
 ``benchmarks/perf/test_diagnostics_overhead.py``, written as
 ``BENCH_diagnostics.json`` by ``cold bench --diagnostics``) does the
 same for the quality-streaming diagnostics of :mod:`repro.diagnostics`:
@@ -47,6 +41,12 @@ packed harness (:func:`run_packed_scaling_case`, gated by
 a fresh *spawned* subprocess — chunked ``.coldpack`` generation and an
 mmap-backed ``processes``-executor fit per corpus size — so the reported
 peaks are per-point facts, not whichever earlier case was fattest.
+
+Parallel scaling and incremental streaming have no suite here: their
+opt-in gates (``benchmarks/perf/test_parallel_scaling.py`` and
+``test_streaming.py``) drive the sampler directly, and the end-to-end
+harness (``benchmarks/e2e``, workloads ``fit-procs2`` and ``stream``)
+times both paths as wall time.
 """
 
 from __future__ import annotations
@@ -77,6 +77,8 @@ from .resilience.checkpoint import atomic_write_text
 __all__ = [
     "DEFAULT_COMPARE_THRESHOLD",
     "DEFAULT_HISTORY_PATH",
+    "DIAGNOSTICS_BENCHMARK",
+    "GIBBS_BENCHMARK",
     "MEDIUM",
     "PACKED_SCALES",
     "SMOKE",
@@ -92,7 +94,6 @@ __all__ = [
     "metric_direction",
     "packed_draws_match",
     "packed_scale_config",
-    "parallel_draws_match",
     "peak_rss_mb",
     "profiler_draws_match",
     "read_history",
@@ -102,19 +103,19 @@ __all__ = [
     "run_case",
     "run_diagnostics_overhead_case",
     "run_packed_scaling_case",
-    "run_parallel_benchmark",
-    "run_parallel_case",
     "run_profile_case",
     "run_profiler_overhead_case",
-    "run_streaming_benchmark",
-    "run_streaming_case",
     "run_telemetry_overhead_case",
     "telemetry_draws_match",
     "write_benchmark",
-    "write_parallel_benchmark",
     "write_diagnostics_benchmark",
-    "write_streaming_benchmark",
 ]
+
+
+#: Suite names: the ``benchmark`` field of each payload and ledger record,
+#: which is how a ``.jsonl`` baseline finds the last run of the same suite.
+GIBBS_BENCHMARK = "collapsed Gibbs sweep, reference vs fast kernels"
+DIAGNOSTICS_BENCHMARK = "quality-streaming diagnostics overhead per Gibbs sweep"
 
 
 def peak_rss_mb(include_children: bool = False) -> float:
@@ -203,6 +204,17 @@ MEDIUM = BenchCase(
 )
 
 
+def _states_identical(reference: CountState, candidate: CountState) -> bool:
+    """True iff two chains hold the same assignments and degenerate tally."""
+    return (
+        np.array_equal(reference.post_comm, candidate.post_comm)
+        and np.array_equal(reference.post_topic, candidate.post_topic)
+        and np.array_equal(reference.link_src_comm, candidate.link_src_comm)
+        and np.array_equal(reference.link_dst_comm, candidate.link_dst_comm)
+        and reference.degenerate_draws == candidate.degenerate_draws
+    )
+
+
 def draws_match(
     corpus: SocialCorpus,
     hp: Hyperparameters,
@@ -220,14 +232,7 @@ def draws_match(
         for _ in range(num_sweeps):
             sweep(state, hp, rng, cache=cache)
         states.append(state)
-    reference, fast_state = states
-    return (
-        np.array_equal(reference.post_comm, fast_state.post_comm)
-        and np.array_equal(reference.post_topic, fast_state.post_topic)
-        and np.array_equal(reference.link_src_comm, fast_state.link_src_comm)
-        and np.array_equal(reference.link_dst_comm, fast_state.link_dst_comm)
-        and reference.degenerate_draws == fast_state.degenerate_draws
-    )
+    return _states_identical(*states)
 
 
 def run_case(
@@ -296,7 +301,7 @@ def run_benchmark(
 ) -> dict:
     """Run every case; returns the full JSON-ready payload."""
     return {
-        "benchmark": "collapsed Gibbs sweep, reference vs fast kernels",
+        "benchmark": GIBBS_BENCHMARK,
         "harness": "repro.perf",
         **environment_stamp(),
         "method": {
@@ -325,16 +330,6 @@ def write_benchmark(
     )
     atomic_write_text(Path(path), json.dumps(payload, indent=2) + "\n")
     return payload
-
-
-def _states_identical(reference: CountState, candidate: CountState) -> bool:
-    return (
-        np.array_equal(reference.post_comm, candidate.post_comm)
-        and np.array_equal(reference.post_topic, candidate.post_topic)
-        and np.array_equal(reference.link_src_comm, candidate.link_src_comm)
-        and np.array_equal(reference.link_dst_comm, candidate.link_dst_comm)
-        and reference.degenerate_draws == candidate.degenerate_draws
-    )
 
 
 def telemetry_draws_match(
@@ -609,7 +604,7 @@ def write_diagnostics_benchmark(
 ) -> dict:
     """Run the diagnostics overhead suite and atomically write its JSON."""
     payload = {
-        "benchmark": "quality-streaming diagnostics overhead per Gibbs sweep",
+        "benchmark": DIAGNOSTICS_BENCHMARK,
         "harness": "repro.perf",
         **environment_stamp(),
         "method": {
@@ -637,379 +632,6 @@ def write_diagnostics_benchmark(
     }
     atomic_write_text(Path(path), json.dumps(payload, indent=2) + "\n")
     return payload
-
-
-def parallel_draws_match(
-    corpus: SocialCorpus,
-    case: BenchCase,
-    num_nodes: int,
-    executor: str,
-    num_workers: int | None = None,
-    num_sweeps: int = 2,
-) -> bool:
-    """True iff ``executor`` draws the identical chain as ``simulated``.
-
-    Runs two parallel fits from the same seed at equal ``num_nodes`` — one
-    with the sequential ``simulated`` executor (the oracle) and one with
-    the executor under test — and compares every assignment array bitwise
-    plus the degenerate-draw tally.  A parallel "speedup" over an executor
-    that draws a *different* chain would be meaningless, so the scaling
-    harness records this with every run.
-    """
-    states = []
-    for run_executor, run_workers in (("simulated", None), (executor, num_workers)):
-        sampler = ParallelCOLDSampler(
-            num_communities=case.num_communities,
-            num_topics=case.num_topics,
-            num_nodes=num_nodes,
-            executor=run_executor,
-            num_workers=run_workers,
-            seed=case.seed + 1,
-            fast=True,
-        ).fit(corpus, num_iterations=num_sweeps)
-        states.append(sampler.state_)
-    reference, candidate = states
-    assert reference is not None and candidate is not None
-    return (
-        np.array_equal(reference.post_comm, candidate.post_comm)
-        and np.array_equal(reference.post_topic, candidate.post_topic)
-        and np.array_equal(reference.link_src_comm, candidate.link_src_comm)
-        and np.array_equal(reference.link_dst_comm, candidate.link_dst_comm)
-        and reference.degenerate_draws == candidate.degenerate_draws
-    )
-
-
-def run_parallel_case(
-    case: BenchCase,
-    node_counts: tuple[int, ...] = (1, 2, 4, 8),
-    executor: str = "processes",
-    num_workers: int | None = None,
-    sweeps: int = 5,
-    equivalence_sweeps: int = 2,
-) -> dict:
-    """Scaling curve of one case across ``node_counts``; JSON-ready record.
-
-    Per node count this fits the parallel sampler for ``sweeps`` sweeps and
-    reports the best per-sweep *cluster* time (slowest node + merge, the
-    Fig. 13/14 metric) plus its speedup over the 1-node baseline.  For the
-    ``processes`` executor each node's seconds are the worker's
-    self-reported CPU time for its shard, so the curve measures per-shard
-    work even when the host has fewer cores than workers (wall time per
-    sweep is recorded alongside for honesty on such hosts).
-    """
-    if not node_counts:
-        raise ValueError("node_counts must not be empty")
-    corpus = case.build_corpus()
-    scaling = []
-    base: float | None = None
-    for nodes in node_counts:
-        start = time.perf_counter()
-        sampler = ParallelCOLDSampler(
-            num_communities=case.num_communities,
-            num_topics=case.num_topics,
-            num_nodes=nodes,
-            executor=executor,
-            num_workers=num_workers,
-            seed=case.seed,
-            fast=True,
-        ).fit(corpus, num_iterations=sweeps)
-        wall = time.perf_counter() - start
-        report = sampler.report_
-        assert report is not None
-        per_sweep = min(step.cluster_seconds for step in report.supersteps)
-        if base is None:
-            base = per_sweep
-        scaling.append(
-            {
-                "nodes": nodes,
-                "cluster_seconds_per_sweep": round(per_sweep, 5),
-                "wall_seconds_per_sweep": round(wall / sweeps, 5),
-                "speedup_vs_1_node": round(base / per_sweep, 2),
-                "work_over_cluster_time": round(report.speedup, 2),
-            }
-        )
-    match_nodes = max(node_counts)
-    return {
-        "name": case.name,
-        "config": asdict(case),
-        "corpus": {
-            "num_posts": corpus.num_posts,
-            "num_links": len(corpus.links),
-        },
-        "executor": executor,
-        "num_workers": num_workers,
-        "sweeps": sweeps,
-        "scaling": scaling,
-        "draws_match": parallel_draws_match(
-            corpus,
-            case,
-            match_nodes,
-            executor,
-            num_workers=num_workers,
-            num_sweeps=equivalence_sweeps,
-        ),
-        "draws_match_nodes": match_nodes,
-        "peak_rss_mb": peak_rss_mb(include_children=True),
-    }
-
-
-def run_parallel_benchmark(
-    cases: tuple[BenchCase, ...] = (MEDIUM,),
-    node_counts: tuple[int, ...] = (1, 2, 4, 8),
-    executor: str = "processes",
-    num_workers: int | None = None,
-    sweeps: int = 5,
-    equivalence_sweeps: int = 2,
-) -> dict:
-    """Run the parallel scaling suite; returns the full JSON-ready payload."""
-    return {
-        "benchmark": "parallel COLD sampling, scaling over cluster nodes",
-        "harness": "repro.perf",
-        **environment_stamp(),
-        "cpu_count": os.cpu_count(),
-        "method": {
-            "sweeps": sweeps,
-            "equivalence_sweeps": equivalence_sweeps,
-            "statistic": "min over supersteps of cluster seconds per sweep",
-            "node_seconds": (
-                "worker-reported CPU seconds per shard for the 'processes' "
-                "executor; engine wall clock otherwise"
-            ),
-        },
-        "cases": [
-            run_parallel_case(
-                case,
-                node_counts=node_counts,
-                executor=executor,
-                num_workers=num_workers,
-                sweeps=sweeps,
-                equivalence_sweeps=equivalence_sweeps,
-            )
-            for case in cases
-        ],
-    }
-
-
-def write_parallel_benchmark(
-    path: str | Path,
-    cases: tuple[BenchCase, ...] = (MEDIUM,),
-    node_counts: tuple[int, ...] = (1, 2, 4, 8),
-    executor: str = "processes",
-    num_workers: int | None = None,
-    sweeps: int = 5,
-    equivalence_sweeps: int = 2,
-    packed_scales: tuple[int, ...] = (),
-) -> dict:
-    """Run the scaling suite and atomically write its JSON to ``path``.
-
-    ``packed_scales`` (e.g. :data:`PACKED_SCALES`) additionally runs the
-    out-of-core sweep — :func:`run_packed_scaling_case` — and records it
-    under ``packed_scaling``; this is the ``cold bench --parallel
-    --packed-large`` path and takes minutes at the 10^5-user point.
-    """
-    payload = run_parallel_benchmark(
-        cases,
-        node_counts=node_counts,
-        executor=executor,
-        num_workers=num_workers,
-        sweeps=sweeps,
-        equivalence_sweeps=equivalence_sweeps,
-    )
-    if packed_scales:
-        payload["method"]["packed_scaling"] = (
-            "per scale point, chunked .coldpack generation and an "
-            "mmap-backed 'processes' fit each run in a fresh spawned "
-            "subprocess that self-reports wall time and getrusage peak "
-            "RSS (children folded in), so every peak is a per-point fact"
-        )
-        payload["packed_scaling"] = run_packed_scaling_case(
-            scales=packed_scales,
-            num_workers=num_workers if num_workers is not None else 2,
-            equivalence_sweeps=equivalence_sweeps,
-        )
-    atomic_write_text(Path(path), json.dumps(payload, indent=2) + "\n")
-    return payload
-
-
-def run_streaming_case(
-    case: BenchCase,
-    *,
-    num_updates: int = 5,
-    bootstrap_fraction: float = 0.6,
-    fit_iterations: int = 60,
-    update_sweeps: int = 8,
-    equivalence_sweeps: int = 24,
-) -> dict:
-    """Measure incremental updates against a full batch refit for one case.
-
-    The case's corpus is round-tripped to a wall-clock event stream; the
-    head ``bootstrap_fraction`` is batch-fitted, the tail is folded in
-    ``num_updates`` incremental :meth:`~repro.core.model.COLDModel.update`
-    calls (windowed Gibbs).  The comparison baseline is a from-scratch
-    refit of the *final accumulated corpus* at the same iteration budget
-    — exactly what continuous operation would otherwise have to run per
-    batch — and ``speedup`` is refit wall time over mean update wall
-    time.  The statistical-equivalence gate
-    (:func:`repro.streaming.equivalence.equivalence_report`) rides along
-    so a speedup over a *diverged* incremental chain can't pass silently.
-
-    At this scale the posterior is multimodal and independently seeded
-    batch refits land in different modes (their pairwise split R-hat is
-    huge even though each chain is individually stationary) — so the
-    gate cannot demand the strict two-chain criterion against a single
-    arbitrary refit.  Instead *two* refits establish a seed-to-seed
-    noise floor, and the incremental model passes if it is strictly
-    equivalent to its closest refit or no further from the refit
-    ensemble than the refits are from each other.  The top-level
-    ``equivalent`` field is that verdict; ``equivalence`` holds the
-    closest-refit report and ``baseline`` the refit-vs-refit one.
-    """
-    from .core.config import StreamConfig
-    from .datasets.stream import CorpusStreamBuilder, PostEvent
-    from .streaming.equivalence import equivalence_report
-    from .streaming.events import corpus_to_events, split_events
-
-    corpus = case.build_corpus()
-    events = corpus_to_events(corpus)
-    bootstrap, remainder = split_events(events, bootstrap_fraction)
-    builder = CorpusStreamBuilder(num_time_slices=case.num_time_slices)
-    for event in bootstrap:
-        if isinstance(event, PostEvent):
-            builder.add_post(event.author_key, event.tokens, event.time)
-        else:
-            builder.add_link(event.source_key, event.target_key, event.time)
-    boot_corpus = builder.build(incremental=True)
-
-    stream_config = StreamConfig(update_sweeps=update_sweeps)
-    model = COLDModel(
-        num_communities=case.num_communities,
-        num_topics=case.num_topics,
-        seed=case.seed,
-        stream=stream_config,
-    )
-    model.stream_builder_ = builder
-    start = time.perf_counter()
-    model.fit(boot_corpus, num_iterations=fit_iterations)
-    bootstrap_seconds = time.perf_counter() - start
-
-    chunk = max(1, math.ceil(len(remainder) / num_updates))
-    updates = []
-    for index in range(0, len(remainder), chunk):
-        report = model.update(remainder[index:index + chunk])
-        updates.append(
-            {
-                "update_index": report.update_index,
-                "new_posts": report.new_posts,
-                "new_links": report.new_links,
-                "new_users": report.new_users,
-                "new_terms": report.new_terms,
-                "new_slices": report.new_slices,
-                "window_posts": report.window_posts,
-                "window_links": report.window_links,
-                "seconds": report.seconds,
-            }
-        )
-    update_seconds = [record["seconds"] for record in updates]
-    mean_update_seconds = float(np.mean(update_seconds))
-
-    final_corpus = model.corpus_
-    assert final_corpus is not None
-    refits = []
-    refit_seconds = None
-    for offset in (1, 2):
-        refit = COLDModel(
-            num_communities=case.num_communities,
-            num_topics=case.num_topics,
-            seed=case.seed + offset,
-            stream=stream_config,
-        )
-        start = time.perf_counter()
-        refit.fit(final_corpus, num_iterations=fit_iterations)
-        if refit_seconds is None:
-            refit_seconds = time.perf_counter() - start
-        refits.append(refit)
-
-    reports = [
-        equivalence_report(
-            model, refit, sweeps=equivalence_sweeps, seed=17 * (index + 1)
-        )
-        for index, refit in enumerate(refits)
-    ]
-    equivalence = min(reports, key=lambda report: report["split_rhat"])
-    baseline = equivalence_report(
-        refits[1], refits[0], sweeps=equivalence_sweeps, seed=51
-    )
-    within_noise = (
-        equivalence["split_rhat"]
-        <= max(equivalence["rhat_threshold"], baseline["split_rhat"])
-        and equivalence["relative_loglik_gap"]
-        <= max(equivalence["loglik_tolerance"], baseline["relative_loglik_gap"])
-    )
-    equivalent = bool(equivalence["equivalent"] or within_noise)
-
-    assert model.state_ is not None
-    return {
-        "name": case.name,
-        "num_events": len(events),
-        "bootstrap_events": len(bootstrap),
-        "streamed_events": len(remainder),
-        "bootstrap_fraction": bootstrap_fraction,
-        "fit_iterations": fit_iterations,
-        "update_sweeps": update_sweeps,
-        "bootstrap_seconds": bootstrap_seconds,
-        "updates": updates,
-        "mean_update_seconds": mean_update_seconds,
-        "refit_seconds": refit_seconds,
-        "speedup": refit_seconds / mean_update_seconds,
-        "final_posts": model.state_.num_posts,
-        "final_links": model.state_.num_links,
-        "final_vocab": int(model.state_.n_topic_word.shape[1]),
-        "final_slices": int(model.state_.n_comm_topic_time.shape[2]),
-        "equivalence": equivalence,
-        "baseline": baseline,
-        "equivalent": equivalent,
-        "peak_rss_mb": peak_rss_mb(),
-    }
-
-
-def run_streaming_benchmark(
-    cases: tuple[BenchCase, ...] = (MEDIUM,),
-    num_updates: int = 5,
-    bootstrap_fraction: float = 0.6,
-    fit_iterations: int = 60,
-    update_sweeps: int = 8,
-    equivalence_sweeps: int = 24,
-) -> dict:
-    """Run the streaming suite; returns the full JSON-ready payload."""
-    return {
-        "benchmark": "incremental stream updates vs full batch refit",
-        "harness": "repro.perf",
-        **environment_stamp(),
-        "method": {
-            "num_updates": num_updates,
-            "bootstrap_fraction": bootstrap_fraction,
-            "fit_iterations": fit_iterations,
-            "update_sweeps": update_sweeps,
-            "equivalence_sweeps": equivalence_sweeps,
-            "statistic": "refit wall seconds over mean update wall seconds",
-            "equivalence": (
-                "strict split R-hat + loglik gap vs the closest of two "
-                "independent refits, or within the refit-vs-refit seed "
-                "noise floor (the posterior is multimodal at this scale)"
-            ),
-        },
-        "cases": [
-            run_streaming_case(
-                case,
-                num_updates=num_updates,
-                bootstrap_fraction=bootstrap_fraction,
-                fit_iterations=fit_iterations,
-                update_sweeps=update_sweeps,
-                equivalence_sweeps=equivalence_sweeps,
-            )
-            for case in cases
-        ],
-    }
 
 
 #: Scale points (users) for the out-of-core packed sweep: 1.7x to 167x the
@@ -1176,13 +798,7 @@ def packed_draws_match(
         packed.close()
     reference, candidate = states
     assert reference is not None and candidate is not None
-    return (
-        np.array_equal(reference.post_comm, candidate.post_comm)
-        and np.array_equal(reference.post_topic, candidate.post_topic)
-        and np.array_equal(reference.link_src_comm, candidate.link_src_comm)
-        and np.array_equal(reference.link_dst_comm, candidate.link_dst_comm)
-        and reference.degenerate_draws == candidate.degenerate_draws
-    )
+    return _states_identical(reference, candidate)
 
 
 def run_packed_scaling_case(
@@ -1275,28 +891,6 @@ def run_packed_scaling_case(
         "draws_match_users": min(scales),
         "scaling": points,
     }
-
-
-def write_streaming_benchmark(
-    path: str | Path,
-    cases: tuple[BenchCase, ...] = (MEDIUM,),
-    num_updates: int = 5,
-    bootstrap_fraction: float = 0.6,
-    fit_iterations: int = 60,
-    update_sweeps: int = 8,
-    equivalence_sweeps: int = 24,
-) -> dict:
-    """Run the streaming suite and atomically write its JSON to ``path``."""
-    payload = run_streaming_benchmark(
-        cases,
-        num_updates=num_updates,
-        bootstrap_fraction=bootstrap_fraction,
-        fit_iterations=fit_iterations,
-        update_sweeps=update_sweeps,
-        equivalence_sweeps=equivalence_sweeps,
-    )
-    atomic_write_text(Path(path), json.dumps(payload, indent=2) + "\n")
-    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -1394,25 +988,20 @@ def _walk_metrics(node: object, prefix: str, out: dict[str, float]) -> None:
     elif isinstance(node, list):
         for index, item in enumerate(node):
             label: object = index
-            if isinstance(item, dict):
-                for id_key in ("name", "nodes", "users", "scale"):
-                    value = item.get(id_key)
-                    if isinstance(value, (str, int)):
-                        label = value
-                        break
+            if isinstance(item, dict) and isinstance(item.get("name"), str):
+                label = item["name"]
             _walk_metrics(item, f"{prefix}{label}.", out)
 
 
 def comparable_metrics(payload: dict) -> dict[str, float]:
     """Flatten a benchmark payload into ``{dotted.metric: value}``.
 
-    Walks the ``cases``/``scaling`` structures, labelling list entries by
-    their ``name``/``nodes``/``users`` field, and keeps only keys
-    :func:`metric_direction` can classify — so config dimensions and
-    equivalence booleans never produce spurious verdicts.
+    Walks the ``cases`` list, labelling each entry by its ``name``, and
+    keeps only keys :func:`metric_direction` can classify — so config
+    dimensions and equivalence booleans never produce spurious verdicts.
     """
     out: dict[str, float] = {}
-    cases = payload.get("cases", payload.get("scaling"))
+    cases = payload.get("cases")
     _walk_metrics(cases if cases is not None else payload, "", out)
     return out
 

@@ -164,10 +164,11 @@ class TestProfile:
 
 
 class TestBenchCompare:
-    """--compare/--strict against a canned (monkeypatched) bench run."""
+    """--compare/--strict against canned (monkeypatched) bench runs."""
 
+    # Each suite's ``benchmark`` name, which ledger baselines filter on.
     PAYLOAD = {
-        "benchmark": "unit",
+        "benchmark": "collapsed Gibbs sweep, reference vs fast kernels",
         "git_describe": "test-stamp",
         "machine": {"cpu_count": 1},
         "cases": [
@@ -182,22 +183,50 @@ class TestBenchCompare:
         ],
     }
 
+    DIAGNOSTICS_PAYLOAD = {
+        "benchmark": "quality-streaming diagnostics overhead per Gibbs sweep",
+        "git_describe": "test-stamp",
+        "machine": {"cpu_count": 1},
+        "cases": [
+            {
+                "name": "smoke",
+                "stride": 10,
+                "off_seconds_per_sweep": 0.01,
+                "on_seconds_per_sweep": 0.0102,
+                "overhead_fraction": 0.02,
+                "draws_match": True,
+                "peak_rss_mb": 80.0,
+            },
+        ],
+    }
+
     @pytest.fixture()
     def fake_bench(self, monkeypatch):
-        """Make `cold bench` (no suite flags) write self.PAYLOAD instantly."""
+        """Make both `cold bench` suites write their canned payload instantly.
+
+        The gibbs payload is mutable through the returned ``payload`` key.
+        """
         import copy
         import json as json_module
+        import pathlib
 
         state = {"payload": copy.deepcopy(self.PAYLOAD)}
 
-        def fake_write(path, **kwargs):
-            payload = copy.deepcopy(state["payload"])
-            import pathlib
+        def writer(source):
+            def fake_write(path, **kwargs):
+                payload = copy.deepcopy(source())
+                pathlib.Path(path).write_text(json_module.dumps(payload))
+                return payload
 
-            pathlib.Path(path).write_text(json_module.dumps(payload))
-            return payload
+            return fake_write
 
-        monkeypatch.setattr("repro.perf.write_benchmark", fake_write)
+        monkeypatch.setattr(
+            "repro.perf.write_benchmark", writer(lambda: state["payload"])
+        )
+        monkeypatch.setattr(
+            "repro.perf.write_diagnostics_benchmark",
+            writer(lambda: self.DIAGNOSTICS_PAYLOAD),
+        )
         return state
 
     def test_unchanged_rerun_passes_strict(self, tmp_path, capsys, fake_bench):
@@ -253,3 +282,54 @@ class TestBenchCompare:
             ]
         )
         assert code == 1
+
+    def test_ledger_baseline_is_read_per_suite(
+        self, tmp_path, capsys, fake_bench
+    ):
+        # A shared ledger whose last record is a gibbs run must not serve
+        # as the baseline of a diagnostics run: only one metric
+        # (peak_rss_mb) overlaps, so the suite's own timings would go
+        # unjudged.
+        history = tmp_path / "history.jsonl"
+        diagnostics = [
+            "bench", str(tmp_path / "diagnostics.json"), "--diagnostics",
+            "--cases", "smoke", "--history", str(history),
+        ]
+        assert main(diagnostics) == 0
+        assert main(
+            ["bench", str(tmp_path / "gibbs.json"), "--history", str(history)]
+        ) == 0
+        capsys.readouterr()
+        assert main(diagnostics + ["--compare", "--baseline", str(history)]) == 0
+        out = capsys.readouterr().out
+        assert "smoke.on_seconds_per_sweep" in out
+        assert "smoke.off_seconds_per_sweep" in out
+        assert "smoke.fast_seconds_per_sweep" not in out
+
+
+class TestRetiredBenchFlags:
+    """The parallel-scaling and streaming suites left ``cold bench``.
+
+    Their timings live in the end-to-end harness (``fit-procs2``,
+    ``stream``) and their gates in ``benchmarks/perf``; the flags that
+    selected them are unknown to argparse now, not silently ignored.
+    """
+
+    RETIRED = [
+        ["--parallel"],
+        ["--packed-large"],
+        ["--streaming"],
+        ["--updates", "5"],
+        ["--bootstrap-fraction", "0.6"],
+        ["--nodes", "1", "2"],
+        ["--executor", "processes"],
+        ["--workers", "2"],
+    ]
+
+    @pytest.mark.parametrize("flag", RETIRED, ids=lambda flag: flag[0])
+    def test_retired_flag_exits_2(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", str(tmp_path / "bench.json"), *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "bench.json").exists()

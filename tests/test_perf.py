@@ -19,9 +19,7 @@ from repro.perf import (
     peak_rss_mb,
     run_benchmark,
     run_case,
-    run_parallel_case,
     write_benchmark,
-    write_parallel_benchmark,
 )
 
 
@@ -73,37 +71,6 @@ class TestWriteBenchmark:
         assert payload["harness"] == "repro.perf"
 
 
-class TestParallelHarness:
-    def test_smoke_scaling_record_with_two_workers(self):
-        # Tier-1 smoke of the processes executor: 2 worker processes
-        # sampling the smoke case, with the simulated-oracle equivalence
-        # check exercised on every run.
-        record = run_parallel_case(
-            SMOKE, node_counts=(1, 2), executor="processes",
-            num_workers=2, sweeps=2, equivalence_sweeps=2,
-        )
-        assert record["name"] == "smoke"
-        assert record["executor"] == "processes"
-        assert record["draws_match"] is True
-        assert record["draws_match_nodes"] == 2
-        assert [point["nodes"] for point in record["scaling"]] == [1, 2]
-        for point in record["scaling"]:
-            assert point["cluster_seconds_per_sweep"] > 0
-            assert point["wall_seconds_per_sweep"] > 0
-        assert record["scaling"][0]["speedup_vs_1_node"] == 1.0
-
-    def test_write_parallel_benchmark_round_trips(self, tmp_path):
-        path = tmp_path / "bench_parallel.json"
-        payload = write_parallel_benchmark(
-            path, cases=(SMOKE,), node_counts=(1, 2),
-            executor="simulated", sweeps=1, equivalence_sweeps=1,
-        )
-        on_disk = json.loads(path.read_text())
-        assert on_disk == payload
-        assert on_disk["cpu_count"] >= 1
-        assert on_disk["cases"][0]["draws_match"] is True
-
-
 class TestPeakRss:
     def test_helper_reports_positive_megabytes(self):
         # A Python process with numpy loaded sits well above 10MB; a
@@ -116,11 +83,6 @@ class TestPeakRss:
         record = run_case(SMOKE, warmup=1, reps=1, sweeps_per_rep=1,
                           equivalence_sweeps=1)
         assert record["peak_rss_mb"] > 0
-        parallel = run_parallel_case(
-            SMOKE, node_counts=(1,), executor="simulated", sweeps=1,
-            equivalence_sweeps=1,
-        )
-        assert parallel["peak_rss_mb"] > 0
 
 
 class TestPackedScaleConfig:
