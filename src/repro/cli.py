@@ -1193,14 +1193,11 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .serving import ColdHTTPServer, ServerConfig
-    from .telemetry import tracing
+    from .telemetry import TelemetrySession
 
     if args.log_level is not None:
         configure_logging(level=args.log_level, fmt=args.log_format)
-    tracer = None
-    if args.trace_out is not None:
-        tracer = tracing.Tracer()
-        tracing.set_tracer(tracer)
+    telemetry = TelemetrySession(trace_path=args.trace_out).activate()
     config = ServerConfig(
         host=args.host,
         port=args.port,
@@ -1226,9 +1223,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         server.serve_until_shutdown()
     finally:
-        if tracer is not None:
-            tracing.set_tracer(None)
-            tracer.save(args.trace_out)
+        telemetry.close()
+        if args.trace_out is not None:
             print(f"wrote trace -> {args.trace_out}", flush=True)
     print("drained cleanly")
     return 0

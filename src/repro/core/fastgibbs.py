@@ -81,8 +81,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..telemetry import profiler as _profiler
-from ..telemetry import tracing as trace
+from ..telemetry import timing
 from .gibbs import _WEIGHT_FLOOR, reference_sweep
 from .params import Hyperparameters
 from .state import CountState
@@ -319,7 +318,7 @@ class SweepCache:
     )
 
     def __init__(self, state: CountState, hp: Hyperparameters) -> None:
-        with trace.span("sweepcache.build"), _profiler.phase("cache_build"):
+        with timing.phase("cache_build"):
             self.hp = hp
             self.C = state.num_communities
             self.K = state.num_topics
@@ -340,9 +339,7 @@ class SweepCache:
         per superstep after resetting their private counters to the
         merged snapshot.
         """
-        with trace.span("sweepcache.refresh"), _profiler.phase(
-            "cache_refresh"
-        ):
+        with timing.phase("cache_refresh"):
             self._bind_counters(state)
 
     @property
@@ -530,7 +527,6 @@ def fast_sweep(
     post_order: list[int] | np.ndarray,
     link_order: list[int] | np.ndarray | None,
     cache: SweepCache,
-    profiler: _profiler.PhaseProfiler | None = None,
 ) -> None:
     """One full Gibbs sweep through the native kernel: every post, then every link.
 
@@ -542,14 +538,14 @@ def fast_sweep(
     sweep draws it).  Without a native library it *is* the reference
     sweep, followed by a cache refresh.
 
-    Passing an active :class:`~repro.telemetry.profiler.PhaseProfiler` as
-    ``profiler`` times the sweep's phases; the kernel reads its clock
+    While a :class:`~repro.telemetry.profiler.PhaseProfiler` is active
+    the sweep times its phases; the kernel reads its clock
     (``CLOCK_MONOTONIC``, the clock behind ``perf_counter``) only then and
     never reads the RNG for it, so profiled and dark sweeps draw the
     identical chain.  Phase seconds are flushed once per sweep under paths
-    relative to the profiler's open stack (a worker's ``shard`` phase, or
-    nothing in a serial fit), rooted at ``sweep``: ``posts``/``links``
-    split into ``resample`` (conditional weights), ``draw`` (uniforms,
+    relative to the calling thread's open phases (a worker's ``shard``
+    phase, or nothing in a serial fit), rooted at ``sweep``:
+    ``posts``/``links`` split into ``resample`` (conditional weights), ``draw`` (uniforms,
     cdf and inverse-transform draw) and ``update`` (counter and cache
     mutation), and ``links;permutation`` times the link visitation
     shuffle.  Each loop's wall time is measured whole, Python side
@@ -564,6 +560,7 @@ def fast_sweep(
         reference_sweep(state, hp, rng, post_order, link_order)
         cache.refresh(state)
         return
+    profiler = timing.get_profiler()
     timed = profiler is not None
     perf = time.perf_counter
     sweep_start = perf() if timed else None
@@ -595,7 +592,7 @@ def fast_sweep(
     if not timed:
         return
     sweep_s = perf() - sweep_start
-    base_path = profiler.current_path() + ("sweep",)
+    base_path = timing.current_path(profiler) + ("sweep",)
     profiler.add(base_path, sweep_s)
     for name, count, slots, loop_s, rng_s in (
         ("posts", len(posts), ctx.phase_s[0:3], posts_s, posts_rng_s),

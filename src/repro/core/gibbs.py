@@ -21,8 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..telemetry import profiler
-from ..telemetry import tracing as trace
+from ..telemetry import timing
 from .params import Hyperparameters
 from .state import CountState
 
@@ -217,11 +216,8 @@ def sweep(
 
         # fast_sweep draws the link permutation itself (after the post
         # loop, where this function draws it) so the RNG stream matches.
-        with trace.span("fast_sweep", posts=len(post_order)):
-            fast_sweep(
-                state, hp, rng, post_order, link_order, cache,
-                profiler.get_profiler(),
-            )
+        with timing.span("fast_sweep", posts=len(post_order)):
+            fast_sweep(state, hp, rng, post_order, link_order, cache)
         return
     reference_sweep(state, hp, rng, post_order, link_order)
 

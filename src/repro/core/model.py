@@ -440,7 +440,7 @@ class COLDModel:
             # Checkpointed fits are the long ones worth watching; default
             # the metrics stream to live next to the checkpoints.
             metrics_out = str(Path(checkpoint_dir) / "metrics.jsonl")
-        telemetry = TelemetrySession.create(
+        telemetry = TelemetrySession(
             metrics_path=metrics_out, trace_path=self.trace_out
         )
         telemetry.begin(

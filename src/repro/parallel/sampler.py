@@ -183,7 +183,7 @@ class ParallelCOLDSampler:
         #: the instrumentation a no-op.
         self.metrics_out = None if metrics_out is None else str(metrics_out)
         self.trace_out = None if trace_out is None else str(trace_out)
-        self._telemetry = TelemetrySession.disabled()
+        self._telemetry = TelemetrySession()
         self.state_: CountState | None = None
         self.estimates_: ParameterEstimates | None = None
         self.report_: ClusterReport | None = None
@@ -232,7 +232,7 @@ class ParallelCOLDSampler:
             np.random.default_rng(child) for child in seed_seq.spawn(self.num_nodes)
         ]
 
-        telemetry = TelemetrySession.create(
+        telemetry = TelemetrySession(
             metrics_path=self.metrics_out, trace_path=self.trace_out
         )
         self._telemetry = telemetry
@@ -344,7 +344,7 @@ class ParallelCOLDSampler:
             if pool is not None:
                 pool.close()
             telemetry.close()
-            self._telemetry = TelemetrySession.disabled()
+            self._telemetry = TelemetrySession()
 
         if not samples:
             samples.append(estimate_from_state(state, hp))

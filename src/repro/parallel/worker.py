@@ -64,10 +64,11 @@ from ..core.gibbs import sweep
 from ..core.params import Hyperparameters
 from ..core.state import CountState, PostTable
 from ..resilience.faults import FaultError
-from ..telemetry import profiler as profiling
-from ..telemetry import tracing
+from ..telemetry import timing
+from ..telemetry.profiler import PhaseProfiler
 from ..telemetry.logconfig import ROOT_LOGGER_NAME, BufferingLogHandler, get_logger
 from ..telemetry.session import NULL_SESSION, TelemetrySession
+from ..telemetry.tracing import Tracer
 from .engine import EngineError
 from .partition import Shard
 from .shm import SharedArrayBlock
@@ -131,41 +132,26 @@ def worker_main(worker_id: int, init: dict, conn) -> None:
 
     Telemetry (``init["telemetry"]``): when the parent's session is
     enabled, the worker buffers its own log records
-    (:class:`~repro.telemetry.logconfig.BufferingLogHandler`) and — when
-    tracing is on — runs a private span tracer around the shard sweep;
-    both buffers are drained into every ``ok`` reply, so logs and spans
-    travel home over the existing pipe with no extra channel.  A crashed
-    worker's buffers die with it, exactly like its draws.
+    (:class:`~repro.telemetry.logconfig.BufferingLogHandler`); it also
+    mirrors the parent's active timing sinks (tracer, phase profiler).
+    The log buffer and one drained timing payload
+    (:func:`repro.telemetry.timing.drain`) travel home in every ``ok``
+    reply over the existing pipe.  A crashed worker's buffers die with
+    it, exactly like its draws.
     """
     import logging
-    from contextlib import nullcontext
 
     telemetry_cfg = init.get("telemetry") or {}
     log_buffer: BufferingLogHandler | None = None
-    tracer: tracing.Tracer | None = None
     if telemetry_cfg.get("enabled"):
         log_buffer = BufferingLogHandler()
         root = logging.getLogger(ROOT_LOGGER_NAME)
         root.addHandler(log_buffer)
         root.setLevel(telemetry_cfg.get("log_level", logging.WARNING))
         root.propagate = False
-        if telemetry_cfg.get("trace"):
-            tracer = tracing.Tracer()
-            tracing.set_tracer(tracer)
         _log.debug("worker %d ready (pid %d)", worker_id, os.getpid())
-    # Phase profiling is independent of the metrics/trace session: a
-    # ``cold profile`` run ships ``profile: True`` with no files at all.
-    # The worker's phases travel home in every reply (``profile`` key) and
-    # the parent folds them in under a ``worker`` prefix.
-    shard_profiler: profiling.PhaseProfiler | None = None
-    if telemetry_cfg.get("profile"):
-        shard_profiler = profiling.PhaseProfiler()
-        profiling.set_profiler(shard_profiler)
-
-    def _phase(name: str):
-        if shard_profiler is None:
-            return nullcontext()
-        return shard_profiler.phase(name)
+    timing.set_tracer(Tracer() if telemetry_cfg.get("trace") else None)
+    timing.set_profiler(PhaseProfiler() if telemetry_cfg.get("profile") else None)
     blocks = {
         key: SharedArrayBlock.attach(spec) for key, spec in init["blocks"].items()
     }
@@ -210,12 +196,12 @@ def worker_main(worker_id: int, init: dict, conn) -> None:
             break
         _, node, crash_progress, rng_state = command
         try:
-            with _phase("shard"):
+            with timing.phase("shard"):
                 rng.bit_generator.state = rng_state
                 cpu_start = time.process_time()
                 wall_start = time.perf_counter()
                 if local is None:
-                    with _phase("reset"):
+                    with timing.phase("reset"):
                         local = CountState(
                             num_communities=init["num_communities"],
                             num_topics=init["num_topics"],
@@ -229,7 +215,7 @@ def worker_main(worker_id: int, init: dict, conn) -> None:
                         )
                     cache = SweepCache(local, hp) if init["fast"] else None
                 else:
-                    with _phase("reset"):
+                    with timing.phase("reset"):
                         for name in COUNTER_FIELDS:
                             np.copyto(getattr(local, name), snapshot[name])
                         local.degenerate_draws = 0
@@ -265,7 +251,7 @@ def worker_main(worker_id: int, init: dict, conn) -> None:
                         cache=cache,
                     )
                     os._exit(_CRASH_EXIT)
-                with tracing.span("worker_shard", node=node, worker=worker_id):
+                with timing.span("worker_shard", node=node, worker=worker_id):
                     sweep(
                         local,
                         hp,
@@ -274,7 +260,7 @@ def worker_main(worker_id: int, init: dict, conn) -> None:
                         link_order=link_order,
                         cache=cache,
                     )
-                with _phase("delta_write"):
+                with timing.phase("delta_write"):
                     for name in COUNTER_FIELDS:
                         np.subtract(
                             getattr(local, name),
@@ -291,10 +277,9 @@ def worker_main(worker_id: int, init: dict, conn) -> None:
             }
             if log_buffer is not None:
                 payload["logs"] = log_buffer.drain()
-            if tracer is not None:
-                payload["spans"] = tracer.drain()
-            if shard_profiler is not None:
-                payload["profile"] = shard_profiler.drain()
+            timed = timing.drain()
+            if timed:
+                payload["timing"] = timed
             conn.send(("ok", payload))
         except Exception:
             conn.send(("error", traceback.format_exc()))
@@ -525,9 +510,9 @@ class ProcessWorkerPool:
     telemetry:
         The fit's :class:`~repro.telemetry.session.TelemetrySession`.
         When enabled, workers mirror the parent's log level into a
-        buffered handler and (if tracing) a private tracer, and every
-        reply's drained logs/spans are folded back into the session;
-        worker crashes and respawns are counted on its registry.
+        buffered handler, and every reply's drained logs and timing
+        payload are folded back into the session; worker crashes and
+        respawns are counted on its registry.
     packed_path:
         Path of the ``.coldpack`` file backing ``state.posts`` (set when
         fitting a :class:`~repro.datasets.packed.PackedCorpus`).  The

@@ -73,6 +73,7 @@ from .datasets.corpus import SocialCorpus
 from .datasets.synthetic import SyntheticConfig, generate_corpus
 from .parallel.sampler import ParallelCOLDSampler
 from .resilience.checkpoint import atomic_write_text
+from .telemetry import profiler as profiling
 
 __all__ = [
     "DEFAULT_COMPARE_THRESHOLD",
@@ -1206,9 +1207,7 @@ def run_profile_case(
     returned record embeds the report, the collapsed-stack text, and the
     utilization/memory summary — everything ``cold profile`` renders.
     """
-    from .telemetry import profiler as profiling
     from .telemetry.metrics import read_jsonl
-    from .telemetry.profiler import memory_gauges
 
     corpus = case.build_corpus()
     prof = profiling.PhaseProfiler()
@@ -1272,7 +1271,9 @@ def run_profile_case(
         "sweeps": sweeps,
         **report,
         "utilization": utilization,
-        "memory": memory_gauges(include_children=executor == "processes"),
+        "memory": profiling.memory_gauges(
+            include_children=executor == "processes"
+        ),
         "collapsed": profiling.render_collapsed(prof),
         **environment_stamp(),
     }
@@ -1288,8 +1289,6 @@ def profiler_draws_match(
     strongest claim the gate makes: the timed sweep draws the same
     weights with the same RNG consumption.
     """
-    from .telemetry import profiler as profiling
-
     states = []
     for enabled in (False, True):
         model = COLDModel(
@@ -1324,8 +1323,6 @@ def run_profiler_overhead_case(
     alternating order so machine drift hits both modes equally.  The
     perf gate asserts ``overhead_fraction`` stays under 3%.
     """
-    from .telemetry import profiler as profiling
-
     corpus = case.build_corpus()
     best = {"off": math.inf, "on": math.inf}
     for rep in range(reps):

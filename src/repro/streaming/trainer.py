@@ -115,7 +115,7 @@ class OnlineTrainer:
         self._folded_watermark: float | None = None
         self.reports: list[UpdateReport] = []
         self._subscribers: list[Callable[[int, Path], None]] = []
-        self._telemetry = TelemetrySession.create(metrics_path=metrics_out)
+        self._telemetry = TelemetrySession(metrics_path=metrics_out)
         self._telemetry.begin(
             config={"stream": True, "publish_dir": str(self.publish_dir)},
             seed=model.seed,

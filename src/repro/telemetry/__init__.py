@@ -4,9 +4,12 @@ The layer has four pieces, all importable from this package root:
 
 * **Metrics** — :class:`MetricsRegistry` (counters / gauges / fixed-bucket
   histograms) with per-sweep JSONL emission to ``metrics.jsonl``;
-* **Tracing** — ``trace.span("sweep", sweep=i)`` markers buffered by a
-  :class:`Tracer` and exported as Chrome ``trace_event`` JSON for
-  ``chrome://tracing``;
+* **Timing** — one core (:mod:`~repro.telemetry.timing`): one activation,
+  one stack of open regions per thread, one ``perf_counter`` pair per
+  region.  ``trace.span("sweep", sweep=i)`` records an event on the
+  active :class:`Tracer` (exported as Chrome ``trace_event`` JSON for
+  ``chrome://tracing``); ``profiler.phase("snapshot")`` is a span that is
+  also a row of the active :class:`PhaseProfiler`'s attribution table;
 * **Logging** — module loggers under the ``repro.`` hierarchy,
   :func:`configure_logging` with plain/JSON formatters, and worker-process
   log forwarding over the pool's reply pipe;

@@ -7,10 +7,12 @@ e.g. ``("sweep", "posts", "draw")``) and renders them as a per-phase
 attribution table or as collapsed-stack lines any flamegraph tool
 understands.
 
-The activation pattern mirrors :mod:`repro.telemetry.tracing`: a module
-global set by :func:`set_profiler`, a shared no-op context manager when
-profiling is off, so the dark path costs one global read.  Two further
-contracts matter more here than anywhere else in the telemetry layer:
+The profiler is one sink of the shared timing core
+(:mod:`repro.telemetry.timing`): :func:`phase` regions are timed there,
+against one stack of open phases per thread, and added here — so the
+dark path costs one global read, and concurrent ``threads`` shards each
+nest under their own phases.  Two further contracts matter more here
+than anywhere else in the telemetry layer:
 
 * **never touch the RNG** — phases only read ``time.perf_counter``, so a
   profiled fit draws a chain bit-identical to a dark fit (enforced by
@@ -20,10 +22,10 @@ contracts matter more here than anywhere else in the telemetry layer:
   the context-manager form is for per-superstep granularity (cache
   refresh, merge, dispatch), not per-document work.
 
-Worker processes run their own profiler and ship :meth:`drain` output
-back over the reply pipe; the parent folds it in with :meth:`absorb`
-under a ``worker`` prefix, so concurrent worker time never masquerades
-as parent wall time in the attribution math (see
+Worker processes mirror the parent's active profiler and ship
+:meth:`drain` output back in their timing payload; the parent folds it
+in with :meth:`absorb` under a ``worker`` prefix, so concurrent worker
+time never masquerades as parent wall time in the attribution math (see
 :func:`build_profile_report`).
 """
 
@@ -31,9 +33,10 @@ from __future__ import annotations
 
 import sys
 import threading
-import time
-from contextlib import contextmanager
-from typing import Iterable, Iterator
+from typing import Iterable
+
+from . import timing
+from .timing import get_profiler, phase, set_profiler
 
 __all__ = [
     "CONCURRENT_ROOTS",
@@ -63,19 +66,17 @@ CONCURRENT_ROOTS: tuple[str, ...] = ("worker",)
 class PhaseProfiler:
     """Accumulates inclusive wall seconds per hierarchical phase path.
 
-    Single-threaded by design on the recording side: each process
-    (parent or worker) owns one profiler, and the hot loops flush into it
-    from one thread.  The exception is :meth:`absorb`, which the parent's
-    engine calls from concurrent dispatch threads as worker replies
-    arrive — it takes a lock; the hot-path :meth:`add` stays lock-free.
-    The nesting stack belongs to :meth:`phase`; :meth:`add` takes
-    absolute or stack-relative paths and is what the inlined kernels use.
+    A sink of the timing core: :meth:`phase` regions nest on the calling
+    thread's stack, and every write (:meth:`add`, :meth:`absorb`,
+    :meth:`drain`) takes one lock, so concurrent ``threads`` shards and
+    the parent's dispatch threads absorbing worker replies are safe.
+    :meth:`add` takes absolute or stack-relative paths and is what the
+    inlined kernels use.
     """
 
     def __init__(self) -> None:
         self._phases: dict[PhasePath, list[float]] = {}
-        self._stack: list[str] = []
-        self._absorb_lock = threading.Lock()
+        self._lock = threading.Lock()
 
     def add(
         self,
@@ -86,44 +87,32 @@ class PhaseProfiler:
     ) -> None:
         """Record ``seconds`` of inclusive time under ``path``.
 
-        ``relative=True`` prefixes the current :meth:`phase` stack, which
-        is how the profiled sweep nests under a worker's ``shard`` phase
-        without knowing whether it runs in a worker at all.
+        ``relative=True`` prefixes this thread's open :meth:`phase` path.
         """
         if isinstance(path, str):
             path = (path,)
-        if relative and self._stack:
-            path = tuple(self._stack) + tuple(path)
-        cell = self._phases.get(path)
-        if cell is None:
-            self._phases[path] = [float(count), float(seconds)]
-        else:
+        if relative:
+            path = self.current_path() + tuple(path)
+        with self._lock:
+            cell = self._phases.setdefault(tuple(path), [0.0, 0.0])
             cell[0] += count
             cell[1] += seconds
 
     def current_path(self) -> PhasePath:
-        """The open :meth:`phase` nesting as a path prefix."""
-        return tuple(self._stack)
+        """This thread's open :meth:`phase` nesting as a path prefix."""
+        return timing.current_path(self)
 
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
+    def phase(self, name: str) -> timing.Region:
         """Time a nested phase; inclusive of any phases opened inside it."""
-        self._stack.append(name)
-        path = tuple(self._stack)
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self._stack.pop()
-            self.add(path, elapsed)
+        return timing.Region(name, {}, None, self)
 
     def items(self) -> list[tuple[PhasePath, int, float]]:
         """``(path, count, seconds)`` triples, sorted by path."""
-        return [
-            (path, int(cell[0]), cell[1])
-            for path, cell in sorted(self._phases.items())
-        ]
+        with self._lock:
+            return [
+                (path, int(cell[0]), cell[1])
+                for path, cell in sorted(self._phases.items())
+            ]
 
     def seconds(self, path: str | PhasePath) -> float:
         if isinstance(path, str):
@@ -131,75 +120,29 @@ class PhaseProfiler:
         cell = self._phases.get(tuple(path))
         return cell[1] if cell is not None else 0.0
 
-    def snapshot(self) -> list[list[object]]:
-        """Picklable ``[[path...], count, seconds]`` rows (worker → parent)."""
+    def drain(self) -> list[list[object]]:
+        """Picklable ``[[path...], count, seconds]`` rows, then reset —
+        one shard's worth per worker reply."""
+        with self._lock:
+            phases, self._phases = self._phases, {}
         return [
             [list(path), int(cell[0]), cell[1]]
-            for path, cell in sorted(self._phases.items())
+            for path, cell in sorted(phases.items())
         ]
-
-    def drain(self) -> list[list[object]]:
-        """:meth:`snapshot` then reset — one shard's worth per reply."""
-        rows = self.snapshot()
-        self._phases.clear()
-        return rows
 
     def absorb(
         self,
         rows: Iterable[Iterable[object]],
         prefix: str | PhasePath = (),
     ) -> None:
-        """Fold a :meth:`drain`/:meth:`snapshot` payload into this profiler."""
+        """Fold a :meth:`drain` payload into this profiler."""
         if isinstance(prefix, str):
             prefix = (prefix,)
-        prefix = tuple(prefix)
-        with self._absorb_lock:
-            for row in rows:
-                path, count, seconds = row
-                self.add(prefix + tuple(path), float(seconds), count=int(count))
-
-    def clear(self) -> None:
-        self._phases.clear()
+        for path, count, seconds in rows:
+            self.add(tuple(prefix) + tuple(path), float(seconds), int(count))
 
     def __len__(self) -> int:
         return len(self._phases)
-
-
-_active: PhaseProfiler | None = None
-
-
-def set_profiler(profiler: PhaseProfiler | None) -> PhaseProfiler | None:
-    """Install ``profiler`` as the process-wide active profiler.
-
-    Returns the previously active profiler so callers can restore it.
-    ``None`` turns profiling off (the default).
-    """
-    global _active
-    previous = _active
-    _active = profiler
-    return previous
-
-
-def get_profiler() -> PhaseProfiler | None:
-    """The active profiler, or ``None`` when profiling is off."""
-    return _active
-
-
-@contextmanager
-def _null_phase() -> Iterator[None]:
-    yield
-
-
-def phase(name: str) -> object:
-    """Context manager timing ``name`` on the active profiler; no-op when off.
-
-    For per-superstep granularity (cache builds, merges, dispatch).  The
-    sweep interior never calls this — it batches into locals instead.
-    """
-    profiler = _active
-    if profiler is None:
-        return _null_phase()
-    return profiler.phase(name)
 
 
 # ---------------------------------------------------------------------------

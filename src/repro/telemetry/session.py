@@ -11,10 +11,11 @@ Enabled, the session owns:
 * a :class:`~repro.telemetry.metrics.MetricsRegistry` plus a
   :class:`~repro.telemetry.metrics.JsonlWriter` appending to
   ``metrics.jsonl``;
-* a :class:`~repro.telemetry.tracing.Tracer`, installed process-wide for
-  the duration of the ``with`` block so :func:`repro.telemetry.trace.span`
-  markers anywhere in the package (fast kernels, engine, checkpointing)
-  land in the same buffer, saved as Chrome ``trace_event`` JSON on exit;
+* a :class:`~repro.telemetry.tracing.Tracer`, installed as the timing
+  core's active tracer (:mod:`repro.telemetry.timing`) for the duration
+  of the ``with`` block so every ``span`` and ``phase`` anywhere in the
+  package (fast kernels, engine, checkpointing, worker processes) lands
+  in the same buffer, saved as Chrome ``trace_event`` JSON on exit;
 * the run manifest (``run.json`` next to the metrics file) written on
   :meth:`begin` so every artefact is attributable to an exact config.
 
@@ -28,7 +29,7 @@ import math
 import time
 from pathlib import Path
 
-from . import logconfig, profiler, tracing
+from . import logconfig, timing, tracing
 from .manifest import MANIFEST_NAME, write_run_manifest
 from .metrics import JsonlWriter, MetricsRegistry
 
@@ -64,18 +65,6 @@ class TelemetrySession:
         self._previous_tracer: tracing.Tracer | None = None
         self._started = 0.0
         self._closed = False
-
-    @classmethod
-    def create(
-        cls,
-        metrics_path: str | Path | None = None,
-        trace_path: str | Path | None = None,
-    ) -> "TelemetrySession":
-        return cls(metrics_path=metrics_path, trace_path=trace_path)
-
-    @classmethod
-    def disabled(cls) -> "TelemetrySession":
-        return cls()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -132,7 +121,7 @@ class TelemetrySession:
 
     def __enter__(self) -> "TelemetrySession":
         if self.tracer is not None:
-            self._previous_tracer = tracing.set_tracer(self.tracer)
+            self._previous_tracer = timing.set_tracer(self.tracer)
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -144,7 +133,7 @@ class TelemetrySession:
             return
         self._closed = True
         if self.tracer is not None:
-            tracing.set_tracer(self._previous_tracer)
+            timing.set_tracer(self._previous_tracer)
             saved = self.tracer.save(self.trace_path)
             _log.info("wrote trace -> %s", saved)
         if self._writer is not None:
@@ -211,9 +200,10 @@ class TelemetrySession:
     def worker_config(self) -> dict:
         """The picklable knobs a worker process needs to mirror telemetry.
 
-        ``profile`` rides along independently of ``enabled``: the phase
-        profiler is a process-wide global (see
-        :mod:`repro.telemetry.profiler`), active during ``cold profile``
+        ``trace`` and ``profile`` name the timing sinks the worker
+        mirrors.  ``profile`` rides along independently of ``enabled``:
+        the phase profiler is the timing core's process-wide sink (see
+        :mod:`repro.telemetry.timing`), active during ``cold profile``
         runs that may not configure metrics/trace files at all.
         """
         import logging
@@ -223,27 +213,27 @@ class TelemetrySession:
         return {
             "enabled": self.enabled,
             "trace": self.tracer is not None,
-            "profile": profiler.get_profiler() is not None,
+            "profile": timing.get_profiler() is not None,
             "log_level": level if level != logging.NOTSET else logging.WARNING,
         }
 
     def absorb_worker_payload(self, payload: dict) -> None:
-        """Fold a worker reply's logs, spans and phase profile into this
-        session (the profile goes to the process-wide profiler, prefixed
-        ``worker`` so concurrent shard time stays distinguishable from
-        parent wall time)."""
+        """Fold a worker reply's logs and timing payload into this session.
+
+        Spans join the session's tracer; phases join the active profiler
+        under a ``worker`` prefix, so concurrent shard time stays
+        distinguishable from parent wall time.
+        """
         records = payload.get("logs")
         if records:
             logconfig.replay_records(records)
-        spans = payload.get("spans")
-        if spans and self.tracer is not None:
-            self.tracer.extend(spans)
-        profile = payload.get("profile")
-        if profile:
-            active = profiler.get_profiler()
-            if active is not None:
-                active.absorb(profile, prefix="worker")
+        timed = payload.get("timing", {})
+        if timed.get("spans") and self.tracer is not None:
+            self.tracer.extend(timed["spans"])
+        active = timing.get_profiler()
+        if timed.get("phases") and active is not None:
+            active.absorb(timed["phases"], prefix="worker")
 
 
 #: Shared disabled session for call sites that want a never-None default.
-NULL_SESSION = TelemetrySession.disabled()
+NULL_SESSION = TelemetrySession()

@@ -1,4 +1,4 @@
-"""A lightweight span tracer with Chrome ``trace_event`` export.
+"""A buffered span tracer with Chrome ``trace_event`` export.
 
 Training code marks regions with the module-level :func:`span` helper::
 
@@ -7,18 +7,14 @@ Training code marks regions with the module-level :func:`span` helper::
     with trace.span("sweep", sweep=iteration):
         ...
 
-Spans nest per thread (a thread-local stack records parent/child links),
-carry arbitrary JSON-able attributes, and are buffered in memory until
-:meth:`Tracer.save` writes them as Chrome ``trace_event`` JSON — load the
-file in ``chrome://tracing`` (or Perfetto) to see the fit/sweep/cache/
-merge/checkpoint waterfall across the parent and worker processes.
-
-When no tracer is active (the default), :func:`span` returns a shared
-no-op context manager: one global read and two no-op calls per region,
-cheap enough to leave instrumentation in hot paths at sweep granularity.
-Worker processes run their own :class:`Tracer` and ship drained events
-back over the pool's reply pipe; the parent absorbs them with
-:meth:`Tracer.extend`, so one trace file covers the whole cluster.
+Spans (and every ``phase``) are timed by the shared core
+(:mod:`repro.telemetry.timing`), nest per thread, carry JSON-able
+attributes, and are buffered in the active :class:`Tracer` until
+:meth:`Tracer.save` writes Chrome ``trace_event`` JSON for
+``chrome://tracing`` or Perfetto.  Worker processes mirror the parent's
+active tracer and ship drained events home in their timing payload; the
+parent absorbs them with :meth:`Tracer.extend`, so one trace file covers
+the whole cluster.
 """
 
 from __future__ import annotations
@@ -30,55 +26,12 @@ import time
 from pathlib import Path
 
 from .context import get_request_id
+from .timing import Region, get_tracer, set_tracer, span
 
+__all__ = ["Tracer", "get_tracer", "set_tracer", "span"]
 
-class _NullSpan:
-    """Shared no-op context manager returned when tracing is off."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        return False
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class _SpanContext:
-    """Context manager recording one complete ('X') trace event."""
-
-    __slots__ = ("_tracer", "name", "args", "span_id", "parent_id", "_wall", "_perf")
-
-    def __init__(self, tracer: "Tracer", name: str, args: dict) -> None:
-        self._tracer = tracer
-        self.name = name
-        self.args = args
-        self.span_id = 0
-        self.parent_id: int | None = None
-        self._wall = 0.0
-        self._perf = 0.0
-
-    def __enter__(self) -> "_SpanContext":
-        tracer = self._tracer
-        self.span_id = tracer._next_id()
-        stack = tracer._stack()
-        self.parent_id = stack[-1] if stack else None
-        stack.append(self.span_id)
-        self._wall = time.time()
-        self._perf = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        duration = time.perf_counter() - self._perf
-        tracer = self._tracer
-        stack = tracer._stack()
-        if stack and stack[-1] == self.span_id:
-            stack.pop()
-        tracer._record(self, duration)
-        return False
+#: ``perf_counter`` → epoch seconds; regions read only ``perf_counter``.
+_EPOCH_OFFSET = time.time() - time.perf_counter()
 
 
 class Tracer:
@@ -95,33 +48,18 @@ class Tracer:
     def __init__(self, max_events: int = 200_000) -> None:
         self._events: list[dict] = []
         self._lock = threading.Lock()
-        self._local = threading.local()
-        self._id = 0
         self._dropped = 0
         self.max_events = max_events
 
-    # -- span bookkeeping --------------------------------------------------
+    def span(self, name: str, **args: object) -> Region:
+        """A span recorded on this tracer, active or not."""
+        return Region(name, args, self, None)
 
-    def _stack(self) -> list[int]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
-
-    def _next_id(self) -> int:
-        with self._lock:
-            self._id += 1
-            return self._id
-
-    def span(self, name: str, **args: object) -> _SpanContext:
-        return _SpanContext(self, name, args)
-
-    def _record(self, span: _SpanContext, duration: float) -> None:
+    def _record(self, region: Region, duration: float) -> None:
         args = {
-            "id": span.span_id,
-            "parent": span.parent_id,
-            **span.args,
+            "id": region.span_id,
+            "parent": region.parent_id,
+            **region.args,
         }
         # Stamp the ambient request id so one Chrome-trace filter (or a
         # grep of the exported JSON) reconstructs a request's whole path.
@@ -129,10 +67,10 @@ class Tracer:
         if request_id is not None:
             args.setdefault("request_id", request_id)
         event = {
-            "name": span.name,
+            "name": region.name,
             "cat": "repro",
             "ph": "X",
-            "ts": round(span._wall * 1e6, 1),
+            "ts": round((region.start + _EPOCH_OFFSET) * 1e6, 1),
             "dur": round(duration * 1e6, 1),
             "pid": os.getpid(),
             "tid": threading.get_ident(),
@@ -184,31 +122,3 @@ class Tracer:
         path.write_text(json.dumps(self.to_chrome_trace(), indent=1) + "\n")
         return path
 
-
-#: The process-wide active tracer; ``None`` keeps every span() a no-op.
-#: A plain module global (not a contextvar) on purpose: the engine's
-#: dispatch threads must see the tracer the fit loop activated, and
-#: contextvars do not flow into already-running pool threads.
-_active: Tracer | None = None
-_active_lock = threading.Lock()
-
-
-def set_tracer(tracer: Tracer | None) -> Tracer | None:
-    """Install ``tracer`` as the process-wide tracer; returns the old one."""
-    global _active
-    with _active_lock:
-        previous = _active
-        _active = tracer
-        return previous
-
-
-def get_tracer() -> Tracer | None:
-    return _active
-
-
-def span(name: str, **args: object):
-    """A span on the active tracer, or a shared no-op when tracing is off."""
-    tracer = _active
-    if tracer is None:
-        return _NULL_SPAN
-    return tracer.span(name, **args)

@@ -22,6 +22,7 @@ from repro.core.likelihood import ConvergenceMonitor, joint_log_likelihood
 from repro.core.model import COLDModel
 from repro.datasets.synthetic import SyntheticConfig, generate_corpus
 from repro.parallel.sampler import ParallelCOLDSampler
+from repro.telemetry import profiler as profiling
 from repro.telemetry.metrics import read_jsonl
 
 
@@ -101,7 +102,7 @@ class TestSerialModel:
 
         loaded = json.loads(trace.read_text())
         names = {e["name"] for e in loaded["traceEvents"]}
-        assert {"sweep", "sweepcache.build"} <= names
+        assert {"sweep", "cache_build"} <= names
 
     def test_checkpointing_defaults_metrics_into_run_dir(
         self, smoke_corpus, tmp_path
@@ -171,6 +172,30 @@ class TestProcessesCluster:
         parent_pid = next(e["pid"] for e in events if e["name"] == "superstep")
         worker_pids = {e["pid"] for e in events if e["name"] == "worker_shard"}
         assert worker_pids and parent_pid not in worker_pids
+
+    def test_phases_and_spans_share_one_timing_core(self, smoke_corpus, tmp_path):
+        trace = tmp_path / "trace.json"
+        prof = profiling.PhaseProfiler()
+        previous = profiling.set_profiler(prof)
+        try:
+            ParallelCOLDSampler(
+                **MODEL_KW, num_nodes=2, executor="processes", trace_out=trace
+            ).fit(smoke_corpus, **FIT_KW)
+        finally:
+            profiling.set_profiler(previous)
+
+        events = json.loads(trace.read_text())["traceEvents"]
+        parent_pid = next(e["pid"] for e in events if e["name"] == "snapshot")
+        worker_names = {e["name"] for e in events if e["pid"] != parent_pid}
+        assert "worker_shard" in worker_names
+        assert worker_names & {"cache_build", "cache_refresh"}
+
+        paths = [path for path, _count, _seconds in prof.items()]
+        assert ("worker", "shard") in paths
+        worker_phases = {"shard", "reset", "delta_write", "cache_build", "cache_refresh"}
+        for path in paths:
+            if worker_phases & set(path):
+                assert path[0] == "worker", path
 
 
 class TestCLI:

@@ -11,6 +11,9 @@ synthetic-slowdown detection path
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from repro.core.gibbs import sweep
 from repro.core.params import Hyperparameters
 from repro.core.state import CountState
 from repro.datasets.synthetic import SyntheticConfig, generate_corpus
+from repro.parallel.sampler import ParallelCOLDSampler
 from repro.telemetry import profiler as profiling
 from repro.telemetry.profiler import (
     PhaseProfiler,
@@ -234,6 +238,84 @@ class TestKernelInstrumentation:
             assert counts[("sweep", "posts", phase)] == state.num_posts
             assert counts[("sweep", "links", phase)] == state.num_links
         assert counts[("sweep", "links", "permutation")] == 1
+
+
+class TestConcurrentShards:
+    """Each thread nests phases on its own stack (the ``threads`` executor)."""
+
+    def test_phase_stacks_are_per_thread(self):
+        prof = PhaseProfiler()
+        both_open = threading.Barrier(2, timeout=10)
+
+        def shard(name: str) -> None:
+            with prof.phase(name):
+                both_open.wait()  # the other thread's phase is open too
+                with prof.phase("inner"):
+                    both_open.wait()
+
+        threads = [
+            threading.Thread(target=shard, args=(name,)) for name in "ab"
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert [path for path, _, _ in prof.items()] == [
+            ("a",), ("a", "inner"), ("b",), ("b", "inner"),
+        ]
+
+    def test_concurrent_adds_and_drains_lose_no_update(self):
+        prof = PhaseProfiler()
+        workers, adds = 8, 2_000
+        drained = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda: [prof.add(("x",), 1.0) for _ in range(adds)]
+                )
+                for _ in range(workers)
+            ]
+            for thread in threads:
+                thread.start()
+            while any(thread.is_alive() for thread in threads):
+                drained += prof.drain()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        drained += prof.drain()
+        assert sum(count for _path, count, _seconds in drained) == workers * adds
+
+    def test_threads_fit_keeps_simulated_phase_paths(self):
+        corpus = small_corpus()
+        nodes, sweeps = 4, 4
+        paths = {}
+        for executor in ("simulated", "threads"):
+            prof = PhaseProfiler()
+            previous = profiling.set_profiler(prof)
+            try:
+                ParallelCOLDSampler(
+                    num_communities=3,
+                    num_topics=4,
+                    num_nodes=nodes,
+                    executor=executor,
+                    seed=5,
+                ).fit(corpus, num_iterations=sweeps)
+            finally:
+                profiling.set_profiler(previous)
+            paths[executor] = {path: count for path, count, _ in prof.items()}
+        threads = paths["threads"]
+        assert not [
+            path
+            for path in threads
+            if path[0] in ("cache_build", "cache_refresh") and len(path) > 1
+        ]
+        assert threads[("sweep",)] == nodes * sweeps
+        assert set(threads) <= set(paths["simulated"]) | {("dispatch", "barrier")}
 
 
 class TestGauges:
