@@ -11,8 +11,8 @@
  *     ascending, one uniform per target 0..n-1 (the reference's
  *     row-major draw blocks); edge u -> v fires when its uniform is
  *     below p[u, v];
- *   - the generator is numpy's PCG64 (128-bit LCG, XSL-RR output) and a
- *     uniform is (next64 >> 11) * 2^-53, numpy's random().
+ *   - the generator is numpy's PCG64 (_pcg64.h) and a uniform is
+ *     numpy's random().
  *
  * The frontier lives in the activation matrix itself, so the kernel
  * allocates nothing: 0 inactive, 1 active and expanded, and FRONTIER or
@@ -24,41 +24,9 @@
 
 #include <stdint.h>
 
+#include "_pcg64.h"
+
 #define FRONTIER 2
-
-/* numpy's PCG64: the 128-bit multiplier and the state as two halves. */
-static const uint64_t MULT_HI = 0x2360ed051fc65da4ULL;
-static const uint64_t MULT_LO = 0x4385df649fccf645ULL;
-
-typedef struct {
-    uint64_t hi, lo, inc_hi, inc_lo;
-} pcg64;
-
-/* The high 64 bits of a * b. */
-static uint64_t mulhi(uint64_t a, uint64_t b)
-{
-#ifdef __SIZEOF_INT128__
-    return (uint64_t)(((unsigned __int128)a * b) >> 64);
-#else
-    const uint64_t a0 = a & 0xffffffffULL, a1 = a >> 32;
-    const uint64_t b0 = b & 0xffffffffULL, b1 = b >> 32;
-    const uint64_t mid = (a0 * b0 >> 32) + (a1 * b0 & 0xffffffffULL) + a0 * b1;
-    return a1 * b1 + (a1 * b0 >> 32) + (mid >> 32);
-#endif
-}
-
-/* numpy's random(): step the LCG, XSL-RR the new state, keep 53 bits. */
-static double next_double(pcg64 *g)
-{
-    const uint64_t lo = g->lo * MULT_LO + g->inc_lo;
-    g->hi = g->hi * MULT_LO + g->lo * MULT_HI + mulhi(g->lo, MULT_LO)
-            + g->inc_hi + (lo < g->inc_lo);
-    g->lo = lo;
-    const uint64_t x = g->hi ^ g->lo;
-    const unsigned rot = (unsigned)(g->hi >> 58);
-    const uint64_t out = (x >> rot) | (x << ((64u - rot) & 63u));
-    return (double)(out >> 11) * (1.0 / 9007199254740992.0);
-}
 
 /*
  * Run the R realisations in `active` ((R, n), 0/1, seeded) to
@@ -69,7 +37,7 @@ static double next_double(pcg64 *g)
 void cold_ic_cascade(const double *p, int64_t n, uint8_t *active, int64_t R,
                      uint64_t *rng)
 {
-    pcg64 g = {rng[0], rng[1], rng[2], rng[3]};
+    pcg64 g = pcg64_load(rng);
     uint8_t level = FRONTIER;
     for (int64_t i = 0; i < R * n; ++i)
         if (active[i])
@@ -84,7 +52,7 @@ void cold_ic_cascade(const double *p, int64_t n, uint8_t *active, int64_t R,
                 const double *pu = p + u * n;
                 /* Branch-free: whether an edge fires is a coin flip. */
                 for (int64_t v = 0; v < n; ++v) {
-                    const uint8_t hit = (next_double(&g) < pu[v]) & !row[v];
+                    const uint8_t hit = (pcg64_next_double(&g) < pu[v]) & !row[v];
                     row[v] |= (uint8_t)(-hit & (level ^ 1));
                     fired += hit;
                 }
@@ -92,6 +60,5 @@ void cold_ic_cascade(const double *p, int64_t n, uint8_t *active, int64_t R,
             }
         }
     }
-    rng[0] = g.hi;
-    rng[1] = g.lo;
+    pcg64_store(&g, rng);
 }

@@ -24,19 +24,23 @@ whole per-draw loop in one plain-C kernel, ``_sweep.c``:
   ``log(n + eps)`` and ``log(n + V beta)`` once per cache and the kernel
   only indexes them.  Building a cache has no per-post Python work.
 
-One library holds two kernels: the sweep (``_sweep.c``) and the
+One library holds three kernels: the sweep (``_sweep.c``), the
 Independent Cascade Monte-Carlo of :mod:`repro.core.influence`
-(``_cascade.c``).  :func:`native_kernel` compiles both sources with the
-system ``cc`` at first use (``-O2 -fPIC -shared -ffp-contract=off``,
-never ``-ffast-math``) into ``~/.cache/repro/`` — or, only when that
-cannot be created or written, a private ``repro-<uid>`` directory in
-the temp directory — under a name keyed on the sources, flags and
-platform, written to a temporary file and ``os.replace``-d so
-concurrent builds are safe.  The directory and the library must belong
-to the user and be writable by no one else; otherwise neither is used.
-Without a compiler (or a usable cache directory) there is one fallback:
-both callers run their numpy reference kernels, and the loader logs one
-WARNING for the process.
+(``_cascade.c``) and the planted-process draws of
+:mod:`repro.datasets.synthetic` (``_planted.c``); the last two step
+numpy's PCG64 through one shared header, ``_pcg64.h``.
+:func:`native_kernel` compiles the sources with the system ``cc`` at
+first use (``-O2 -fPIC -shared -ffp-contract=off``, never
+``-ffast-math``) into ``~/.cache/repro/`` — or, only when that cannot
+be created or written, a private ``repro-<uid>`` directory in the temp
+directory — under a name keyed on every file the compile reads
+(sources and headers), the flags and the platform, written to a
+temporary file and ``os.replace``-d so concurrent builds are safe.  The
+directory and the library must belong to the user and be writable by
+no one else; otherwise neither is used.  Without a compiler (or a
+usable cache directory) there is one fallback: every caller runs its
+numpy reference kernel, and the loader logs one WARNING for the
+process.
 
 Exactness contract
 ------------------
@@ -77,6 +81,7 @@ import subprocess
 import sysconfig
 import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -91,8 +96,11 @@ _log = logging.getLogger(__name__)
 # -- the native library ---------------------------------------------------------
 
 _SOURCES = tuple(
-    Path(__file__).with_name(name) for name in ("_sweep.c", "_cascade.c")
+    Path(__file__).with_name(name)
+    for name in ("_sweep.c", "_cascade.c", "_planted.c")
 )
+#: Headers the sources include: part of the build's cache key.
+_HEADERS = (Path(__file__).with_name("_pcg64.h"),)
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _UNLOADED = object()
 _library: object = _UNLOADED
@@ -178,11 +186,12 @@ def _check_private(path: Path, is_kind) -> None:
 
 
 def _library_name() -> str:
-    """The built library's file name, keyed on sources, flags and platform."""
+    """The built library's file name, keyed on every file the compile
+    reads (sources and headers), the flags and the platform."""
     key = hashlib.sha256(
         b"\0".join(
             [
-                *(source.read_bytes() for source in _SOURCES),
+                *(path.read_bytes() for path in (*_SOURCES, *_HEADERS)),
                 " ".join(_CFLAGS).encode(),
                 sysconfig.get_platform().encode(),
             ]
@@ -226,21 +235,26 @@ def native_kernel() -> ctypes.CDLL | None:
 
     The outcome is resolved once per process: a failed build (no ``cc``,
     a compile error, no writable cache directory) logs one WARNING, and
-    every later :func:`fast_sweep` and influence cascade runs its
-    reference kernel.
+    every later :func:`fast_sweep`, influence cascade and planted draw
+    runs its reference kernel.
     """
     global _library
     if _library is _UNLOADED:
         try:
             lib = ctypes.CDLL(str(_compile()))
-            i64, ptr = ctypes.c_int64, ctypes.c_void_p
+            i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
             for name, restype, argtypes in (
                 ("cold_sweep_ctx_size", i64, []),
                 ("cold_sweep_posts", i64, [ptr, ptr, i64, i64, i64, i64, ptr]),
                 ("cold_sweep_links", i64, [ptr, ptr, i64, i64, i64, i64, ptr]),
-                ("cold_reduce_sum", ctypes.c_double, [ptr, i64]),
+                ("cold_reduce_sum", f64, [ptr, i64]),
                 ("cold_accumulate", None, [ptr, i64, ptr]),
                 ("cold_ic_cascade", None, [ptr, i64, ptr, i64, ptr]),
+                ("cold_planted_posts", i64,
+                 [ptr] * 4 + [i64] * 4 + [f64] * 2 + [i64, i64]
+                 + [ptr] * 6 + [i64, ptr, i64, ptr]),
+                ("cold_planted_links", i64,
+                 [ptr] * 3 + [i64, i64, f64, i64, i64] + [ptr] * 3 + [i64, ptr]),
             ):
                 function = getattr(lib, name)
                 function.restype, function.argtypes = restype, argtypes
@@ -249,12 +263,38 @@ def native_kernel() -> ctypes.CDLL | None:
             _library = lib
         except OSError as exc:
             _log.warning(
-                "native kernels unavailable (%s); fast sweeps and influence "
-                "cascades run the reference kernels",
+                "native kernels unavailable (%s); fast sweeps, influence "
+                "cascades and planted draws run the reference kernels",
                 exc,
             )
             _library = None
     return _library
+
+
+_MASK64 = (1 << 64) - 1
+
+
+@contextmanager
+def pcg64_words(bitgen: np.random.PCG64):
+    """``bitgen``'s state as a native kernel's four words, written back after.
+
+    Yields ``(state hi, state lo, inc hi, inc lo)`` as a ``uint64`` array
+    under the bit generator's lock.  On a normal exit only the advanced
+    state goes back into ``bitgen.state`` (the increment and any buffered
+    ``uint32`` stay as they were), so the generator's next draws continue
+    the kernel's stream.
+    """
+    with bitgen.lock:
+        state = bitgen.state
+        pcg = state["state"]
+        words = np.array(
+            [pcg["state"] >> 64, pcg["state"] & _MASK64,
+             pcg["inc"] >> 64, pcg["inc"] & _MASK64],
+            dtype=np.uint64,
+        )
+        yield words
+        pcg["state"] = int(words[0]) << 64 | int(words[1])
+        bitgen.state = state
 
 
 def _address(array: np.ndarray, dtype: type, writable: bool = False) -> int:

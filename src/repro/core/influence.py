@@ -27,7 +27,7 @@ import numpy as np
 
 from .diffusion import zeta_for_topic
 from .estimates import ParameterEstimates
-from .fastgibbs import _address, native_kernel
+from .fastgibbs import _address, native_kernel, pcg64_words
 
 
 class InfluenceError(ValueError):
@@ -91,9 +91,6 @@ def _batched_cascade(
             frontier[block] = fired
 
 
-_MASK64 = (1 << 64) - 1
-
-
 def _cascade(
     probabilities: np.ndarray, active: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
@@ -111,21 +108,12 @@ def _cascade(
     if lib is None or type(bitgen) is not np.random.PCG64:
         return _batched_cascade(probabilities, active, rng)
     probabilities = np.ascontiguousarray(probabilities, dtype=np.float64)
-    with bitgen.lock:
-        state = bitgen.state
-        pcg = state["state"]
-        words = np.array(
-            [pcg["state"] >> 64, pcg["state"] & _MASK64,
-             pcg["inc"] >> 64, pcg["inc"] & _MASK64],
-            dtype=np.uint64,
-        )
+    with pcg64_words(bitgen) as words:
         lib.cold_ic_cascade(
             _address(probabilities, np.float64), probabilities.shape[0],
             _address(active.view(np.uint8), np.uint8, writable=True),
             active.shape[0], words.ctypes.data,
         )
-        pcg["state"] = int(words[0]) << 64 | int(words[1])
-        bitgen.state = state
     return active
 
 

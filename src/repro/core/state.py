@@ -20,11 +20,18 @@ Counter glossary (paper notation -> attribute):
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain, islice
+from operator import attrgetter
 
 import numpy as np
 
-from ..datasets.corpus import SocialCorpus
+from ..datasets.corpus import Post, SocialCorpus
+
+#: Posts per slice of :meth:`PostTable.from_posts` and
+#: :meth:`CountState._recount`: bounds the token columns alive at once.
+_SLICE_POSTS = 256
 
 
 class StateError(ValueError):
@@ -56,28 +63,55 @@ class PostTable:
         table_factory = getattr(corpus, "post_table", None)
         if callable(table_factory):
             return table_factory()
-        authors = np.empty(corpus.num_posts, dtype=np.int64)
-        times = np.empty(corpus.num_posts, dtype=np.int64)
-        lengths = np.empty(corpus.num_posts, dtype=np.int64)
-        offsets = np.zeros(corpus.num_posts + 1, dtype=np.int64)
-        words_flat: list[int] = []
-        counts_flat: list[int] = []
-        for p, post in enumerate(corpus.posts):
-            authors[p] = post.author
-            times[p] = post.timestamp
-            lengths[p] = len(post)
-            counts = post.word_counts()
-            for v, m in counts.items():
-                words_flat.append(v)
-                counts_flat.append(m)
-            offsets[p + 1] = offsets[p] + len(counts)
+        return cls.from_posts(corpus.posts)
+
+    @classmethod
+    def from_posts(cls, posts: Sequence[Post]) -> "PostTable":
+        """The table of ``posts``, each post's unique words in the
+        first-appearance order of :meth:`Post.word_counts`.
+
+        Vectorised over slices of ``_SLICE_POSTS`` posts: within a slice,
+        one stable sort of the (post, word) pairs gives every pair's
+        first position and multiplicity, and the pairs taken in
+        first-position order are in post order, then first appearance.
+        """
+        D = len(posts)
+        authors = np.fromiter(map(attrgetter("author"), posts), np.int64, count=D)
+        times = np.fromiter(map(attrgetter("timestamp"), posts), np.int64, count=D)
+        lengths = np.fromiter(map(len, posts), np.int64, count=D)
+        unique_words: list[np.ndarray] = []
+        unique_counts: list[np.ndarray] = []
+        per_post: list[np.ndarray] = []
+        remaining = iter(posts)
+        for lo in range(0, D, _SLICE_POSTS):
+            chunk = list(islice(remaining, _SLICE_POSTS))
+            sizes = lengths[lo:lo + len(chunk)]
+            flat = np.fromiter(
+                chain.from_iterable(map(attrgetter("words"), chunk)), np.int64,
+                count=int(sizes.sum()),
+            )
+            owner = np.repeat(np.arange(len(chunk)), sizes)
+            pairs = owner * (int(flat.max()) + 1) + flat
+            # Stably sorted, each (post, word) run starts at the pair's
+            # first position and is as long as its count.
+            order = np.argsort(pairs, kind="stable")
+            starts = np.flatnonzero(np.diff(pairs[order], prepend=-1))
+            counts = np.zeros(len(flat), np.int64)
+            counts[order[starts]] = np.diff(starts, append=len(flat))
+            first = np.flatnonzero(counts)
+            unique_words.append(flat[first])
+            unique_counts.append(counts[first])
+            per_post.append(np.bincount(owner[first], minlength=len(chunk)))
+        offsets = np.zeros(D + 1, np.int64)
+        if D:
+            np.cumsum(np.concatenate(per_post), out=offsets[1:])
         return cls(
             authors=authors,
             times=times,
             lengths=lengths,
             offsets=offsets,
-            unique_words=np.asarray(words_flat, dtype=np.int64),
-            unique_counts=np.asarray(counts_flat, dtype=np.int64),
+            unique_words=np.concatenate([np.zeros(0, np.int64), *unique_words]),
+            unique_counts=np.concatenate([np.zeros(0, np.int64), *unique_counts]),
         )
 
     def __len__(self) -> int:
@@ -150,10 +184,7 @@ class CountState:
             link_src_comm=rng.integers(num_communities, size=E),
             link_dst_comm=rng.integers(num_communities, size=E),
         )
-        for p in range(D):
-            state.add_post(p, int(state.post_comm[p]), int(state.post_topic[p]))
-        for e in range(E):
-            state.add_link(e, int(state.link_src_comm[e]), int(state.link_dst_comm[e]))
+        state._count_from(0, 0)
         return state
 
     # -- post bookkeeping -----------------------------------------------------
@@ -286,8 +317,9 @@ class CountState:
         corpus-construction dedup.  Returns ``(new_post_indices,
         new_link_indices)`` into the grown tables.
 
-        Raises :class:`StateError` on shrinking dimensions or on a post
-        that references an out-of-range user/word/time id.
+        Raises :class:`StateError` on shrinking dimensions, on a post
+        that references an out-of-range user/word/time id or on a link
+        with an out-of-range endpoint, before the state changes.
         """
         U, C = self.n_user_comm.shape
         K, V = self.n_topic_word.shape
@@ -298,13 +330,20 @@ class CountState:
                 f"users {U}->{num_users}, vocab {V}->{vocab_size}, "
                 f"slices {T}->{num_time_slices}"
             )
-        for post in posts:
-            if not 0 <= post.author < num_users:
-                raise StateError(f"post author {post.author} out of range")
-            if not 0 <= post.timestamp < num_time_slices:
-                raise StateError(f"post timestamp {post.timestamp} out of range")
-            if any(not 0 <= w < vocab_size for w in post.words):
-                raise StateError("post word id out of range")
+        new = PostTable.from_posts(posts)
+        for label, ids, bound in (
+            ("author", new.authors, num_users),
+            ("timestamp", new.times, num_time_slices),
+            ("word id", new.unique_words, vocab_size),
+        ):
+            outside = (ids < 0) | (ids >= bound)
+            if outside.any():
+                raise StateError(f"post {label} {ids[outside][0]} out of range")
+        fresh = np.zeros((0, 2), np.int64)
+        if include_network and len(links):
+            fresh = self._fresh_links(
+                np.asarray(links, np.int64).reshape(-1, 2), num_users
+            )
 
         if num_users > U:
             self.n_user_comm = np.concatenate(
@@ -323,75 +362,54 @@ class CountState:
         # Append the new posts to the struct-of-arrays table.
         table = self.posts
         D = len(table)
-        if posts:
-            authors = np.fromiter(
-                (p.author for p in posts), np.int64, count=len(posts)
+        if len(new):
+            table.authors = np.concatenate([table.authors, new.authors])
+            table.times = np.concatenate([table.times, new.times])
+            table.lengths = np.concatenate([table.lengths, new.lengths])
+            table.offsets = np.concatenate(
+                [table.offsets, table.offsets[-1] + new.offsets[1:]]
             )
-            times = np.fromiter(
-                (p.timestamp for p in posts), np.int64, count=len(posts)
-            )
-            lengths = np.fromiter(
-                (len(p) for p in posts), np.int64, count=len(posts)
-            )
-            offsets = np.empty(len(posts), np.int64)
-            words_flat: list[int] = []
-            counts_flat: list[int] = []
-            running = int(table.offsets[-1])
-            for i, post in enumerate(posts):
-                counts = post.word_counts()
-                words_flat.extend(counts.keys())
-                counts_flat.extend(counts.values())
-                running += len(counts)
-                offsets[i] = running
-            table.authors = np.concatenate([table.authors, authors])
-            table.times = np.concatenate([table.times, times])
-            table.lengths = np.concatenate([table.lengths, lengths])
-            table.offsets = np.concatenate([table.offsets, offsets])
             table.unique_words = np.concatenate(
-                [table.unique_words, np.asarray(words_flat, np.int64)]
+                [table.unique_words, new.unique_words]
             )
             table.unique_counts = np.concatenate(
-                [table.unique_counts, np.asarray(counts_flat, np.int64)]
+                [table.unique_counts, new.unique_counts]
             )
-        new_post_indices = np.arange(D, D + len(posts))
         self.post_comm = np.concatenate(
-            [self.post_comm, rng.integers(C, size=len(posts))]
+            [self.post_comm, rng.integers(C, size=len(new))]
         )
         self.post_topic = np.concatenate(
-            [self.post_topic, rng.integers(K, size=len(posts))]
+            [self.post_topic, rng.integers(K, size=len(new))]
         )
-        for p in new_post_indices:
-            self.add_post(int(p), int(self.post_comm[p]), int(self.post_topic[p]))
-
-        # Dedup new links against the existing edge set (and each other).
-        fresh: list[tuple[int, int]] = []
-        if include_network and links:
-            seen = {(int(s), int(d)) for s, d in self.links}
-            for source, target in links:
-                edge = (int(source), int(target))
-                if edge[0] == edge[1] or edge in seen:
-                    continue
-                if not (0 <= edge[0] < num_users and 0 <= edge[1] < num_users):
-                    raise StateError(f"link endpoint {edge} out of range")
-                seen.add(edge)
-                fresh.append(edge)
         E = len(self.links)
-        new_link_indices = np.arange(E, E + len(fresh))
-        if fresh:
-            self.links = np.concatenate(
-                [self.links, np.asarray(fresh, np.int64).reshape(-1, 2)]
-            )
+        if len(fresh):
+            self.links = np.concatenate([self.links, fresh])
             self.link_src_comm = np.concatenate(
                 [self.link_src_comm, rng.integers(C, size=len(fresh))]
             )
             self.link_dst_comm = np.concatenate(
                 [self.link_dst_comm, rng.integers(C, size=len(fresh))]
             )
-            for e in new_link_indices:
-                self.add_link(
-                    int(e), int(self.link_src_comm[e]), int(self.link_dst_comm[e])
-                )
-        return new_post_indices, new_link_indices
+        self._count_from(D, E)
+        return np.arange(D, D + len(new)), np.arange(E, E + len(fresh))
+
+    def _fresh_links(self, links: np.ndarray, num_users: int) -> np.ndarray:
+        """``links`` without self-links, edges already in the state and
+        repeats, in first-occurrence order.
+
+        Raises :class:`StateError` on the first remaining edge with an
+        endpoint outside ``[0, num_users)``.
+        """
+        links = links[links[:, 0] != links[:, 1]]
+        outside = ((links < 0) | (links >= num_users)).any(axis=1)
+        if outside.any():
+            edge = tuple(links[outside][0].tolist())
+            raise StateError(f"link endpoint {edge} out of range")
+        keys = links[:, 0] * num_users + links[:, 1]
+        _, first = np.unique(keys, return_index=True)
+        first.sort()
+        existing = self.links[:, 0] * num_users + self.links[:, 1]
+        return links[first[~np.isin(keys[first], existing)]]
 
     # -- sparse iteration -----------------------------------------------------
 
@@ -438,15 +456,16 @@ class CountState:
         O(data); used by tests and available under a debug flag.  Raises
         :class:`StateError` on the first mismatch.
         """
-        recount = self._recount()
-        for name in (
-            "n_user_comm",
-            "n_comm_topic",
-            "n_comm_topic_time",
-            "n_topic_word",
-            "n_topic_total",
-            "n_link_comm",
+        C, K = self.num_communities, self.num_topics
+        for name, bound in (
+            ("post_comm", C), ("post_topic", K),
+            ("link_src_comm", C), ("link_dst_comm", C),
         ):
+            labels = getattr(self, name)
+            if len(labels) and (labels.min() < 0 or labels.max() >= bound):
+                raise StateError(f"assignment {name} outside [0, {bound})")
+        recount = self._recount()
+        for name in self._COUNTERS:
             mine = getattr(self, name)
             theirs = recount[name]
             if not np.array_equal(mine, theirs):
@@ -454,46 +473,68 @@ class CountState:
         if (self.n_user_comm < 0).any() or (self.n_link_comm < 0).any():
             raise StateError("negative counts detected")
 
-    def _recount(self) -> dict[str, np.ndarray]:
-        n_user_comm = np.zeros_like(self.n_user_comm)
-        n_comm_topic = np.zeros_like(self.n_comm_topic)
-        n_comm_topic_time = np.zeros_like(self.n_comm_topic_time)
-        n_topic_word = np.zeros_like(self.n_topic_word)
-        n_topic_total = np.zeros_like(self.n_topic_total)
-        n_link_comm = np.zeros_like(self.n_link_comm)
-        for p in range(len(self.posts)):
-            c, k = int(self.post_comm[p]), int(self.post_topic[p])
-            n_user_comm[self.posts.authors[p], c] += 1
-            n_comm_topic[c, k] += 1
-            n_comm_topic_time[c, k, self.posts.times[p]] += 1
-            words, counts = self.posts.words_of(p)
-            np.add.at(n_topic_word[k], words, counts)
-            n_topic_total[k] += self.posts.lengths[p]
-        for e in range(len(self.links)):
-            src, dst = self.links[e]
-            c, c_prime = int(self.link_src_comm[e]), int(self.link_dst_comm[e])
-            n_user_comm[src, c] += 1
-            n_user_comm[dst, c_prime] += 1
-            n_link_comm[c, c_prime] += 1
-        return {
-            "n_user_comm": n_user_comm,
-            "n_comm_topic": n_comm_topic,
-            "n_comm_topic_time": n_comm_topic_time,
-            "n_topic_word": n_topic_word,
-            "n_topic_total": n_topic_total,
-            "n_link_comm": n_link_comm,
+    def _recount(
+        self,
+        first_post: int = 0,
+        first_link: int = 0,
+        into: dict[str, np.ndarray] | None = None,
+    ) -> dict[str, np.ndarray]:
+        """Every counter, counted from the assignments of the posts from
+        ``first_post`` and the links from ``first_link`` on, and added to
+        ``into`` (default: zero counters).
+
+        Vectorised ``np.add.at`` over the :class:`PostTable` columns and
+        the link array: integer counts, so exactly what one
+        :meth:`add_post` / :meth:`add_link` per item adds.  From
+        ``(0, 0)`` onto zeros this is :meth:`check_invariants`'
+        reference.
+        """
+        counts = into if into is not None else {
+            name: np.zeros_like(getattr(self, name)) for name in self._COUNTERS
         }
+        table = self.posts
+        for lo in range(first_post, len(table), _SLICE_POSTS):
+            posts = slice(lo, lo + _SLICE_POSTS)
+            c, k = self.post_comm[posts], self.post_topic[posts]
+            np.add.at(counts["n_user_comm"], (table.authors[posts], c), 1)
+            np.add.at(counts["n_comm_topic"], (c, k), 1)
+            np.add.at(counts["n_comm_topic_time"], (c, k, table.times[posts]), 1)
+            np.add.at(counts["n_topic_total"], k, table.lengths[posts])
+            offsets = table.offsets[lo:lo + _SLICE_POSTS + 1]
+            words = slice(offsets[0], offsets[-1])
+            np.add.at(
+                counts["n_topic_word"],
+                (np.repeat(k, np.diff(offsets)), table.unique_words[words]),
+                table.unique_counts[words],
+            )
+        s = self.link_src_comm[first_link:]
+        d = self.link_dst_comm[first_link:]
+        links = self.links[first_link:]
+        np.add.at(counts["n_user_comm"], (links[:, 0], s), 1)
+        np.add.at(counts["n_user_comm"], (links[:, 1], d), 1)
+        np.add.at(counts["n_link_comm"], (s, d), 1)
+        return counts
+
+    def _count_from(self, first_post: int, first_link: int) -> None:
+        """Add the posts from ``first_post`` and the links from
+        ``first_link`` on to the counters, under their assignments."""
+        live = {name: getattr(self, name) for name in self._COUNTERS}
+        self._recount(first_post, first_link, into=live)
 
     # -- serialisation --------------------------------------------------------
 
-    #: Arrays that fully determine a CountState (with the scalar dims).
-    _ARRAY_FIELDS = (
+    #: The counters, all derived from the assignments.
+    _COUNTERS = (
         "n_user_comm",
         "n_comm_topic",
         "n_comm_topic_time",
         "n_topic_word",
         "n_topic_total",
         "n_link_comm",
+    )
+    #: Arrays that fully determine a CountState (with the scalar dims).
+    _ARRAY_FIELDS = (
+        *_COUNTERS,
         "post_comm",
         "post_topic",
         "link_src_comm",

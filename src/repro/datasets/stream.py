@@ -222,7 +222,7 @@ class CorpusStreamBuilder:
         posts = [
             Post(
                 author=user_ids[event.author_key],
-                words=tuple(vocabulary.add(token) for token in event.tokens),
+                words=tuple(vocabulary.add_all(event.tokens)),
                 timestamp=slice_of(event.time),
             )
             for event in kept_posts
@@ -288,8 +288,8 @@ class CorpusStreamBuilder:
         grid: ``"grow"`` appends slices (at most ``max_new_slices`` per
         call when given), ``"clamp"`` maps them into the last slice,
         ``"error"`` raises :class:`RolloverError`.  Buffers are cleared
-        on success; on an ingestion error they are left intact so the
-        caller can repair and retry.
+        on success; on an ingestion error they are left intact, and no
+        user or token interned, so the caller can repair and retry.
         """
         if not self.incremental:
             raise StreamError(
@@ -329,14 +329,16 @@ class CorpusStreamBuilder:
             slices = grown
             return raw
 
+        # Every stamp first: a stale or out-of-grid one raises before any
+        # user or token is interned.
+        timestamps = [slice_with_rollover(event.time) for event in self._post_events]
         posts = []
-        for event in self._post_events:
-            timestamp = slice_with_rollover(event.time)
+        for event, timestamp in zip(self._post_events, timestamps):
             author = user_ids.setdefault(event.author_key, len(user_ids))
             posts.append(
                 Post(
                     author=author,
-                    words=tuple(vocabulary.add(t) for t in event.tokens),
+                    words=tuple(vocabulary.add_all(event.tokens)),
                     timestamp=timestamp,
                 )
             )

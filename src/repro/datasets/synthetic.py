@@ -20,20 +20,26 @@ target user proportionally to the same ``pi`` / ``eta`` factors.  This keeps
 the planted block structure (the quantity COLD estimates) while producing a
 sparse network directly.
 
-Draw note: one loop, :func:`_planted_draws`, holds the whole RNG call
-sequence, and both generators consume it.  Every categorical draw looks up
-a CDF table built once per world (:func:`_choice_cdfs`), drawing exactly
-what ``Generator.choice`` would from the same uniforms without rebuilding
-the CDF per call.  The tables have the shapes of the planted tensors.
+Draw note: one loop, :func:`_planted_draws`, defines the whole RNG call
+sequence.  Every categorical draw looks up a CDF table built once per
+world (:func:`_choice_cdfs`), drawing exactly what ``Generator.choice``
+would from the same uniforms without rebuilding the CDF per call.  The
+tables have the shapes of the planted tensors.  Both generators consume
+:func:`_planted_columns`, which runs that loop natively
+(``core/_planted.c``, stepping numpy's PCG64 in C) over bounded user
+chunks and hands back columns.  The Python loop stays as the oracle the
+native draws are tested against and as the fallback without a C
+compiler: same draws, same generator state after.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import islice
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
-
-from pathlib import Path
 
 from .corpus import Post, SocialCorpus
 from .packed import PackedCorpus, PackedCorpusWriter
@@ -355,7 +361,7 @@ def _target_cdfs(pi: np.ndarray) -> np.ndarray:
 def _planted_draws(
     config: SyntheticConfig, truth: GroundTruth, rng: np.random.Generator
 ):
-    """Steps 3(b)-(c) of Algorithm 1: the one RNG call sequence of both generators.
+    """Steps 3(b)-(c) of Algorithm 1: the reference RNG call sequence.
 
     Yields every post as ``(user, t, words, c, k)`` in author order
     (``words`` an int64 array), then every link as ``(user, target)`` in
@@ -364,7 +370,9 @@ def _planted_draws(
     ``c' ~ eta_{s,.}`` (normalised), then a target user ``i' ~ pi_{.,c'}``
     (normalised over users), and drop self-links and repeats.  Every
     source is the current user, so each user's sorted link set, emitted
-    in user order, is the globally sorted link list.
+    in user order, is the globally sorted link list.  This loop is the
+    oracle of the native draws and, through :func:`_planted_columns`,
+    their fallback.
     """
     pi = _choice_cdfs(truth.pi)
     theta = _choice_cdfs(truth.theta)
@@ -394,6 +402,103 @@ def _planted_draws(
             yield user, target
 
 
+#: Column capacities of one native call (and draws per reference chunk):
+#: posts, words, links.  They bound the columns alive at once; a user
+#: who alone overflows one doubles it.
+_CHUNK_POSTS, _CHUNK_WORDS, _CHUNK_LINKS = 1 << 10, 1 << 14, 1 << 12
+
+
+class _PostColumns(NamedTuple):
+    """One chunk of the posts pass: per-post columns, then the flat words."""
+
+    authors: np.ndarray
+    times: np.ndarray
+    communities: np.ndarray
+    topics: np.ndarray
+    lengths: np.ndarray
+    words: np.ndarray
+
+
+def _planted_columns(
+    config: SyntheticConfig, truth: GroundTruth, rng: np.random.Generator
+):
+    """:func:`_planted_draws` as columns: the draws both generators consume.
+
+    Yields :class:`_PostColumns` chunks in author order, then ``(E, 2)``
+    int64 link arrays in sorted order.  The native kernels
+    (``cold_planted_posts`` / ``cold_planted_links``) draw them when the
+    library loads and ``rng`` is a ``PCG64`` generator; otherwise the
+    reference loop's draws are regrouped.  Either way the values and the
+    generator's state afterwards are the reference loop's, and a bad
+    planted tensor raises ``ValueError`` before any draw.
+    """
+    # Imported here: repro.core imports this package while it initialises.
+    from ..core.fastgibbs import _address, native_kernel, pcg64_words
+
+    lib = native_kernel()
+    bitgen = rng.bit_generator
+    if lib is None or type(bitgen) is not np.random.PCG64:
+        draws = _planted_draws(config, truth, rng)
+        while chunk := list(islice(draws, _CHUNK_POSTS)):
+            posts = [draw for draw in chunk if len(draw) == 5]
+            if posts:
+                users, times, words, communities, topics = zip(*posts)
+                yield _PostColumns(
+                    *(np.array(column, np.int64)
+                      for column in (users, times, communities, topics)),
+                    np.array([len(w) for w in words], np.int64),
+                    np.concatenate(words),
+                )
+            links = [draw for draw in chunk if len(draw) == 2]
+            if links:
+                yield np.array(links, np.int64)
+        return
+    pi = _choice_cdfs(truth.pi)
+    theta = _choice_cdfs(truth.theta)
+    phi = _choice_cdfs(truth.phi)
+    psi = _choice_cdfs(truth.psi)
+    eta = _choice_cdfs(truth.eta / truth.eta.sum(axis=1, keepdims=True))
+    C, K, U = config.num_communities, config.num_topics, config.num_users
+    filled = np.zeros(2, np.int64)
+    post_cap, word_cap, user = _CHUNK_POSTS, _CHUNK_WORDS, 0
+    while user < U:
+        columns = [np.empty(post_cap, np.int64) for _ in range(5)]
+        words = np.empty(word_cap, np.int64)
+        with pcg64_words(bitgen) as state:
+            done = lib.cold_planted_posts(
+                *(_address(table, np.float64) for table in (pi, theta, phi, psi)),
+                C, K, config.vocab_size, config.num_time_slices,
+                config.mean_posts_per_user, config.mean_words_per_post,
+                user, U, state.ctypes.data,
+                *(column.ctypes.data for column in columns), post_cap,
+                words.ctypes.data, word_cap, filled.ctypes.data,
+            )
+        if done == user:
+            post_cap, word_cap = 2 * post_cap, 2 * word_cap
+            continue
+        user = done
+        posts, tokens = filled.tolist()
+        yield _PostColumns(*(column[:posts] for column in columns), words[:tokens])
+    # Built after the posts pass, as in the reference loop.
+    targets = _target_cdfs(truth.pi)
+    link_cap, user = _CHUNK_LINKS, 0
+    while user < U:
+        ends = np.empty((2, link_cap), np.int64)
+        with pcg64_words(bitgen) as state:
+            done = lib.cold_planted_links(
+                *(_address(table, np.float64) for table in (pi, eta, targets)),
+                C, U, config.mean_links_per_user, user, U, state.ctypes.data,
+                ends[0].ctypes.data, ends[1].ctypes.data, link_cap,
+                filled.ctypes.data,
+            )
+        if done == user:
+            link_cap *= 2
+            continue
+        user = done
+        if filled[0]:
+            yield ends[:, : filled[0]].T.copy()
+
+
 def _plant_world(
     config: SyntheticConfig | None, seed: int | None
 ) -> tuple[SyntheticConfig, GroundTruth, np.random.Generator, Vocabulary]:
@@ -421,18 +526,25 @@ def generate_corpus(
     config, truth, rng, vocabulary = _plant_world(config, seed)
     posts: list[Post] = []
     links: list[tuple[int, int]] = []
-    communities: list[int] = []
-    topics: list[int] = []
+    communities: list[np.ndarray] = []
+    topics: list[np.ndarray] = []
     # One shared int object per word id: posts hold no per-token ints.
     word_ids = np.arange(config.vocab_size).astype(object)
-    for draw in _planted_draws(config, truth, rng):
-        if len(draw) == 2:
-            links.append(draw)
+    for chunk in _planted_columns(config, truth, rng):
+        if isinstance(chunk, np.ndarray):
+            links.extend(map(tuple, chunk.tolist()))
             continue
-        user, t, words, c, k = draw
-        posts.append(Post(user, tuple(word_ids[words].tolist()), t))
-        communities.append(c)
-        topics.append(k)
+        tokens = word_ids[chunk.words].tolist()
+        ends = chunk.lengths.cumsum().tolist()
+        posts.extend(
+            Post(author, tuple(tokens[end - length:end]), t)
+            for author, t, length, end in zip(
+                chunk.authors.tolist(), chunk.times.tolist(),
+                chunk.lengths.tolist(), ends,
+            )
+        )
+        communities.append(chunk.communities)
+        topics.append(chunk.topics)
     corpus = SocialCorpus(
         num_users=config.num_users,
         num_time_slices=config.num_time_slices,
@@ -440,8 +552,8 @@ def generate_corpus(
         links=links,
         vocabulary=vocabulary,
     )
-    truth.post_communities = np.asarray(communities)
-    truth.post_topics = np.asarray(topics)
+    truth.post_communities = np.concatenate(communities)
+    truth.post_topics = np.concatenate(topics)
     return corpus, truth
 
 
@@ -468,8 +580,8 @@ def generate_packed_corpus(
     leave it off at million-user scale).
     """
     config, truth, rng, vocabulary = _plant_world(config, seed)
-    communities: list[int] = []
-    topics: list[int] = []
+    communities: list[np.ndarray] = []
+    topics: list[np.ndarray] = []
     writer = PackedCorpusWriter(
         path,
         num_users=config.num_users,
@@ -479,22 +591,26 @@ def generate_packed_corpus(
         chunk_tokens=chunk_tokens,
     )
     try:
-        for draw in _planted_draws(config, truth, rng):
-            if len(draw) == 2:
-                writer.add_link(*draw)
+        for chunk in _planted_columns(config, truth, rng):
+            if isinstance(chunk, np.ndarray):
+                writer.add_links(chunk.tolist())
                 continue
-            user, t, words, c, k = draw
-            writer.add_post(user, t, words)
+            ends = chunk.lengths.cumsum().tolist()
+            for author, t, length, end in zip(
+                chunk.authors.tolist(), chunk.times.tolist(),
+                chunk.lengths.tolist(), ends,
+            ):
+                writer.add_post(author, t, chunk.words[end - length:end])
             if keep_latents:
-                communities.append(c)
-                topics.append(k)
+                communities.append(chunk.communities)
+                topics.append(chunk.topics)
         packed_path = writer.finalize()
     except BaseException:
         writer.abort()
         raise
     if keep_latents:
-        truth.post_communities = np.asarray(communities)
-        truth.post_topics = np.asarray(topics)
+        truth.post_communities = np.concatenate(communities)
+        truth.post_topics = np.concatenate(topics)
     return PackedCorpus.open(packed_path), truth
 
 

@@ -58,8 +58,16 @@ class Vocabulary:
         return new_id
 
     def add_all(self, tokens: Iterable[str]) -> list[int]:
-        """Add every token and return their ids in order."""
-        return [self.add(token) for token in tokens]
+        """Add every token and return their ids in order.
+
+        A known token costs one dict lookup; only unseen ones go through
+        :meth:`add` (and its validation).
+        """
+        known = self._token_to_id.get
+        return [
+            token_id if (token_id := known(token)) is not None else self.add(token)
+            for token in tokens
+        ]
 
     def freeze(self) -> "Vocabulary":
         """Disallow further additions; returns self for chaining."""

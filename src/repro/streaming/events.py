@@ -116,17 +116,17 @@ def corpus_to_events(corpus: SocialCorpus) -> list[Event]:
     used by event fixtures and the streaming benchmark.
     """
     token_of = (
-        corpus.vocabulary.token_of
+        corpus.vocabulary.to_list()
         if corpus.vocabulary is not None
-        else lambda w: f"w{w}"
-    )
+        else [f"w{w}" for w in range(corpus.vocab_size)]
+    ).__getitem__
     events: list[Event] = []
     for index, post in enumerate(corpus.posts):
         jitter = 0.1 + 0.8 * (index % 89) / 89.0
         events.append(
             PostEvent(
                 author_key=f"u{post.author}",
-                tokens=tuple(token_of(w) for w in post.words),
+                tokens=tuple(map(token_of, post.words)),
                 time=post.timestamp + jitter,
             )
         )

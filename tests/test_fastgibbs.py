@@ -471,6 +471,29 @@ class TestNativeLoader:
             pytest.skip("no C compiler on PATH")
         assert fastgibbs.native_kernel() is not None
 
+    @pytest.mark.parametrize("edited", ["source", "header"])
+    def test_library_name_keys_on_every_compiled_file(
+        self, monkeypatch, tmp_path, edited
+    ):
+        """Editing any file the compile reads, a header included, names a
+        new library, so a stale cached build is never loaded."""
+        copies = []
+        for path in (*fastgibbs._SOURCES, *fastgibbs._HEADERS):
+            copy = tmp_path / path.name
+            copy.write_bytes(path.read_bytes())
+            copies.append(copy)
+        sources, headers = (
+            tuple(copies[: len(fastgibbs._SOURCES)]),
+            tuple(copies[len(fastgibbs._SOURCES):]),
+        )
+        assert [path.name for path in headers] == ["_pcg64.h"]
+        monkeypatch.setattr(fastgibbs, "_SOURCES", sources)
+        monkeypatch.setattr(fastgibbs, "_HEADERS", headers)
+        name = fastgibbs._library_name()
+        target = (sources if edited == "source" else headers)[-1]
+        target.write_bytes(target.read_bytes() + b"\n")
+        assert fastgibbs._library_name() != name
+
     def test_unwritable_home_cache_builds_in_private_temp_dir(
         self, monkeypatch, tmp_path
     ):

@@ -1,9 +1,41 @@
 """Unit tests for repro.core.state (Gibbs counters and bookkeeping)."""
 
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import state as state_module
 from repro.core.state import CountState, PostTable, StateError
+from repro.datasets.corpus import Post
+from tests.conftest import make_corpus
+
+
+def per_item_counters(state: CountState) -> dict[str, np.ndarray]:
+    """The counters one ``add_post`` / ``add_link`` per item builds on zero
+    counters, under ``state``'s assignments: the independent reference of
+    the vectorised recount."""
+    zero = replace(
+        state,
+        **{name: np.zeros_like(getattr(state, name)) for name in CountState._COUNTERS},
+        post_comm=state.post_comm.copy(),
+        post_topic=state.post_topic.copy(),
+        link_src_comm=state.link_src_comm.copy(),
+        link_dst_comm=state.link_dst_comm.copy(),
+    )
+    for p in range(zero.num_posts):
+        zero.add_post(p, int(zero.post_comm[p]), int(zero.post_topic[p]))
+    for e in range(zero.num_links):
+        zero.add_link(e, int(zero.link_src_comm[e]), int(zero.link_dst_comm[e]))
+    return {name: getattr(zero, name) for name in CountState._COUNTERS}
+
+
+def assert_counters_equal(state: CountState, expected: dict[str, np.ndarray]) -> None:
+    for name, counts in expected.items():
+        np.testing.assert_array_equal(getattr(state, name), counts, err_msg=name)
 
 
 @pytest.fixture()
@@ -28,6 +60,44 @@ class TestPostTable:
         assert table.authors.tolist() == [p.author for p in hand_corpus.posts]
         assert table.times.tolist() == [p.timestamp for p in hand_corpus.posts]
 
+    def test_no_posts(self):
+        table = PostTable.from_posts([])
+        assert len(table) == 0
+        assert table.offsets.tolist() == [0]
+        assert table.unique_words.dtype == table.unique_counts.dtype == np.int64
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        vocab=st.integers(1, 40),
+        data=st.data(),
+        slice_posts=st.integers(1, 6),
+    )
+    def test_from_posts_matches_word_counts_order(self, vocab, data, slice_posts):
+        """Every post's unique words, counts and order are
+        ``Post.word_counts()``'s, whatever the slicing: repeated ids,
+        single-token posts, ids at V - 1."""
+        word = st.integers(0, vocab - 1) | st.just(vocab - 1)
+        posts = data.draw(st.lists(
+            st.builds(
+                Post,
+                author=st.integers(0, 9),
+                words=st.lists(word, min_size=1, max_size=12).map(tuple),
+                timestamp=st.integers(0, 5),
+            ),
+            max_size=20,
+        ))
+        with mock.patch.object(state_module, "_SLICE_POSTS", slice_posts):
+            table = PostTable.from_posts(posts)
+        assert table.authors.tolist() == [post.author for post in posts]
+        assert table.times.tolist() == [post.timestamp for post in posts]
+        assert table.lengths.tolist() == [len(post) for post in posts]
+        assert len(table.unique_words) == table.offsets[-1]
+        for p, post in enumerate(posts):
+            words, counts = table.words_of(p)
+            expected = post.word_counts()
+            assert words.tolist() == list(expected)
+            assert counts.tolist() == list(expected.values())
+
 
 class TestInitialize:
     def test_counters_match_recount_after_init(self, state):
@@ -51,6 +121,89 @@ class TestInitialize:
     def test_rejects_bad_dimensions(self, hand_corpus, rng):
         with pytest.raises(StateError):
             CountState.initialize(hand_corpus, 0, 2, rng)
+
+    @pytest.mark.parametrize("include_network", [True, False])
+    @pytest.mark.parametrize("world", ["hand", "tiny", "no_links"])
+    def test_counters_equal_a_per_item_build(
+        self, world, include_network, hand_corpus, tiny_corpus
+    ):
+        corpus = {
+            "hand": hand_corpus,
+            "tiny": tiny_corpus,
+            "no_links": make_corpus(hand_corpus.posts, []),
+        }[world]
+        state = CountState.initialize(
+            corpus, 4, 3, np.random.default_rng(9), include_network=include_network
+        )
+        assert_counters_equal(state, per_item_counters(state))
+        state.check_invariants()
+
+    def test_assignments_are_the_same_integers_draws(self, tiny_corpus):
+        """Posts' communities, topics, then links' source and target
+        communities: one ``rng.integers`` call each, in that order."""
+        state = CountState.initialize(tiny_corpus, 4, 3, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        D, E = tiny_corpus.num_posts, tiny_corpus.num_links
+        for name, bound, size in (
+            ("post_comm", 4, D), ("post_topic", 3, D),
+            ("link_src_comm", 4, E), ("link_dst_comm", 4, E),
+        ):
+            np.testing.assert_array_equal(
+                getattr(state, name), rng.integers(bound, size=size)
+            )
+
+
+class TestFoldIncrement:
+    NEW_POSTS = (
+        Post(author=5, words=(10, 10, 3), timestamp=4),
+        Post(author=1, words=(11,), timestamp=0),
+    )
+
+    def _fold(self, state, posts, links, include_network=True):
+        return state.fold_increment(
+            posts, links, num_users=6, vocab_size=12, num_time_slices=5,
+            rng=np.random.default_rng(4), include_network=include_network,
+        )
+
+    def test_counts_equal_a_per_item_build(self, state):
+        links = [(5, 0), (0, 1), (4, 4), (5, 0), (1, 5), (0, 1)]
+        new_posts, new_links = self._fold(state, self.NEW_POSTS, links)
+        assert new_posts.tolist() == [6, 7]
+        # (0, 1) already exists, (4, 4) is a self-link, (5, 0) repeats.
+        assert new_links.tolist() == [4, 5]
+        assert state.links[4:].tolist() == [[5, 0], [1, 5]]
+        assert_counters_equal(state, per_item_counters(state))
+        state.check_invariants()
+
+    def test_post_table_matches_a_fresh_build(self, state, hand_corpus):
+        self._fold(state, self.NEW_POSTS, [])
+        fresh = PostTable.from_posts([*hand_corpus.posts, *self.NEW_POSTS])
+        for name in CountState._POST_FIELDS:
+            np.testing.assert_array_equal(
+                getattr(state.posts, name), getattr(fresh, name), err_msg=name
+            )
+
+    def test_links_ignored_without_network(self, state):
+        _, new_links = self._fold(state, (), [(5, 0)], include_network=False)
+        assert len(new_links) == 0
+        state.check_invariants()
+
+    @pytest.mark.parametrize(
+        "posts,links",
+        [
+            ((Post(author=6, words=(0,), timestamp=0),), []),
+            ((Post(author=0, words=(12,), timestamp=0),), []),
+            ((Post(author=0, words=(0,), timestamp=5),), []),
+            (NEW_POSTS, [(0, 6)]),
+            (NEW_POSTS, [(-1, 2)]),
+        ],
+    )
+    def test_out_of_range_ids_raise_before_any_change(self, state, posts, links):
+        before = {name: array.copy() for name, array in state.to_arrays().items()}
+        with pytest.raises(StateError, match="out of range"):
+            self._fold(state, posts, links)
+        for name, array in state.to_arrays().items():
+            np.testing.assert_array_equal(array, before[name], err_msg=name)
 
 
 class TestPostBookkeeping:
@@ -103,6 +256,13 @@ class TestLinkBookkeeping:
 
 
 class TestInvariantChecking:
+    @pytest.mark.parametrize("name", ["post_comm", "post_topic", "link_dst_comm"])
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_detects_assignment_out_of_range(self, state, name, label):
+        getattr(state, name)[0] = label
+        with pytest.raises(StateError, match=name):
+            state.check_invariants()
+
     def test_detects_corrupted_counter(self, state):
         state.n_comm_topic[0, 0] += 1
         with pytest.raises(StateError, match="n_comm_topic"):

@@ -1,11 +1,13 @@
 """Unit tests for repro.datasets.synthetic (the planted COLD generator)."""
 
 from dataclasses import replace
+from functools import cache
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.core import fastgibbs
 from repro.datasets import synthetic
 from repro.datasets.corpus import Post
 from repro.datasets.synthetic import (
@@ -56,6 +58,19 @@ def choice_oracle(config: SyntheticConfig):
             if target != user:
                 links.add((user, target))
     return truth, posts, sorted(links), latents
+
+
+@cache
+def cached_choice_oracle(world: str, seed: int):
+    """:func:`choice_oracle` of an ``ORACLE_WORLDS`` entry, computed once."""
+    return choice_oracle(ORACLE_WORLDS[world](seed))
+
+
+def _native():
+    lib = fastgibbs.native_kernel()
+    if lib is None:
+        pytest.skip("no native kernels (no C compiler)")
+    return lib
 
 
 def _preset_config(preset, seed: int) -> SyntheticConfig:
@@ -240,13 +255,27 @@ ORACLE_WORLDS = {
 
 
 class TestChoiceOracle:
-    """Both generators draw exactly what per-call ``rng.choice`` draws."""
+    """Both generators draw exactly what per-call ``rng.choice`` draws,
+    natively (whenever the library loads) and on the reference loop."""
 
     @pytest.mark.parametrize("seed", [7, 8, 100])
     @pytest.mark.parametrize("world", sorted(ORACLE_WORLDS))
     def test_generators_reproduce_choice_oracle(self, world, seed, tmp_path):
+        self._check(world, seed, tmp_path)
+
+    @pytest.mark.parametrize("seed", [7, 8, 100])
+    @pytest.mark.parametrize("world", sorted(ORACLE_WORLDS))
+    def test_reference_loop_reproduces_choice_oracle(
+        self, world, seed, tmp_path, monkeypatch
+    ):
+        """The no-compiler path: ``native_kernel`` returns ``None``."""
+        monkeypatch.setattr(fastgibbs, "native_kernel", lambda: None)
+        self._check(world, seed, tmp_path)
+
+    @staticmethod
+    def _check(world: str, seed: int, tmp_path) -> None:
         config = ORACLE_WORLDS[world](seed)
-        truth, posts, links, latents = choice_oracle(config)
+        truth, posts, links, latents = cached_choice_oracle(world, seed)
         communities = np.array([c for c, _ in latents])
         topics = np.array([k for _, k in latents])
         vocabulary = (
@@ -272,6 +301,133 @@ class TestChoiceOracle:
             assert packed.vocabulary == vocabulary
         np.testing.assert_array_equal(packed_truth.post_communities, communities)
         np.testing.assert_array_equal(packed_truth.post_topics, topics)
+
+
+#: Worlds for the native draws: each Poisson branch (multiplication below
+#: a mean of 10, PTRS from 10, nothing at 0) on posts, words and links.
+NATIVE_WORLDS = {
+    "medium": replace(MEDIUM_WORLD, seed=3),
+    "ptrs_posts_mult_words": SyntheticConfig(
+        num_users=40, mean_posts_per_user=25.0, mean_words_per_post=3.0,
+        mean_links_per_user=12.0, seed=4,
+    ),
+    "means_at_ten": SyntheticConfig(
+        num_users=50, mean_posts_per_user=10.0, mean_words_per_post=10.0,
+        mean_links_per_user=10.0, seed=5,
+    ),
+    "large_means": SyntheticConfig(
+        num_users=8, mean_posts_per_user=150.0, mean_words_per_post=60.0,
+        mean_links_per_user=40.0, seed=6,
+    ),
+    "no_links": SyntheticConfig(num_users=30, mean_links_per_user=0.0, seed=7),
+    "tiny_means": SyntheticConfig(
+        num_users=30, mean_posts_per_user=0.3, mean_words_per_post=0.5,
+        mean_links_per_user=0.2, seed=8,
+    ),
+}
+
+
+def _reference_columns(config: SyntheticConfig, rng: np.random.Generator):
+    """The reference loop's draws as one set of columns, and the links."""
+    truth = plant_parameters(config, rng)
+    draws = list(synthetic._planted_draws(config, truth, rng))
+    posts = [draw for draw in draws if len(draw) == 5]
+    links = np.array([draw for draw in draws if len(draw) == 2], np.int64)
+    users, times, words, communities, topics = zip(*posts)
+    columns = synthetic._PostColumns(
+        *(np.array(column, np.int64) for column in (users, times, communities, topics)),
+        np.array([len(w) for w in words], np.int64),
+        np.concatenate(words),
+    )
+    return columns, links.reshape(-1, 2)
+
+
+def _drawn_columns(config: SyntheticConfig, rng: np.random.Generator):
+    """:func:`synthetic._planted_columns`' chunks, concatenated."""
+    truth = plant_parameters(config, rng)
+    chunks = list(synthetic._planted_columns(config, truth, rng))
+    posts = [chunk for chunk in chunks if isinstance(chunk, synthetic._PostColumns)]
+    links = [chunk for chunk in chunks if not isinstance(chunk, synthetic._PostColumns)]
+    columns = synthetic._PostColumns(
+        *(np.concatenate(column) for column in zip(*posts))
+    )
+    return columns, np.concatenate([np.zeros((0, 2), np.int64), *links])
+
+
+class TestNativeDraws:
+    """``cold_planted_posts`` / ``cold_planted_links`` against their oracle,
+    the reference loop ``_planted_draws``: same values, same generator
+    state after."""
+
+    @pytest.mark.parametrize("world", sorted(NATIVE_WORLDS))
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_columns_and_generator_state_match_reference(self, world, buffered):
+        _native()
+        config = NATIVE_WORLDS[world]
+        reference = np.random.default_rng(config.seed)
+        native = np.random.default_rng(config.seed)
+        if buffered:  # leaves half a uint64 in the generator (has_uint32)
+            reference.integers(0, 7, dtype=np.uint32)
+            native.integers(0, 7, dtype=np.uint32)
+        want_posts, want_links = _reference_columns(config, reference)
+        got_posts, got_links = _drawn_columns(config, native)
+        for name, want, got in zip(want_posts._fields, want_posts, got_posts):
+            np.testing.assert_array_equal(got, want, err_msg=name)
+        np.testing.assert_array_equal(got_links, want_links)
+        assert native.bit_generator.state == reference.bit_generator.state
+        assert native.random() == reference.random()
+
+    def test_users_past_the_capacity_are_rewound(self, monkeypatch):
+        """Capacities of one post, word and link: nearly every user
+        overflows a call, is rewound and redrawn in a grown one."""
+        _native()
+        monkeypatch.setattr(synthetic, "_CHUNK_POSTS", 1)
+        monkeypatch.setattr(synthetic, "_CHUNK_WORDS", 1)
+        monkeypatch.setattr(synthetic, "_CHUNK_LINKS", 1)
+        config = NATIVE_WORLDS["ptrs_posts_mult_words"]
+        reference, native = (np.random.default_rng(1) for _ in range(2))
+        want_posts, want_links = _reference_columns(config, reference)
+        got_posts, got_links = _drawn_columns(config, native)
+        for want, got in zip(want_posts, got_posts):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got_links, want_links)
+        assert native.bit_generator.state == reference.bit_generator.state
+
+    def test_native_path_never_runs_the_reference_loop(self, monkeypatch, tmp_path):
+        """No silent fallback: with the library loaded, neither generator
+        reaches ``_planted_draws``."""
+        _native()
+        monkeypatch.setattr(synthetic, "_planted_draws", None)
+        generate_corpus(SyntheticConfig(seed=3))
+        packed, _ = generate_packed_corpus(
+            SyntheticConfig(seed=3), path=tmp_path / "w.coldpack"
+        )
+        packed.close()
+
+    @pytest.mark.parametrize(
+        ("bit_generator", "reference_calls"),
+        [(np.random.PCG64, 0), (np.random.Philox, 1), (np.random.MT19937, 1)],
+    )
+    def test_only_pcg64_runs_natively(
+        self, bit_generator, reference_calls, monkeypatch
+    ):
+        """Any other bit generator takes the reference loop and still
+        draws exactly what it draws."""
+        _native()
+        calls = []
+        planted_draws = synthetic._planted_draws
+
+        def recording(*args):
+            calls.append(args)
+            return planted_draws(*args)
+
+        config = NATIVE_WORLDS["no_links"]
+        want = _reference_columns(config, np.random.Generator(bit_generator(5)))
+        monkeypatch.setattr(synthetic, "_planted_draws", recording)
+        got = _drawn_columns(config, np.random.Generator(bit_generator(5)))
+        assert len(calls) == reference_calls
+        for want_column, got_column in zip(want[0], got[0]):
+            np.testing.assert_array_equal(got_column, want_column)
 
 
 def _corrupt(row: np.ndarray, defect: str) -> None:
@@ -315,11 +471,14 @@ class TestDrawValidation:
         with pytest.raises(ValueError):
             np.random.default_rng(0).choice(row.size, p=drawn_row)
 
-        rng = np.random.default_rng(2)
-        before = rng.bit_generator.state
-        with pytest.raises(ValueError):
-            next(synthetic._planted_draws(config, truth, rng))
-        assert rng.bit_generator.state == before
+        # The reference loop, then the columns (native when the library
+        # loads): both fail before their first draw.
+        for draws in (synthetic._planted_draws, synthetic._planted_columns):
+            rng = np.random.default_rng(2)
+            before = rng.bit_generator.state
+            with pytest.raises(ValueError):
+                next(draws(config, truth, rng))
+            assert rng.bit_generator.state == before
 
     def test_bad_truth_fails_generate_corpus(self):
         truth = plant_parameters(SyntheticConfig(), np.random.default_rng(0))
