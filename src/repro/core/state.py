@@ -34,6 +34,36 @@ from ..datasets.corpus import Post, SocialCorpus
 _SLICE_POSTS = 256
 
 
+def unique_word_csr(
+    words: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-post unique words and counts, in :meth:`Post.word_counts` order.
+
+    ``words`` is the flat non-negative int64 token column of consecutive
+    posts of ``lengths`` tokens each.  Returns the flat unique words,
+    their multiplicities and each post's number of unique words.  One
+    stable sort of the (post, word) pairs gives every pair's first
+    position and multiplicity, and the pairs taken in first-position
+    order are in post order, then first appearance.  This is the one
+    definition of that order: :meth:`PostTable.from_posts` and the
+    ``.coldpack`` writer both call it.
+    """
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    pairs = owner * (int(words.max(initial=0)) + 1) + words
+    # Stably sorted, each (post, word) run starts at the pair's first
+    # position and is as long as its count.
+    order = np.argsort(pairs, kind="stable")
+    starts = np.flatnonzero(np.diff(pairs[order], prepend=-1))
+    counts = np.zeros(len(words), np.int64)
+    counts[order[starts]] = np.diff(starts, append=len(words))
+    first = np.flatnonzero(counts)
+    return (
+        words[first],
+        counts[first],
+        np.bincount(owner[first], minlength=len(lengths)),
+    )
+
+
 class StateError(ValueError):
     """Raised when the count state is used inconsistently."""
 
@@ -70,10 +100,8 @@ class PostTable:
         """The table of ``posts``, each post's unique words in the
         first-appearance order of :meth:`Post.word_counts`.
 
-        Vectorised over slices of ``_SLICE_POSTS`` posts: within a slice,
-        one stable sort of the (post, word) pairs gives every pair's
-        first position and multiplicity, and the pairs taken in
-        first-position order are in post order, then first appearance.
+        Vectorised over slices of ``_SLICE_POSTS`` posts, each one call
+        of :func:`unique_word_csr`.
         """
         D = len(posts)
         authors = np.fromiter(map(attrgetter("author"), posts), np.int64, count=D)
@@ -90,18 +118,10 @@ class PostTable:
                 chain.from_iterable(map(attrgetter("words"), chunk)), np.int64,
                 count=int(sizes.sum()),
             )
-            owner = np.repeat(np.arange(len(chunk)), sizes)
-            pairs = owner * (int(flat.max()) + 1) + flat
-            # Stably sorted, each (post, word) run starts at the pair's
-            # first position and is as long as its count.
-            order = np.argsort(pairs, kind="stable")
-            starts = np.flatnonzero(np.diff(pairs[order], prepend=-1))
-            counts = np.zeros(len(flat), np.int64)
-            counts[order[starts]] = np.diff(starts, append=len(flat))
-            first = np.flatnonzero(counts)
-            unique_words.append(flat[first])
-            unique_counts.append(counts[first])
-            per_post.append(np.bincount(owner[first], minlength=len(chunk)))
+            words, counts, unique_sizes = unique_word_csr(flat, sizes)
+            unique_words.append(words)
+            unique_counts.append(counts)
+            per_post.append(unique_sizes)
         offsets = np.zeros(D + 1, np.int64)
         if D:
             np.cumsum(np.concatenate(per_post), out=offsets[1:])

@@ -561,19 +561,21 @@ def generate_packed_corpus(
     config: SyntheticConfig | None = None,
     path: str | Path = "corpus.coldpack",
     seed: int | None = None,
-    chunk_tokens: int = 1 << 20,
+    chunk_tokens: int = 1 << 16,
     keep_latents: bool = False,
 ) -> tuple[PackedCorpus, GroundTruth]:
     """Stream the planted COLD process to a ``.coldpack`` file.
 
-    Consumes the same draw loop as :func:`generate_corpus`, but streams
-    every post to a :class:`~repro.datasets.packed.PackedCorpusWriter` in
-    ``chunk_tokens``-sized flushes instead of materialising ``Post``
-    objects.  Peak RSS is therefore bounded by the planted parameter
-    tensors plus their CDF tables of the same shapes (O(users x
-    communities + topics x vocabulary)), however many tokens are
-    generated.  At equal seed the corpus is bit-identical to the in-RAM
-    path: same posts, same links, same vocabulary.
+    Consumes the same draw columns as :func:`generate_corpus`, but hands
+    each chunk of post columns and each link array straight to a
+    :class:`~repro.datasets.packed.PackedCorpusWriter` (spooled in
+    ``chunk_tokens``-sized flushes) instead of materialising ``Post``
+    objects: no Python runs per post.  Peak RSS is therefore bounded by
+    the planted parameter tensors plus their CDF tables of the same
+    shapes (O(users x communities + topics x vocabulary)) and the
+    writer's ``chunk_tokens`` buffer, however many tokens are generated.
+    At equal seed the corpus is bit-identical to the in-RAM path: same
+    posts, same links, same vocabulary.
 
     ``keep_latents=True`` records the drawn per-post community/topic
     latents on the returned :class:`GroundTruth` (two O(posts) arrays —
@@ -593,14 +595,11 @@ def generate_packed_corpus(
     try:
         for chunk in _planted_columns(config, truth, rng):
             if isinstance(chunk, np.ndarray):
-                writer.add_links(chunk.tolist())
+                writer.add_links(chunk)
                 continue
-            ends = chunk.lengths.cumsum().tolist()
-            for author, t, length, end in zip(
-                chunk.authors.tolist(), chunk.times.tolist(),
-                chunk.lengths.tolist(), ends,
-            ):
-                writer.add_post(author, t, chunk.words[end - length:end])
+            writer.add_post_columns(
+                chunk.authors, chunk.times, chunk.lengths, chunk.words
+            )
             if keep_latents:
                 communities.append(chunk.communities)
                 topics.append(chunk.topics)

@@ -16,6 +16,7 @@ Three contracts under test:
 
 from __future__ import annotations
 
+import hashlib
 
 import numpy as np
 import pytest
@@ -54,6 +55,26 @@ SMALL = SyntheticConfig(
     mean_links_per_user=2.0,
     seed=11,
 )
+
+
+#: The end-to-end benchmark's MEDIUM world (600 users, ~4.9K posts of
+#: ~40 words, ~1.8K links); at seed 7 it packs to :data:`MEDIUM_SHA256`.
+MEDIUM_WORLD = SyntheticConfig(
+    num_users=600,
+    num_communities=10,
+    num_topics=20,
+    num_time_slices=12,
+    vocab_size=2000,
+    mean_posts_per_user=8.0,
+    mean_words_per_post=40.0,
+    mean_links_per_user=3.0,
+    seed=7,
+)
+MEDIUM_SHA256 = "e59f1f597e97fd9403ebc8010fe2f8550d9acc8c1278e92ca95331bbfabae67f"
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +145,48 @@ class TestRoundTrip:
             assert packed.vocabulary == ram_corpus.vocabulary
 
 
+class TestByteIdentity:
+    """The ``.coldpack`` bytes are part of the format: both writers, at
+    any flush size, write exactly the pinned file."""
+
+    def test_medium_world_packs_to_pinned_sha256(self, tmp_path):
+        packed, _truth = generate_packed_corpus(
+            MEDIUM_WORLD, path=tmp_path / "gen.coldpack"
+        )
+        packed.close()
+        assert _sha256(tmp_path / "gen.coldpack") == MEDIUM_SHA256
+        corpus, _truth = generate_corpus(MEDIUM_WORLD)
+        written = write_packed(corpus, tmp_path / "ram.coldpack")
+        assert _sha256(written) == MEDIUM_SHA256
+
+    def test_many_flushes_write_the_same_bytes(self, tmp_path):
+        for chunk_tokens, name in ((1 << 20, "one.coldpack"), (64, "many.coldpack")):
+            packed, _truth = generate_packed_corpus(
+                SMALL, path=tmp_path / name, chunk_tokens=chunk_tokens
+            )
+            packed.close()
+        assert (tmp_path / "one.coldpack").read_bytes() == (
+            tmp_path / "many.coldpack"
+        ).read_bytes()
+
+    def test_one_row_adapters_write_the_same_bytes(
+        self, small_corpus, packed_path, tmp_path
+    ):
+        writer = PackedCorpusWriter(
+            tmp_path / "rows.coldpack",
+            num_users=small_corpus.num_users,
+            num_time_slices=small_corpus.num_time_slices,
+            vocab_size=small_corpus.vocab_size,
+            vocabulary=small_corpus.vocabulary,
+            chunk_tokens=64,
+        )
+        for post in small_corpus.posts:
+            writer.add_post(post.author, post.timestamp, post.words)
+        for src, dst in small_corpus.links:
+            writer.add_link(src, dst)
+        assert writer.finalize().read_bytes() == packed_path.read_bytes()
+
+
 class TestWriterValidation:
     def test_rejects_out_of_range_ids_at_build_time(self, tmp_path):
         writer = PackedCorpusWriter(
@@ -159,6 +222,101 @@ class TestWriterPosts:
         with PackedCorpus.open(writer.finalize()) as packed:
             assert packed.num_posts == 2
             assert packed.posts[1].words == (4, 2, 4)
+
+
+class TestColumnarValidation:
+    """``add_post_columns``/``add_links`` check a whole batch first: the
+    first bad post in post order raises, numbered from ``num_posts``, and
+    a rejected batch leaves no trace."""
+
+    @pytest.fixture()
+    def writer(self, tmp_path):
+        writer = PackedCorpusWriter(
+            tmp_path / "cols.coldpack", num_users=3, num_time_slices=4,
+            vocab_size=10,
+        )
+        writer.add_post(0, 0, [1, 2])
+        writer.add_post(1, 1, [3])
+        yield writer
+        writer.abort()
+
+    @staticmethod
+    def _batch(bad_row: int, **bad):
+        authors, times, lengths = [0, 1, 2, 0], [0, 1, 2, 3], [2, 1, 3, 1]
+        words = [[1, 2], [3], [4, 5, 4], [9]]
+        for column, value in bad.items():
+            {"author": authors, "time": times, "words": words}[column][bad_row] = value
+        lengths = [len(w) for w in words]
+        return authors, times, lengths, [w for post in words for w in post]
+
+    @pytest.mark.parametrize("row", [0, 2, 3])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"author": 3}, "author 3 out of range"),
+            ({"author": -1}, "author -1 out of range"),
+            ({"time": 4}, "timestamp 4 out of range"),
+            ({"words": [2, 10, -1]}, "word id 10 out of range"),
+            ({"words": [2, -1, 10]}, "word id -1 out of range"),
+        ],
+    )
+    def test_bad_row_named_from_num_posts(self, writer, row, bad, message):
+        with pytest.raises(CorpusValidationError, match=rf"^post {2 + row}: {message}"):
+            writer.add_post_columns(*self._batch(row, **bad))
+
+    def test_first_bad_post_in_post_order_wins(self, writer):
+        authors, times, lengths, words = self._batch(3, author=7)
+        words[0] = 11  # post 2 (row 0): a bad word before row 3's author
+        with pytest.raises(CorpusValidationError, match=r"^post 2: word id 11 "):
+            writer.add_post_columns(authors, times, lengths, words)
+        # Within a post, the author check comes before the word check.
+        authors[0] = 5
+        with pytest.raises(CorpusValidationError, match=r"^post 2: author 5 "):
+            writer.add_post_columns(authors, times, lengths, words)
+
+    def test_empty_post_in_batch_rejected(self, writer):
+        with pytest.raises(PackedCorpusError, match=r"^post 3: posts must contain"):
+            writer.add_post_columns(
+                np.array([0, 1, 2]), np.array([0, 0, 0]), np.array([1, 0, 2]),
+                np.array([4, 5, 6]),
+            )
+
+    def test_inconsistent_columns_rejected(self, writer):
+        with pytest.raises(PackedCorpusError, match="lengths summing"):
+            writer.add_post_columns([0, 1], [0, 0], [1, 1], [4, 5, 6])
+        with pytest.raises(PackedCorpusError, match="one author, time"):
+            writer.add_post_columns([0, 1], [0], [1, 1], [4, 5])
+
+    def test_rejected_batch_leaves_no_trace(self, writer):
+        before = (writer.num_posts, writer.num_tokens, writer.num_links)
+        with pytest.raises(CorpusValidationError):
+            writer.add_post_columns(*self._batch(3, time=9))
+        with pytest.raises(CorpusValidationError):
+            writer.add_links(np.array([[0, 1], [1, 3]]))
+        with pytest.raises(PackedCorpusError):
+            writer.add_links(np.array([[0, 1], [2, 2]]))
+        assert (writer.num_posts, writer.num_tokens, writer.num_links) == before
+        writer.add_post_columns(*self._batch(0))
+        with pytest.raises(CorpusValidationError, match=r"^post 6: author 3 "):
+            writer.add_post(3, 0, [1])
+        writer.add_links(np.array([[0, 1], [2, 0]]))
+        with PackedCorpus.open(writer.finalize(), verify=True) as packed:
+            assert packed.num_posts == 6
+            assert packed.posts[2].words == (1, 2)
+            assert packed.posts[4].words == (4, 5, 4)
+            assert packed.post_table().words_of(4)[1].tolist() == [2, 1]
+            assert list(packed.links) == [(0, 1), (2, 0)]
+
+    def test_array_links_validated(self, writer):
+        with pytest.raises(CorpusValidationError, match=r"link \(1, 3\) has dangling"):
+            writer.add_links(np.array([[0, 1], [1, 3], [2, 2]]))
+        with pytest.raises(CorpusValidationError, match=r"link \(-1, 0\) has dangling"):
+            writer.add_links(np.array([[0, 1], [-1, 0]]))
+        with pytest.raises(PackedCorpusError, match=r"self-link \(2, 2\)"):
+            writer.add_links(np.array([[0, 1], [2, 2], [1, 3]]))
+        with pytest.raises(PackedCorpusError, match=r"self-link \(1, 1\)"):
+            writer.add_links([(0, 2), (1, 1)])
+        assert writer.num_links == 0
 
 
 class TestCorruptionDetection:
