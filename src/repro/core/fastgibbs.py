@@ -249,7 +249,8 @@ def native_kernel() -> ctypes.CDLL | None:
                 ("cold_sweep_links", i64, [ptr, ptr, i64, i64, i64, i64, ptr]),
                 ("cold_reduce_sum", f64, [ptr, i64]),
                 ("cold_accumulate", None, [ptr, i64, ptr]),
-                ("cold_ic_cascade", None, [ptr, i64, ptr, i64, ptr]),
+                ("cold_ic_cascade", None, [ptr, i64, ptr, i64, ptr, ptr]),
+                ("cold_ic_reach", None, [ptr, i64, i64, ptr, ptr, i64, ptr]),
                 ("cold_planted_posts", i64,
                  [ptr] * 4 + [i64] * 4 + [f64] * 2 + [i64, i64]
                  + [ptr] * 6 + [i64, ptr, i64, ptr]),

@@ -16,6 +16,16 @@ the same uniforms in the same order as the numpy kernel
 :func:`_batched_cascade` and leaves the generator in the same state.
 The numpy kernel is the oracle, and the fallback for any other bit
 generator or when no library could be built.
+
+Several seed sets share one set of realisations.  IC spread from ``S``
+equals reachability from ``S`` in a random live-edge graph, where each
+edge is live independently with its probability (Kempe, Kleinberg &
+Tardos 2003).  So :func:`_mean_spreads` runs one cascade per simulation
+from the union of the sets, records each expanded node's coin row (its
+live out-edges, as bitsets), and counts each set's reach in that graph
+(``cold_ic_reach``, or its numpy oracle :func:`_batched_reach`).  Each
+set's estimate keeps its exact distribution; estimates of different sets
+share their coin flips (common random numbers).
 """
 
 from __future__ import annotations
@@ -37,7 +47,11 @@ class InfluenceError(ValueError):
 def _seed_sets(
     probabilities: np.ndarray, seeds: list[int] | np.ndarray | None
 ) -> np.ndarray:
-    """Validate the IC inputs; returns seed-set mask rows (``None``: each node)."""
+    """Validate the IC inputs; returns ``(G, n)`` seed-set mask rows.
+
+    ``seeds`` is ``None`` (each node alone), node ids (one set), or a
+    ``(G, n)`` boolean array of masks (``G`` sets).
+    """
     n = probabilities.shape[0]
     if probabilities.shape != (n, n):
         raise InfluenceError("probability matrix must be square")
@@ -45,6 +59,10 @@ def _seed_sets(
         raise InfluenceError("activation probabilities must be finite, in [0, 1]")
     if seeds is None:
         return np.eye(n, dtype=bool)
+    if isinstance(seeds, np.ndarray) and seeds.dtype == bool and seeds.ndim == 2:
+        if not len(seeds) or seeds.shape[1] != n:
+            raise InfluenceError(f"seed masks must have shape (G >= 1, {n})")
+        return seeds
     seed_idx = np.asarray(seeds, dtype=np.int64).reshape(-1)
     bad = seed_idx[(seed_idx < 0) | (seed_idx >= n)]
     if bad.size:
@@ -57,8 +75,24 @@ def _seed_sets(
 _DRAW_BLOCK = 1 << 14
 
 
+def _live_shape(rows: int, n: int) -> tuple[int, int, int]:
+    """Shape of the live-edge bitsets of ``rows`` realisations on ``n`` nodes."""
+    return rows, n, -(-n // 64)
+
+
+def _live_rows(flips: np.ndarray) -> np.ndarray:
+    """Boolean coin rows ``(m, n)`` as ``(m, ceil(n / 64))`` bitset words."""
+    m, n = flips.shape
+    packed = np.zeros((m, 8 * -(-n // 64)), dtype=np.uint8)
+    packed[:, : -(-n // 8)] = np.packbits(flips, axis=1, bitorder="little")
+    return packed.view("<u8")
+
+
 def _batched_cascade(
-    probabilities: np.ndarray, active: np.ndarray, rng: np.random.Generator
+    probabilities: np.ndarray,
+    active: np.ndarray,
+    rng: np.random.Generator,
+    live: np.ndarray | None = None,
 ) -> np.ndarray:
     """Run the IC realisations in the rows of ``active`` to completion, in place.
 
@@ -69,7 +103,9 @@ def _batched_cascade(
     per (frontier entry, target) in row-major blocks of about
     ``_DRAW_BLOCK`` doubles and ORs each row's fired edges, so every edge
     out of a newly active node is tried exactly once, as in the scalar
-    per-edge loop.
+    per-edge loop.  ``live`` (zeroed ``(R, n, ceil(n / 64))`` ``uint64``)
+    receives each expanded node's coin row: bit ``v`` of ``live[r, u]`` is
+    set when edge ``u -> v`` came up live in realisation ``r``.
     """
     n = active.shape[1]
     step = max(1, _DRAW_BLOCK // n)
@@ -85,6 +121,8 @@ def _batched_cascade(
         for block in np.split(rows, np.unique(starts)[1:]):
             owner, nodes = np.nonzero(frontier[block])
             flips = rng.random((nodes.size, n)) < probabilities[nodes]
+            if live is not None:
+                live[block[owner], nodes] = _live_rows(flips)
             heads = np.flatnonzero(np.diff(owner, prepend=-1))
             fired = np.logical_or.reduceat(flips, heads, axis=0) & ~active[block]
             active[block] |= fired
@@ -92,29 +130,82 @@ def _batched_cascade(
 
 
 def _cascade(
-    probabilities: np.ndarray, active: np.ndarray, rng: np.random.Generator
+    probabilities: np.ndarray,
+    active: np.ndarray,
+    rng: np.random.Generator,
+    live: np.ndarray | None = None,
 ) -> np.ndarray:
     """:func:`_batched_cascade`'s realisations, natively when possible.
 
     ``active`` (``(R, n)``, C-contiguous, as every caller builds it) is
-    run in place as a ``uint8`` view.  The native kernel advances a copy
-    of the ``PCG64`` state and only ``state.state`` is written back (under
-    the bit generator's lock), so the activations and the generator's
-    next draws are bit-identical to the numpy kernel's.  The foreign call
-    releases the GIL.
+    run in place as a ``uint8`` view, and ``live`` is filled in place.
+    The native kernel advances a copy of the ``PCG64`` state and only
+    ``state.state`` is written back (under the bit generator's lock), so
+    the activations, the live edges and the generator's next draws are
+    bit-identical to the numpy kernel's.  The foreign call releases the
+    GIL.
     """
+    if live is not None and live.shape != _live_shape(*active.shape):
+        raise ValueError("live bitsets and activations disagree in shape")
     lib = native_kernel()
     bitgen = rng.bit_generator
     if lib is None or type(bitgen) is not np.random.PCG64:
-        return _batched_cascade(probabilities, active, rng)
+        return _batched_cascade(probabilities, active, rng, live)
     probabilities = np.ascontiguousarray(probabilities, dtype=np.float64)
     with pcg64_words(bitgen) as words:
         lib.cold_ic_cascade(
             _address(probabilities, np.float64), probabilities.shape[0],
             _address(active.view(np.uint8), np.uint8, writable=True),
-            active.shape[0], words.ctypes.data,
+            active.shape[0],
+            None if live is None else _address(live, np.uint64, writable=True),
+            words.ctypes.data,
         )
     return active
+
+
+def _batched_reach(live: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """Each seed set's reach, summed over the live-edge graphs in ``live``.
+
+    The numpy reference of the native ``cold_ic_reach``.  ``live`` is
+    ``(R, n, W)`` bitsets as the cascade records them, and is overwritten
+    by its reflexive-transitive closure: Warshall, one pivot at a time
+    over every realisation.  ``sets`` is ``(G, n)`` masks.
+    """
+    one = np.uint64(1)
+    nodes = np.arange(live.shape[1])
+    words, bits = nodes >> 6, (nodes & 63).astype(np.uint64)
+    live[:, nodes, words] |= one << bits
+    for k in nodes:
+        via = (live[:, :, words[k]] >> bits[k]) & one  # (R, n): reaches k
+        live |= live[:, k, None, :] * via[:, :, None]
+    return np.array(
+        [
+            np.unpackbits(
+                np.bitwise_or.reduce(live[:, members], axis=1).view(np.uint8)
+            ).sum()
+            for members in sets
+        ],
+        dtype=np.int64,
+    )
+
+
+def _reach(live: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """:func:`_batched_reach`, natively when the library is loaded."""
+    if live.shape != _live_shape(len(live), sets.shape[1]):
+        raise ValueError("live bitsets and seed-set masks disagree in shape")
+    lib = native_kernel()
+    if lib is None:
+        return _batched_reach(live, sets)
+    set_ptr = np.zeros(len(sets) + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(sets, axis=1), out=set_ptr[1:])
+    set_nodes = np.nonzero(sets)[1].astype(np.int64)
+    counts = np.zeros(len(sets), dtype=np.int64)
+    lib.cold_ic_reach(
+        _address(live, np.uint64, writable=True), live.shape[1], live.shape[0],
+        _address(set_ptr, np.int64), _address(set_nodes, np.int64), len(sets),
+        _address(counts, np.int64, writable=True),
+    )
+    return counts
 
 
 def _mean_spreads(
@@ -125,15 +216,23 @@ def _mean_spreads(
 ) -> np.ndarray:
     """Mean IC spread of each seed set of :func:`_seed_sets`.
 
-    All realisations run in one batched cascade: row ``g * num_simulations
-    + s`` is simulation ``s`` of seed set ``g``.
+    Every set shares the same ``num_simulations`` realisations: the rows
+    of one batched cascade, each seeded with the union of the sets.  One
+    set's spread is its row's active count.  For several, the cascade
+    records the live edges and each set's spread is its reach (see the
+    module docstring); the live bitsets take at most ``num_simulations *
+    n * ceil(n / 64)`` words.
     """
     if num_simulations <= 0:
         raise InfluenceError("num_simulations must be positive")
     sets = _seed_sets(probabilities, seeds)
-    active = np.repeat(sets, num_simulations, axis=0)
-    _cascade(probabilities, active, rng)
-    return np.count_nonzero(active.reshape(len(sets), -1), axis=1) / num_simulations
+    active = np.repeat(sets.any(axis=0, keepdims=True), num_simulations, axis=0)
+    if len(sets) == 1:
+        _cascade(probabilities, active, rng)
+        return np.count_nonzero(active.reshape(1, -1), axis=1) / num_simulations
+    live = np.zeros(_live_shape(*active.shape), dtype=np.uint64)
+    _cascade(probabilities, active, rng, live)
+    return _reach(live, sets) / num_simulations
 
 
 def independent_cascade(
@@ -158,6 +257,16 @@ def independent_cascade(
        batched cascade looped per realisation (and before that per node)
        and gave *different*, equally valid, realisations; the spread
        distribution is unchanged.
+
+       A call with one seed set (this function, :func:`expected_spread`)
+       cascades from that set.  A call with several (``seeds=None`` in
+       :func:`community_influence` and greedy's first round) cascades
+       once per simulation from their union, which for ``None`` is every
+       node: each realisation draws one row-major ``n x n`` coin matrix.
+       Versions before the shared realisation ran one row per (set,
+       simulation), so their multi-set numbers, and the generator state
+       after them, differ from today's; each set's spread distribution is
+       unchanged, and single-set calls draw the same stream as before.
     """
     return _cascade(probabilities, _seed_sets(probabilities, seeds), rng)[0]
 

@@ -14,8 +14,6 @@ Implements the paper's three prediction tasks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..datasets.corpus import Post
@@ -27,30 +25,17 @@ class PredictionError(ValueError):
     """Raised for invalid prediction requests."""
 
 
-def top_communities(pi_row: np.ndarray, size: int) -> np.ndarray:
+def top_communities(pi: np.ndarray, size: int) -> np.ndarray:
     """``TopComm(i)``: indices of the user's ``size`` strongest memberships.
 
-    The paper fixes ``size = 5``, citing that users are typically active in
-    a handful of communities [34].
+    ``pi`` is one user's membership row, or a ``(U, C)`` matrix whose rows
+    are all ranked at once.  The paper fixes ``size = 5``, citing that
+    users are typically active in a handful of communities [34].
     """
     if size <= 0:
         raise PredictionError(f"TopComm size must be positive, got {size}")
-    size = min(size, len(pi_row))
-    return np.argpartition(pi_row, -size)[-size:]
-
-
-@dataclass
-class _UserProfile:
-    """Offline-precomputed per-user representation (§5.2 'offline filtering').
-
-    ``communities`` is the user's TopComm; ``memberships`` the matching
-    ``pi_ic`` weights; ``topic_preference`` is ``P(k | i)`` of Eq. (5)
-    restricted to TopComm.
-    """
-
-    communities: np.ndarray
-    memberships: np.ndarray
-    topic_preference: np.ndarray
+    size = min(size, pi.shape[-1])
+    return np.argpartition(pi, -size, axis=-1)[..., -size:]
 
 
 class DiffusionPredictor:
@@ -70,33 +55,25 @@ class DiffusionPredictor:
         self.top_comm_size = top_comm_size
         self._zeta = zeta(estimates)  # (K, C, C)
         self._log_phi = np.log(estimates.phi + 1e-300)
-        self._profiles = [
-            self._build_profile(i) for i in range(estimates.num_users)
-        ]
-        # Stacked TopComm tables for the vectorised online path (§5.2's
-        # offline filtering): communities (U, S) and memberships (U, S).
-        size = min(top_comm_size, estimates.num_communities)
-        self._top_communities = np.stack(
-            [p.communities[:size] for p in self._profiles]
+        # §5.2's offline filtering, one table row per user: TopComm
+        # communities (U, S) and memberships (U, S), and the topic
+        # preference (U, K), P(k | i) ∝ sum_{c in TopComm} pi_ic theta_ck
+        # (Eq. 5's prior part).
+        self._top_communities = top_communities(estimates.pi, top_comm_size)
+        self._top_memberships = np.take_along_axis(
+            estimates.pi, self._top_communities, axis=1
         )
-        self._top_memberships = np.stack(
-            [p.memberships[:size] for p in self._profiles]
+        preference = np.matmul(
+            self._top_memberships[:, None, :], estimates.theta[self._top_communities]
+        )[:, 0]
+        total = preference.sum(axis=1, keepdims=True)
+        self._topic_preference = np.divide(
+            preference, total, out=preference, where=total > 0
         )
 
-    def _build_profile(self, user: int) -> _UserProfile:
-        pi_row = self.estimates.pi[user]
-        communities = top_communities(pi_row, self.top_comm_size)
-        memberships = pi_row[communities]
-        # P(k | i) ∝ sum_{c in TopComm} pi_ic theta_ck   (Eq. 5's prior part)
-        preference = memberships @ self.estimates.theta[communities]
-        total = preference.sum()
-        if total > 0:
-            preference = preference / total
-        return _UserProfile(
-            communities=communities,
-            memberships=memberships,
-            topic_preference=preference,
-        )
+    def _check_user(self, user: int, role: str) -> None:
+        if not 0 <= user < self.estimates.num_users:
+            raise PredictionError(f"{role} {user} out of range")
 
     # -- Eq. (5): topic posterior of a post ------------------------------------
 
@@ -104,10 +81,12 @@ class DiffusionPredictor:
         """``P(k | d, i) ∝ prod_l phi_k,w_l * P(k | i)`` (Eq. 5), normalised."""
         if not words:
             raise PredictionError("post must contain at least one word")
-        if not 0 <= author < self.estimates.num_users:
-            raise PredictionError(f"author {author} out of range")
-        log_like = self._log_phi[:, list(words)].sum(axis=1)
-        prior = self._profiles[author].topic_preference
+        self._check_user(author, "author")
+        word_ids = np.asarray(words, dtype=np.int64)
+        if word_ids.min() < 0 or word_ids.max() >= self.estimates.vocab_size:
+            raise PredictionError("word id out of range")
+        log_like = self._log_phi[:, word_ids].sum(axis=1)
+        prior = self._topic_preference[author]
         log_post = log_like + np.log(prior + 1e-300)
         log_post -= log_post.max()
         weights = np.exp(log_post)
@@ -117,11 +96,15 @@ class DiffusionPredictor:
 
     def topic_influence(self, source: int, target: int) -> np.ndarray:
         """``P(i, i' | k)`` for all topics, via TopComm-restricted Eq. (6)."""
-        src = self._profiles[source]
-        dst = self._profiles[target]
+        self._check_user(source, "source")
+        self._check_user(target, "target")
+        src_comms = self._top_communities[source]
+        dst_comms = self._top_communities[target]
         # zeta restricted to the two TopComm sets: (K, |src|, |dst|)
-        restricted = self._zeta[:, src.communities[:, None], dst.communities[None, :]]
-        weights = np.outer(src.memberships, dst.memberships)  # (|src|, |dst|)
+        restricted = self._zeta[:, src_comms[:, None], dst_comms[None, :]]
+        weights = np.outer(
+            self._top_memberships[source], self._top_memberships[target]
+        )  # (|src|, |dst|)
         return np.einsum("kab,ab->k", restricted, weights)
 
     # -- Eq. (7): final diffusion probability -----------------------------------
@@ -143,11 +126,11 @@ class DiffusionPredictor:
         requests (it depends only on the source, not the post or the
         candidates).
         """
-        if not 0 <= source < self.estimates.num_users:
-            raise PredictionError(f"source {source} out of range")
-        src = self._profiles[source]
+        self._check_user(source, "source")
         return np.einsum(
-            "a,kad->kd", src.memberships, self._zeta[:, src.communities, :]
+            "a,kad->kd",
+            self._top_memberships[source],
+            self._zeta[:, self._top_communities[source], :],
         )
 
     def score_candidates(

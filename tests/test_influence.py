@@ -1,8 +1,10 @@
 """Unit tests for repro.core.influence (§6.6, Independent Cascade, Fig. 16)."""
 
+import contextlib
 import itertools
 import logging
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from repro.core.influence import (
     _activation_matrix,
     _batched_cascade,
     _cascade,
+    _mean_spreads,
     community_influence,
     expected_spread,
     greedy_seed_selection,
@@ -174,6 +177,68 @@ class TestExpectedSpread:
         assert_close_to_exact(value, MIXED_GRAPH, seeds, sims)
 
 
+@pytest.fixture(params=["native", "reference"])
+def kernels(request, monkeypatch):
+    """Run the test on the native kernels, then on the numpy ones."""
+    if request.param == "native":
+        _native()
+    else:
+        _reference_only(monkeypatch)
+    return request.param
+
+
+class TestSingleSetStream:
+    """One seed set cascades from that set: the values are pinned to the
+    draws of the per-(set, simulation) layout the shared realisation
+    replaced, on both kernels."""
+
+    def test_expected_spread_values(self, kernels):
+        rng = np.random.default_rng(11)
+        values = [
+            expected_spread(MIXED_GRAPH, seeds, 1000, rng)
+            for seeds in ([0], [1, 2], [3], [0, 0, 2])
+        ]
+        assert values == [2.72, 3.416, 1.181, 3.535]
+        assert rng.integers(0, 2**62) == 214696289914530165
+
+    def test_independent_cascade_activations(self, kernels):
+        rng = np.random.default_rng(3)
+        activated = [
+            np.flatnonzero(independent_cascade(MIXED_GRAPH, [seed], rng)).tolist()
+            for seed in (0, 1, 2, 3, 0, 1, 3, 3)
+        ]
+        assert activated == [
+            [0, 1, 2, 3], [0, 1, 2, 3], [2, 3], [3], [0], [1, 2, 3], [3], [3]
+        ]
+        assert rng.integers(0, 2**62) == 4447315018210650787
+
+
+class TestSharedRealisations:
+    def test_every_node_matches_exact_expectation(self, kernels):
+        sims = 20_000
+        spreads = _mean_spreads(MIXED_GRAPH, None, sims, np.random.default_rng(5))
+        for node, value in enumerate(spreads):
+            assert_close_to_exact(value, MIXED_GRAPH, [node], sims)
+
+    def test_seed_sets_match_exact_expectation(self, kernels):
+        """Overlapping and duplicate sets share realisations, each exact."""
+        sets = [[0], [1, 2], [1, 2], [2, 3], [0, 3]]
+        masks = np.zeros((len(sets), 4), dtype=bool)
+        for row, seeds in enumerate(sets):
+            masks[row, seeds] = True
+        sims = 20_000
+        spreads = _mean_spreads(MIXED_GRAPH, masks, sims, np.random.default_rng(6))
+        assert spreads[1] == spreads[2]
+        for seeds, value in zip(sets, spreads):
+            assert_close_to_exact(value, MIXED_GRAPH, seeds, sims)
+
+    def test_rejects_malformed_masks(self):
+        rng = np.random.default_rng(0)
+        for masks in (np.zeros((0, 4), dtype=bool), np.zeros((2, 3), dtype=bool)):
+            with pytest.raises(InfluenceError, match="seed masks"):
+                _mean_spreads(MIXED_GRAPH, masks, 10, rng)
+
+
 class TestCommunityInfluence:
     def test_degrees_match_exact_expectation(self, estimates):
         probs = _activation_matrix(estimates, topic=0)
@@ -188,9 +253,13 @@ class TestCommunityInfluence:
                 community_influence(estimates, topic=0, num_simulations=sims)
 
     def test_draw_blocks_bound_memory(self):
-        """Peak memory is the activation and frontier matrices plus a few MB.
+        """Peak memory stays within twice a per-(set, simulation) activation
+        matrix plus a few MB, on the native kernels and on the numpy ones.
 
-        An unblocked first level would draw ``R x n`` doubles (160 MB here).
+        The shared realisations hold ``sims x n`` activations and ``sims x
+        n x ceil(n / 64)`` live-edge words, and the numpy kernel draws in
+        blocks: an unblocked first level would draw ``sims x n x n``
+        doubles (160 MB here).
         """
         C, sims = 200, 500
         eta = np.full((C, C), 0.002)
@@ -203,14 +272,20 @@ class TestCommunityInfluence:
             eta=eta,
         )
         matrix_bytes = C * sims * C
-        tracemalloc.start()
-        try:
-            influence = community_influence(estimates, 0, num_simulations=sims)
-            _current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert (influence.degree >= 1.0).all()
-        assert peak < 2 * matrix_bytes + 6 * 2**20
+        for kernel in (
+            contextlib.nullcontext(),
+            mock.patch.object(influence, "native_kernel", lambda: None),
+        ):
+            tracemalloc.start()
+            try:
+                with kernel:
+                    degree = community_influence(estimates, 0, sims).degree
+                _current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert (degree >= 1.0).all()
+            assert peak < 2 * matrix_bytes + 6 * 2**20
+
     def test_degrees_at_least_one(self, estimates):
         influence = community_influence(estimates, topic=0, num_simulations=30)
         assert (influence.degree >= 1.0).all()
@@ -351,26 +426,77 @@ def batched_cascades(draw):
     return probs.reshape(n, n), active, draw(st.integers(0, 2**32 - 1))
 
 
+@st.composite
+def seed_set_groups(draw):
+    """A probability matrix, several seed sets and a simulation count.
+
+    The sets are ``None`` (each node alone) or ``(G, n)`` masks that may
+    overlap, repeat or be empty.
+    """
+    n = draw(st.integers(1, 12))
+    entry = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    probs = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n)))
+    masks = None
+    if draw(st.booleans()):
+        sets = draw(
+            st.lists(
+                st.lists(st.integers(0, n - 1), max_size=n), min_size=2, max_size=5
+            )
+        )
+        sets += draw(st.lists(st.sampled_from(sets), max_size=2))  # duplicates
+        masks = np.zeros((len(sets), n), dtype=bool)
+        for row, seeds in enumerate(sets):
+            masks[row, seeds] = True
+    sims = draw(st.integers(1, 2 * (_DRAW_BLOCK // (n * n)) + 2))
+    return probs.reshape(n, n), masks, sims
+
+
+def _buffer_uint32(*generators):
+    """Leave half a uint64 in each generator (``has_uint32``)."""
+    for generator in generators:
+        generator.integers(0, 7, dtype=np.uint32)
+
+
 class TestNativeCascade:
-    """The native kernel against its oracle, the numpy ``_batched_cascade``."""
+    """The native kernels against their oracles, the numpy
+    ``_batched_cascade`` and ``_batched_reach``."""
 
     @settings(max_examples=60, deadline=None)
-    @given(batched_cascades(), st.booleans())
-    def test_identical_activations_and_generator_state(self, case, buffered):
+    @given(batched_cascades(), st.booleans(), st.booleans())
+    def test_identical_activations_and_generator_state(self, case, buffered, record):
         _native()
         probs, active, seed = case
         reference, native = np.random.default_rng(seed), np.random.default_rng(seed)
-        if buffered:  # leaves half a uint64 in the generator (has_uint32)
-            reference.integers(0, 7, dtype=np.uint32)
-            native.integers(0, 7, dtype=np.uint32)
-        want = _batched_cascade(probs, active.copy(), reference)
-        got = _cascade(probs, active.copy(), native)
+        if buffered:
+            _buffer_uint32(reference, native)
+        rows, n = active.shape
+        live = [np.zeros((rows, n, -(-n // 64)), np.uint64) if record else None
+                for _ in range(2)]
+        want = _batched_cascade(probs, active.copy(), reference, live[0])
+        got = _cascade(probs, active.copy(), native, live[1])
         assert got.dtype == bool
         np.testing.assert_array_equal(got, want)
+        if record:
+            np.testing.assert_array_equal(live[1], live[0])
         assert native.bit_generator.state == reference.bit_generator.state
         assert native.integers(0, 2**31, dtype=np.uint32) == reference.integers(
             0, 2**31, dtype=np.uint32
         )
+        assert native.random() == reference.random()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed_set_groups(), st.integers(0, 2**32 - 1), st.booleans())
+    def test_multi_set_spreads_and_generator_state(self, case, seed, buffered):
+        _native()
+        probs, masks, sims = case
+        reference, native = np.random.default_rng(seed), np.random.default_rng(seed)
+        if buffered:
+            _buffer_uint32(reference, native)
+        got = _mean_spreads(probs, masks, sims, native)
+        with mock.patch.object(influence, "native_kernel", lambda: None):
+            want = _mean_spreads(probs, masks, sims, reference)
+        np.testing.assert_array_equal(got, want)
+        assert native.bit_generator.state == reference.bit_generator.state
         assert native.random() == reference.random()
 
     def test_community_influence_degrees_unchanged(self, estimates, monkeypatch):

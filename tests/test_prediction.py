@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.estimates import ParameterEstimates
 from repro.core.prediction import (
     DiffusionPredictor,
     PredictionError,
@@ -28,6 +31,108 @@ class TestTopCommunities:
     def test_rejects_nonpositive_size(self):
         with pytest.raises(PredictionError):
             top_communities(np.array([1.0]), 0)
+
+    def test_matrix_ranks_each_row(self):
+        pi = np.array([[0.1, 0.5, 0.4], [0.7, 0.2, 0.1]])
+        top = top_communities(pi, 2)
+        assert [set(row.tolist()) for row in top] == [{1, 2}, {0, 1}]
+
+
+def _normalised(rows: list[list[float]]) -> np.ndarray:
+    matrix = np.array(rows)
+    return matrix / matrix.sum(axis=1, keepdims=True)
+
+
+def _distributions(rows: int, cols: int):
+    """``(rows, cols)`` row-stochastic matrices with tied and zero entries."""
+    entry = st.sampled_from([0.0, 0.25, 0.25]) | st.floats(0.01, 1.0)
+    return st.lists(
+        st.lists(entry, min_size=cols, max_size=cols).filter(any),
+        min_size=rows,
+        max_size=rows,
+    ).map(_normalised)
+
+
+@st.composite
+def predictor_estimates(draw):
+    """Estimates with tied and zero memberships, ``C`` from 1 up, and a
+    TopComm size that may exceed ``C``."""
+    users, C, K = (draw(st.integers(1, top)) for top in (8, 7, 5))
+    estimates = ParameterEstimates(
+        pi=draw(_distributions(users, C)),
+        theta=draw(_distributions(C, K)),
+        phi=np.full((K, 3), 1 / 3),
+        psi=np.full((K, C, 2), 0.5),
+        eta=np.full((C, C), 0.5),
+    )
+    return estimates, draw(st.integers(1, 8))
+
+
+class TestPredictorTables:
+    """The per-user tables built in one pass, against per-user oracles."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(predictor_estimates())
+    def test_tables_equal_per_user_top_communities(self, case):
+        estimates, size = case
+        predictor = DiffusionPredictor(estimates, top_comm_size=size)
+        for user, pi_row in enumerate(estimates.pi):
+            communities = top_communities(pi_row, size)
+            memberships = pi_row[communities]
+            preference = memberships @ estimates.theta[communities]
+            total = preference.sum()
+            if total > 0:
+                preference = preference / total
+            np.testing.assert_array_equal(predictor._top_communities[user], communities)
+            np.testing.assert_array_equal(predictor._top_memberships[user], memberships)
+            np.testing.assert_array_equal(predictor._topic_preference[user], preference)
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_rejects_nonpositive_top_comm_size(self, estimates, size):
+        with pytest.raises(PredictionError, match="TopComm size"):
+            DiffusionPredictor(estimates, top_comm_size=size)
+
+
+class TestRangeChecks:
+    """Out-of-range users and words raise, never wrap around or IndexError."""
+
+    @pytest.fixture()
+    def predictor(self, estimates) -> DiffusionPredictor:
+        return DiffusionPredictor(estimates)
+
+    @pytest.fixture()
+    def bad_users(self, estimates) -> list[int]:
+        return [-1, estimates.num_users]
+
+    @pytest.fixture()
+    def bad_words(self, estimates) -> list[int]:
+        return [-1, estimates.vocab_size]
+
+    def test_users(self, predictor, bad_users):
+        for bad in bad_users:
+            with pytest.raises(PredictionError, match="out of range"):
+                predictor.topic_posterior([1], bad)
+            with pytest.raises(PredictionError, match="out of range"):
+                predictor.topic_influence(bad, 1)
+            with pytest.raises(PredictionError, match="out of range"):
+                predictor.topic_influence(1, bad)
+            with pytest.raises(PredictionError, match="out of range"):
+                predictor.diffusion_probability(bad, 1, [1])
+            with pytest.raises(PredictionError, match="out of range"):
+                predictor.diffusion_probability(0, bad, [1])
+            with pytest.raises(PredictionError, match="out of range"):
+                predictor.score_candidates(bad, [1], [1])
+            with pytest.raises(PredictionError, match="out of range"):
+                predictor.score_candidates(0, [1, bad], [1])
+
+    def test_words(self, predictor, bad_words):
+        for bad in bad_words:
+            with pytest.raises(PredictionError, match="word id out of range"):
+                predictor.topic_posterior([1, bad], 0)
+            with pytest.raises(PredictionError, match="word id out of range"):
+                predictor.diffusion_probability(0, 1, [bad])
+            with pytest.raises(PredictionError, match="word id out of range"):
+                predictor.score_candidates(0, [1, 2], [bad, 1])
 
 
 class TestTopicPosterior:
