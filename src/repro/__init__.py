@@ -26,6 +26,10 @@ GraphLab-substitute GAS engine), ``repro.baselines`` (comparison systems),
 tracing, structured logging, run manifests).
 """
 
+# Every fit, generator and cascade draws from numpy.random; loading it with
+# the package keeps its ~10 ms import out of the first call.
+import numpy.random  # noqa: F401
+
 from . import api, telemetry
 from .core import (
     COLDConfig,

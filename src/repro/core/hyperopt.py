@@ -16,7 +16,6 @@ paper's rules and the ``scaled`` operating point.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import psi as digamma
 
 from .params import Hyperparameters, ParameterError
 from .state import CountState
@@ -54,6 +53,8 @@ def symmetric_dirichlet_mle(
     counts = rows_with_data
     _groups, categories = counts.shape
     totals = counts.sum(axis=1)
+
+    from scipy.special import psi as digamma
 
     alpha = float(initial)
     for _ in range(num_iterations):

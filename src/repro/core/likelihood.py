@@ -13,18 +13,76 @@ Each block contributes::
         + sum_j [ log Gamma(counts_j + conc) - log Gamma(conc) ]
 
 with ``A = dim * conc`` and ``N = counts.sum()``.
+
+Every Gamma argument is an integer count plus a fixed concentration, so
+each sum is taken over the histogram of the counts rather than over the
+table: ``sum_j [lnG(n_j + c) - lnG(c)] = sum_v freq(v) [lnG(v + c) -
+lnG(c)]``, with ``math.lgamma`` evaluated once per distinct non-zero
+count.  A ``(K, V)`` word table holds at most a few thousand distinct
+counts, so the likelihood costs one histogram pass over each counter.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .params import Hyperparameters
 from .state import CountState
+
+
+def _count_histogram(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct non-zero values of a count array and how often each occurs.
+
+    Accepts any integer array, or a float array holding integer values;
+    rejects negative or non-integral entries.  Small arrays of large
+    counts (per-block totals) are histogrammed by sorting, so the
+    histogram never spans more than a few times the array's size.
+    """
+    counts = np.asarray(counts)
+    if counts.dtype.kind != "i":
+        with np.errstate(invalid="ignore"):
+            integral = counts.astype(np.intp)
+        if not np.array_equal(integral, counts):
+            raise ValueError("counts must be integer-valued")
+        counts = integral
+    flat = counts.ravel()
+    if flat.size == 0:
+        return np.zeros(0, np.intp), np.zeros(0, np.intp)
+    if int(flat.max()) <= 4 * flat.size + 1024:
+        try:
+            freq = np.bincount(flat)
+        except ValueError:
+            raise ValueError("counts must be non-negative") from None
+        values = np.flatnonzero(freq)
+        freq = freq[values]
+    else:
+        values, freq = np.unique(flat, return_counts=True)
+        if values[0] < 0:
+            raise ValueError("counts must be non-negative")
+    nonzero = values > 0
+    return values[nonzero], freq[nonzero]
+
+
+def _log_rising_sum(
+    histogram: tuple[np.ndarray, np.ndarray], concentration: float
+) -> float:
+    """``sum_j [lnG(n_j + c) - lnG(c)]`` from the histogram of the ``n_j``.
+
+    Zero counts contribute nothing, so only the distinct non-zero values
+    reach ``math.lgamma``.
+    """
+    values, freq = histogram
+    base = math.lgamma(concentration)
+    terms = np.fromiter(
+        (math.lgamma(v + concentration) - base for v in values.tolist()),
+        dtype=np.float64,
+        count=len(values),
+    )
+    return float(np.dot(freq.astype(np.float64), terms))
 
 
 def _dirichlet_multinomial_block(counts: np.ndarray, concentration: float) -> float:
@@ -34,13 +92,11 @@ def _dirichlet_multinomial_block(counts: np.ndarray, concentration: float) -> fl
     draw observed ``counts[..., :].sum()`` times.
     """
     dim = counts.shape[-1]
-    totals = counts.sum(axis=-1)
-    per_block = (
-        gammaln(dim * concentration)
-        - gammaln(totals + dim * concentration)
-        + (gammaln(counts + concentration) - gammaln(concentration)).sum(axis=-1)
+    cells = _count_histogram(counts)
+    totals = _count_histogram(counts.sum(axis=-1))
+    return _log_rising_sum(cells, concentration) - _log_rising_sum(
+        totals, dim * concentration
     )
-    return float(per_block.sum())
 
 
 def joint_log_likelihood(state: CountState, hp: Hyperparameters) -> float:
@@ -62,14 +118,10 @@ def joint_log_likelihood(state: CountState, hp: Hyperparameters) -> float:
     # P(e | s, lambda): Beta-Bernoulli marginal per (c, c') with only
     # positive observations (negatives live in lambda0).
     if state.num_links:
-        n = state.n_link_comm
-        per_pair = (
-            gammaln(n + hp.lambda1)
-            + gammaln(hp.lambda0 + hp.lambda1)
-            - gammaln(n + hp.lambda0 + hp.lambda1)
-            - gammaln(hp.lambda1)
+        pairs = _count_histogram(state.n_link_comm)
+        total += _log_rising_sum(pairs, hp.lambda1) - _log_rising_sum(
+            pairs, hp.lambda0 + hp.lambda1
         )
-        total += float(per_pair.sum())
     return total
 
 

@@ -11,7 +11,6 @@ paper cites [17, 28].
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 class ClusteringError(ValueError):
@@ -74,6 +73,8 @@ def normalized_mutual_information(
 def best_matching_accuracy(predicted: np.ndarray, truth: np.ndarray) -> float:
     """Fraction of items whose predicted label maps to their true label
     under the optimal (Hungarian) one-to-one label alignment."""
+    from scipy.optimize import linear_sum_assignment
+
     table = contingency_table(predicted, truth)
     # Pad to square so the assignment is total.
     size = max(table.shape)
@@ -117,6 +118,8 @@ def distribution_alignment(
     permutation = np.empty(R, dtype=np.int64)
     matched = np.empty(R, dtype=np.float64)
     if method == "hungarian":
+        from scipy.optimize import linear_sum_assignment
+
         rows, cols = linear_sum_assignment(-correlation)
         for r, c in zip(rows, cols):
             permutation[r] = c

@@ -821,13 +821,13 @@ def run_packed_scaling_case(
     counter is a monotonic per-process maximum, so measuring three scales
     in one process would report the largest one three times.  Draw
     equivalence (mmap ``processes`` vs in-RAM ``simulated``) is checked
-    at the smallest scale, where a double fit is cheap.
+    at the smallest scale, where a double fit is cheap, after the last
+    probe has reported.
     """
     if not scales:
         raise ValueError("scales must not be empty")
     ctx = multiprocessing.get_context("spawn")
     points = []
-    draws_ok: bool | None = None
     with tempfile.TemporaryDirectory(prefix="coldpack-bench-") as tmp:
         for num_users in scales:
             config = packed_scale_config(num_users, seed=seed)
@@ -846,16 +846,6 @@ def run_packed_scaling_case(
                     seed,
                 ),
             )
-            if num_users == min(scales):
-                draws_ok = packed_draws_match(
-                    path,
-                    num_communities,
-                    num_topics,
-                    num_nodes,
-                    num_workers=num_workers,
-                    num_sweeps=equivalence_sweeps,
-                    seed=seed,
-                )
             points.append(
                 {
                     "users": num_users,
@@ -874,7 +864,20 @@ def run_packed_scaling_case(
                     "train_peak_rss_mb": train["peak_rss_mb"],
                 }
             )
-            os.remove(path)
+            if num_users != min(scales):
+                os.remove(path)
+        # The draws check fits in this process, so it runs after every
+        # probe: a spawned probe starts from a copy of this process and
+        # its ``ru_maxrss`` would report the check's peak, not its own.
+        draws_ok = packed_draws_match(
+            os.path.join(tmp, f"scale_{min(scales)}.coldpack"),
+            num_communities,
+            num_topics,
+            num_nodes,
+            num_workers=num_workers,
+            num_sweeps=equivalence_sweeps,
+            seed=seed,
+        )
     return {
         "name": "packed_out_of_core",
         "config": {

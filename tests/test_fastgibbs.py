@@ -10,6 +10,7 @@ of its own.
 
 from __future__ import annotations
 
+import fnmatch
 import logging
 import math
 import os
@@ -493,6 +494,21 @@ class TestNativeLoader:
         target = (sources if edited == "source" else headers)[-1]
         target.write_bytes(target.read_bytes() + b"\n")
         assert fastgibbs._library_name() != name
+
+    def test_package_data_ships_every_compiled_file(self):
+        """A wheel missing any source or header cannot hash the compile's
+        inputs, and every native kernel would fall back to Python."""
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with pyproject.open("rb") as handle:
+            config = tomllib.load(handle)
+        patterns = config["tool"]["setuptools"]["package-data"]["repro.core"]
+        unshipped = [
+            path.name
+            for path in (*fastgibbs._SOURCES, *fastgibbs._HEADERS)
+            if not any(fnmatch.fnmatch(path.name, pattern) for pattern in patterns)
+        ]
+        assert not unshipped, f"package-data {patterns} misses {unshipped}"
 
     def test_unwritable_home_cache_builds_in_private_temp_dir(
         self, monkeypatch, tmp_path

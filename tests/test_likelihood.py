@@ -1,9 +1,15 @@
 """Unit tests for repro.core.likelihood (collapsed joint LL + monitor)."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from repro.core.gibbs import sweep
 from repro.core.likelihood import (
@@ -50,6 +56,145 @@ class TestDirichletMultinomialBlock:
         single = _dirichlet_multinomial_block(counts[:1], 1.0)
         total = _dirichlet_multinomial_block(counts, 1.0)
         assert total == pytest.approx(2 * single)
+
+
+def _scipy_block(counts: np.ndarray, concentration: float) -> float:
+    """The Dirichlet-multinomial block as a direct elementwise ``gammaln`` sum."""
+    dim = counts.shape[-1]
+    totals = counts.sum(axis=-1)
+    return float(
+        (
+            gammaln(dim * concentration)
+            - gammaln(totals + dim * concentration)
+            + (gammaln(counts + concentration) - gammaln(concentration)).sum(axis=-1)
+        ).sum()
+    )
+
+
+def _scipy_joint(state: CountState, hp: Hyperparameters) -> float:
+    """``joint_log_likelihood`` written elementwise over every counter."""
+    total = (
+        _scipy_block(state.n_user_comm, hp.rho)
+        + _scipy_block(state.n_comm_topic, hp.alpha)
+        + _scipy_block(state.n_topic_word, hp.beta)
+        + _scipy_block(state.n_comm_topic_time, hp.epsilon)
+    )
+    if state.num_links:
+        n = state.n_link_comm
+        total += float(
+            (
+                gammaln(n + hp.lambda1)
+                + gammaln(hp.lambda0 + hp.lambda1)
+                - gammaln(n + hp.lambda0 + hp.lambda1)
+                - gammaln(hp.lambda1)
+            ).sum()
+        )
+    return total
+
+
+class TestCountHistogramKernel:
+    """The histogram kernel against the elementwise ``gammaln`` formula."""
+
+    @pytest.mark.parametrize(
+        "shape, mean",
+        [((40, 2000), 3.0), ((3, 4, 9), 20.0), ((6, 5), 2e5), ((300, 7), 0.3)],
+    )
+    def test_matches_scipy_formula(self, shape, mean):
+        counts = np.random.default_rng(4).poisson(mean, shape).astype(np.int64)
+        for concentration in (0.01, 0.5, 7.0):
+            want = _scipy_block(counts, concentration)
+            got = _dirichlet_multinomial_block(counts, concentration)
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_zero_rows_and_large_counts(self):
+        counts = np.zeros((5, 6), np.int64)
+        counts[1] = [100_000, 0, 3, 250_000, 0, 1]
+        counts[3, 2] = 123_457
+        assert counts.max() >= 10**5
+        want = _scipy_block(counts, 0.1)
+        assert _dirichlet_multinomial_block(counts, 0.1) == pytest.approx(
+            want, rel=1e-12
+        )
+
+    def test_joint_matches_scipy_formula(self, tiny_corpus, hp):
+        rng = np.random.default_rng(2)
+        state = CountState.initialize(tiny_corpus, 3, 4, rng)
+        assert state.num_links and state.n_comm_topic_time.ndim == 3
+        for _ in range(3):
+            sweep(state, hp, rng)
+            assert joint_log_likelihood(state, hp) == pytest.approx(
+                _scipy_joint(state, hp), rel=1e-12
+            )
+
+    def test_accepts_integer_valued_floats(self):
+        counts = np.array([[0, 2, 5], [1, 1, 0]])
+        assert _dirichlet_multinomial_block(
+            counts.astype(np.float64), 0.5
+        ) == _dirichlet_multinomial_block(counts, 0.5)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            np.array([[1, -1]]),
+            np.array([[-1, 10**6]]),
+            np.array([[0.5, 1.0]]),
+            np.array([[np.nan, 1.0]]),
+        ],
+    )
+    def test_rejects_negative_or_non_integral_counts(self, counts):
+        with pytest.raises(ValueError):
+            _dirichlet_multinomial_block(counts, 0.5)
+
+
+def test_runtime_path_loads_no_scipy(tmp_path):
+    """Import, fit, serve and stream without loading a single scipy module.
+
+    SciPy stays an optional dependency of the baselines, Hungarian
+    alignment and hyper-parameter estimation; the training, serving and
+    streaming path must not pay its import.
+    """
+    script = textwrap.dedent(
+        """
+        import sys
+
+        import repro
+        import repro.cli
+        from repro.core.model import COLDModel
+        from repro.datasets.stream import CorpusStreamBuilder, PostEvent
+        from repro.datasets.synthetic import SyntheticConfig, generate_corpus
+        from repro.serving import ModelServer
+        from repro.streaming import corpus_to_events, split_events
+
+        corpus, _ = generate_corpus(SyntheticConfig(
+            num_users=16, num_communities=2, num_topics=3, num_time_slices=4,
+            vocab_size=40, mean_posts_per_user=4.0, seed=1,
+        ))
+        bootstrap, remainder = split_events(corpus_to_events(corpus), 0.6)
+        builder = CorpusStreamBuilder(num_time_slices=4)
+        for event in bootstrap:
+            if isinstance(event, PostEvent):
+                builder.add_post(event.author_key, event.tokens, event.time)
+            else:
+                builder.add_link(event.source_key, event.target_key, event.time)
+        model = COLDModel(num_communities=2, num_topics=3, seed=0)
+        model.fit(builder.build(incremental=True), num_iterations=3)
+        model.stream_builder_ = builder
+        ModelServer(model.estimates_, ic_simulations=5).influential(0)
+        model.update(remainder)
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        assert not loaded, loaded
+        """
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 class TestJointLogLikelihood:
