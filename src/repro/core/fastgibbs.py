@@ -24,11 +24,13 @@ whole per-draw loop in one plain-C kernel, ``_sweep.c``:
   ``log(n + eps)`` and ``log(n + V beta)`` once per cache and the kernel
   only indexes them.  Building a cache has no per-post Python work.
 
-One library holds three kernels: the sweep (``_sweep.c``), the
+One library holds four kernels: the sweep (``_sweep.c``), the
 Independent Cascade Monte-Carlo of :mod:`repro.core.influence`
-(``_cascade.c``) and the planted-process draws of
-:mod:`repro.datasets.synthetic` (``_planted.c``); the last two step
-numpy's PCG64 through one shared header, ``_pcg64.h``.
+(``_cascade.c``), the planted-process draws of
+:mod:`repro.datasets.synthetic` (``_planted.c``) and the unique-word
+CSR of :func:`repro.core.state.unique_word_csr` (``_corpus.c``); the
+cascade and planted kernels step numpy's PCG64 through one shared
+header, ``_pcg64.h``.
 :func:`native_kernel` compiles the sources with the system ``cc`` at
 first use (``-O2 -fPIC -shared -ffp-contract=off``, never
 ``-ffast-math``) into ``~/.cache/repro/`` — or, only when that cannot
@@ -97,7 +99,7 @@ _log = logging.getLogger(__name__)
 
 _SOURCES = tuple(
     Path(__file__).with_name(name)
-    for name in ("_sweep.c", "_cascade.c", "_planted.c")
+    for name in ("_sweep.c", "_cascade.c", "_planted.c", "_corpus.c")
 )
 #: Headers the sources include: part of the build's cache key.
 _HEADERS = (Path(__file__).with_name("_pcg64.h"),)
@@ -235,8 +237,8 @@ def native_kernel() -> ctypes.CDLL | None:
 
     The outcome is resolved once per process: a failed build (no ``cc``,
     a compile error, no writable cache directory) logs one WARNING, and
-    every later :func:`fast_sweep`, influence cascade and planted draw
-    runs its reference kernel.
+    every later :func:`fast_sweep`, influence cascade, planted draw and
+    unique-word table runs its reference kernel.
     """
     global _library
     if _library is _UNLOADED:
@@ -256,6 +258,7 @@ def native_kernel() -> ctypes.CDLL | None:
                  + [ptr] * 6 + [i64, ptr, i64, ptr]),
                 ("cold_planted_links", i64,
                  [ptr] * 3 + [i64, i64, f64, i64, i64] + [ptr] * 3 + [i64, ptr]),
+                ("cold_unique_words", i64, [ptr, ptr, i64] + [ptr] * 4),
             ):
                 function = getattr(lib, name)
                 function.restype, function.argtypes = restype, argtypes
@@ -265,7 +268,8 @@ def native_kernel() -> ctypes.CDLL | None:
         except OSError as exc:
             _log.warning(
                 "native kernels unavailable (%s); fast sweeps, influence "
-                "cascades and planted draws run the reference kernels",
+                "cascades, planted draws and unique-word tables run the "
+                "reference kernels",
                 exc,
             )
             _library = None

@@ -783,14 +783,6 @@ class COLDModel:
         corpus.num_time_slices = max(
             corpus.num_time_slices, increment.num_time_slices
         )
-        corpus.posts.extend(increment.posts)
-        # The same dedup as fold_increment: self-links, known edges and
-        # repeats within the increment are dropped.
-        seen = corpus.link_set()
-        for edge in increment.links:
-            if edge[0] != edge[1] and edge not in seen:
-                seen.add(edge)
-                corpus.links.append(edge)
         if increment.vocab_size > corpus.vocab_size:
             if corpus.vocabulary is not None and increment.new_tokens:
                 from ..datasets.vocabulary import Vocabulary
@@ -801,6 +793,9 @@ class COLDModel:
             else:
                 corpus.vocabulary = None
             corpus.vocab_size = increment.vocab_size
+        # The same dedup as fold_increment: self-links, known edges and
+        # repeats within the increment are dropped.
+        corpus.extend(increment.posts, increment.links)
 
     # -- checkpoint/resume -----------------------------------------------------
 

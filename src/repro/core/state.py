@@ -22,16 +22,19 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, islice
-from operator import attrgetter
 
 import numpy as np
 
-from ..datasets.corpus import Post, SocialCorpus
+from ..datasets.corpus import Post, SocialCorpus, post_columns, unique_links
 
-#: Posts per slice of :meth:`PostTable.from_posts` and
-#: :meth:`CountState._recount`: bounds the token columns alive at once.
+#: Posts per slice of :meth:`CountState._recount`: bounds the index
+#: columns alive at once.
 _SLICE_POSTS = 256
+
+#: Word-id span the native unique-word kernel always takes: its scratch
+#: is one int64 stamp per id.  Beyond this and four stamps per token the
+#: numpy body runs instead, so a huge sparse id never costs a huge table.
+_NATIVE_CSR_SPAN = 1 << 20
 
 
 def unique_word_csr(
@@ -41,13 +44,50 @@ def unique_word_csr(
 
     ``words`` is the flat non-negative int64 token column of consecutive
     posts of ``lengths`` tokens each.  Returns the flat unique words,
-    their multiplicities and each post's number of unique words.  One
-    stable sort of the (post, word) pairs gives every pair's first
-    position and multiplicity, and the pairs taken in first-position
-    order are in post order, then first appearance.  This is the one
-    definition of that order: :meth:`PostTable.from_posts` and the
-    ``.coldpack`` writer both call it.
+    their multiplicities and each post's number of unique words, in post
+    order, then first appearance.  This is the one definition of that
+    order: the corpora's post tables, :meth:`PostTable.from_posts` and
+    the ``.coldpack`` writer all call it.  The native kernel
+    ``cold_unique_words`` computes it in one O(tokens) pass whenever the
+    library loads; :func:`_unique_word_csr_numpy` is its oracle and the
+    fallback without a compiler.
     """
+    # Imported here: fastgibbs imports this module.
+    from .fastgibbs import native_kernel
+
+    lib = native_kernel()
+    words = np.ascontiguousarray(words, np.int64)
+    lengths = np.ascontiguousarray(lengths, np.int64)
+    if len(words) != int(lengths.sum()) or (lengths < 0).any():
+        raise ValueError("lengths must be non-negative and sum to len(words)")
+    if lib is None or (len(words) and int(words.min()) < 0):
+        return _unique_word_csr_numpy(words, lengths)
+    span = int(words.max(initial=-1)) + 1
+    if span > max(4 * len(words), _NATIVE_CSR_SPAN):
+        return _unique_word_csr_numpy(words, lengths)
+    stamp = np.full(span, -1, np.int64)
+    unique_words = np.empty(len(words), np.int64)
+    unique_counts = np.empty(len(words), np.int64)
+    sizes = np.empty(len(lengths), np.int64)
+    filled = lib.cold_unique_words(
+        words.ctypes.data, lengths.ctypes.data, len(lengths),
+        stamp.ctypes.data, unique_words.ctypes.data,
+        unique_counts.ctypes.data, sizes.ctypes.data,
+    )
+    # Shrunk in place (realloc): the corpus keeps these for its lifetime,
+    # and distinct words are often well under the token count.
+    unique_words.resize(filled, refcheck=False)
+    unique_counts.resize(filled, refcheck=False)
+    return unique_words, unique_counts, sizes
+
+
+def _unique_word_csr_numpy(
+    words: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`unique_word_csr` by one stable sort of the (post, word)
+    pairs, which gives every pair's first position and multiplicity; the
+    pairs taken in first-position order are in post order, then first
+    appearance."""
     owner = np.repeat(np.arange(len(lengths)), lengths)
     pairs = owner * (int(words.max(initial=0)) + 1) + words
     # Stably sorted, each (post, word) run starts at the pair's first
@@ -86,53 +126,37 @@ class PostTable:
 
     @classmethod
     def from_corpus(cls, corpus: SocialCorpus) -> "PostTable":
-        # Packed corpora store this table's exact columns on disk
-        # (unique multisets in the same first-appearance order as
-        # Post.word_counts()), so take their zero-copy mmap views
-        # instead of looping over materialised posts.
-        table_factory = getattr(corpus, "post_table", None)
-        if callable(table_factory):
-            return table_factory()
-        return cls.from_posts(corpus.posts)
+        """``corpus.post_table()``: every corpus keeps its posts as
+        columns, so this loops over no ``Post``."""
+        return corpus.post_table()
 
     @classmethod
-    def from_posts(cls, posts: Sequence[Post]) -> "PostTable":
-        """The table of ``posts``, each post's unique words in the
-        first-appearance order of :meth:`Post.word_counts`.
-
-        Vectorised over slices of ``_SLICE_POSTS`` posts, each one call
-        of :func:`unique_word_csr`.
-        """
-        D = len(posts)
-        authors = np.fromiter(map(attrgetter("author"), posts), np.int64, count=D)
-        times = np.fromiter(map(attrgetter("timestamp"), posts), np.int64, count=D)
-        lengths = np.fromiter(map(len, posts), np.int64, count=D)
-        unique_words: list[np.ndarray] = []
-        unique_counts: list[np.ndarray] = []
-        per_post: list[np.ndarray] = []
-        remaining = iter(posts)
-        for lo in range(0, D, _SLICE_POSTS):
-            chunk = list(islice(remaining, _SLICE_POSTS))
-            sizes = lengths[lo:lo + len(chunk)]
-            flat = np.fromiter(
-                chain.from_iterable(map(attrgetter("words"), chunk)), np.int64,
-                count=int(sizes.sum()),
-            )
-            words, counts, unique_sizes = unique_word_csr(flat, sizes)
-            unique_words.append(words)
-            unique_counts.append(counts)
-            per_post.append(unique_sizes)
-        offsets = np.zeros(D + 1, np.int64)
-        if D:
-            np.cumsum(np.concatenate(per_post), out=offsets[1:])
+    def from_columns(
+        cls,
+        authors: np.ndarray,
+        times: np.ndarray,
+        lengths: np.ndarray,
+        words: np.ndarray,
+    ) -> "PostTable":
+        """The table of posts given as columns (``words`` end to end),
+        each post's unique words in the first-appearance order of
+        :meth:`Post.word_counts` (one :func:`unique_word_csr` call)."""
+        unique_words, unique_counts, sizes = unique_word_csr(words, lengths)
+        offsets = np.zeros(len(lengths) + 1, np.int64)
+        np.cumsum(sizes, out=offsets[1:])
         return cls(
             authors=authors,
             times=times,
             lengths=lengths,
             offsets=offsets,
-            unique_words=np.concatenate([np.zeros(0, np.int64), *unique_words]),
-            unique_counts=np.concatenate([np.zeros(0, np.int64), *unique_counts]),
+            unique_words=unique_words,
+            unique_counts=unique_counts,
         )
+
+    @classmethod
+    def from_posts(cls, posts: Sequence[Post]) -> "PostTable":
+        """The table of ``Post`` objects, gathered into columns once."""
+        return cls.from_columns(*post_columns(posts))
 
     def __len__(self) -> int:
         return len(self.authors)
@@ -425,11 +449,7 @@ class CountState:
         if outside.any():
             edge = tuple(links[outside][0].tolist())
             raise StateError(f"link endpoint {edge} out of range")
-        keys = links[:, 0] * num_users + links[:, 1]
-        _, first = np.unique(keys, return_index=True)
-        first.sort()
-        existing = self.links[:, 0] * num_users + self.links[:, 1]
-        return links[first[~np.isin(keys[first], existing)]]
+        return unique_links(links, num_users, known=self.links)
 
     # -- sparse iteration -----------------------------------------------------
 

@@ -1,25 +1,24 @@
 """The ``.coldpack`` on-disk corpus: packed columns behind one mmap.
 
-:class:`SocialCorpus` keeps every post as a Python object, which caps
-benchmarks at laptop scale — ~100 bytes per token once tuples and object
-headers are paid for, times one copy per worker process.  This module
-stores the same observed data as packed int64 columns in a single
-versioned, checksummed file and reads it back through one read-only
-memory map:
+:class:`SocialCorpus` keeps its columns in RAM, one copy per worker
+process.  This module stores the same observed data as packed int64
+columns in a single versioned, checksummed file and reads it back
+through one read-only memory map:
 
 * ``PackedCorpusWriter`` streams posts and links to disk in bounded
   memory.  Its one ingest path takes column batches —
   :meth:`~PackedCorpusWriter.add_post_columns` and ``(E, 2)`` link
   arrays — checked with vectorised id/length/link checks before any of
-  a batch is buffered, with the unique-word CSR computed by numpy and a
-  running CRC32 per column.  The chunked synthetic generator hands it
-  its draw columns directly, so it runs no Python per post;
-  ``write_packed`` gathers ``Post`` objects into column slices;
-* ``PackedCorpus`` opens the file and exposes the :class:`SocialCorpus`
-  read surface over zero-copy mmap views — including
-  :meth:`PackedCorpus.post_table`, which hands the Gibbs samplers their
-  :class:`~repro.core.state.PostTable` without materialising a single
-  ``Post``;
+  a batch is buffered, with the unique-word CSR of
+  :func:`~repro.core.state.unique_word_csr` and a running CRC32 per
+  column.  The chunked synthetic generator hands it
+  its draw columns directly, so it runs no Python per post, and so
+  does ``write_packed`` with an in-RAM corpus's columns;
+* ``PackedCorpus`` opens the file and exposes the shared corpus read
+  surface (:class:`~repro.datasets.corpus.CorpusReads`) over zero-copy
+  mmap views — including ``post_table()``, which hands the Gibbs
+  samplers their :class:`~repro.core.state.PostTable` as views of the
+  stored unique-word CSR;
 * the ``processes`` executor maps node shards straight from the file
   (workers re-open it read-only), so dispatching a million-post corpus
   to N workers costs no pickling and no N-fold copy — the kernel page
@@ -60,14 +59,24 @@ import os
 import struct
 import tempfile
 import zlib
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 from typing import NoReturn
 
 import numpy as np
 
 from ..core.state import PostTable, unique_word_csr
-from .corpus import CorpusError, CorpusValidationError, Post, SocialCorpus
+from .corpus import (
+    CorpusError,
+    CorpusReads,
+    CorpusValidationError,
+    SocialCorpus,
+    check_links,
+    first_bad_post,
+    int_ids,
+    link_pairs,
+    post_columns,
+)
 from .vocabulary import Vocabulary
 
 #: First 8 bytes of every packed corpus file.
@@ -141,19 +150,6 @@ def _file_crc32(handle, start: int, length: int) -> int:
         crc = zlib.crc32(chunk, crc)
         remaining -= len(chunk)
     return crc & 0xFFFFFFFF
-
-
-def _int_ids(values) -> np.ndarray:
-    """``values`` as an integer array; integer arrays pass through uncopied.
-
-    Anything else (floats, bools, strings, ids past int64) goes through
-    ``int()`` item by item into an object array, so an id too wide for
-    int64 still reaches the range checks with its own value.
-    """
-    array = values if isinstance(values, np.ndarray) else np.asarray(list(values))
-    if array.dtype.kind in "iu":
-        return array
-    return np.frompyfunc(int, 1, 1)(array)
 
 
 class _ColumnSpool:
@@ -289,36 +285,18 @@ class PackedCorpusWriter:
         ``Post.word_counts()`` (:func:`~repro.core.state.unique_word_csr`).
         """
         self._require_open()
-        authors, times, words = map(_int_ids, (authors, times, words))
-        lengths = _int_ids(lengths).astype(np.int64, copy=False)
-        D = len(authors)
-        if (
-            (authors.ndim, times.ndim, lengths.ndim, words.ndim) != (1, 1, 1, 1)
-            or len(times) != D
-            or len(lengths) != D
-            or (lengths < 0).any()
-            or int(lengths.sum()) != len(words)
-        ):
-            raise PackedCorpusError(
-                "post columns must be 1-D with one author, time and "
-                "non-negative length per post, the lengths summing to the "
-                "number of words"
-            )
-        bad_words = (words < 0) | (words >= self.vocab_size)
-        bad = (
-            (authors < 0) | (authors >= self.num_users)
-            | (times < 0) | (times >= self.num_time_slices)
-            | (lengths == 0)
+        authors, times, lengths, words = map(
+            int_ids, (authors, times, lengths, words)
         )
-        if bad_words.any():
-            owners = np.searchsorted(
-                np.cumsum(lengths), np.flatnonzero(bad_words), side="right"
-            )
-            bad[owners] = True
-        if bad.any():
-            self._reject_post(int(np.argmax(bad)), authors, times, lengths, words)
-        authors, times, words = (
-            column.astype(np.int64) for column in (authors, times, words)
+        row = first_bad_post(
+            authors, times, lengths, words, num_users=self.num_users,
+            num_time_slices=self.num_time_slices, vocab_size=self.vocab_size,
+            error=PackedCorpusError,
+        )
+        if row >= 0:
+            self._reject_post(row, authors, times, lengths, words)
+        authors, times, lengths, words = (
+            column.astype(np.int64) for column in (authors, times, lengths, words)
         )
         unique_words, unique_counts, unique_sizes = unique_word_csr(words, lengths)
         token_offsets = np.cumsum(lengths)
@@ -326,11 +304,11 @@ class PackedCorpusWriter:
         unique_offsets = np.cumsum(unique_sizes)
         unique_offsets += self._unique_total
         for name, column in zip(_POST_COLUMNS, (
-            authors, times, lengths.copy(), token_offsets, words,
+            authors, times, lengths, token_offsets, words,
             unique_offsets, unique_words, unique_counts,
         )):
             self._post_buffers[name].append(column)
-        self.num_posts += D
+        self.num_posts += len(authors)
         self.num_tokens += len(words)
         self._unique_total += len(unique_words)
         self._buffered_tokens += len(words)
@@ -365,7 +343,7 @@ class PackedCorpusWriter:
 
     def add_post(self, author: int, timestamp: int, words) -> None:
         """Append one post: a one-row :meth:`add_post_columns`."""
-        tokens = _int_ids(words)
+        tokens = int_ids(words)
         self.add_post_columns([author], [timestamp], [len(tokens)], tokens)
 
     def add_posts(self, posts) -> None:
@@ -374,13 +352,7 @@ class PackedCorpusWriter:
         no trace; earlier slices stay appended)."""
         remaining = iter(posts)
         while batch := list(islice(remaining, _GATHER_POSTS)):
-            words = [post.words for post in batch]
-            self.add_post_columns(
-                [post.author for post in batch],
-                [post.timestamp for post in batch],
-                [len(ids) for ids in words],
-                list(chain.from_iterable(words)),
-            )
+            self.add_post_columns(*post_columns(batch))
 
     def add_link(self, src: int, dst: int) -> None:
         """Append one directed link: a one-row :meth:`add_links`."""
@@ -394,22 +366,10 @@ class PackedCorpusWriter:
         self-link — and a rejected batch leaves no trace.
         """
         self._require_open()
-        pairs = _int_ids(links)
+        pairs = link_pairs(links, error=PackedCorpusError)
         if pairs.size == 0:
             return
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise PackedCorpusError("links must be (src, dst) pairs")
-        dangling = ((pairs < 0) | (pairs >= self.num_users)).any(axis=1)
-        bad = dangling | (pairs[:, 0] == pairs[:, 1])
-        if bad.any():
-            row = int(np.argmax(bad))
-            src, dst = pairs[row]
-            if dangling[row]:
-                raise CorpusValidationError(
-                    f"link ({src}, {dst}) has dangling endpoint: user ids "
-                    f"must lie in [0, {self.num_users})"
-                )
-            raise PackedCorpusError(f"self-link ({src}, {dst}) is not allowed")
+        check_links(pairs, self.num_users, self_link_error=PackedCorpusError)
         self._link_buffer.append(pairs.astype(np.int64))
         self.num_links += len(pairs)
         self._buffered_links += len(pairs)
@@ -583,8 +543,9 @@ class PackedCorpusWriter:
             self.abort()
 
 
-def write_packed(corpus: SocialCorpus, path: str | Path) -> Path:
-    """Pack an in-RAM :class:`SocialCorpus` into a ``.coldpack`` file."""
+def write_packed(corpus: CorpusReads, path: str | Path) -> Path:
+    """Pack a corpus into a ``.coldpack`` file, handing its columns to
+    the writer in one batch."""
     writer = PackedCorpusWriter(
         path,
         num_users=corpus.num_users,
@@ -593,79 +554,25 @@ def write_packed(corpus: SocialCorpus, path: str | Path) -> Path:
         vocabulary=corpus.vocabulary,
     )
     try:
-        writer.add_posts(corpus.posts)
-        writer.add_links(corpus.links)
+        writer.add_post_columns(
+            corpus.post_authors, corpus.post_times, corpus.post_lengths,
+            corpus.tokens,
+        )
+        writer.add_links(corpus.link_array())
         return writer.finalize()
     except BaseException:
         writer.abort()
         raise
 
 
-class _PackedPostsView:
-    """Read-only sequence adapter: packed columns -> ``Post`` on demand."""
-
-    def __init__(self, corpus: "PackedCorpus") -> None:
-        self._corpus = corpus
-
-    def __len__(self) -> int:
-        return self._corpus.num_posts
-
-    def _materialize(self, index: int) -> Post:
-        c = self._corpus
-        lo, hi = c._token_offsets[index], c._token_offsets[index + 1]
-        return Post(
-            author=int(c._post_authors[index]),
-            words=tuple(c._tokens[lo:hi].tolist()),
-            timestamp=int(c._post_times[index]),
-        )
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._materialize(i) for i in range(*index.indices(len(self)))]
-        index = int(index)
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError(f"post index {index} out of range")
-        return self._materialize(index)
-
-    def __iter__(self):
-        for index in range(len(self)):
-            yield self._materialize(index)
-
-
-class _PackedLinksView:
-    """Read-only sequence adapter over the ``(E, 2)`` link column."""
-
-    def __init__(self, links: np.ndarray) -> None:
-        self._links = links
-
-    def __len__(self) -> int:
-        return len(self._links)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [
-                (int(s), int(d)) for s, d in self._links[index]
-            ]
-        src, dst = self._links[int(index)]
-        return (int(src), int(dst))
-
-    def __iter__(self):
-        for src, dst in self._links:
-            yield (int(src), int(dst))
-
-
-class PackedCorpus:
+class PackedCorpus(CorpusReads):
     """A ``.coldpack`` file opened read-only through one memory map.
 
-    Exposes the :class:`SocialCorpus` read surface (sizes, posts, links,
-    derived views) over zero-copy numpy views of the mapped file; the
-    views are read-only, so accidental mutation raises instead of
-    corrupting the file.  ``posts`` materialises ``Post`` objects lazily
-    — samplers never touch it, because :meth:`post_table` (picked up by
-    ``PostTable.from_corpus``) and :meth:`link_array` feed them straight
-    from the map.
+    Exposes the corpus read surface (:class:`CorpusReads`: sizes, posts,
+    links, derived views) over zero-copy numpy views of the mapped file;
+    the views are read-only, so accidental mutation raises instead of
+    corrupting the file.  Samplers read ``post_table()`` — views of the
+    stored unique-word CSR — and :meth:`link_array` straight from the map.
     """
 
     def __init__(self, path: Path, header: dict, mapped: mmap.mmap) -> None:
@@ -682,12 +589,6 @@ class PackedCorpus:
             self._arrays[name] = np.frombuffer(
                 mapped, dtype=dtype, count=count, offset=data_start + spec["offset"]
             ).reshape(spec["shape"])
-        self._post_authors = self._arrays["post_authors"]
-        self._post_times = self._arrays["post_times"]
-        self._post_lengths = self._arrays["post_lengths"]
-        self._token_offsets = self._arrays["token_offsets"]
-        self._tokens = self._arrays["tokens"]
-        self._links = self._arrays["links"]
 
     # -- opening ---------------------------------------------------------------
 
@@ -785,10 +686,11 @@ class PackedCorpus:
                     f"{self.path}: array {name} has shape {actual}, "
                     f"header dimensions imply {expected}"
                 )
-        if D and int(self._token_offsets[-1]) != N:
+        end = int(self._arrays["token_offsets"][-1]) if D else N
+        if end != N:
             raise PackedFormatError(
-                f"{self.path}: token_offsets end at "
-                f"{int(self._token_offsets[-1])}, header says {N} tokens"
+                f"{self.path}: token_offsets end at {end}, header says "
+                f"{N} tokens"
             )
 
     def verify(self) -> None:
@@ -825,8 +727,6 @@ class PackedCorpus:
             return
         self._closed = True
         self._arrays = {}
-        self._post_authors = self._post_times = self._post_lengths = None
-        self._token_offsets = self._tokens = self._links = None
         try:
             self._mmap.close()
         except BufferError:
@@ -875,54 +775,58 @@ class PackedCorpus:
         return self._header["num_tokens"]
 
     @property
-    def num_negative_links(self) -> int:
-        return self.num_users * (self.num_users - 1) - self.num_links
-
-    @property
     def packed_path(self) -> Path:
         """The backing file — the marker the ``processes`` executor keys on
         to map shards from disk instead of copying arrays into shm."""
         return self.path
 
-    # -- sampler feeds (zero-copy) ---------------------------------------------
+    # -- columns (zero-copy) ------------------------------------------------------
 
-    def post_table(self) -> PostTable:
-        """The samplers' :class:`PostTable`, as views of the mapped file.
-
-        ``PostTable.from_corpus`` calls this when present, so
-        ``CountState.initialize`` on a packed corpus never loops over
-        Python posts — and draws are bit-identical to the in-RAM path
-        because the stored unique-word CSR uses the same
-        first-appearance order as ``Post.word_counts()``.
-        """
+    def _column(self, name: str) -> np.ndarray:
         self._require_open()
-        return PostTable(
-            authors=self._post_authors,
-            times=self._post_times,
-            lengths=self._post_lengths,
-            offsets=self._arrays["unique_offsets"],
-            unique_words=self._arrays["unique_words"],
-            unique_counts=self._arrays["unique_counts"],
-        )
-
-    def link_array(self) -> np.ndarray:
-        """Links as a read-only ``(E, 2)`` int64 view of the map."""
-        self._require_open()
-        return self._links
+        return self._arrays[name]
 
     @property
     def post_authors(self) -> np.ndarray:
-        """Per-post author ids (read-only view; graph fast path)."""
-        self._require_open()
-        return self._post_authors
+        """Per-post author ids (read-only view of the map)."""
+        return self._column("post_authors")
 
     @property
     def post_times(self) -> np.ndarray:
-        """Per-post time slices (read-only view; graph fast path)."""
-        self._require_open()
-        return self._post_times
+        """Per-post time slices (read-only view of the map)."""
+        return self._column("post_times")
 
-    # -- SocialCorpus read surface ---------------------------------------------
+    @property
+    def post_lengths(self) -> np.ndarray:
+        """Per-post token counts (read-only view of the map)."""
+        return self._column("post_lengths")
+
+    @property
+    def token_offsets(self) -> np.ndarray:
+        """Post ``p``'s tokens are ``tokens[token_offsets[p]:token_offsets[p + 1]]``."""
+        return self._column("token_offsets")
+
+    @property
+    def tokens(self) -> np.ndarray:
+        """Every post's word ids end to end (read-only view of the map)."""
+        return self._column("tokens")
+
+    def link_array(self) -> np.ndarray:
+        """Links as a read-only ``(E, 2)`` int64 view of the map."""
+        return self._column("links")
+
+    def _post_table(self) -> PostTable:
+        """Views of the stored columns: the unique-word CSR on disk is in
+        the first-appearance order of ``Post.word_counts()``, so a packed
+        fit draws the same chain as an in-RAM one."""
+        return PostTable(
+            authors=self.post_authors,
+            times=self.post_times,
+            lengths=self.post_lengths,
+            offsets=self._column("unique_offsets"),
+            unique_words=self._column("unique_words"),
+            unique_counts=self._column("unique_counts"),
+        )
 
     @property
     def vocabulary(self) -> Vocabulary | None:
@@ -939,114 +843,16 @@ class PackedCorpus:
             ).freeze()
         return self._vocab
 
-    @property
-    def posts(self) -> _PackedPostsView:
-        self._require_open()
-        return _PackedPostsView(self)
-
-    @property
-    def links(self) -> _PackedLinksView:
-        self._require_open()
-        return _PackedLinksView(self._links)
-
-    def link_set(self) -> set[tuple[int, int]]:
-        self._require_open()
-        return {(int(s), int(d)) for s, d in self._links}
-
-    def timestamps(self) -> np.ndarray:
-        self._require_open()
-        return self._post_times.copy()
-
-    def posts_by_user(self) -> list[list[int]]:
-        self._require_open()
-        grouped: list[list[int]] = [[] for _ in range(self.num_users)]
-        for idx, author in enumerate(self._post_authors.tolist()):
-            grouped[author].append(idx)
-        return grouped
-
-    def out_links(self) -> list[list[int]]:
-        self._require_open()
-        adjacency: list[list[int]] = [[] for _ in range(self.num_users)]
-        for src, dst in self._links.tolist():
-            adjacency[src].append(dst)
-        return adjacency
-
-    def in_links(self) -> list[list[int]]:
-        self._require_open()
-        adjacency: list[list[int]] = [[] for _ in range(self.num_users)]
-        for src, dst in self._links.tolist():
-            adjacency[dst].append(src)
-        return adjacency
-
-    def word_count_matrix(self) -> np.ndarray:
-        """Dense ``(U, V)`` user-word counts, built from the unique CSR."""
-        self._require_open()
-        matrix = np.zeros((self.num_users, self.vocab_size), dtype=np.int64)
-        offsets = self._arrays["unique_offsets"]
-        per_post = np.diff(offsets)
-        authors = np.repeat(self._post_authors, per_post)
-        np.add.at(
-            matrix,
-            (authors, self._arrays["unique_words"]),
-            self._arrays["unique_counts"],
-        )
-        return matrix
-
     def to_social_corpus(self) -> SocialCorpus:
-        """Materialise the full in-RAM :class:`SocialCorpus` equivalent.
-
-        O(posts) Python objects — only sensible at test/debug scale.
-        """
-        self._require_open()
-        return SocialCorpus(
-            num_users=self.num_users,
-            num_time_slices=self.num_time_slices,
-            posts=list(self.posts),
-            links=list(self.links),
-            vocabulary=self.vocabulary,
-            vocab_size=self.vocab_size,
+        """The in-RAM :class:`SocialCorpus` equivalent: a copy of the
+        columns."""
+        return self._in_ram(
+            self.post_authors, self.post_times, self.post_lengths,
+            self.tokens, self.link_array(),
         )
-
-    def subset_posts(self, indices) -> SocialCorpus:
-        """An in-RAM corpus of the selected posts (links unchanged)."""
-        self._require_open()
-        view = self.posts
-        return SocialCorpus(
-            num_users=self.num_users,
-            num_time_slices=self.num_time_slices,
-            posts=[view[int(i)] for i in indices],
-            links=list(self.links),
-            vocabulary=self.vocabulary,
-            vocab_size=self.vocab_size,
-        )
-
-    def subset_links(self, indices) -> SocialCorpus:
-        """An in-RAM corpus of the selected links (posts unchanged)."""
-        self._require_open()
-        links = self.links
-        return SocialCorpus(
-            num_users=self.num_users,
-            num_time_slices=self.num_time_slices,
-            posts=list(self.posts),
-            links=[links[int(i)] for i in indices],
-            vocabulary=self.vocabulary,
-            vocab_size=self.vocab_size,
-        )
-
-    def describe(self) -> dict[str, int]:
-        return {
-            "users": self.num_users,
-            "posts": self.num_posts,
-            "words": self.num_words,
-            "links": self.num_links,
-            "vocab": self.vocab_size,
-            "time_slices": self.num_time_slices,
-        }
 
     def __repr__(self) -> str:
-        stats = self.describe()
-        inner = ", ".join(f"{key}={value}" for key, value in stats.items())
-        return f"PackedCorpus({inner}, path={str(self.path)!r})"
+        return f"{super().__repr__()[:-1]}, path={str(self.path)!r})"
 
 
 def is_packed_file(path: str | Path) -> bool:

@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Post, SocialCorpus
+from .corpus import SocialCorpus
 from .packed import PackedCorpus, PackedCorpusWriter
 from .vocabulary import Vocabulary
 
@@ -520,40 +520,32 @@ def generate_corpus(
 ) -> tuple[SocialCorpus, GroundTruth]:
     """Generate a corpus and its planted ground truth.
 
-    ``seed`` overrides ``config.seed`` when given, which keeps call sites
-    that sweep seeds readable.
+    The draw columns go straight into :meth:`SocialCorpus.from_columns`:
+    no ``Post`` object is built.  ``seed`` overrides ``config.seed`` when
+    given, which keeps call sites that sweep seeds readable.
     """
     config, truth, rng, vocabulary = _plant_world(config, seed)
-    posts: list[Post] = []
-    links: list[tuple[int, int]] = []
-    communities: list[np.ndarray] = []
-    topics: list[np.ndarray] = []
-    # One shared int object per word id: posts hold no per-token ints.
-    word_ids = np.arange(config.vocab_size).astype(object)
+    chunks: list[_PostColumns] = []
+    links: list[np.ndarray] = [np.zeros((0, 2), np.int64)]
     for chunk in _planted_columns(config, truth, rng):
         if isinstance(chunk, np.ndarray):
-            links.extend(map(tuple, chunk.tolist()))
-            continue
-        tokens = word_ids[chunk.words].tolist()
-        ends = chunk.lengths.cumsum().tolist()
-        posts.extend(
-            Post(author, tuple(tokens[end - length:end]), t)
-            for author, t, length, end in zip(
-                chunk.authors.tolist(), chunk.times.tolist(),
-                chunk.lengths.tolist(), ends,
-            )
-        )
-        communities.append(chunk.communities)
-        topics.append(chunk.topics)
-    corpus = SocialCorpus(
-        num_users=config.num_users,
-        num_time_slices=config.num_time_slices,
-        posts=posts,
-        links=links,
+            links.append(chunk)
+        else:
+            chunks.append(chunk)
+    columns = _PostColumns(*map(np.concatenate, zip(*chunks)))
+    del chunks  # the chunk buffers go before the corpus is checked
+    corpus = SocialCorpus.from_columns(
+        config.num_users,
+        config.num_time_slices,
+        columns.authors,
+        columns.times,
+        columns.lengths,
+        columns.words,
+        np.concatenate(links),
         vocabulary=vocabulary,
     )
-    truth.post_communities = np.concatenate(communities)
-    truth.post_topics = np.concatenate(topics)
+    truth.post_communities = columns.communities
+    truth.post_topics = columns.topics
     return corpus, truth
 
 
@@ -569,8 +561,8 @@ def generate_packed_corpus(
     Consumes the same draw columns as :func:`generate_corpus`, but hands
     each chunk of post columns and each link array straight to a
     :class:`~repro.datasets.packed.PackedCorpusWriter` (spooled in
-    ``chunk_tokens``-sized flushes) instead of materialising ``Post``
-    objects: no Python runs per post.  Peak RSS is therefore bounded by
+    ``chunk_tokens``-sized flushes) instead of keeping the columns in
+    RAM: no Python runs per post.  Peak RSS is therefore bounded by
     the planted parameter tensors plus their CDF tables of the same
     shapes (O(users x communities + topics x vocabulary)) and the
     writer's ``chunk_tokens`` buffer, however many tokens are generated.

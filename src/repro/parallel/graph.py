@@ -66,25 +66,12 @@ class ComputationGraph:
     @classmethod
     def from_corpus(cls, corpus: SocialCorpus) -> "ComputationGraph":
         """Group posts by (author, time slice) and wrap links as edges."""
-        authors = getattr(corpus, "post_authors", None)
-        times = getattr(corpus, "post_times", None)
-        if authors is not None and times is not None:
-            # Column-backed corpora (PackedCorpus) expose author/time
-            # arrays directly — group without materialising Post objects.
-            user_time_edges = cls._group_post_columns(
-                np.asarray(authors), np.asarray(times)
-            )
-        else:
-            grouped: dict[tuple[int, int], list[int]] = {}
-            for post_id, post in enumerate(corpus.posts):
-                grouped.setdefault((post.author, post.timestamp), []).append(post_id)
-            user_time_edges = [
-                UserTimeEdge(user=user, time=time, post_ids=tuple(ids))
-                for (user, time), ids in sorted(grouped.items())
-            ]
+        user_time_edges = cls._group_post_columns(
+            np.asarray(corpus.post_authors), np.asarray(corpus.post_times)
+        )
         user_user_edges = [
             UserUserEdge(link_id=link_id, src=src, dst=dst)
-            for link_id, (src, dst) in enumerate(corpus.links)
+            for link_id, (src, dst) in enumerate(corpus.link_array().tolist())
         ]
         return cls(
             num_users=corpus.num_users,
@@ -97,8 +84,8 @@ class ComputationGraph:
     def _group_post_columns(
         authors: np.ndarray, times: np.ndarray
     ) -> list[UserTimeEdge]:
-        """Vectorised (author, time) grouping, same edge/post order as the
-        dict path: edges sorted by (user, time), post ids ascending."""
+        """Vectorised (author, time) grouping: edges sorted by
+        (user, time), each edge's post ids ascending."""
         if len(authors) == 0:
             return []
         order = np.lexsort((times, authors))  # stable -> post ids ascending

@@ -282,7 +282,7 @@ def run_case(
             "num_posts": corpus.num_posts,
             "num_links": len(corpus.links),
             "mean_post_length": round(
-                float(np.mean([len(post) for post in corpus.posts])), 2
+                float(np.mean(corpus.post_lengths)), 2
             ),
         },
         "reference_seconds_per_sweep": round(seconds["reference"], 5),

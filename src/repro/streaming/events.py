@@ -115,24 +115,30 @@ def corpus_to_events(corpus: SocialCorpus) -> list[Event]:
     same ``num_time_slices`` yields an equivalent corpus — the round-trip
     used by event fixtures and the streaming benchmark.
     """
-    token_of = (
+    vocabulary = (
         corpus.vocabulary.to_list()
         if corpus.vocabulary is not None
         else [f"w{w}" for w in range(corpus.vocab_size)]
-    ).__getitem__
+    )
+    # Read from the columns, one tolist() each: no Post is built.
+    words = list(map(vocabulary.__getitem__, corpus.tokens.tolist()))
+    ends = corpus.token_offsets.tolist()
     events: list[Event] = []
-    for index, post in enumerate(corpus.posts):
+    for index, (author, slice_index, lo, hi) in enumerate(zip(
+        corpus.post_authors.tolist(), corpus.post_times.tolist(), ends, ends[1:]
+    )):
         jitter = 0.1 + 0.8 * (index % 89) / 89.0
         events.append(
             PostEvent(
-                author_key=f"u{post.author}",
-                tokens=tuple(map(token_of, post.words)),
-                time=post.timestamp + jitter,
+                author_key=f"u{author}",
+                tokens=tuple(words[lo:hi]),
+                time=slice_index + jitter,
             )
         )
+    links = corpus.link_array().tolist()
     span = float(corpus.num_time_slices)
-    for index, (source, target) in enumerate(corpus.links):
-        time = span * (index + 0.5) / max(len(corpus.links), 1)
+    for index, (source, target) in enumerate(links):
+        time = span * (index + 0.5) / max(len(links), 1)
         events.append(LinkEvent(f"u{source}", f"u{target}", time))
     events.sort(key=lambda e: e.time)
     return events
