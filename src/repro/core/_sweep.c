@@ -1,20 +1,24 @@
 /*
  * Native collapsed-Gibbs sweep kernel for COLD (paper Eqs. 1-3).
  *
- * Built at first use by repro.core.fastgibbs (plain `cc`, loaded with
- * ctypes) and driven one sweep at a time: cold_sweep_posts walks the
- * post visitation order (community by Eq. 1, then topic by Eq. 3),
- * cold_sweep_links the link order (Eq. 2).  Both read the CountState
- * counters and the PostTable CSR columns in place, mutate counters and
- * assignments exactly like CountState.move_post / remove_link+add_link,
- * and patch the SweepCache factors a move invalidates.
+ * Built at first use by repro.core.fastgibbs (`cc -O3 -march=native`,
+ * loaded with ctypes) and driven one sweep at a time: cold_sweep_posts
+ * walks the post visitation order (community by Eq. 1, then topic by
+ * Eq. 3), cold_sweep_links the link order (Eq. 2).  Both read the
+ * CountState counters and the PostTable CSR columns in place, mutate
+ * counters and assignments exactly like CountState.move_post /
+ * remove_link+add_link, and patch the SweepCache factors a move
+ * invalidates.
  *
  * Exactness rules (see the fastgibbs module docstring):
  *   - every log has an integer+constant argument and is read from a
  *     table that np.log built (log_beta[n] == np.log(n + beta), ...);
- *   - sums reproduce numpy's pairwise_sum (pairwise_sum below), running
- *     sums are sequential, and no expression is contracted into an FMA
- *     (the loader passes -ffp-contract=off);
+ *   - sums reproduce numpy's, whose order follows the array's layout:
+ *     pairwise_sum (below) along a contiguous axis, strictly sequential
+ *     across a strided one; running sums are sequential;
+ *   - no expression is contracted into an FMA: the loader passes
+ *     -ffp-contract=off and never -ffast-math, so a vectorised loop only
+ *     runs the reference's operations side by side, one topic a lane;
  *   - exp is libm's, which may differ from np.exp by one ULP.
  *
  * Uniforms come in pre-drawn (u, one per draw).  A degenerate draw
@@ -46,7 +50,7 @@ typedef struct {
     int64_t *n_comm_total, *word_topic;
     double *base, *link_factor;
     const double *log_beta, *log_alpha, *log_T_eps, *log_eps, *log_V_beta;
-    /* scratch: 4 * max(C * C, K) + K * (max unique words per post) */
+    /* scratch: 3 * max(C * C, K) + max unique words per post */
     double *scratch;
     /* split items' seconds: posts resample/draw/update, then links' */
     double phase_s[6];
@@ -115,14 +119,21 @@ static double reduce_sum(const double *a, int64_t n)
     return 0. + pairwise_sum(a, n);
 }
 
-/* np.add.accumulate: a strictly left-to-right running sum. */
-static void accumulate(const double *a, int64_t n, double *out)
+/* Every topic's sum of table[rows[words[j] * K + k] + q] over word j,
+ * then q < counts[j] ascending, added strictly left to right to 0. */
+static void word_sums(const double *table, const int64_t *rows,
+                      const int64_t *words, const int64_t *counts, int64_t K,
+                      int64_t W, double *restrict out)
 {
-    double run = a[0];
-    out[0] = run;
-    for (int64_t i = 1; i < n; i++) {
-        run += a[i];
-        out[i] = run;
+    for (int64_t k = 0; k < K; k++)
+        out[k] = 0.;
+    for (int64_t j = 0; j < W; j++) {
+        const int64_t *restrict row = rows + words[j] * K;
+        for (int64_t q = 0; q < counts[j]; q++) {
+            const double *restrict tab = table + q;
+            for (int64_t k = 0; k < K; k++)
+                out[k] += tab[row[k]];
+        }
     }
 }
 
@@ -135,21 +146,17 @@ static void floor_weights(double *w, int64_t n, double floor)
 }
 
 /* gibbs.categorical_checked's draw for finite positive `total`:
- * searchsorted(cumsum(w), u * total, side="right"), clamped to n - 1. */
-static int64_t categorical(const double *w, int64_t n, double total, double u,
-                           double *cum)
+ * searchsorted(cumsum(w), u * total, side="right"), clamped to n - 1.
+ * Every weight is positive, so the running sum never decreases and the
+ * first prefix above the key ends one left-to-right scan. */
+static int64_t categorical(const double *w, int64_t n, double total, double u)
 {
-    accumulate(w, n, cum);
     const double key = u * total;
-    int64_t lo = 0, hi = n;
-    while (lo < hi) {
-        const int64_t mid = lo + ((hi - lo) >> 1);
-        if (cum[mid] <= key)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    return lo < n - 1 ? lo : n - 1;
+    double run = w[0];
+    int64_t i = 0;
+    while (run <= key && i < n - 1)
+        run += w[++i];
+    return i;
 }
 
 /* Every order entry in [start, n) indexes one of `size` items. */
@@ -185,6 +192,68 @@ static void touch_link_cell(cold_sweep_ctx *x, int64_t cc)
 }
 
 /*
+ * Eq. (3)'s unnormalised log weights over topics for post p in
+ * community c, with the post removed: its own counts come out of old_k's
+ * word-topic column and token total for the length of the two Polya
+ * sums (and go back after), so every topic's term is the same gather.
+ * Uses the scratch rows after the first.
+ */
+static void topic_log_weights(cold_sweep_ctx *x, int64_t p, int64_t c,
+                              double *lw)
+{
+    const int64_t C = x->C, K = x->K, T = x->T;
+    const int64_t wide = C * C > K ? C * C : K;
+    double *den = x->scratch + wide, *num = den + wide, *terms = num + wide;
+    const int64_t old_c = x->post_comm[p], old_k = x->post_topic[p];
+    const int64_t t = x->times[p];
+    const double *base = x->base + (c * T + t) * K;
+    const int64_t lo = x->offsets[p], W = x->offsets[p + 1] - lo;
+    const int64_t L = x->lengths[p];
+    const int64_t *words = x->words + lo, *counts = x->counts + lo;
+    int distinct = 1;
+    for (int64_t j = 0; j < W; j++) {
+        x->word_topic[words[j] * K + old_k] -= counts[j];
+        if (counts[j] != 1)
+            distinct = 0;
+    }
+    x->n_topic_total[old_k] -= L;
+    if (distinct && K == 1) {
+        /* Reference: log(n^v + beta) reduced over one contiguous row,
+         * in pairwise order. */
+        for (int64_t j = 0; j < W; j++)
+            terms[j] = x->log_beta[x->word_topic[words[j]]];
+        num[0] = reduce_sum(terms, W);
+    } else {
+        /* Reference: word j, then q ascending, added left to right to
+         * zeros.  A distinct-word post's (K, W) matrix, gathered by
+         * fancy indexing, is column-major, so its row sums run in this
+         * order too. */
+        word_sums(x->log_beta, x->word_topic, words, counts, K, W, num);
+    }
+    /* Polya denominator: log(n_k + o + V beta), o = 0 .. L - 1, is a
+     * contiguous window of the table, and the reference's row-major
+     * (K, L) matrix sums each window pairwise.  old_k's n_k is the
+     * removed total, so its window stays inside the table. */
+    for (int64_t k = 0; k < K; k++)
+        den[k] = reduce_sum(x->log_V_beta + x->n_topic_total[k], L);
+    x->n_topic_total[old_k] += L;
+    for (int64_t j = 0; j < W; j++)
+        x->word_topic[words[j] * K + old_k] += counts[j];
+    for (int64_t k = 0; k < K; k++)
+        lw[k] = (base[k] + num[k]) - den[k];
+    /* The cached base row still counts the post in its own cell. */
+    if (c == old_c) {
+        const int64_t ck = old_c * K + old_k;
+        const int64_t n_ck = x->n_comm_topic[ck] - 1;
+        const int64_t n_ckt = x->n_ctt[ck * T + t] - 1;
+        lw[old_k] = ((x->log_alpha[n_ck] +
+                      (x->log_eps[n_ckt] - x->log_T_eps[n_ck])) +
+                     num[old_k]) -
+                    den[old_k];
+    }
+}
+
+/*
  * Resample posts order[draw / 2 .. n).  Draw 2i is post i's community,
  * draw 2i + 1 its topic.  `forced` (>= 0) is the value of draw `draw`
  * (a degenerate draw's uniform fallback); when `draw` is odd,
@@ -198,9 +267,7 @@ int64_t cold_sweep_posts(cold_sweep_ctx *x, const int64_t *order, int64_t n,
                          const double *u)
 {
     const int64_t C = x->C, K = x->K, T = x->T, V = x->V;
-    const int64_t wide = C * C > K ? C * C : K;
-    double *w = x->scratch, *cum = w + wide, *num = cum + wide;
-    double *terms = num + wide;
+    double *w = x->scratch;
     if (!in_range(order, draw >> 1, n, x->D))
         return -2;
     double last = 0.;
@@ -250,7 +317,7 @@ int64_t cold_sweep_posts(cold_sweep_ctx *x, const int64_t *order, int64_t n,
                     lap(x, &last, 1);
                 return 2 * i;
             }
-            new_c = categorical(w, C, total, *u++, cum);
+            new_c = categorical(w, C, total, *u++);
             if (split)
                 lap(x, &last, 1);
         }
@@ -258,63 +325,9 @@ int64_t cold_sweep_posts(cold_sweep_ctx *x, const int64_t *order, int64_t n,
         if (k_known >= 0) {
             new_k = k_known;
         } else {
-            /* Eq. (3) over topics with the post virtually removed. */
-            const double *base = x->base + (new_c * T + t) * K;
-            const int64_t lo = x->offsets[p], W = x->offsets[p + 1] - lo;
-            const int64_t L = x->lengths[p];
-            const int64_t *words = x->words + lo, *counts = x->counts + lo;
-            int distinct = 1;
-            for (int64_t j = 0; j < W; j++)
-                if (counts[j] != 1)
-                    distinct = 0;
-            if (distinct) {
-                /* Reference: log(n_k^v + beta) row-reduced over a (K, W)
-                 * matrix, pairwise order per topic. */
-                for (int64_t j = 0; j < W; j++) {
-                    const int64_t *row = x->word_topic + words[j] * K;
-                    for (int64_t k = 0; k < K; k++)
-                        terms[k * W + j] = x->log_beta[row[k]];
-                    terms[old_k * W + j] = x->log_beta[row[old_k] - 1];
-                }
-                for (int64_t k = 0; k < K; k++)
-                    num[k] = reduce_sum(terms + k * W, W);
-            } else {
-                /* Reference: word j, then q ascending, summed strictly
-                 * left to right from the first term. */
-                int first = 1;
-                for (int64_t j = 0; j < W; j++) {
-                    const int64_t *row = x->word_topic + words[j] * K;
-                    const int64_t m = counts[j];
-                    for (int64_t q = 0; q < m; q++) {
-                        for (int64_t k = 0; k < K; k++) {
-                            const int64_t nkv = row[k] - (k == old_k ? m : 0);
-                            const double term = x->log_beta[nkv + q];
-                            num[k] = first ? term : num[k] + term;
-                        }
-                        first = 0;
-                    }
-                }
-            }
-            /* Polya denominator: log(n_k + o + V beta), o = 0 .. L - 1,
-             * is a contiguous window of the table. */
+            /* Eq. (3) over topics with the post removed. */
             double *lw = w;
-            for (int64_t k = 0; k < K; k++) {
-                /* old_k's window is the removed one, den_old below;
-                 * n_topic_total[old_k] still counts the post, so its
-                 * unremoved window could run past the table's end. */
-                if (k == old_k)
-                    continue;
-                const double den =
-                    reduce_sum(x->log_V_beta + x->n_topic_total[k], L);
-                lw[k] = (base[k] + num[k]) - den;
-            }
-            const double den_old =
-                reduce_sum(x->log_V_beta + x->n_topic_total[old_k] - L, L);
-            double base_old = base[old_k];
-            if (new_c == old_c)
-                base_old = x->log_alpha[n_ck] +
-                           (x->log_eps[n_ckt] - x->log_T_eps[n_ck]);
-            lw[old_k] = (base_old + num[old_k]) - den_old;
+            topic_log_weights(x, p, new_c, lw);
             double top = lw[0];
             for (int64_t k = 1; k < K; k++)
                 if (!(top >= lw[k] || isnan(top)))
@@ -331,7 +344,7 @@ int64_t cold_sweep_posts(cold_sweep_ctx *x, const int64_t *order, int64_t n,
                 x->pending_c = new_c;
                 return 2 * i + 1;
             }
-            new_k = categorical(lw, K, total, *u++, cum);
+            new_k = categorical(lw, K, total, *u++);
             if (split)
                 lap(x, &last, 1);
         }
@@ -385,8 +398,7 @@ int64_t cold_sweep_links(cold_sweep_ctx *x, const int64_t *order, int64_t n,
 {
     const int64_t C = x->C, CC = C * C;
     const int64_t wide = CC > x->K ? CC : x->K;
-    double *pair = x->scratch, *cum = pair + wide, *src_w = cum + wide;
-    double *dst_w = src_w + C;
+    double *pair = x->scratch, *src_w = pair + wide, *dst_w = src_w + C;
     if (!in_range(order, draw, n, x->E))
         return -2;
     double last = 0.;
@@ -429,7 +441,7 @@ int64_t cold_sweep_links(cold_sweep_ctx *x, const int64_t *order, int64_t n,
                     lap(x, &last, 4);
                 return i;
             }
-            flat = categorical(pair, CC, total, *u++, cum);
+            flat = categorical(pair, CC, total, *u++);
             if (split)
                 lap(x, &last, 4);
         }
@@ -446,12 +458,18 @@ int64_t cold_sweep_links(cold_sweep_ctx *x, const int64_t *order, int64_t n,
     return -1;
 }
 
-/* Test entry points: the kernel's own reduction helpers, so a wrong
- * summation order fails a direct comparison with numpy. */
+/* Test entry points: the kernel's own sums, draw and Eq. (3) log
+ * weights, so a wrong summation order or search fails a direct
+ * comparison with numpy instead of showing as a rare flipped draw. */
 double cold_reduce_sum(const double *a, int64_t n) { return reduce_sum(a, n); }
 
-void cold_accumulate(const double *a, int64_t n, double *out)
+int64_t cold_categorical(const double *w, int64_t n, double total, double u)
 {
-    if (n > 0)
-        accumulate(a, n, out);
+    return categorical(w, n, total, u);
+}
+
+void cold_topic_log_weights(cold_sweep_ctx *x, int64_t p, int64_t c,
+                            double *out)
+{
+    topic_log_weights(x, p, c, out);
 }

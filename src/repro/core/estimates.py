@@ -93,17 +93,19 @@ class ParameterEstimates:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Atomically persist all five arrays to a ``.npz`` file.
+        """Atomically persist all five arrays to an uncompressed ``.npz``.
 
         Written via temp-file + ``os.replace`` so a crash mid-save never
-        leaves a truncated archive behind.
+        leaves a truncated archive behind.  Uncompressed: on these float
+        arrays deflate saves ~6% of disk for a many-fold slower save and
+        load.  :meth:`load` reads compressed archives too.
         """
         from ..resilience.checkpoint import atomic_write
 
         path = Path(path)
         with atomic_write(path) as tmp:
             with tmp.open("wb") as handle:
-                np.savez_compressed(
+                np.savez(
                     handle, pi=self.pi, theta=self.theta, phi=self.phi,
                     psi=self.psi, eta=self.eta,
                 )

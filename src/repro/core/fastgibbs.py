@@ -32,17 +32,19 @@ CSR of :func:`repro.core.state.unique_word_csr` (``_corpus.c``); the
 cascade and planted kernels step numpy's PCG64 through one shared
 header, ``_pcg64.h``.
 :func:`native_kernel` compiles the sources with the system ``cc`` at
-first use (``-O2 -fPIC -shared -ffp-contract=off``, never
-``-ffast-math``) into ``~/.cache/repro/`` — or, only when that cannot
-be created or written, a private ``repro-<uid>`` directory in the temp
-directory — under a name keyed on every file the compile reads
-(sources and headers), the flags and the platform, written to a
-temporary file and ``os.replace``-d so concurrent builds are safe.  The
-directory and the library must belong to the user and be writable by
-no one else; otherwise neither is used.  Without a compiler (or a
-usable cache directory) there is one fallback: every caller runs its
-numpy reference kernel, and the loader logs one WARNING for the
-process.
+first use (``-O3 -march=native -fPIC -shared -ffp-contract=off``, never
+``-ffast-math``; if ``cc`` rejects ``-march=native``, the same without
+it) into ``~/.cache/repro/`` — or, only when that cannot be created or
+written, a private ``repro-<uid>`` directory in the temp directory —
+under a name keyed on every file the compile reads (sources and
+headers), the flags, the platform and the CPU's feature flags (so a
+cache shared between hosts never loads a build tuned for another CPU),
+written to a temporary file and ``os.replace``-d so concurrent builds
+are safe.  The directory and the library must belong to the user and
+be writable by no one else; otherwise neither is used.  Without a
+compiler (or a usable cache directory) there is one fallback: every
+caller runs its numpy reference kernel, and the loader logs one WARNING
+for the process.
 
 Exactness contract
 ------------------
@@ -51,9 +53,30 @@ Every cached factor is bit-identical to a NumPy rebuild
 values (libm's ``log`` differs from NumPy's SIMD ``log`` on some hosts,
 so the kernel never calls it), the elementwise IEEE-754 operations are
 the reference's in the reference's association order (no FMA
-contraction), sums reproduce NumPy's ``pairwise_sum`` (8 accumulators,
-128-element blocks, sequential below 8 elements) and running sums are
-sequential.  The uniforms are the reference's: Python draws each loop's
+contraction), and every sum is NumPy's, whose order follows the array's
+layout: ``pairwise_sum`` (8 accumulators, 128-element blocks,
+sequential below 8 elements) along a contiguous axis, strictly
+sequential across a strided one.  A draw's running sum is sequential,
+as ``np.cumsum`` is, and stops at the first prefix above ``u * total``,
+the cell ``searchsorted`` finds (every weight is positive, so the sum
+never decreases).
+
+The Eq. (3) sums are vectorised, and their order is the reference's
+because the reference's own arrays are laid out that way.  The Polya
+denominator is a row-major ``(K, L)`` matrix, so each topic's window of
+the log table sums pairwise, its eight accumulators one vector.  The
+numerator is word after word for a post with repeated words, and for a
+distinct-word post a row sum of the ``(K, W)`` gather
+``n_topic_word[:, words]``, which NumPy lays out column-major, so that
+sum is word after word too (pairwise only when ``K = 1``, the one
+contiguous row).  The topic draw takes the post's own counts out of its
+topic's word-topic column and token total and puts them back after, so
+every topic's term is one gather: ``-O3 -march=native`` turns the
+numerator into SIMD gather-adds, each lane running one topic's
+reference sum unchanged, and ``tests/test_fastgibbs.py`` compares the
+log weights bit for bit.
+
+The uniforms are the reference's: Python draws each loop's
 uniforms in blocks of ``rng.random(n)`` (the same PCG64 doubles as
 ``n`` scalar calls), the link permutation between the two loops, and on
 a degenerate draw rewinds the generator to the block's start, replays
@@ -63,7 +86,8 @@ degenerate draw costs at most one block of replayed uniforms.
 
 The one exception is ``exp``: the Eq. (3) topic weights use libm's
 ``exp``, which differs from ``np.exp`` by at most one ULP on about 4.6%
-of doubles.  Topic weights are therefore not bit-identical, and a draw
+of doubles.  The exponentiated weights are therefore not bit-identical
+(their logs are), and a draw
 can differ from the reference only when ``u * total`` lands within one
 ULP of a cdf boundary — in practice never: the same seed yields the
 reference chain draw for draw, which ``tests/test_fastgibbs.py`` and
@@ -77,6 +101,7 @@ import ctypes
 import hashlib
 import logging
 import os
+import platform
 import shutil
 import stat
 import subprocess
@@ -103,7 +128,11 @@ _SOURCES = tuple(
 )
 #: Headers the sources include: part of the build's cache key.
 _HEADERS = (Path(__file__).with_name("_pcg64.h"),)
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+#: Every build's flags: no FMA contraction and never -ffast-math, so
+#: the IEEE operations stay the reference's (see the exactness contract).
+_CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+#: Tuning for the host CPU, dropped when the compiler rejects it.
+_NATIVE_FLAG = "-march=native"
 _UNLOADED = object()
 _library: object = _UNLOADED
 
@@ -187,15 +216,32 @@ def _check_private(path: Path, is_kind) -> None:
         )
 
 
+def _cpu_identity() -> bytes:
+    """The host CPU's instruction-set features, which ``-march=native``
+    compiles for: the first ``flags`` (x86) or ``Features`` (Arm) line of
+    ``/proc/cpuinfo``, else the machine and processor names."""
+    try:
+        with open("/proc/cpuinfo", "rb") as cpuinfo:
+            for line in cpuinfo:
+                if line.startswith((b"flags", b"Features")):
+                    return line.strip()
+    except OSError:
+        pass
+    return f"{platform.machine()} {platform.processor()}".encode()
+
+
 def _library_name() -> str:
     """The built library's file name, keyed on every file the compile
-    reads (sources and headers), the flags and the platform."""
+    reads (sources and headers), the flags, the platform and the CPU, so
+    a cache directory shared between hosts never loads another CPU's
+    build."""
     key = hashlib.sha256(
         b"\0".join(
             [
                 *(path.read_bytes() for path in (*_SOURCES, *_HEADERS)),
-                " ".join(_CFLAGS).encode(),
+                " ".join((_NATIVE_FLAG, *_CFLAGS)).encode(),
                 sysconfig.get_platform().encode(),
+                _cpu_identity(),
             ]
         )
     ).hexdigest()[:16]
@@ -212,13 +258,22 @@ def _compile() -> Path:
             raise OSError("no C compiler ('cc') on PATH")
         fd, tmp = tempfile.mkstemp(prefix=path.name, suffix=".tmp", dir=directory)
         os.close(fd)
-        try:
+
+        def build(*flags: str) -> None:
             subprocess.run(
-                [compiler, *_CFLAGS, "-o", tmp, *map(str, _SOURCES), "-lm"],
+                [compiler, *flags, *_CFLAGS, "-o", tmp, *map(str, _SOURCES), "-lm"],
                 check=True,
                 capture_output=True,
                 text=True,
             )
+
+        try:
+            try:
+                build(_NATIVE_FLAG)
+            except subprocess.CalledProcessError as exc:
+                _log.debug("cc rejected %s, building without it: %s",
+                           _NATIVE_FLAG, exc.stderr.strip()[-200:])
+                build()
             # The linker creates its output under the umask; make it
             # private before it becomes visible under its final name.
             os.chmod(tmp, 0o700)
@@ -250,7 +305,8 @@ def native_kernel() -> ctypes.CDLL | None:
                 ("cold_sweep_posts", i64, [ptr, ptr, i64, i64, i64, i64, ptr]),
                 ("cold_sweep_links", i64, [ptr, ptr, i64, i64, i64, i64, ptr]),
                 ("cold_reduce_sum", f64, [ptr, i64]),
-                ("cold_accumulate", None, [ptr, i64, ptr]),
+                ("cold_categorical", i64, [ptr, i64, f64, f64]),
+                ("cold_topic_log_weights", None, [ptr, i64, i64, ptr]),
                 ("cold_ic_cascade", None, [ptr, i64, ptr, i64, ptr, ptr]),
                 ("cold_ic_reach", None, [ptr, i64, i64, ptr, ptr, i64, ptr]),
                 ("cold_planted_posts", i64,
@@ -452,9 +508,10 @@ class SweepCache:
             )
         self._ctx_arrays = _kernel_arrays(state)
         spans = np.diff(state.posts.offsets)
+        # Three weight rows, then one post's word terms (K = 1).
         self._scratch = np.empty(
-            4 * max(self.C * self.C, self.K)
-            + self.K * (int(spans.max()) if len(spans) else 0)
+            3 * max(self.C * self.C, self.K)
+            + (int(spans.max()) if len(spans) else 0)
         )
         hp = self.hp
         ctx = _Context(

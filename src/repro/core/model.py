@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..datasets.corpus import SocialCorpus
+from ..datasets.corpus import SocialCorpus, post_columns
 from ..datasets.stream import CorpusIncrement, LinkEvent, PostEvent
 from ..resilience.checkpoint import (
     CheckpointError,
@@ -42,7 +42,7 @@ from .estimates import ParameterEstimates, average_estimates, estimate_from_stat
 from .gibbs import sweep
 from .likelihood import ConvergenceMonitor, joint_log_likelihood
 from .params import Hyperparameters
-from .state import CountState, StateError
+from .state import CountState, PostTable, StateError
 
 _log = get_logger(__name__)
 
@@ -697,8 +697,11 @@ class COLDModel:
         posts_before = state.num_posts
         links_before = state.num_links
 
+        # One conversion of the new posts to columns serves the state and
+        # the corpus.
+        columns = post_columns(increment.posts)
         new_posts, new_links = state.fold_increment(
-            increment.posts,
+            PostTable.from_columns(*columns),
             increment.links,
             max(increment.num_users, users_before),
             max(increment.vocab_size, vocab_before),
@@ -740,7 +743,7 @@ class COLDModel:
         if self.monitor_ is not None:
             self.monitor_.record(log_likelihood)
             self.monitor_.degenerate_draws = state.degenerate_draws
-        self._fold_into_corpus(increment)
+        self._fold_into_corpus(increment, columns)
         self.update_count_ += 1
         return UpdateReport(
             update_index=self.update_count_,
@@ -774,8 +777,12 @@ class COLDModel:
             )
         return np.concatenate(parts)
 
-    def _fold_into_corpus(self, increment: CorpusIncrement) -> None:
-        """Mirror an applied increment onto the attached ``corpus_``."""
+    def _fold_into_corpus(
+        self, increment: CorpusIncrement, columns: tuple[np.ndarray, ...]
+    ) -> None:
+        """Mirror an applied increment, its posts given as ``columns``
+        (:func:`~repro.datasets.corpus.post_columns`), onto the attached
+        ``corpus_``."""
         corpus = self.corpus_
         if corpus is None:
             return
@@ -795,7 +802,7 @@ class COLDModel:
             corpus.vocab_size = increment.vocab_size
         # The same dedup as fold_increment: self-links, known edges and
         # repeats within the increment are dropped.
-        corpus.extend(increment.posts, increment.links)
+        corpus.extend_columns(*columns, increment.links)
 
     # -- checkpoint/resume -----------------------------------------------------
 

@@ -340,7 +340,7 @@ class CountState:
 
     def fold_increment(
         self,
-        posts: "Sequence",
+        posts: "Sequence[Post] | PostTable",
         links: "Sequence[tuple[int, int]]",
         num_users: int,
         vocab_size: int,
@@ -349,6 +349,9 @@ class CountState:
         include_network: bool = True,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Grow the state for new corpus content and fold it into the counters.
+
+        ``posts`` are the new ``Post`` objects, or their
+        :class:`PostTable` when the caller has converted them already.
 
         Dimensions are append-only: ``num_users`` / ``vocab_size`` /
         ``num_time_slices`` are the new totals and must not shrink (new
@@ -374,7 +377,7 @@ class CountState:
                 f"users {U}->{num_users}, vocab {V}->{vocab_size}, "
                 f"slices {T}->{num_time_slices}"
             )
-        new = PostTable.from_posts(posts)
+        new = posts if isinstance(posts, PostTable) else PostTable.from_posts(posts)
         for label, ids, bound in (
             ("author", new.authors, num_users),
             ("timestamp", new.times, num_time_slices),

@@ -623,7 +623,12 @@ class SocialCorpus(CorpusReads):
         (:func:`unique_links`); a dangling endpoint raises.  A rejected
         call changes nothing.
         """
-        columns = post_columns(posts)
+        self.extend_columns(*post_columns(posts), links)
+
+    def extend_columns(self, authors, times, lengths, words, links=()) -> None:
+        """:meth:`extend` for posts given as columns (``words`` end to
+        end), as :meth:`from_columns` takes them."""
+        columns = tuple(map(int_ids, (authors, times, lengths, words)))
         pairs = link_pairs(links)
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
         check_links(pairs, self.num_users)

@@ -126,11 +126,11 @@ def save_checkpoint(
 ) -> Path:
     """Write one atomic checkpoint; returns the manifest path.
 
-    ``arrays`` are persisted to the ``.npz`` data file, ``meta`` (any
-    JSON-serialisable mapping — model config, RNG state, fit settings) to
-    the manifest.  The data file is written and checksummed before the
-    manifest, so a manifest's existence implies its payload was complete
-    at write time.
+    ``arrays`` are persisted to the uncompressed ``.npz`` data file
+    (compressed ones still load), ``meta`` (any JSON-serialisable
+    mapping — model config, RNG state, fit settings) to the manifest.
+    The data file is written and checksummed before the manifest, so a
+    manifest's existence implies its payload was complete at write time.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -138,7 +138,7 @@ def save_checkpoint(
     data_path = directory / (stem + _DATA_SUFFIX)
     with atomic_write(data_path) as tmp:
         with tmp.open("wb") as handle:
-            np.savez_compressed(handle, **arrays)
+            np.savez(handle, **arrays)
     manifest = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "iteration": int(iteration),

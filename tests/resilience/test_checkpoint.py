@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import errno
+import hashlib
 import json
 import os
+import zipfile
 
 import numpy as np
 import pytest
@@ -164,6 +166,28 @@ class TestCheckpointStore:
         assert iteration == 7
         assert got_meta == meta
         assert np.array_equal(loaded["a"], arrays["a"])
+
+    def test_data_file_is_uncompressed(self, tmp_path):
+        save_checkpoint(tmp_path, 1, {"a": np.arange(100)}, {})
+        with zipfile.ZipFile(tmp_path / "cold-00000001.npz") as archive:
+            assert {info.compress_type for info in archive.infolist()} == {
+                zipfile.ZIP_STORED
+            }
+
+    def test_compressed_data_file_still_loads(self, tmp_path):
+        """A checkpoint whose data file was written compressed, as
+        checkpoints were before, loads with its manifest's checksum."""
+        arrays = {"a": np.arange(6).reshape(2, 3), "b": np.ones(4)}
+        manifest_path = save_checkpoint(tmp_path, 4, arrays, {"k": 1})
+        data_path = tmp_path / "cold-00000004.npz"
+        np.savez_compressed(data_path, **arrays)
+        manifest = json.loads(manifest_path.read_text())
+        manifest["sha256"] = hashlib.sha256(data_path.read_bytes()).hexdigest()
+        manifest_path.write_text(json.dumps(manifest))
+        loaded, meta, iteration = load_checkpoint(tmp_path)
+        assert (iteration, meta) == (4, {"k": 1})
+        for name, array in arrays.items():
+            np.testing.assert_array_equal(loaded[name], array)
 
     def test_newest_wins(self, tmp_path):
         for it in (3, 9, 6):

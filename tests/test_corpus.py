@@ -14,6 +14,7 @@ from repro.datasets.corpus import (
     CorpusValidationError,
     Post,
     SocialCorpus,
+    post_columns,
 )
 from repro.datasets.packed import PackedCorpus, write_packed
 from repro.datasets.synthetic import SyntheticConfig, generate_corpus
@@ -439,6 +440,21 @@ class TestExtend:
         with pytest.raises(CorpusValidationError, match="dangling"):
             corpus.extend([good], [(0, 1), (2, 5)])
         assert corpus == hand_corpus
+
+    def test_extend_columns_matches_extend(self, hand_corpus):
+        posts = [
+            Post(author=1, words=(2, 2), timestamp=3),
+            Post(author=4, words=(0, 9, 1), timestamp=0),
+        ]
+        links = [(4, 1), (0, 1), (3, 3)]
+        by_posts = hand_corpus.subset_posts(range(6))
+        by_columns = hand_corpus.subset_posts(range(6))
+        by_posts.extend(posts, links)
+        by_columns.extend_columns(*post_columns(posts), links)
+        assert by_columns == by_posts
+        with pytest.raises(CorpusValidationError, match=r"^post 8: author 5"):
+            by_columns.extend_columns([5], [0], [1], [1])
+        assert by_columns == by_posts
 
     def test_extend_drops_the_cached_post_table(self, hand_corpus):
         corpus = hand_corpus.subset_posts(range(6))

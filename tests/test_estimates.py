@@ -1,5 +1,7 @@
 """Unit tests for repro.core.estimates (Appendix-A point estimates)."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,27 @@ class TestPersistence:
         np.testing.assert_allclose(loaded.phi, estimates.phi)
         np.testing.assert_allclose(loaded.psi, estimates.psi)
         np.testing.assert_allclose(loaded.eta, estimates.eta)
+
+    def test_save_writes_uncompressed_archive(self, estimates, tmp_path):
+        path = tmp_path / "est.npz"
+        estimates.save(path)
+        with zipfile.ZipFile(path) as archive:
+            assert {info.compress_type for info in archive.infolist()} == {
+                zipfile.ZIP_STORED
+            }
+
+    def test_compressed_archive_still_loads(self, estimates, tmp_path):
+        """Models saved before archives went uncompressed keep loading."""
+        path = tmp_path / "est.npz"
+        np.savez_compressed(
+            path, pi=estimates.pi, theta=estimates.theta, phi=estimates.phi,
+            psi=estimates.psi, eta=estimates.eta,
+        )
+        loaded = ParameterEstimates.load(path)
+        for name in ("pi", "theta", "phi", "psi", "eta"):
+            np.testing.assert_array_equal(
+                getattr(loaded, name), getattr(estimates, name)
+            )
 
     def test_load_validates(self, estimates, tmp_path):
         path = tmp_path / "est.npz"

@@ -10,6 +10,7 @@ of its own.
 
 from __future__ import annotations
 
+import ctypes
 import fnmatch
 import logging
 import math
@@ -23,9 +24,9 @@ import pytest
 
 from repro.core import fastgibbs
 from repro.core.fastgibbs import SweepCache
-from repro.core.gibbs import sweep
+from repro.core.gibbs import post_topic_log_weights, sweep
 from repro.core.params import Hyperparameters
-from repro.core.state import CountState, StateError
+from repro.core.state import CountState, PostTable, StateError
 
 
 @pytest.fixture()
@@ -158,6 +159,134 @@ class TestSweepEquivalence:
         for want, got in zip(ref, fst):
             np.testing.assert_array_equal(want, got)
         np.testing.assert_array_equal(ref_follow, fst_follow)
+
+
+class _ColumnWorld:
+    """The corpus surface :meth:`CountState.initialize` reads, built from
+    raw word lists: unlike a :class:`SocialCorpus` it admits empty posts,
+    which the kernel must handle although no corpus holds one."""
+
+    def __init__(self, posts, seed, users=6, slices=3, vocab=300, links=12):
+        rng = np.random.default_rng(seed)
+        self.num_users, self.num_time_slices = users, slices
+        self.vocab_size = vocab
+        self._columns = (
+            rng.integers(users, size=len(posts)),
+            rng.integers(slices, size=len(posts)),
+            np.array([len(words) for words in posts], np.int64),
+            np.array([w for words in posts for w in words], np.int64),
+        )
+        pairs = rng.integers(users, size=(links, 2))
+        self._links = np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
+
+    def post_table(self) -> PostTable:
+        return PostTable.from_columns(*self._columns)
+
+    def link_array(self) -> np.ndarray:
+        return self._links
+
+
+def _distinct(rng, length, vocab=300):
+    return tuple(rng.choice(vocab, size=length, replace=False).tolist())
+
+
+class TestTopicNumeratorPaths:
+    """The Eq. (3) sums on every shape of post, against the reference.
+
+    The cases straddle the lengths where numpy's pairwise sum changes
+    form (8 and 128 terms) for distinct-word posts, and cover empty
+    posts, repeated words, one topic and C = K = 100.  Each sweeps in
+    lockstep with the reference, compares the log weights bit for bit
+    and checks the cache after every sweep, which also proves the
+    word-topic column the topic draw borrows is restored.
+    """
+
+    @staticmethod
+    def _check_log_weights(state, hp, cache):
+        """The kernel's Eq. (3) log weights, bit for bit the reference's
+        for every post in every community (so a wrong summation order
+        fails here, not only as a rare flipped draw)."""
+        lib = _native()
+        ctx = ctypes.addressof(cache._context(state, False))
+        got = np.empty(state.num_topics)
+        for post in range(state.num_posts):
+            kernel = []
+            for c in range(state.num_communities):
+                lib.cold_topic_log_weights(ctx, post, c, _ptr(got))
+                kernel.append(got.copy())
+            c_old, k_old = state.remove_post(post)
+            try:
+                for c, weights in enumerate(kernel):
+                    want = post_topic_log_weights(state, hp, post, c)
+                    np.testing.assert_array_equal(weights, want, err_msg=(post, c))
+            finally:
+                state.add_post(post, c_old, k_old)
+        cache.check_consistency(state)
+
+    def _lockstep(self, corpus, hp, C=3, K=4, sweeps=3, seed=0):
+        _native()
+        states, rngs = [], []
+        for _ in range(2):
+            rngs.append(np.random.default_rng(seed))
+            states.append(_init(corpus, rngs[-1], C=C, K=K))
+        ref, fst = states
+        cache = SweepCache(fst, hp)
+        for _ in range(sweeps):
+            self._check_log_weights(fst, hp, cache)
+            sweep(ref, hp, rngs[0])
+            sweep(fst, hp, rngs[1], cache=cache)
+            for want, got in zip(_chain_arrays(ref), _chain_arrays(fst)):
+                np.testing.assert_array_equal(want, got)
+            fst.check_invariants()
+            cache.check_consistency(fst)
+        np.testing.assert_array_equal(rngs[0].random(8), rngs[1].random(8))
+
+    def test_empty_posts(self, hp):
+        rng = np.random.default_rng(0)
+        posts = [(), _distinct(rng, 3), (), (4, 4), _distinct(rng, 9), ()]
+        self._lockstep(_ColumnWorld(posts, seed=1), hp)
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [range(1, 8), (8, 9, 15, 16, 17, 40, 64, 127, 128), (129, 136, 200, 260)],
+        ids=["below-8", "8-to-128", "above-128"],
+    )
+    def test_distinct_word_posts(self, hp, lengths):
+        rng = np.random.default_rng(2)
+        posts = [_distinct(rng, n) for n in lengths for _ in range(3)]
+        self._lockstep(_ColumnWorld(posts, seed=3), hp)
+
+    def test_repeated_word_posts(self, hp):
+        """Multiplicities anywhere, the first word's included, and a
+        post longer than 128 tokens (the denominator's long path)."""
+        rng = np.random.default_rng(4)
+        posts = [
+            (7, 7, 1, 2), (1, 2, 2), (5, 5, 5, 5), (9, 3, 9, 3, 9),
+            (0, 0) + _distinct(rng, 20, vocab=200),
+            tuple(rng.integers(40, size=150).tolist()),
+            tuple(rng.integers(300, size=60).tolist()),
+        ]
+        posts += [tuple(rng.integers(30, size=n).tolist()) for n in range(2, 30)]
+        self._lockstep(_ColumnWorld(posts, seed=5), hp)
+
+    def test_hundred_communities_and_topics(self, hp):
+        """A small world at the paper's C = K = 100."""
+        from repro.datasets.synthetic import SyntheticConfig, generate_corpus
+
+        corpus, _truth = generate_corpus(
+            SyntheticConfig(
+                num_users=24, num_communities=4, num_topics=6,
+                num_time_slices=4, vocab_size=200, mean_posts_per_user=3.0,
+                mean_words_per_post=12.0, mean_links_per_user=3.0, seed=11,
+            )
+        )
+        self._lockstep(corpus, hp, C=100, K=100, sweeps=2)
+
+    def test_single_topic(self, hp):
+        """K = 1: the topic draw's only topic is always the post's own."""
+        rng = np.random.default_rng(6)
+        posts = [_distinct(rng, n) for n in (1, 8, 20)] + [(3, 3, 4)]
+        self._lockstep(_ColumnWorld(posts, seed=7), hp, K=1)
 
 
 class TestPerDrawKernels:
@@ -335,14 +464,30 @@ class TestNativeReductionOrder:
             got = lib.cold_reduce_sum(_ptr(x), n)
             assert got == np.add.reduce(x), n
 
-    def test_accumulate_matches_add_accumulate_for_every_length(self):
+    def test_categorical_matches_searchsorted_cumsum(self):
+        """The kernel's draw stops its running sum at the first prefix
+        above ``u * total``; the reference searches the whole cumsum
+        (side="right") and clamps to the last cell."""
         lib = _native()
         rng = np.random.default_rng(1)
-        for n in range(1, 301):
-            x = self._values(rng, n)
-            out = np.empty(n)
-            lib.cold_accumulate(_ptr(x), n, _ptr(out))
-            np.testing.assert_array_equal(out, np.add.accumulate(x), err_msg=n)
+        for n in (*range(1, 130), 400, 10_000):
+            w = np.exp(rng.uniform(-300, 300, n)) if n % 3 else rng.random(n)
+            w[rng.random(n) < 0.2] = 1e-300
+            cum = np.cumsum(w)
+            keys = [
+                (cum[-1], u) for u in (0.0, 0.5, 1 - 2**-53, *rng.random(5))
+            ]
+            # Ties: keys equal to a prefix sum (side="right" moves past
+            # it), and keys beyond the last prefix (clamped).
+            scale = 2.0 ** -math.ceil(math.log2(cum[-1]) + 1)
+            keys += [(1 / scale, c * scale) for c in cum[rng.integers(n, size=5)]]
+            keys += [(2 * cum[-1], 0.75), (1.5 * cum[-1], 0.9)]
+            for total, u in keys:
+                want = min(
+                    int(np.searchsorted(cum, u * total, side="right")), n - 1
+                )
+                got = lib.cold_categorical(_ptr(w), n, total, u)
+                assert got == want, (n, total, u)
 
     def test_polya_window_matches_reference_denominator(self):
         """The Polya denominator sums a window of the ``log(n + V beta)``
@@ -360,14 +505,35 @@ class TestNativeReductionOrder:
             np.testing.assert_array_equal(got, want, err_msg=L)
 
     def test_reduce_sum_matches_contiguous_word_term_rows(self):
-        """The distinct-word Eq. (3) numerator row-reduces a C-contiguous
-        (K, W) matrix."""
+        """Rows of a C-contiguous matrix (the K = 1 distinct-word
+        numerator) reduce pairwise."""
         lib = _native()
         rng = np.random.default_rng(3)
         for K, W in ((40, 1), (40, 7), (40, 8), (3, 129), (40, 300)):
             terms = self._values(rng, (K, W))
             got = [lib.cold_reduce_sum(_ptr(row), W) for row in terms]
             np.testing.assert_array_equal(got, terms.sum(axis=1))
+
+
+    def test_gathered_word_terms_sum_sequentially(self):
+        """The reference's distinct-word numerator gathers a column-major
+        (K, W) matrix by fancy indexing, whose row sums add word after
+        word: the order of the kernel's repeated-word loop.  With K = 1
+        the one row is contiguous and sums pairwise."""
+        lib = _native()
+        rng = np.random.default_rng(4)
+        for K, W in ((2, 9), (3, 8), (40, 40), (40, 129), (100, 300), (1, 40)):
+            counts = rng.integers(0, 50, size=(K, 400))
+            words = rng.choice(400, size=W, replace=False)
+            terms = np.log(counts[:, words] + 0.01)
+            got = terms.sum(axis=1)
+            if K == 1:
+                want = [lib.cold_reduce_sum(_ptr(terms), W)]
+            else:
+                want = np.zeros(K)
+                for j in range(W):
+                    want += terms[:, j]
+            np.testing.assert_array_equal(got, want, err_msg=(K, W))
 
 
 class TestDegenerateDraws:
@@ -494,6 +660,50 @@ class TestNativeLoader:
         target = (sources if edited == "source" else headers)[-1]
         target.write_bytes(target.read_bytes() + b"\n")
         assert fastgibbs._library_name() != name
+
+    def test_library_name_keys_on_the_cpu(self, monkeypatch):
+        """A build tuned for one CPU is never loaded on another that
+        shares the cache directory."""
+        name = fastgibbs._library_name()
+        monkeypatch.setattr(
+            fastgibbs, "_cpu_identity", lambda: b"flags\t\t: fpu sse2"
+        )
+        assert fastgibbs._library_name() != name
+
+    def test_compiler_rejecting_march_native_builds_portable(
+        self, monkeypatch, tmp_path
+    ):
+        """A ``cc`` without ``-march=native`` still yields the native
+        library (built with the portable flags), not the reference
+        fallback."""
+        real = shutil.which("cc")
+        if real is None:
+            pytest.skip("no C compiler on PATH")
+        calls = tmp_path / "calls"
+        fake = tmp_path / "cc"
+        fake.write_text(
+            "#!/bin/sh\n"
+            f'echo "$*" >> "{calls}"\n'
+            'for arg in "$@"; do\n'
+            '  if [ "$arg" = "-march=native" ]; then\n'
+            "    echo \"cc: error: unrecognized option '$arg'\" >&2; exit 1\n"
+            "  fi\n"
+            "done\n"
+            f'exec "{real}" "$@"\n'
+        )
+        fake.chmod(0o700)
+        home = tmp_path / "home"
+        home.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.setattr(fastgibbs.shutil, "which", lambda name: str(fake))
+        monkeypatch.setattr(fastgibbs, "_library", fastgibbs._UNLOADED)
+        lib = fastgibbs.native_kernel()
+        assert lib is not None
+        native, portable = calls.read_text().splitlines()
+        assert "-march=native" in native.split()
+        assert "-march=native" not in portable.split()
+        x = np.arange(20.0)
+        assert lib.cold_reduce_sum(_ptr(x), 20) == np.add.reduce(x)
 
     def test_package_data_ships_every_compiled_file(self):
         """A wheel missing any source or header cannot hash the compile's
