@@ -26,18 +26,31 @@
 
 #include "_pcg64.h"
 
-/* The count of entries of the sorted row cdf[0..n) that are <= u. */
+/*
+ * The count of entries of the sorted row cdf[0..n) that are <= u.
+ * Branch-free: the answer stays in [base, base + len], each step halves
+ * len and moves base by a multiply, not a jump, so the loop runs
+ * ceil(log2 n) times whatever u is and never mispredicts.
+ */
 static int64_t search_right(const double *cdf, int64_t n, double u)
 {
-    int64_t lo = 0, hi = n;
-    while (lo < hi) {
-        const int64_t mid = lo + (hi - lo) / 2;
-        if (cdf[mid] <= u)
-            lo = mid + 1;
-        else
-            hi = mid;
+    if (n <= 0)
+        return 0;
+    const double *base = cdf;
+    for (int64_t len = n; len > 1;) {
+        const int64_t half = len / 2;
+        base += (base[half - 1] <= u) * half;
+        len -= half;
     }
-    return lo;
+    return (base - cdf) + (*base <= u);
+}
+
+/* Test entry point: the search itself, so a wrong step fails a direct
+ * comparison with numpy's searchsorted instead of showing as a rare
+ * shifted draw. */
+int64_t cold_search_right(const double *cdf, int64_t n, double u)
+{
+    return search_right(cdf, n, u);
 }
 
 /* numpy's random_loggam: log-gamma by Stirling's series. */

@@ -314,6 +314,7 @@ def native_kernel() -> ctypes.CDLL | None:
                  + [ptr] * 6 + [i64, ptr, i64, ptr]),
                 ("cold_planted_links", i64,
                  [ptr] * 3 + [i64, i64, f64, i64, i64] + [ptr] * 3 + [i64, ptr]),
+                ("cold_search_right", i64, [ptr, i64, f64]),
                 ("cold_unique_words", i64, [ptr, ptr, i64] + [ptr] * 4),
             ):
                 function = getattr(lib, name)

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..datasets.corpus import SocialCorpus, post_columns
+from ..datasets.corpus import SocialCorpus
 from ..datasets.stream import CorpusIncrement, LinkEvent, PostEvent
 from ..resilience.checkpoint import (
     CheckpointError,
@@ -697,12 +697,10 @@ class COLDModel:
         posts_before = state.num_posts
         links_before = state.num_links
 
-        # One conversion of the new posts to columns serves the state and
-        # the corpus.
-        columns = post_columns(increment.posts)
+        columns = increment.columns
         new_posts, new_links = state.fold_increment(
             PostTable.from_columns(*columns),
-            increment.links,
+            increment.link_array,
             max(increment.num_users, users_before),
             max(increment.vocab_size, vocab_before),
             max(increment.num_time_slices, slices_before),
@@ -743,7 +741,7 @@ class COLDModel:
         if self.monitor_ is not None:
             self.monitor_.record(log_likelihood)
             self.monitor_.degenerate_draws = state.degenerate_draws
-        self._fold_into_corpus(increment, columns)
+        self._fold_into_corpus(increment)
         self.update_count_ += 1
         return UpdateReport(
             update_index=self.update_count_,
@@ -777,12 +775,8 @@ class COLDModel:
             )
         return np.concatenate(parts)
 
-    def _fold_into_corpus(
-        self, increment: CorpusIncrement, columns: tuple[np.ndarray, ...]
-    ) -> None:
-        """Mirror an applied increment, its posts given as ``columns``
-        (:func:`~repro.datasets.corpus.post_columns`), onto the attached
-        ``corpus_``."""
+    def _fold_into_corpus(self, increment: CorpusIncrement) -> None:
+        """Mirror an applied increment onto the attached ``corpus_``."""
         corpus = self.corpus_
         if corpus is None:
             return
@@ -802,7 +796,7 @@ class COLDModel:
             corpus.vocab_size = increment.vocab_size
         # The same dedup as fold_increment: self-links, known edges and
         # repeats within the increment are dropped.
-        corpus.extend_columns(*columns, increment.links)
+        corpus.extend_columns(*increment.columns, increment.link_array)
 
     # -- checkpoint/resume -----------------------------------------------------
 

@@ -608,6 +608,8 @@ class SocialCorpus(CorpusReads):
         self.token_offsets = _frozen(np.zeros(1, np.int64))
         self._links = _frozen(np.zeros((0, 2), np.int64))
         self._table: PostTable | None = None
+        #: The column views _grown made, by attribute.
+        self._grown_views: dict[str, np.ndarray] = {}
         self._append_posts(*columns)
         check_links(pairs, num_users)
         self._links = _frozen(unique_links(pairs, num_users))
@@ -635,7 +637,7 @@ class SocialCorpus(CorpusReads):
         self._append_posts(*columns)
         fresh = unique_links(pairs, self.num_users, known=self._links)
         if len(fresh):
-            self._links = _frozen(np.concatenate([self._links, fresh]))
+            self._links = self._grown("_links", fresh)
 
     def _append_posts(self, authors, times, lengths, words) -> None:
         row = first_bad_post(
@@ -653,19 +655,39 @@ class SocialCorpus(CorpusReads):
             for column in (authors, times, lengths, words)
         )
         ends = np.cumsum(lengths) + self.token_offsets[-1]
-        first_fill = not self.num_posts
-        for name, column in (
+        columns = (
             ("post_authors", authors), ("post_times", times),
             ("post_lengths", lengths), ("tokens", words),
-        ):
-            # A first fill keeps the given column (a read-only view of
-            # it): the generator's columns are never held twice.
-            setattr(self, name, _frozen(
-                column.view() if first_fill
-                else np.concatenate([getattr(self, name), column])
-            ))
-        self.token_offsets = _frozen(np.concatenate([self.token_offsets, ends]))
+        )
+        if self.num_posts:
+            for name, column in (*columns, ("token_offsets", ends)):
+                setattr(self, name, self._grown(name, column))
+        else:
+            # A first fill keeps the given columns (read-only views of
+            # them): the generator's columns are never held twice.
+            for name, column in columns:
+                setattr(self, name, _frozen(column.view()))
+            self.token_offsets = _frozen(np.concatenate([self.token_offsets, ends]))
         self._table = None
+
+    def _grown(self, name: str, tail: np.ndarray) -> np.ndarray:
+        """Column ``name`` with ``tail`` appended, as a read-only view of a
+        buffer with spare room: a column this corpus grew before is written
+        in place while its buffer has room, else copied into one twice the
+        needed size, so appends cost O(increment) amortised, not
+        O(corpus).  Views read earlier keep their length and contents."""
+        column = getattr(self, name)
+        size = len(column) + len(tail)
+        # Only a view this corpus handed out is grown in place: a copied
+        # corpus (its columns copies, or shared with the original) and a
+        # caller's array are never written past their end.
+        buffer = column.base if column is self._grown_views.get(name) else None
+        if buffer is None or size > len(buffer):
+            buffer = np.empty((2 * size, *column.shape[1:]), column.dtype)
+            buffer[: len(column)] = column
+        buffer[len(column) : size] = tail
+        view = self._grown_views[name] = _frozen(buffer[:size])
+        return view
 
     def _reject_post(self, row, authors, times, lengths, words) -> NoReturn:
         """Raise for the first failing check of batch row ``row``, in the

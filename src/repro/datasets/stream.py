@@ -8,29 +8,48 @@ interaction pairs), and it handles vocabulary growth, user interning, time
 discretisation into ``T`` slices, and low-activity-user filtering — the
 §6.1 preprocessing — before emitting a :class:`SocialCorpus`.
 
+Events are buffered as columns, never as per-event objects: ``add_post``
+appends the author key, the stamp, the kept-token count and the tokens
+end to end to growable lists, and ``add_link`` the two endpoint keys.
+:meth:`~CorpusStreamBuilder.build` and
+:meth:`~CorpusStreamBuilder.pop_increment` turn the buffers into int64
+columns through one vectorised routine — filter, slice the stamps,
+intern users in first-activity order and tokens in first-seen order — so
+the corpus and each increment reach the sampler as columns.
+
 **Incremental mode** (``build(incremental=True)``) keeps the builder live
 after the initial corpus: the time grid's origin and slice width are
 frozen from the built span, user and vocabulary interning stay open
 (append-only ids, so existing model tensors keep their meaning), and
 further events accumulate until :meth:`CorpusStreamBuilder.pop_increment`
 converts them into a :class:`CorpusIncrement` for
-:meth:`repro.COLDModel.update`.  Two ingestion edge cases are typed
-errors here instead of corrupted slice assignments downstream: events
-stamped *before* the fitted grid's origin raise :class:`StaleEventError`,
-and events beyond its end follow the configured rollover policy
-(:class:`RolloverError` under ``"error"``).  Users first seen in a
-:class:`LinkEvent` are interned like any other (the low-activity filter
-applies only to the initial build — a streaming increment is too small a
-sample to judge activity on).
+:meth:`repro.COLDModel.update`.  Ingestion edge cases are typed errors
+here instead of corrupted slice assignments downstream: non-finite stamps
+raise :class:`StreamError` on ingest, events stamped *before* the fitted
+grid's origin raise :class:`StaleEventError`, and events beyond its end
+follow the configured rollover policy (:class:`RolloverError` under
+``"error"``).  Users first seen in a :class:`LinkEvent` are interned like
+any other (the low-activity filter applies only to the initial build — a
+streaming increment is too small a sample to judge activity on).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import math
+from collections import Counter
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from itertools import chain, compress
 
-from .corpus import Post, SocialCorpus
+import numpy as np
+
+from .corpus import Post, SocialCorpus, _frozen, link_pairs, post_columns
 from .vocabulary import Vocabulary
+
+#: Slice ids are capped here before the cast to int64, so an absurd stamp
+#: far past the grid reaches the rollover policy as a huge id, not as an
+#: overflowed one.
+_MAX_SLICE = float(2**62)
 
 
 class StreamError(ValueError):
@@ -53,7 +72,6 @@ class RolloverError(StreamError):
     or a ``"grow"`` rollover would exceed ``max_new_slices``."""
 
 
-@dataclass(frozen=True)
 class CorpusIncrement:
     """One batch of new corpus content in the *global* id space.
 
@@ -62,18 +80,75 @@ class CorpusIncrement:
     ``num_time_slices`` are the totals *after* this increment (ids are
     append-only, so they can only grow).  ``new_tokens`` lists the tokens
     appended to the vocabulary, in id order.
+
+    The posts are held as read-only int64 ``columns`` — ``(authors,
+    times, lengths, words)``, the words end to end — and the links as an
+    ``(E, 2)`` ``link_array``.  Build one from ``Post`` objects and
+    ``(src, dst)`` pairs with the constructor, which converts them once,
+    or from columns with :meth:`from_columns`; ``posts`` and ``links``
+    are tuples built from the columns when read.
     """
 
-    posts: tuple[Post, ...]
-    links: tuple[tuple[int, int], ...]
-    num_users: int
-    vocab_size: int
-    num_time_slices: int
-    new_tokens: tuple[str, ...] = ()
+    __slots__ = (
+        "columns", "link_array", "num_users", "vocab_size",
+        "num_time_slices", "new_tokens",
+    )
+
+    def __init__(
+        self,
+        posts: Sequence[Post],
+        links: Sequence[tuple[int, int]],
+        num_users: int,
+        vocab_size: int,
+        num_time_slices: int,
+        new_tokens: tuple[str, ...] = (),
+    ) -> None:
+        self._set(
+            post_columns(posts), link_pairs(links),
+            num_users, vocab_size, num_time_slices, new_tokens,
+        )
+
+    @classmethod
+    def from_columns(
+        cls, authors, times, lengths, words, links, *,
+        num_users: int, vocab_size: int, num_time_slices: int,
+        new_tokens: tuple[str, ...] = (),
+    ) -> "CorpusIncrement":
+        """An increment of posts given as int64 columns (``words`` end to
+        end) and links as an ``(E, 2)`` array; the arrays are kept, not
+        copied."""
+        increment = cls.__new__(cls)
+        increment._set(
+            (authors, times, lengths, words), links,
+            num_users, vocab_size, num_time_slices, new_tokens,
+        )
+        return increment
+
+    def _set(self, columns, links, num_users, vocab_size, num_time_slices,
+             new_tokens) -> None:
+        self.columns = tuple(_frozen(column.view()) for column in columns)
+        self.link_array = _frozen(links.view())
+        self.num_users = num_users
+        self.vocab_size = vocab_size
+        self.num_time_slices = num_time_slices
+        self.new_tokens = tuple(new_tokens)
+
+    @property
+    def posts(self) -> tuple[Post, ...]:
+        authors, times, lengths, words = (c.tolist() for c in self.columns)
+        ends = np.cumsum([0, *lengths]).tolist()
+        return tuple(
+            Post(author, tuple(words[lo:hi]), time)
+            for author, time, lo, hi in zip(authors, times, ends, ends[1:])
+        )
+
+    @property
+    def links(self) -> tuple[tuple[int, int], ...]:
+        return tuple(map(tuple, self.link_array.tolist()))
 
     @property
     def empty(self) -> bool:
-        return not self.posts and not self.links
+        return not len(self.columns[0]) and not len(self.link_array)
 
 
 @dataclass(frozen=True)
@@ -95,6 +170,69 @@ class LinkEvent:
     time: float
 
 
+def finite_time(time: float) -> float:
+    """``time`` as a float; raises :class:`StreamError` when it is NaN or
+    infinite, which no time grid can place."""
+    time = float(time)
+    if not math.isfinite(time):
+        raise StreamError(f"event time must be finite, got {time}")
+    return time
+
+
+@dataclass
+class _PostBuffer:
+    """Buffered post events as columns: per post the author key, stamp and
+    kept-token count, and the kept tokens end to end."""
+
+    authors: list[str] = field(default_factory=list)
+    times: list[float] = field(default_factory=list)
+    lengths: list[int] = field(default_factory=list)
+    tokens: list[str] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.authors)
+
+    def clear(self) -> None:
+        self.authors, self.times, self.lengths, self.tokens = [], [], [], []
+
+
+@dataclass
+class _LinkBuffer:
+    """Buffered link events as columns: the endpoint keys.  Their stamps
+    are checked on ingest; a link carries no time slice."""
+
+    sources: list[str] = field(default_factory=list)
+    targets: list[str] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.sources)
+
+    def clear(self) -> None:
+        self.sources, self.targets = [], []
+
+
+def _grid_slices(
+    times: np.ndarray, origin: float, span: float, high: float, slices: int
+) -> np.ndarray:
+    """Slice ids of ``times`` on a ``slices``-slice grid over ``[origin,
+    high]`` (``span`` wide), continued past ``high`` at the same width.
+
+    The arithmetic is ``min(int((t - origin) / span * slices), slices -
+    1)`` up to ``high`` and ``int((t - origin) / (span / slices))`` past
+    it, as arrays.  Stamps before ``origin`` get meaningless ids; callers
+    reject them.  A quotient that overflows to inf is capped like any
+    other id past ``_MAX_SLICE``.
+    """
+    offset = times - origin
+    with np.errstate(over="ignore"):
+        raw = np.where(
+            times <= high,
+            np.minimum(offset / span * slices, slices - 1),
+            offset / (span / slices),
+        )
+    return np.minimum(raw, _MAX_SLICE).astype(np.int64)
+
+
 @dataclass
 class CorpusStreamBuilder:
     """Accumulates a time-ordered event stream into a corpus.
@@ -114,8 +252,8 @@ class CorpusStreamBuilder:
     num_time_slices: int = 24
     min_posts_per_user: int = 1
     stopwords: frozenset[str] = frozenset()
-    _post_events: list[PostEvent] = field(default_factory=list)
-    _link_events: list[LinkEvent] = field(default_factory=list)
+    _post_events: _PostBuffer = field(default_factory=_PostBuffer)
+    _link_events: _LinkBuffer = field(default_factory=_LinkBuffer)
     # Incremental-mode state, populated by build(incremental=True): open
     # interning tables plus the frozen time-grid geometry.
     _user_ids: dict[str, int] | None = field(default=None, repr=False)
@@ -138,21 +276,38 @@ class CorpusStreamBuilder:
     def add_post(
         self, author_key: str, tokens: Sequence[str], time: float
     ) -> None:
-        """Ingest one post event; empty-after-stopwords posts are dropped."""
+        """Ingest one post event; empty-after-stopwords posts are dropped.
+
+        Raises :class:`StreamError` for an empty author key or a
+        non-finite stamp.
+        """
         if not author_key:
             raise StreamError("author_key must be non-empty")
-        kept = tuple(t for t in tokens if t and t not in self.stopwords)
-        if not kept:
+        time = finite_time(time)
+        if not isinstance(tokens, (tuple, list)):
+            tokens = tuple(tokens)
+        if self.stopwords or not all(tokens):
+            tokens = [t for t in tokens if t and t not in self.stopwords]
+        if not tokens:
             return
-        self._post_events.append(PostEvent(author_key, kept, float(time)))
+        posts = self._post_events
+        posts.authors.append(author_key)
+        posts.times.append(time)
+        posts.lengths.append(len(tokens))
+        posts.tokens.extend(tokens)
 
     def add_link(self, source_key: str, target_key: str, time: float) -> None:
-        """Ingest one interaction event (self-interactions are dropped)."""
+        """Ingest one interaction event (self-interactions are dropped).
+
+        Raises :class:`StreamError` for an empty key or a non-finite stamp.
+        """
         if not source_key or not target_key:
             raise StreamError("link keys must be non-empty")
+        finite_time(time)
         if source_key == target_key:
             return
-        self._link_events.append(LinkEvent(source_key, target_key, float(time)))
+        self._link_events.sources.append(source_key)
+        self._link_events.targets.append(target_key)
 
     @property
     def num_events(self) -> int:
@@ -162,6 +317,67 @@ class CorpusStreamBuilder:
     def incremental(self) -> bool:
         """True once ``build(incremental=True)`` has run."""
         return self._user_ids is not None
+
+    # -- the one ingest routine ----------------------------------------------------
+
+    def _ingest(
+        self,
+        user_ids: dict[str, int],
+        vocabulary: Vocabulary,
+        slice_ids: Callable[[np.ndarray], np.ndarray],
+        active: set[str] | None = None,
+    ) -> tuple[np.ndarray, ...]:
+        """The buffered events as int64 columns ``(authors, times,
+        lengths, words, links)`` in the interned id space.
+
+        With ``active``, posts by other authors and links with an endpoint
+        outside it are dropped (the low-activity filter).  ``slice_ids``
+        maps the kept posts' stamps (float64) to slice ids and may raise.
+        Users are interned into ``user_ids`` in first-activity order —
+        post authors, then link sources and targets in link order — and
+        tokens into ``vocabulary`` in first-seen order.  Nothing is
+        interned unless every step succeeds, and errors name the first
+        offending event in arrival order.
+        """
+        posts, links = self._post_events, self._link_events
+        authors, times, lengths, tokens = (
+            posts.authors, posts.times, posts.lengths, posts.tokens
+        )
+        sources, targets = links.sources, links.targets
+        if active is not None:
+            keep = list(map(active.__contains__, authors))
+            if not all(keep):
+                authors, times, lengths = (
+                    list(compress(column, keep))
+                    for column in (authors, times, lengths)
+                )
+                kept_tokens = np.repeat(keep, posts.lengths).tolist()
+                tokens = list(compress(tokens, kept_tokens))
+            keep = [
+                source in active and target in active
+                for source, target in zip(sources, targets)
+            ]
+            sources, targets = (
+                list(compress(column, keep)) for column in (sources, targets)
+            )
+        timestamps = slice_ids(np.array(times, np.float64))
+        endpoints = [None] * (2 * len(sources))
+        endpoints[::2], endpoints[1::2] = sources, targets
+        fresh = [
+            key for key in dict.fromkeys(chain(authors, endpoints))
+            if key not in user_ids
+        ]
+        words = vocabulary.add_array(tokens)
+        user_ids.update(zip(fresh, range(len(user_ids), len(user_ids) + len(fresh))))
+        user_of = user_ids.__getitem__
+        return (
+            np.fromiter(map(user_of, authors), np.int64, len(authors)),
+            timestamps,
+            np.array(lengths, np.int64),
+            words,
+            np.fromiter(map(user_of, endpoints), np.int64, len(endpoints))
+            .reshape(-1, 2),
+        )
 
     # -- build -------------------------------------------------------------------
 
@@ -183,95 +399,41 @@ class CorpusStreamBuilder:
             raise StreamError("no post events ingested")
 
         # Active-user filter on raw post counts.
-        post_counts: dict[str, int] = {}
-        for event in self._post_events:
-            post_counts[event.author_key] = post_counts.get(event.author_key, 0) + 1
         active = {
-            key for key, count in post_counts.items()
+            key for key, count in Counter(self._post_events.authors).items()
             if count >= self.min_posts_per_user
         }
         if not active:
             raise StreamError(
                 "min_posts_per_user filtered out every user"
             )
-        kept_posts = [e for e in self._post_events if e.author_key in active]
-        kept_links = [
-            e
-            for e in self._link_events
-            if e.source_key in active and e.target_key in active
-        ]
-
-        # Deterministic user interning: first-activity order.
-        user_ids: dict[str, int] = {}
-        for event in kept_posts:
-            user_ids.setdefault(event.author_key, len(user_ids))
-        for event in kept_links:
-            user_ids.setdefault(event.source_key, len(user_ids))
-            user_ids.setdefault(event.target_key, len(user_ids))
 
         # Time discretisation over the observed post-time span.
-        times = [e.time for e in kept_posts]
-        low, high = min(times), max(times)
-        span = max(high - low, 1e-12)
+        grid: list[float] = []
 
-        def slice_of(time: float) -> int:
-            fraction = (time - low) / span
-            return min(int(fraction * self.num_time_slices), self.num_time_slices - 1)
+        def slice_ids(times: np.ndarray) -> np.ndarray:
+            low, high = float(times.min()), float(times.max())
+            grid[:] = low, max(high - low, 1e-12), high
+            return _grid_slices(times, *grid, self.num_time_slices)
 
+        user_ids: dict[str, int] = {}
         vocabulary = Vocabulary()
-        posts = [
-            Post(
-                author=user_ids[event.author_key],
-                words=tuple(vocabulary.add_all(event.tokens)),
-                timestamp=slice_of(event.time),
-            )
-            for event in kept_posts
-        ]
-        links = [
-            (user_ids[e.source_key], user_ids[e.target_key]) for e in kept_links
-        ]
+        *columns, links = self._ingest(user_ids, vocabulary, slice_ids, active)
         if incremental:
             # Freeze the grid geometry; keep interning open for increments.
             self._user_ids = user_ids
             self._vocabulary = Vocabulary(vocabulary.to_list())
-            self._origin = low
-            self._span = span
-            self._built_high = high
+            self._origin, self._span, self._built_high = grid
             self._initial_slices = self.num_time_slices
             self._current_slices = self.num_time_slices
-            self._post_events = []
-            self._link_events = []
-        return SocialCorpus(
-            num_users=len(user_ids),
-            num_time_slices=self.num_time_slices,
-            posts=posts,
-            links=links,
+            self._post_events.clear()
+            self._link_events.clear()
+        return SocialCorpus.from_columns(
+            len(user_ids), self.num_time_slices, *columns, links,
             vocabulary=vocabulary.freeze(),
         )
 
     # -- incremental mode --------------------------------------------------------
-
-    def _slice_of_incremental(self, time: float) -> int:
-        """Map a wall-clock stamp onto the frozen grid (pre-rollover).
-
-        Stamps within the initially built span reproduce the batch
-        binning exactly; later stamps extend the grid at the same slice
-        width.  Stamps before the grid origin raise
-        :class:`StaleEventError` — the naive fraction would go negative
-        and corrupt the slice assignment.
-        """
-        if time < self._origin:
-            raise StaleEventError(
-                f"event time {time} predates the fitted time grid origin "
-                f"{self._origin}; clamp or drop stale events before ingesting"
-            )
-        if time <= self._built_high:
-            fraction = (time - self._origin) / self._span
-            return min(
-                int(fraction * self._initial_slices), self._initial_slices - 1
-            )
-        width = self._span / self._initial_slices
-        return int((time - self._origin) / width)
 
     def pop_increment(
         self,
@@ -284,12 +446,17 @@ class CorpusStreamBuilder:
         change); the low-activity filter does not apply — streaming
         increments are too small a sample to judge activity on, and a
         user first seen in a :class:`LinkEvent` is interned like any
-        other.  ``rollover`` decides the fate of stamps beyond the fitted
-        grid: ``"grow"`` appends slices (at most ``max_new_slices`` per
-        call when given), ``"clamp"`` maps them into the last slice,
-        ``"error"`` raises :class:`RolloverError`.  Buffers are cleared
-        on success; on an ingestion error they are left intact, and no
-        user or token interned, so the caller can repair and retry.
+        other.  Stamps within the initially built span reproduce the
+        batch binning exactly; later stamps extend the grid at the same
+        slice width, and ``rollover`` decides their fate beyond the
+        current grid: ``"grow"`` appends slices (at most
+        ``max_new_slices`` per call when given), ``"clamp"`` maps them
+        into the last slice, ``"error"`` raises :class:`RolloverError`.
+        A stamp before the grid origin raises :class:`StaleEventError` —
+        the naive fraction would go negative and corrupt the slice
+        assignment.  Buffers are cleared on success; on an ingestion
+        error they are left intact, and no user or token interned, so the
+        caller can repair and retry.
         """
         if not self.incremental:
             raise StreamError(
@@ -301,62 +468,62 @@ class CorpusStreamBuilder:
                 f"rollover must be 'grow', 'clamp', or 'error', got {rollover!r}"
             )
         assert self._user_ids is not None and self._vocabulary is not None
-        user_ids = self._user_ids
         vocabulary = self._vocabulary
         vocab_before = len(vocabulary)
-        slices = self._current_slices
+        current = slices = self._current_slices
 
-        def slice_with_rollover(time: float) -> int:
+        def slice_ids(times: np.ndarray) -> np.ndarray:
             nonlocal slices
-            raw = self._slice_of_incremental(time)
-            if raw < slices:
-                return raw
-            if rollover == "clamp":
-                return slices - 1
+            raw = _grid_slices(
+                times, self._origin, self._span, self._built_high,
+                self._initial_slices,
+            )
+            stale = times < self._origin
             if rollover == "error":
-                raise RolloverError(
-                    f"event time {time} falls in slice {raw}, beyond the "
-                    f"current {slices}-slice grid (rollover='error')"
-                )
-            grown = raw + 1
-            limit = max_new_slices
-            if limit is not None and grown - self._current_slices > limit:
-                raise RolloverError(
-                    f"event time {time} would grow the time grid by "
-                    f"{grown - self._current_slices} slices, over the "
-                    f"max_new_slices={limit} bound (bad clock or wrong units?)"
-                )
-            slices = grown
+                over = raw >= current
+            elif rollover == "grow" and max_new_slices is not None:
+                over = raw + 1 - current > max_new_slices
+            else:
+                over = np.zeros(len(raw), bool)
+            bad = stale | over
+            if bad.any():
+                first = int(np.argmax(bad))
+                self._reject(float(times[first]), int(raw[first]),
+                             bool(stale[first]), rollover, max_new_slices)
+            if rollover == "clamp":
+                return np.minimum(raw, current - 1)
+            if len(raw):
+                slices = max(current, int(raw.max()) + 1)
             return raw
 
-        # Every stamp first: a stale or out-of-grid one raises before any
-        # user or token is interned.
-        timestamps = [slice_with_rollover(event.time) for event in self._post_events]
-        posts = []
-        for event, timestamp in zip(self._post_events, timestamps):
-            author = user_ids.setdefault(event.author_key, len(user_ids))
-            posts.append(
-                Post(
-                    author=author,
-                    words=tuple(vocabulary.add_all(event.tokens)),
-                    timestamp=timestamp,
-                )
-            )
-        links = []
-        for event in self._link_events:
-            source = user_ids.setdefault(event.source_key, len(user_ids))
-            target = user_ids.setdefault(event.target_key, len(user_ids))
-            links.append((source, target))
-
+        *columns, links = self._ingest(self._user_ids, vocabulary, slice_ids)
         self._current_slices = slices
-        new_tokens = tuple(vocabulary.to_list()[vocab_before:])
-        self._post_events = []
-        self._link_events = []
-        return CorpusIncrement(
-            posts=tuple(posts),
-            links=tuple(links),
-            num_users=len(user_ids),
+        self._post_events.clear()
+        self._link_events.clear()
+        return CorpusIncrement.from_columns(
+            *columns, links,
+            num_users=len(self._user_ids),
             vocab_size=len(vocabulary),
-            num_time_slices=self._current_slices,
-            new_tokens=new_tokens,
+            num_time_slices=slices,
+            new_tokens=vocabulary.to_list()[vocab_before:],
+        )
+
+    def _reject(self, time: float, raw: int, stale: bool, rollover: str,
+                max_new_slices: int | None) -> None:
+        """Raise for a post stamped ``time`` (slice ``raw``) that has no
+        place on the grid: stale, or past it against the rollover policy."""
+        if stale:
+            raise StaleEventError(
+                f"event time {time} predates the fitted time grid origin "
+                f"{self._origin}; clamp or drop stale events before ingesting"
+            )
+        if rollover == "error":
+            raise RolloverError(
+                f"event time {time} falls in slice {raw}, beyond the "
+                f"current {self._current_slices}-slice grid (rollover='error')"
+            )
+        raise RolloverError(
+            f"event time {time} would grow the time grid by "
+            f"{raw + 1 - self._current_slices} slices, over the "
+            f"max_new_slices={max_new_slices} bound (bad clock or wrong units?)"
         )

@@ -12,6 +12,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 
+import numpy as np
+
 
 class VocabularyError(ValueError):
     """Raised on invalid vocabulary operations (unknown token, frozen add)."""
@@ -34,8 +36,7 @@ class Vocabulary:
         self._token_to_id: dict[str, int] = {}
         self._id_to_token: list[str] = []
         self._frozen = False
-        for token in tokens:
-            self.add(token)
+        self.add_all(tokens)
 
     # -- construction ------------------------------------------------------
 
@@ -58,16 +59,25 @@ class Vocabulary:
         return new_id
 
     def add_all(self, tokens: Iterable[str]) -> list[int]:
-        """Add every token and return their ids in order.
+        """Add every token and return their ids in order: :meth:`add_array`
+        as a list."""
+        return self.add_array(list(tokens)).tolist()
 
-        A known token costs one dict lookup; only unseen ones go through
-        :meth:`add` (and its validation).
+    def add_array(self, tokens: Sequence[str]) -> np.ndarray:
+        """Add every token and return their ids in order, as an int64 array.
+
+        All or nothing: new tokens get ids in first-seen order, and the
+        first new token that :meth:`add` would reject raises its
+        :class:`VocabularyError` before any token is added.
         """
-        known = self._token_to_id.get
-        return [
-            token_id if (token_id := known(token)) is not None else self.add(token)
-            for token in tokens
-        ]
+        table = self._token_to_id
+        fresh = [token for token in dict.fromkeys(tokens) if token not in table]
+        for token in fresh:
+            if self._frozen or not isinstance(token, str) or not token:
+                self.add(token)  # raises add's error for this token
+        table.update(zip(fresh, range(len(self), len(self) + len(fresh))))
+        self._id_to_token.extend(fresh)
+        return np.fromiter(map(table.__getitem__, tokens), np.int64, len(tokens))
 
     def freeze(self) -> "Vocabulary":
         """Disallow further additions; returns self for chaining."""

@@ -17,10 +17,13 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Sequence
+from operator import attrgetter
 from pathlib import Path
 
+import numpy as np
+
 from ..datasets.corpus import SocialCorpus
-from ..datasets.stream import LinkEvent, PostEvent, StreamError
+from ..datasets.stream import LinkEvent, PostEvent, StreamError, finite_time
 
 Event = PostEvent | LinkEvent
 
@@ -37,13 +40,13 @@ def _parse_event(record: dict, where: str) -> Event:
             return PostEvent(
                 author_key=str(record["author"]),
                 tokens=tuple(tokens),
-                time=float(record["time"]),
+                time=finite_time(record["time"]),
             )
         if kind == "link":
             return LinkEvent(
                 source_key=str(record["source"]),
                 target_key=str(record["target"]),
-                time=float(record["time"]),
+                time=finite_time(record["time"]),
             )
     except KeyError as exc:
         raise StreamError(f"{where}: missing event field {exc}") from exc
@@ -115,32 +118,34 @@ def corpus_to_events(corpus: SocialCorpus) -> list[Event]:
     same ``num_time_slices`` yields an equivalent corpus — the round-trip
     used by event fixtures and the streaming benchmark.
     """
-    vocabulary = (
+    vocabulary = np.array(
         corpus.vocabulary.to_list()
         if corpus.vocabulary is not None
-        else [f"w{w}" for w in range(corpus.vocab_size)]
+        else [f"w{w}" for w in range(corpus.vocab_size)],
+        dtype=object,
     )
-    # Read from the columns, one tolist() each: no Post is built.
-    words = list(map(vocabulary.__getitem__, corpus.tokens.tolist()))
+    # Read from the columns: the tokens through one object-array gather,
+    # the author keys from a per-user table.  No Post is built.
+    words = vocabulary[corpus.tokens].tolist()
+    keys = [f"u{user}" for user in range(corpus.num_users)]
     ends = corpus.token_offsets.tolist()
-    events: list[Event] = []
-    for index, (author, slice_index, lo, hi) in enumerate(zip(
-        corpus.post_authors.tolist(), corpus.post_times.tolist(), ends, ends[1:]
-    )):
-        jitter = 0.1 + 0.8 * (index % 89) / 89.0
-        events.append(
-            PostEvent(
-                author_key=f"u{author}",
-                tokens=tuple(words[lo:hi]),
-                time=slice_index + jitter,
-            )
-        )
-    links = corpus.link_array().tolist()
+    jitter = 0.1 + 0.8 * (np.arange(corpus.num_posts) % 89) / 89.0
+    events: list[Event] = list(map(
+        PostEvent,
+        map(keys.__getitem__, corpus.post_authors.tolist()),
+        map(tuple, map(words.__getitem__, map(slice, ends, ends[1:]))),
+        (corpus.post_times + jitter).tolist(),
+    ))
+    links = corpus.link_array()
     span = float(corpus.num_time_slices)
-    for index, (source, target) in enumerate(links):
-        time = span * (index + 0.5) / max(len(links), 1)
-        events.append(LinkEvent(f"u{source}", f"u{target}", time))
-    events.sort(key=lambda e: e.time)
+    times = span * (np.arange(len(links)) + 0.5) / max(len(links), 1)
+    events += map(
+        LinkEvent,
+        map(keys.__getitem__, links[:, 0].tolist()),
+        map(keys.__getitem__, links[:, 1].tolist()),
+        times.tolist(),
+    )
+    events.sort(key=attrgetter("time"))
     return events
 
 

@@ -1,5 +1,6 @@
 """Unit tests for repro.datasets.corpus."""
 
+import copy
 import gc
 
 import numpy as np
@@ -26,6 +27,12 @@ MEDIUM_SHAPED = SyntheticConfig(
     num_users=600, num_communities=8, num_topics=12, num_time_slices=24,
     vocab_size=2000, mean_posts_per_user=8.0, mean_words_per_post=40.0,
     mean_links_per_user=3.0, seed=11,
+)
+
+#: Every column an extend grows.
+_COLUMNS = (
+    "post_authors", "post_times", "post_lengths", "tokens", "token_offsets",
+    "_links",
 )
 
 
@@ -455,6 +462,43 @@ class TestExtend:
         with pytest.raises(CorpusValidationError, match=r"^post 8: author 5"):
             by_columns.extend_columns([5], [0], [1], [1])
         assert by_columns == by_posts
+
+    def test_small_extends_grow_into_one_buffer(self, hand_corpus):
+        """The first extend copies each column into a buffer with spare
+        room; the next small one writes into it, and views read before
+        either keep their length and contents."""
+        corpus = hand_corpus.subset_posts(range(6))
+        first = Post(author=1, words=(2, 2), timestamp=3)
+        second = Post(author=4, words=(0, 9, 1), timestamp=0)
+        before = {name: getattr(corpus, name) for name in _COLUMNS}
+        frozen = {name: column.copy() for name, column in before.items()}
+        corpus.extend([first], [(4, 1)])
+        grown = {name: getattr(corpus, name) for name in _COLUMNS}
+        corpus.extend([second], [(0, 2)])
+        for name in _COLUMNS:
+            column = getattr(corpus, name)
+            assert column.base is grown[name].base is not None, name
+            assert not column.flags.writeable, name
+            np.testing.assert_array_equal(before[name], frozen[name])
+        expected = hand_corpus.subset_posts(range(6))
+        for post, link in ((first, (4, 1)), (second, (0, 2))):
+            expected = SocialCorpus(
+                expected.num_users, expected.num_time_slices,
+                [*expected.posts, post], [*expected.links, link],
+                vocabulary=expected.vocabulary,
+            )
+        assert corpus == expected
+
+    def test_copies_never_share_growth(self, hand_corpus):
+        """A shallow copy shares the grown buffers; whichever corpus extends
+        second copies instead of writing over the other's posts."""
+        corpus = hand_corpus.subset_posts(range(6))
+        corpus.extend([Post(author=1, words=(2,), timestamp=3)])
+        twin = copy.copy(corpus)
+        corpus.extend([Post(author=1, words=(5,), timestamp=0)])
+        twin.extend([Post(author=4, words=(7,), timestamp=1)])
+        assert corpus.posts[-1] == Post(author=1, words=(5,), timestamp=0)
+        assert twin.posts[-1] == Post(author=4, words=(7,), timestamp=1)
 
     def test_extend_drops_the_cached_post_table(self, hand_corpus):
         corpus = hand_corpus.subset_posts(range(6))

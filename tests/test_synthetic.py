@@ -6,6 +6,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import fastgibbs
 from repro.datasets import synthetic
@@ -441,6 +443,57 @@ def _corrupt(row: np.ndarray, defect: str) -> None:
         row[0] = -0.1
     else:
         row *= 1.01
+
+
+def _search_right(lib, cdf: np.ndarray, u: float) -> int:
+    row = np.ascontiguousarray(cdf, np.float64)
+    return lib.cold_search_right(row.ctypes.data, len(row), u)
+
+
+#: Sorted rows with repeats: n = 1 and 2, non-powers of two, and flat
+#: stretches where zero-probability cells repeat a CDF value.
+_CDF_ROWS = st.lists(
+    st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75, 1.0])
+    | st.floats(0.0, 1.0, allow_nan=False),
+    min_size=1, max_size=70,
+).map(sorted)
+
+
+class TestSearchRight:
+    """The planted kernels' branch-free ``search_right`` (through the
+    ``cold_search_right`` test entry) is numpy's right searchsorted: the
+    count of row entries <= u."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        row=_CDF_ROWS,
+        probe=st.sampled_from(["below", "on", "between", "last", "above"]),
+        pick=st.integers(0, 1 << 16),
+        u=st.floats(0.0, 1.0, allow_nan=False),
+    )
+    def test_matches_numpy_right_searchsorted(self, row, probe, pick, u):
+        lib = _native()
+        cdf = np.array(row)
+        u = {
+            "below": np.nextafter(cdf[0], -np.inf),
+            "on": cdf[pick % len(cdf)],
+            "between": u,
+            "last": cdf[-1],
+            "above": np.nextafter(cdf[-1], np.inf),
+        }[probe]
+        assert _search_right(lib, cdf, u) == cdf.searchsorted(u, side="right")
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9, 31, 33, 100])
+    def test_every_entry_and_gap_of_a_cumsum_row(self, n):
+        """A ``_choice_cdfs`` row with zero-probability cells (repeated
+        values): u on each entry, just below it, and 0 and 1."""
+        lib = _native()
+        p = np.zeros(n)
+        p[::3] = 1.0
+        cdf = synthetic._choice_cdfs(p / p.sum())
+        probes = [0.0, 1.0, *cdf, *np.nextafter(cdf, -np.inf)]
+        for u in probes:
+            assert _search_right(lib, cdf, u) == cdf.searchsorted(u, side="right"), u
 
 
 #: Every planted tensor with every defect, except a rescaled ``eta`` row:
