@@ -3,7 +3,8 @@
 Demonstrates the §4.3 parallel inference substitute:
 
 1. build the Figure-4 computation graph (user/time vertices, post and link
-   edges) and partition it across simulated cluster nodes;
+   edges, held as index arrays) and partition it across simulated cluster
+   nodes, each shard an array of post ids and one of link ids;
 2. train with 1, 2, 4 and 8 nodes and report the simulated cluster time
    (Figure 13b's scaling curve);
 3. verify the parallel fit matches the serial fit's quality.
@@ -29,10 +30,12 @@ def main() -> None:
     shards, stats = partition_graph(graph, 4)
     print(
         f"computation graph: {graph.num_vertices} vertices, "
-        f"{graph.num_edges} edges, total work {graph.total_work}"
+        f"{len(graph.edge_users)} user-time + {graph.num_links} user-user "
+        f"= {graph.num_edges} edges, total work {graph.total_work}"
     )
     print(
-        f"4-node partition: work per node {stats.work_per_node}, "
+        f"4-node partition: work per node {stats.work_per_node} "
+        f"(posts, links: {[(len(s.post_ids), len(s.link_ids)) for s in shards]}), "
         f"imbalance {stats.imbalance:.3f}"
     )
 

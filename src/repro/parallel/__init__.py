@@ -1,6 +1,9 @@
 """GraphLab substitute: vertex-centric GAS engine + parallel COLD sampler.
 
-See DESIGN.md §2 for why a simulated synchronous cluster preserves the
+The Fig.-4 computation graph (:class:`ComputationGraph`) and its shards
+(:class:`Shard`, from :func:`partition_graph`) are index arrays: a shard
+is the post ids and link ids one node resamples, in sweep order.  See
+DESIGN.md §2 for why a simulated synchronous cluster preserves the
 paper's scalability claims (Figs. 13–14) at laptop scale.
 """
 
@@ -11,7 +14,7 @@ from .engine import (
     SimulatedCluster,
     SuperstepReport,
 )
-from .graph import ComputationGraph, GraphError, UserTimeEdge, UserUserEdge
+from .graph import ComputationGraph, GraphError
 from .partition import PartitionError, PartitionStats, Shard, partition_graph
 from .sampler import ParallelCOLDSampler
 from .shm import SharedArrayBlock, SharedMemoryError
@@ -32,8 +35,6 @@ __all__ = [
     "SharedMemoryError",
     "SimulatedCluster",
     "SuperstepReport",
-    "UserTimeEdge",
-    "UserUserEdge",
     "WorkerCrashError",
     "partition_graph",
 ]

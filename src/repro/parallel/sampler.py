@@ -88,11 +88,11 @@ class _Snapshot:
         Shards own disjoint posts/links, so this never touches slots that
         surviving nodes have already resampled this superstep.
         """
-        posts = shard.post_order()
+        posts = shard.post_ids
         if len(posts):
             state.post_comm[posts] = self.assignments["post_comm"][posts]
             state.post_topic[posts] = self.assignments["post_topic"][posts]
-        links = shard.link_order()
+        links = shard.link_ids
         if len(links):
             state.link_src_comm[links] = self.assignments["link_src_comm"][links]
             state.link_dst_comm[links] = self.assignments["link_dst_comm"][links]
@@ -219,7 +219,7 @@ class ParallelCOLDSampler:
 
         graph = ComputationGraph.from_corpus(corpus)
         if not self.include_network:
-            graph.user_user_edges = []
+            graph.num_links = 0
         shards, stats = partition_graph(graph, self.num_nodes)
         cluster = SimulatedCluster(
             num_nodes=self.num_nodes,
@@ -388,8 +388,6 @@ class ParallelCOLDSampler:
                 # The cache is derived entirely from the local snapshot, so
                 # building it per attempt keeps crash replays exact.
                 cache = SweepCache(local, hp) if self.fast else None
-                post_order = shard.post_order()
-                link_order = shard.link_order()
                 crash = (
                     plan.crash_for(iteration, node, attempt)
                     if plan is not None
@@ -400,25 +398,25 @@ class ParallelCOLDSampler:
                     # local counters and this shard's shared assignment
                     # slots), then fail.  The engine rolls it back via
                     # reset() and replays the full shard.
-                    done = int(len(post_order) * crash.progress)
+                    done = int(len(shard.post_ids) * crash.progress)
                     sweep(
                         local,
                         hp,
                         rng,
-                        post_order=post_order[:done],
-                        link_order=link_order[:0],
+                        post_order=shard.post_ids[:done],
+                        link_order=shard.link_ids[:0],
                         cache=cache,
                     )
                     raise FaultError(
                         f"injected crash of node {node} at superstep "
-                        f"{iteration} ({done}/{len(post_order)} posts done)"
+                        f"{iteration} ({done}/{len(shard.post_ids)} posts done)"
                     )
                 sweep(
                     local,
                     hp,
                     rng,
-                    post_order=post_order,
-                    link_order=link_order,
+                    post_order=shard.post_ids,
+                    link_order=shard.link_ids,
                     cache=cache,
                 )
 

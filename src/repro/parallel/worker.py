@@ -545,8 +545,6 @@ class ProcessWorkerPool:
             raise EngineError(f"num_workers must be positive, got {num_workers}")
         self.num_workers = min(num_workers, self.num_nodes)
 
-        post_orders = [shard.post_order() for shard in shards]
-        link_orders = [shard.link_order() for shard in shards]
         # With a packed corpus the post/link columns stay on disk: workers
         # re-open the file, so the shm data block carries only the shard
         # orders and assignments (plus an empty links array when the fit
@@ -561,13 +559,13 @@ class ProcessWorkerPool:
                 }
             )
             data_arrays["links"] = state.links
-        data_arrays["shard_posts"] = np.concatenate(post_orders)
-        data_arrays["shard_links"] = np.concatenate(link_orders)
+        data_arrays["shard_posts"] = np.concatenate([s.post_ids for s in shards])
+        data_arrays["shard_links"] = np.concatenate([s.link_ids for s in shards])
         data_arrays["shard_post_offsets"] = np.cumsum(
-            [0] + [len(order) for order in post_orders], dtype=np.int64
+            [0] + [len(s.post_ids) for s in shards], dtype=np.int64
         )
         data_arrays["shard_link_offsets"] = np.cumsum(
-            [0] + [len(order) for order in link_orders], dtype=np.int64
+            [0] + [len(s.link_ids) for s in shards], dtype=np.int64
         )
         for name in ASSIGNMENT_FIELDS:
             data_arrays[name] = getattr(state, name)

@@ -30,16 +30,18 @@ Event = PostEvent | LinkEvent
 
 def _parse_event(record: dict, where: str) -> Event:
     kind = record.get("type")
+    tokens = record.get("tokens", [])
+    # Raised outside the try below, whose handler would re-wrap it.
+    if kind == "post" and not (
+        isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)
+    ):
+        raise StreamError(f"{where}: tokens must be a list of strings")
     try:
         if kind == "post":
-            tokens = record["tokens"]
-            if not isinstance(tokens, list) or not all(
-                isinstance(t, str) for t in tokens
-            ):
-                raise StreamError(f"{where}: tokens must be a list of strings")
+            tokens = tuple(record["tokens"])
             return PostEvent(
                 author_key=str(record["author"]),
-                tokens=tuple(tokens),
+                tokens=tokens,
                 time=finite_time(record["time"]),
             )
         if kind == "link":

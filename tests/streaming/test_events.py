@@ -49,8 +49,9 @@ class TestReadWrite:
             + line
             + "\n"
         )
-        with pytest.raises(StreamError, match=r"events\.jsonl:2"):
+        with pytest.raises(StreamError, match=r"events\.jsonl:2") as info:
             read_events(path)
+        assert str(info.value).count("events.jsonl:2") == 1  # not re-wrapped
 
 
 class TestCorpusRoundTrip:

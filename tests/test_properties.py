@@ -158,12 +158,8 @@ def test_categorical_returns_valid_index_with_positive_weight(weights, seed):
 def test_partition_covers_all_work_exactly_once(corpus, num_nodes):
     graph = ComputationGraph.from_corpus(corpus)
     shards, stats = partition_graph(graph, num_nodes)
-    posts = sorted(
-        int(p) for shard in shards for p in shard.post_order()
-    )
-    links = sorted(
-        int(e) for shard in shards for e in shard.link_order()
-    )
+    posts = sorted(int(p) for shard in shards for p in shard.post_ids)
+    links = sorted(int(e) for shard in shards for e in shard.link_ids)
     assert posts == list(range(corpus.num_posts))
     assert links == list(range(corpus.num_links))
     assert stats.total_work == graph.total_work
