@@ -5,9 +5,11 @@
  * The state is a 128-bit LCG held as two 64-bit halves; each step
  * multiplies by numpy's 128-bit multiplier, adds the increment, and
  * outputs the XSL-RR permutation of the new state.  A uniform is
- * (next64 >> 11) * 2^-53, numpy's random().  Callers load the state
- * and increment as four words (state hi, lo, inc hi, lo) and write the
- * state back, so the Generator's next draws continue the same stream.
+ * (next64 >> 11) * 2^-53, numpy's random().  A 32-bit draw takes a
+ * half-word from the generator's buffer (has_uint32, uinteger), as
+ * numpy's next_uint32 does.  Callers load six words (state hi, lo, inc
+ * hi, lo, has_uint32, uinteger) and write the state and the buffer back,
+ * so the Generator's next draws continue the same stream.
  */
 
 #ifndef REPRO_PCG64_H
@@ -20,7 +22,7 @@ static const uint64_t PCG64_MULT_HI = 0x2360ed051fc65da4ULL;
 static const uint64_t PCG64_MULT_LO = 0x4385df649fccf645ULL;
 
 typedef struct {
-    uint64_t hi, lo, inc_hi, inc_lo;
+    uint64_t hi, lo, inc_hi, inc_lo, has_uint32, uinteger;
 } pcg64;
 
 /* The high 64 bits of a * b. */
@@ -36,18 +38,22 @@ static inline uint64_t pcg64_mulhi(uint64_t a, uint64_t b)
 #endif
 }
 
-/* Load a generator from its four words: state hi, lo, inc hi, lo. */
+/* Load a generator from its six words: state hi, lo, inc hi, lo,
+ * has_uint32, uinteger. */
 static inline pcg64 pcg64_load(const uint64_t *words)
 {
-    pcg64 g = {words[0], words[1], words[2], words[3]};
+    pcg64 g = {words[0], words[1], words[2], words[3], words[4], words[5]};
     return g;
 }
 
-/* Write the state (not the increment, which never changes) back. */
+/* Write the state and the buffer (not the increment, which never
+ * changes) back. */
 static inline void pcg64_store(const pcg64 *g, uint64_t *words)
 {
     words[0] = g->hi;
     words[1] = g->lo;
+    words[4] = g->has_uint32;
+    words[5] = g->uinteger;
 }
 
 /* Step the LCG and XSL-RR the new state: numpy's next_uint64. */
@@ -66,6 +72,21 @@ static inline uint64_t pcg64_next64(pcg64 *g)
 static inline double pcg64_next_double(pcg64 *g)
 {
     return (double)(pcg64_next64(g) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* numpy's next_uint32: the buffered high half of the last 64-bit output
+ * if there is one, else the low half of a new one, buffering its high
+ * half. */
+static inline uint32_t pcg64_next32(pcg64 *g)
+{
+    if (g->has_uint32) {
+        g->has_uint32 = 0;
+        return (uint32_t)g->uinteger;
+    }
+    const uint64_t next = pcg64_next64(g);
+    g->has_uint32 = 1;
+    g->uinteger = next >> 32;
+    return (uint32_t)next;
 }
 
 #endif

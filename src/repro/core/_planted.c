@@ -9,9 +9,19 @@
  *   - a uniform is numpy's random(); a categorical draw is the right
  *     searchsorted of one uniform over a row of the CDF tables that
  *     synthetic._choice_cdfs builds (the count of entries <= u);
+ *   - a word's draw goes through its phi row's guide table
+ *     (cold_guide_table): bucket floor(u * m) of m equal buckets, a
+ *     power of two, bounds the search to the entries in that bucket,
+ *     and the count is the same as the full row's;
  *   - a Poisson draw is numpy's random_poisson: multiplication of
  *     uniforms below lam = 10, Hoermann's PTRS (with numpy's
  *     random_loggam) from lam = 10, and no draw at lam = 0.
+ *
+ * cold_psi_draws replays the RNG calls of synthetic._plant_psi's
+ * reference loop: numpy's bounded 32-bit integers (Lemire's method over
+ * the generator's buffered half-words) and uniform(low, high).  Only the
+ * draws are native; the densities stay numpy's, whose exp may differ
+ * from libm's.
  *
  * Output is columnar, into caller-owned buffers.  A user whose draws
  * do not fit the remaining capacity is rewound (generator state and
@@ -51,6 +61,109 @@ static int64_t search_right(const double *cdf, int64_t n, double u)
 int64_t cold_search_right(const double *cdf, int64_t n, double u)
 {
     return search_right(cdf, n, u);
+}
+
+/*
+ * Fill guide[0..m] for the sorted row[0..n): guide[j] is the count of
+ * entries <= j / m, in one merge pass.  m must be a power of two, so
+ * every j / m is exact.
+ */
+static void build_guide(const double *row, int64_t n, int64_t m, int64_t *guide)
+{
+    const double step = 1.0 / (double)m;
+    int64_t i = 0;
+    for (int64_t j = 0; j <= m; ++j) {
+        const double edge = (double)j * step;
+        while (i < n && row[i] <= edge)
+            ++i;
+        guide[j] = i;
+    }
+}
+
+/*
+ * search_right(row, n, u) for u in [0, 1) through the row's guide (m
+ * buckets, a power of two).  j = floor(u * m) is exact, and
+ * j / m <= u < (j + 1) / m, so the first guide[j] entries are <= u and
+ * the entries from guide[j + 1] on are > u: only the bucket is searched.
+ */
+static int64_t guided_search(const double *row, const int64_t *guide, int64_t m,
+                             double u)
+{
+    const int64_t j = (int64_t)(u * (double)m);
+    const int64_t lo = guide[j];
+    return lo + search_right(row + lo, guide[j + 1] - lo, u);
+}
+
+/* The (R, m + 1) guide tables of the R sorted rows (R, n). */
+void cold_guide_table(const double *rows, int64_t R, int64_t n, int64_t m,
+                      int64_t *guide)
+{
+    for (int64_t r = 0; r < R; ++r)
+        build_guide(rows + r * n, n, m, guide + r * (m + 1));
+}
+
+/* Test entry point: guided_search over a guide built for this one row
+ * (m the smallest power of two >= n), for u in [0, 1).  Returns -1 if
+ * the guide cannot be allocated. */
+int64_t cold_guided_search(const double *cdf, int64_t n, double u)
+{
+    int64_t m = 1;
+    while (m < n)
+        m *= 2;
+    int64_t *guide = malloc((size_t)(m + 1) * sizeof *guide);
+    if (guide == NULL)
+        return -1;
+    build_guide(cdf, n, m, guide);
+    const int64_t drawn = guided_search(cdf, guide, m, u);
+    free(guide);
+    return drawn;
+}
+
+/* numpy's bounded integer in [0, range] for 0 < range < 2^32 - 1:
+ * buffered_bounded_lemire_uint32, Lemire's multiply-and-reject over
+ * the generator's 32-bit draws. */
+static uint32_t bounded_uint32(pcg64 *g, uint32_t range)
+{
+    const uint32_t excl = range + 1;
+    uint64_t m = (uint64_t)pcg64_next32(g) * excl;
+    uint32_t leftover = (uint32_t)m;
+    if (leftover < excl) {
+        const uint32_t threshold = (UINT32_MAX - range) % excl;
+        while (leftover < threshold) {
+            m = (uint64_t)pcg64_next32(g) * excl;
+            leftover = (uint32_t)m;
+        }
+    }
+    return (uint32_t)(m >> 32);
+}
+
+/*
+ * synthetic._plant_psi's draws for `cells` (topic, community) cells in
+ * its order: per cell rng.integers(1, max_modes + 1), which draws
+ * nothing when max_modes is 1, then per mode uniform(0, span) and
+ * uniform(0.4, 1.0), each low + (high - low) * random().  A cell's
+ * modes fill its row of `centres` and `weights` ((cells, max_modes));
+ * the slots past them get centre 0 and weight 0, so they add +0.0 to a
+ * density.  Needs 1 <= max_modes < 2^32.
+ */
+void cold_psi_draws(int64_t cells, int64_t max_modes, double span,
+                    uint64_t *rng, double *centres, double *weights)
+{
+    pcg64 g = pcg64_load(rng);
+    const uint32_t range = (uint32_t)(max_modes - 1);
+    for (int64_t cell = 0; cell < cells; ++cell) {
+        const int64_t modes = range ? 1 + (int64_t)bounded_uint32(&g, range) : 1;
+        double *centre = centres + cell * max_modes;
+        double *weight = weights + cell * max_modes;
+        int64_t i = 0;
+        for (; i < modes; ++i) {
+            centre[i] = 0.0 + span * pcg64_next_double(&g);
+            weight[i] = 0.4 + (1.0 - 0.4) * pcg64_next_double(&g);
+        }
+        for (; i < max_modes; ++i)
+            centre[i] = weight[i] = 0.0;
+    }
+    pcg64_store(&g, rng);
 }
 
 /* numpy's random_loggam: log-gamma by Stirling's series. */
@@ -124,7 +237,8 @@ static int64_t poisson(pcg64 *g, double lam)
 
 /*
  * The posts pass for users [user, user_end).  `pi` is (U, C), `theta`
- * (C, K), `phi` (K, V) and `psi` (K, C, T), all row CDFs.  Each user
+ * (C, K), `phi` (K, V) and `psi` (K, C, T), all row CDFs, and `guide`
+ * (K, m + 1) is phi's guide table (cold_guide_table).  Each user
  * draws max(1, Poisson(mean_posts)) posts' communities, then per post
  * a topic, max(1, Poisson(mean_words)) words and a time slice.  Posts
  * go to the columns authors..lengths (capacity post_cap) and their
@@ -132,7 +246,8 @@ static int64_t poisson(pcg64 *g, double lam)
  * words written.  Returns the first user not drawn.
  */
 int64_t cold_planted_posts(const double *pi, const double *theta,
-                           const double *phi, const double *psi, int64_t C,
+                           const double *phi, const double *psi,
+                           const int64_t *guide, int64_t m, int64_t C,
                            int64_t K, int64_t V, int64_t T, double mean_posts,
                            double mean_words, int64_t user, int64_t user_end,
                            uint64_t *rng, int64_t *authors, int64_t *times,
@@ -161,8 +276,10 @@ int64_t cold_planted_posts(const double *pi, const double *theta,
                 fits = 0;
                 break;
             }
+            const double *row = phi + k * V;
+            const int64_t *row_guide = guide + k * (m + 1);
             for (int64_t i = 0; i < length; ++i)
-                words[used + i] = search_right(phi + k * V, V, pcg64_next_double(&g));
+                words[used + i] = guided_search(row, row_guide, m, pcg64_next_double(&g));
             used += length;
             times[p] = search_right(psi + (k * C + c) * T, T, pcg64_next_double(&g));
             authors[p] = user;

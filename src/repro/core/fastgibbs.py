@@ -310,11 +310,14 @@ def native_kernel() -> ctypes.CDLL | None:
                 ("cold_ic_cascade", None, [ptr, i64, ptr, i64, ptr, ptr]),
                 ("cold_ic_reach", None, [ptr, i64, i64, ptr, ptr, i64, ptr]),
                 ("cold_planted_posts", i64,
-                 [ptr] * 4 + [i64] * 4 + [f64] * 2 + [i64, i64]
+                 [ptr] * 5 + [i64] * 5 + [f64] * 2 + [i64, i64]
                  + [ptr] * 6 + [i64, ptr, i64, ptr]),
                 ("cold_planted_links", i64,
                  [ptr] * 3 + [i64, i64, f64, i64, i64] + [ptr] * 3 + [i64, ptr]),
                 ("cold_search_right", i64, [ptr, i64, f64]),
+                ("cold_guide_table", None, [ptr, i64, i64, i64, ptr]),
+                ("cold_guided_search", i64, [ptr, i64, f64]),
+                ("cold_psi_draws", None, [i64, i64, f64, ptr, ptr, ptr]),
                 ("cold_unique_words", i64, [ptr, ptr, i64] + [ptr] * 4),
             ):
                 function = getattr(lib, name)
@@ -338,24 +341,28 @@ _MASK64 = (1 << 64) - 1
 
 @contextmanager
 def pcg64_words(bitgen: np.random.PCG64):
-    """``bitgen``'s state as a native kernel's four words, written back after.
+    """``bitgen``'s state as a native kernel's six words, written back after.
 
-    Yields ``(state hi, state lo, inc hi, inc lo)`` as a ``uint64`` array
-    under the bit generator's lock.  On a normal exit only the advanced
-    state goes back into ``bitgen.state`` (the increment and any buffered
-    ``uint32`` stay as they were), so the generator's next draws continue
-    the kernel's stream.
+    Yields ``(state hi, state lo, inc hi, inc lo, has_uint32, uinteger)``
+    as a ``uint64`` array under the bit generator's lock: the LCG state,
+    its increment and the buffered half-word numpy's 32-bit draws take
+    first.  On a normal exit the advanced state and the buffer go back
+    into ``bitgen.state`` (the increment never changes), so the
+    generator's next draws continue the kernel's stream.  Kernels that
+    draw only 64-bit outputs leave the buffer as it was, as numpy does.
     """
     with bitgen.lock:
         state = bitgen.state
         pcg = state["state"]
         words = np.array(
             [pcg["state"] >> 64, pcg["state"] & _MASK64,
-             pcg["inc"] >> 64, pcg["inc"] & _MASK64],
+             pcg["inc"] >> 64, pcg["inc"] & _MASK64,
+             state["has_uint32"], state["uinteger"]],
             dtype=np.uint64,
         )
         yield words
         pcg["state"] = int(words[0]) << 64 | int(words[1])
+        state["has_uint32"], state["uinteger"] = int(words[4]), int(words[5])
         bitgen.state = state
 
 

@@ -139,8 +139,9 @@ def _cascade(
 
     ``active`` (``(R, n)``, C-contiguous, as every caller builds it) is
     run in place as a ``uint8`` view, and ``live`` is filled in place.
-    The native kernel advances a copy of the ``PCG64`` state and only
-    ``state.state`` is written back (under the bit generator's lock), so
+    The native kernel advances a copy of the ``PCG64`` state, which is
+    written back with its untouched 32-bit buffer (under the bit
+    generator's lock), so
     the activations, the live edges and the generator's next draws are
     bit-identical to the numpy kernel's.  The foreign call releases the
     GIL.

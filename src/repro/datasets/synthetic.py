@@ -27,9 +27,13 @@ would from the same uniforms without rebuilding the CDF per call.  The
 tables have the shapes of the planted tensors.  Both generators consume
 :func:`_planted_columns`, which runs that loop natively
 (``core/_planted.c``, stepping numpy's PCG64 in C) over bounded user
-chunks and hands back columns.  The Python loop stays as the oracle the
-native draws are tested against and as the fallback without a C
-compiler: same draws, same generator state after.
+chunks and hands back columns; a word's draw searches only one bucket
+of its phi row, through a guide table built once per world.  The
+planted psi's draws run natively too (``cold_psi_draws``), with numpy
+computing its densities.  The Python loops (:func:`_planted_draws`,
+:func:`_plant_psi_loop`) stay as the oracles the native draws are
+tested against and as the fallback without a C compiler: same draws,
+same generator state after.
 """
 
 from __future__ import annotations
@@ -254,7 +258,48 @@ def _plant_phi(config: SyntheticConfig, rng: np.random.Generator) -> np.ndarray:
 
 
 def _plant_psi(config: SyntheticConfig, rng: np.random.Generator) -> np.ndarray:
-    """Multimodal (topic, community)-specific temporal distributions."""
+    """Multimodal (topic, community)-specific temporal distributions.
+
+    Each cell, topic-major, draws ``rng.integers(1, max_temporal_modes +
+    1)`` Gaussian bumps, each a centre ``uniform(0, T - 1)`` and a weight
+    ``uniform(0.4, 1.0)``; the bumps are summed, floored at
+    ``temporal_floor`` of the peak and normalised.  The native
+    ``cold_psi_draws`` replays those RNG calls when the library loads and
+    ``rng`` is a ``PCG64`` generator; the densities are numpy's, one
+    vectorised pass per mode slot over every cell, each element the
+    reference's formula (a slot past a cell's modes has weight 0 and adds
+    +0.0).  Either way psi and the generator's state afterwards are the
+    reference loop's (:func:`_plant_psi_loop`), its oracle and fallback.
+    """
+    # Imported here: repro.core imports this package while it initialises.
+    from ..core.fastgibbs import native_kernel, pcg64_words
+
+    K, C, T = config.num_topics, config.num_communities, config.num_time_slices
+    M = config.max_temporal_modes
+    lib = native_kernel()
+    bitgen = rng.bit_generator
+    if lib is None or type(bitgen) is not np.random.PCG64 or not 1 <= M < 1 << 32:
+        return _plant_psi_loop(config, rng)
+    centres, weights = np.empty((2, K * C, M))
+    with pcg64_words(bitgen) as state:
+        lib.cold_psi_draws(
+            K * C, M, float(T - 1), state.ctypes.data,
+            centres.ctypes.data, weights.ctypes.data,
+        )
+    grid = np.arange(T, dtype=np.float64)
+    width = max(config.temporal_width * T, 0.5)
+    density = np.zeros((K * C, T))
+    for mode in range(M):
+        density += weights[:, mode, None] * np.exp(
+            -0.5 * ((grid - centres[:, mode, None]) / width) ** 2
+        )
+    density += (config.temporal_floor * density.max(axis=1) + 1e-9)[:, None]
+    density /= density.sum(axis=1, keepdims=True)
+    return density.reshape(K, C, T)
+
+
+def _plant_psi_loop(config: SyntheticConfig, rng: np.random.Generator) -> np.ndarray:
+    """:func:`_plant_psi`'s reference: one cell at a time, scalar draws."""
     T = config.num_time_slices
     grid = np.arange(T, dtype=np.float64)
     width = max(config.temporal_width * T, 0.5)
@@ -428,7 +473,12 @@ def _planted_columns(
     int64 link arrays in sorted order.  The native kernels
     (``cold_planted_posts`` / ``cold_planted_links``) draw them when the
     library loads and ``rng`` is a ``PCG64`` generator; otherwise the
-    reference loop's draws are regrouped.  Either way the values and the
+    reference loop's draws are regrouped.  Natively, each phi row gets a
+    guide table (``cold_guide_table``, ``(K, m + 1)`` int64 for the
+    smallest power of two ``m >= V``, alive only for the posts pass):
+    entry ``j`` counts the row's CDF entries ``<= j / m``, so a word's
+    uniform ``u`` searches only bucket ``floor(u * m)`` and finds the
+    full row's right ``searchsorted``.  Either way the values and the
     generator's state afterwards are the reference loop's, and a bad
     planted tensor raises ``ValueError`` before any draw.
     """
@@ -458,7 +508,14 @@ def _planted_columns(
     phi = _choice_cdfs(truth.phi)
     psi = _choice_cdfs(truth.psi)
     eta = _choice_cdfs(truth.eta / truth.eta.sum(axis=1, keepdims=True))
-    C, K, U = config.num_communities, config.num_topics, config.num_users
+    C, K, U, V = (
+        config.num_communities, config.num_topics, config.num_users,
+        config.vocab_size,
+    )
+    # phi's guide table: m buckets, the smallest power of two >= V.
+    m = 1 << (V - 1).bit_length()
+    guide = np.empty((K, m + 1), np.int64)
+    lib.cold_guide_table(_address(phi, np.float64), K, V, m, guide.ctypes.data)
     filled = np.zeros(2, np.int64)
     post_cap, word_cap, user = _CHUNK_POSTS, _CHUNK_WORDS, 0
     while user < U:
@@ -467,7 +524,7 @@ def _planted_columns(
         with pcg64_words(bitgen) as state:
             done = lib.cold_planted_posts(
                 *(_address(table, np.float64) for table in (pi, theta, phi, psi)),
-                C, K, config.vocab_size, config.num_time_slices,
+                guide.ctypes.data, m, C, K, V, config.num_time_slices,
                 config.mean_posts_per_user, config.mean_words_per_post,
                 user, U, state.ctypes.data,
                 *(column.ctypes.data for column in columns), post_cap,
@@ -479,6 +536,7 @@ def _planted_columns(
         user = done
         posts, tokens = filled.tolist()
         yield _PostColumns(*(column[:posts] for column in columns), words[:tokens])
+    del guide
     # Built after the posts pass, as in the reference loop.
     targets = _target_cdfs(truth.pi)
     link_cap, user = _CHUNK_LINKS, 0

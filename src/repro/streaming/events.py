@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Sequence
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -132,11 +131,12 @@ def corpus_to_events(corpus: SocialCorpus) -> list[Event]:
     keys = [f"u{user}" for user in range(corpus.num_users)]
     ends = corpus.token_offsets.tolist()
     jitter = 0.1 + 0.8 * (np.arange(corpus.num_posts) % 89) / 89.0
+    post_times = corpus.post_times + jitter
     events: list[Event] = list(map(
         PostEvent,
         map(keys.__getitem__, corpus.post_authors.tolist()),
         map(tuple, map(words.__getitem__, map(slice, ends, ends[1:]))),
-        (corpus.post_times + jitter).tolist(),
+        post_times.tolist(),
     ))
     links = corpus.link_array()
     span = float(corpus.num_time_slices)
@@ -147,8 +147,10 @@ def corpus_to_events(corpus: SocialCorpus) -> list[Event]:
         map(keys.__getitem__, links[:, 1].tolist()),
         times.tolist(),
     )
-    events.sort(key=attrgetter("time"))
-    return events
+    # One stable argsort of the stamps: the order a stable sort of the
+    # events by time gives (posts before links at equal stamps).
+    order = np.argsort(np.concatenate([post_times, times]), kind="stable")
+    return list(map(events.__getitem__, order.tolist()))
 
 
 def split_events(

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import fastgibbs
@@ -432,6 +432,111 @@ class TestNativeDraws:
             np.testing.assert_array_equal(got_column, want_column)
 
 
+#: psi worlds: mode counts 1, 2, 3, 5 and T on both sides of the
+#: pairwise sum's 8-element blocks, at C = K = 1 and C = K = 100.
+PSI_WORLDS = [
+    SyntheticConfig(
+        num_communities=C, num_topics=K, num_time_slices=T,
+        vocab_size=max(K * 12, 400), max_temporal_modes=modes,
+    )
+    for modes in (1, 2, 3, 5)
+    for T in (1, 7, 8, 9, 16, 200)
+    for C, K in ((1, 1), (4, 6))
+] + [
+    SyntheticConfig(
+        num_communities=100, num_topics=100, num_time_slices=T,
+        vocab_size=1200, max_temporal_modes=modes,
+    )
+    for modes, T in ((3, 12), (5, 200))
+]
+
+
+class TestPsiDraws:
+    """The native ``_plant_psi`` (``cold_psi_draws`` plus the numpy
+    densities) against its oracle, the reference loop
+    ``_plant_psi_loop``: the same psi bit for bit and the same generator
+    state after, the 32-bit buffer included."""
+
+    @pytest.mark.parametrize(
+        "config", PSI_WORLDS,
+        ids=lambda c: (
+            f"modes{c.max_temporal_modes}-T{c.num_time_slices}"
+            f"-C{c.num_communities}-K{c.num_topics}"
+        ),
+    )
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_psi_and_generator_state_match_reference(self, config, buffered):
+        _native()
+        reference, native = (np.random.default_rng(11) for _ in range(2))
+        if buffered:  # leaves half a uint64 in the generator (has_uint32)
+            reference.integers(0, 7, dtype=np.uint32)
+            native.integers(0, 7, dtype=np.uint32)
+        want = synthetic._plant_psi_loop(config, reference)
+        got = synthetic._plant_psi(config, native)
+        assert got.tobytes() == want.tobytes()
+        assert native.bit_generator.state == reference.bit_generator.state
+        assert native.integers(1 << 20) == reference.integers(1 << 20)
+
+    @pytest.mark.parametrize("modes", [2, 3, 5])
+    @pytest.mark.parametrize("uinteger", [0, 1, 3, 0x55555555, 0xFFFFFFFF])
+    def test_pending_half_words_and_lemire_rejection(self, modes, uinteger):
+        """Entry with a chosen pending half-word: 0 makes Lemire's
+        product leftover 0, below the rejection threshold of 3 and 5
+        modes, so the first draw is rejected and redrawn."""
+        _native()
+        config = SyntheticConfig(
+            num_topics=3, num_communities=2, max_temporal_modes=modes
+        )
+        reference, native = (np.random.default_rng(4) for _ in range(2))
+        for rng in (reference, native):
+            state = rng.bit_generator.state
+            state["has_uint32"], state["uinteger"] = 1, uinteger
+            rng.bit_generator.state = state
+        want = synthetic._plant_psi_loop(config, reference)
+        got = synthetic._plant_psi(config, native)
+        assert got.tobytes() == want.tobytes()
+        assert native.bit_generator.state == reference.bit_generator.state
+
+    def test_native_path_never_runs_the_reference_loop(self, monkeypatch):
+        """No silent fallback: with the library loaded, planting never
+        reaches ``_plant_psi_loop``."""
+        _native()
+        monkeypatch.setattr(synthetic, "_plant_psi_loop", None)
+        plant_parameters(SyntheticConfig(seed=3), np.random.default_rng(3))
+        generate_corpus(SyntheticConfig(seed=3))
+
+    @pytest.mark.parametrize(
+        ("bit_generator", "reference_calls"),
+        [(np.random.PCG64, 0), (np.random.Philox, 1), (np.random.MT19937, 1)],
+    )
+    def test_only_pcg64_runs_natively(
+        self, bit_generator, reference_calls, monkeypatch
+    ):
+        """Any other bit generator takes the reference loop."""
+        _native()
+        calls = []
+        loop = synthetic._plant_psi_loop
+
+        def recording(*args):
+            calls.append(args)
+            return loop(*args)
+
+        config = SyntheticConfig(max_temporal_modes=4)
+        want = loop(config, np.random.Generator(bit_generator(5)))
+        monkeypatch.setattr(synthetic, "_plant_psi_loop", recording)
+        rng = np.random.Generator(bit_generator(5))
+        got = synthetic._plant_psi(config, rng)
+        assert len(calls) == reference_calls
+        assert got.tobytes() == want.tobytes()
+
+    def test_no_library_runs_the_reference_loop(self, monkeypatch):
+        monkeypatch.setattr(fastgibbs, "native_kernel", lambda: None)
+        config = SyntheticConfig(max_temporal_modes=4)
+        want = synthetic._plant_psi_loop(config, np.random.default_rng(2))
+        got = synthetic._plant_psi(config, np.random.default_rng(2))
+        assert got.tobytes() == want.tobytes()
+
+
 def _corrupt(row: np.ndarray, defect: str) -> None:
     """Break one probability row in place, as ``Generator.choice`` rejects."""
     if defect == "nan":
@@ -494,6 +599,107 @@ class TestSearchRight:
         probes = [0.0, 1.0, *cdf, *np.nextafter(cdf, -np.inf)]
         for u in probes:
             assert _search_right(lib, cdf, u) == cdf.searchsorted(u, side="right"), u
+
+
+def _guided_search(lib, cdf: np.ndarray, u: float) -> int:
+    row = np.ascontiguousarray(cdf, np.float64)
+    return lib.cold_guided_search(row.ctypes.data, len(row), u)
+
+
+def _bucket_count(n: int) -> int:
+    """The guide's bucket count: the smallest power of two >= n."""
+    return 1 << (n - 1).bit_length()
+
+
+#: Sorted rows of every length class: n = 1, 2^j and 2^j + 1, runs of
+#: one repeated value (zero-probability cells), values on bucket edges,
+#: and hundreds of entries packed into one bucket.  Hypothesis draws the
+#: shape; a seeded numpy generator fills in the values.
+@st.composite
+def _guided_rows(draw):
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 8, 9, 16, 17, 64, 65, 256, 257, 600]))
+    rng = np.random.default_rng(draw(st.integers(0, 1 << 32)))
+    m = _bucket_count(n)
+    crowd = rng.integers(m)
+    if draw(st.booleans()):
+        kinds = rng.integers(4, size=n)
+    else:
+        kinds = np.full(n, draw(st.integers(0, 3)))
+    values = np.select(
+        [kinds == 0, kinds == 1, kinds == 2],
+        [
+            rng.random(n),  # anywhere
+            rng.integers(m + 1, size=n) / m,  # on a bucket edge
+            (crowd + rng.random(n)) / m,  # inside one bucket
+        ],
+        rng.integers(2, size=n).astype(float),  # 0 or 1
+    )
+    if draw(st.booleans()):  # one long run of a repeated value
+        start = draw(st.integers(0, n - 1))
+        values[start:start + draw(st.integers(1, n - start))] = values[start]
+    return np.sort(values)
+
+
+class TestGuidedSearch:
+    """The word draws' guided search (through the ``cold_guided_search``
+    test entry): for any u in [0, 1) it is numpy's right searchsorted on
+    the whole row, whichever bucket u falls in."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cdf=_guided_rows(),
+        probe=st.sampled_from(["edge", "on", "below", "above", "between"]),
+        pick=st.integers(0, 1 << 16),
+        u=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_matches_numpy_right_searchsorted(self, cdf, probe, pick, u):
+        lib = _native()
+        m = _bucket_count(len(cdf))
+        entry = cdf[pick % len(cdf)]
+        u = {
+            "edge": (pick % m) / m,
+            "on": entry,
+            "below": np.nextafter(entry, -np.inf),
+            "above": np.nextafter(entry, np.inf),
+            "between": u,
+        }[probe]
+        assume(0.0 <= u < 1.0)
+        assert _guided_search(lib, cdf, u) == cdf.searchsorted(u, side="right")
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 31, 32, 33, 100, 2000])
+    def test_every_edge_entry_and_gap_of_a_cumsum_row(self, n):
+        """A ``_choice_cdfs`` row with zero-probability cells: u on each
+        bucket edge, on each entry and just below it, and just below 1."""
+        lib = _native()
+        p = np.zeros(n)
+        p[::3] = 1.0
+        cdf = synthetic._choice_cdfs(p / p.sum())
+        m = _bucket_count(n)
+        probes = [
+            *np.arange(m) / m, *cdf, *np.nextafter(cdf, -np.inf),
+            np.nextafter(1.0, 0.0),
+        ]
+        for u in probes:
+            if 0.0 <= u < 1.0:
+                want = cdf.searchsorted(u, side="right")
+                assert _guided_search(lib, cdf, u) == want, u
+
+    def test_hundreds_of_entries_in_one_bucket(self):
+        """A row whose 700 tiny middle cells share one bucket (m = 2048),
+        probed on every entry of that bucket, just below each, and
+        across the bucket."""
+        lib = _native()
+        p = np.concatenate(
+            [np.full(310, 1.0), np.full(700, 1e-9), np.full(290, 1.0)]
+        )
+        cdf = synthetic._choice_cdfs(p / p.sum())
+        m = _bucket_count(len(cdf))
+        bucket = int(cdf[310] * m)
+        assert ((cdf[309:1010] * m).astype(int) == bucket).all()
+        edges = np.linspace(bucket / m, (bucket + 1) / m, 257)
+        for u in [*cdf[308:1011], *np.nextafter(cdf[308:1011], 0.0), *edges]:
+            want = cdf.searchsorted(u, side="right")
+            assert _guided_search(lib, cdf, u) == want, u
 
 
 #: Every planted tensor with every defect, except a rescaled ``eta`` row:
