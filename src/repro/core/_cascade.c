@@ -101,11 +101,20 @@ void cold_ic_reach(uint64_t *live, int64_t n, int64_t R, const int64_t *set_ptr,
             graph[u * W + (u >> 6)] |= (uint64_t)1 << (u & 63);
         for (int64_t k = 0; k < n; ++k) {
             const uint64_t *via = graph + k * W;
+            if (W == 1) {
+                /* One word per row: row k is a value, so the rows update
+                   independently (row k itself ORs in its own bits). */
+                const uint64_t row_k = *via;
+                for (int64_t i = 0; i < n; ++i)
+                    graph[i] |= row_k & -((graph[i] >> k) & 1);
+                continue;
+            }
             for (int64_t i = 0; i < n; ++i) {
                 uint64_t *from = graph + i * W;
-                if ((from[k >> 6] >> (k & 63)) & 1)
-                    for (int64_t w = 0; w < W; ++w)
-                        from[w] |= via[w];
+                /* Branch-free: all ones when i reaches k, else zero. */
+                const uint64_t mask = -((from[k >> 6] >> (k & 63)) & 1);
+                for (int64_t w = 0; w < W; ++w)
+                    from[w] |= via[w] & mask;
             }
         }
         for (int64_t s = 0; s < G; ++s)

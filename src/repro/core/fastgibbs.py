@@ -24,11 +24,12 @@ whole per-draw loop in one plain-C kernel, ``_sweep.c``:
   ``log(n + eps)`` and ``log(n + V beta)`` once per cache and the kernel
   only indexes them.  Building a cache has no per-post Python work.
 
-One library holds four kernels: the sweep (``_sweep.c``), the
+One library holds five kernels: the sweep (``_sweep.c``), the
 Independent Cascade Monte-Carlo of :mod:`repro.core.influence`
 (``_cascade.c``), the planted-process draws of
-:mod:`repro.datasets.synthetic` (``_planted.c``) and the unique-word
-CSR of :func:`repro.core.state.unique_word_csr` (``_corpus.c``); the
+:mod:`repro.datasets.synthetic` (``_planted.c``), the unique-word
+CSR of :func:`repro.core.state.unique_word_csr` (``_corpus.c``) and
+the retweet scorer of :mod:`repro.core.prediction` (``_predict.c``); the
 cascade and planted kernels step numpy's PCG64 through one shared
 header, ``_pcg64.h``.
 :func:`native_kernel` compiles the sources with the system ``cc`` at
@@ -124,7 +125,7 @@ _log = logging.getLogger(__name__)
 
 _SOURCES = tuple(
     Path(__file__).with_name(name)
-    for name in ("_sweep.c", "_cascade.c", "_planted.c", "_corpus.c")
+    for name in ("_sweep.c", "_cascade.c", "_planted.c", "_corpus.c", "_predict.c")
 )
 #: Headers the sources include: part of the build's cache key.
 _HEADERS = (Path(__file__).with_name("_pcg64.h"),)
@@ -292,8 +293,8 @@ def native_kernel() -> ctypes.CDLL | None:
 
     The outcome is resolved once per process: a failed build (no ``cc``,
     a compile error, no writable cache directory) logs one WARNING, and
-    every later :func:`fast_sweep`, influence cascade, planted draw and
-    unique-word table runs its reference kernel.
+    every later :func:`fast_sweep`, influence cascade, planted draw,
+    unique-word table and retweet score runs its reference kernel.
     """
     global _library
     if _library is _UNLOADED:
@@ -319,6 +320,8 @@ def native_kernel() -> ctypes.CDLL | None:
                 ("cold_guided_search", i64, [ptr, i64, f64]),
                 ("cold_psi_draws", None, [i64, i64, f64, ptr, ptr, ptr]),
                 ("cold_unique_words", i64, [ptr, ptr, i64] + [ptr] * 4),
+                ("cold_retweet_scores", i64,
+                 [ptr, i64, ptr, i64, ptr, i64, ptr, i64, ptr]),
             ):
                 function = getattr(lib, name)
                 function.restype, function.argtypes = restype, argtypes
@@ -328,8 +331,8 @@ def native_kernel() -> ctypes.CDLL | None:
         except OSError as exc:
             _log.warning(
                 "native kernels unavailable (%s); fast sweeps, influence "
-                "cascades, planted draws and unique-word tables run the "
-                "reference kernels",
+                "cascades, planted draws, unique-word tables and retweet "
+                "scores run the reference kernels",
                 exc,
             )
             _library = None
@@ -379,6 +382,16 @@ def _address(array: np.ndarray, dtype: type, writable: bool = False) -> int:
             f"(flags: {array.flags})"
         )
     return array.ctypes.data
+
+
+def _buffer_address(array: np.ndarray) -> int | None:
+    """The data pointer of a writable C-contiguous array; ``None`` if empty.
+
+    For per-query calls: ``array.ctypes.data`` builds a helper object
+    (~0.8 us), a ctypes view of the buffer costs about a third of that.
+    Raises ``TypeError`` for a read-only or non-contiguous array.
+    """
+    return ctypes.addressof(ctypes.c_char.from_buffer(array)) if array.size else None
 
 
 # -- the cache ------------------------------------------------------------------

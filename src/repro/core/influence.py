@@ -317,12 +317,13 @@ def _activation_matrix(estimates: ParameterEstimates, topic: int) -> np.ndarray:
     probability ~0.9, preserving the *relative* influence structure that
     the ranking depends on.
     """
-    influence = zeta_for_topic(estimates, topic).copy()
+    influence = zeta_for_topic(estimates, topic)  # a fresh array
     np.fill_diagonal(influence, 0.0)
     peak = influence.max()
     if peak <= 0:
         return influence
-    return np.clip(influence * (0.9 / peak), 0.0, 1.0)
+    influence *= 0.9 / peak
+    return np.clip(influence, 0.0, 1.0, out=influence)
 
 
 def community_influence(

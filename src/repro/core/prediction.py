@@ -10,19 +10,59 @@ Implements the paper's three prediction tasks:
 * **Time-stamp prediction** (§6.3): maximum-likelihood time slice of an
   unseen post.
 * **Link prediction** (§6.2): ``P(i -> i') = sum_{s,s'} pi_is pi_i's' eta_ss'``.
+
+Diffusion scores run in the native library's ``cold_retweet_scores``
+(``_predict.c``, built and loaded by
+:func:`repro.core.fastgibbs.native_kernel`): one foreign call checks the
+ids, takes the Eq. (5) posterior, builds the source's fold when asked
+and scores every candidate.  :class:`DiffusionPredictor`'s numpy bodies
+are its oracle, and the fallback when no library could be built.  The
+two agree to a relative ``1e-12``, not bit for bit: the posterior's
+log-likelihood is the same bits, but its ``exp`` is libm's rather than
+numpy's, and the sums over TopComm and topics run in another order.
 """
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 
 from ..datasets.corpus import Post
 from .diffusion import zeta
 from .estimates import ParameterEstimates
+from .fastgibbs import _address, _buffer_address, native_kernel
 
 
 class PredictionError(ValueError):
     """Raised for invalid prediction requests."""
+
+
+#: Status bits of a retweet scoring call (``cold_retweet_scores`` in
+#: ``_predict.c``, and :meth:`DiffusionPredictor.retweet_scores`' numpy
+#: fallback): the ids out of range, then the score guard.
+BAD_SOURCE, BAD_WORD, BAD_CANDIDATE = 1, 2, 4
+NONFINITE, BELOW_ZERO, ABOVE_ONE = 8, 16, 32
+_NO_MEMORY = 64
+#: The retweet guard's upper bound: one plus rounding slack.
+SCORE_UPPER = 1.0 + 1e-9
+
+
+class _Tables(ctypes.Structure):
+    """Mirror of ``cold_predictor`` in ``_predict.c`` (field order matters)."""
+
+    _fields_ = [(name, ctypes.c_int64) for name in ("U", "K", "C", "S", "V")] + [
+        (name, ctypes.c_void_p)
+        for name in ("log_phi", "log_prior", "top_comm", "top_weight", "zeta")
+    ]
+
+
+def flat_ids(values, what: str) -> np.ndarray:
+    """``values`` as a fresh C-contiguous ``int64`` vector."""
+    ids = np.array(values, dtype=np.int64)
+    if ids.ndim != 1:
+        raise PredictionError(f"{what} must be a flat id list")
+    return ids
 
 
 def top_communities(pi: np.ndarray, size: int) -> np.ndarray:
@@ -53,13 +93,16 @@ class DiffusionPredictor:
         estimates.validate()
         self.estimates = estimates
         self.top_comm_size = top_comm_size
-        self._zeta = zeta(estimates)  # (K, C, C)
-        self._log_phi = np.log(estimates.phi + 1e-300)
+        self._zeta = np.ascontiguousarray(zeta(estimates))  # (K, C, C)
+        self._fold_shape = (estimates.num_topics, estimates.num_communities)
+        self._log_phi = np.ascontiguousarray(np.log(estimates.phi + 1e-300))
         # §5.2's offline filtering, one table row per user: TopComm
         # communities (U, S) and memberships (U, S), and the topic
         # preference (U, K), P(k | i) ∝ sum_{c in TopComm} pi_ic theta_ck
         # (Eq. 5's prior part).
-        self._top_communities = top_communities(estimates.pi, top_comm_size)
+        self._top_communities = np.ascontiguousarray(
+            top_communities(estimates.pi, top_comm_size)
+        )
         self._top_memberships = np.take_along_axis(
             estimates.pi, self._top_communities, axis=1
         )
@@ -70,6 +113,21 @@ class DiffusionPredictor:
         self._topic_preference = np.divide(
             preference, total, out=preference, where=total > 0
         )
+        # Eq. (5)'s log prior, once per predictor rather than per query.
+        self._log_prior = np.log(self._topic_preference + 1e-300)
+        self._lib = native_kernel()
+        if self._lib is not None:
+            self._tables = _Tables(
+                *(estimates.num_users, estimates.num_topics),
+                *(estimates.num_communities, self._top_communities.shape[1]),
+                estimates.vocab_size,
+                _address(self._log_phi, np.float64),
+                _address(self._log_prior, np.float64),
+                _address(self._top_communities, np.int64),
+                _address(self._top_memberships, np.float64),
+                _address(self._zeta, np.float64),
+            )
+            self._tables_address = ctypes.addressof(self._tables)
 
     def _check_user(self, user: int, role: str) -> None:
         if not 0 <= user < self.estimates.num_users:
@@ -85,9 +143,12 @@ class DiffusionPredictor:
         word_ids = np.asarray(words, dtype=np.int64)
         if word_ids.min() < 0 or word_ids.max() >= self.estimates.vocab_size:
             raise PredictionError("word id out of range")
+        return self._posterior_numpy(word_ids, author)
+
+    def _posterior_numpy(self, word_ids: np.ndarray, author: int) -> np.ndarray:
+        """:meth:`topic_posterior` on checked ids."""
         log_like = self._log_phi[:, word_ids].sum(axis=1)
-        prior = self._topic_preference[author]
-        log_post = log_like + np.log(prior + 1e-300)
+        log_post = log_like + self._log_prior[author]
         log_post -= log_post.max()
         weights = np.exp(log_post)
         return weights / weights.sum()
@@ -127,6 +188,15 @@ class DiffusionPredictor:
         candidates).
         """
         self._check_user(source, "source")
+        if self._lib is None:
+            return self._source_fold_numpy(source)
+        _scores, fold, _status = self.retweet_scores(
+            source, np.empty(0, np.int64), np.empty(0, np.int64)
+        )
+        return fold
+
+    def _source_fold_numpy(self, source: int) -> np.ndarray:
+        """:meth:`source_fold`'s numpy body: the oracle and the fallback."""
         return np.einsum(
             "a,kad->kd",
             self._top_memberships[source],
@@ -147,18 +217,113 @@ class DiffusionPredictor:
         folded into zeta once (or passed in precomputed via
         ``source_fold`` — see :meth:`source_fold`), and every candidate
         reduces to a gather plus a weighted linear combination —
-        ``O(K |w_d| + N K S)`` total.
+        ``O(K |w_d| + N K S)`` total, in one native call when the
+        library is loaded (see the module docstring for how its scores
+        match the numpy body's).
         """
-        posterior = self.topic_posterior(words, source)
-        if source_fold is None:
-            source_fold = self.source_fold(source)
-        targets = np.asarray(candidates, dtype=np.int64)
-        if targets.size and (
-            targets.min() < 0 or targets.max() >= self.estimates.num_users
-        ):
+        if not words:
+            raise PredictionError("post must contain at least one word")
+        if source_fold is not None:
+            source_fold = np.array(source_fold, dtype=np.float64, order="C")
+            if source_fold.shape != self._fold_shape:
+                raise PredictionError(f"source_fold must have shape {self._fold_shape}")
+        scores, _fold, status = self.retweet_scores(
+            source,
+            flat_ids(candidates, "candidates"),
+            flat_ids(words, "words"),
+            source_fold,
+        )
+        if status & BAD_SOURCE:
+            raise PredictionError(f"author {source} out of range")
+        if status & BAD_WORD:
+            raise PredictionError("word id out of range")
+        if status & BAD_CANDIDATE:
             raise PredictionError("candidate index out of range")
-        dst_comms = self._top_communities[targets]  # (N, S)
-        dst_weights = self._top_memberships[targets]  # (N, S)
+        return scores
+
+    def retweet_scores(
+        self,
+        source: int,
+        candidates: np.ndarray,
+        words: np.ndarray,
+        fold: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray | None, int]:
+        """Scores, the source's fold and the status bits of one query.
+
+        ``candidates`` and ``words`` are :func:`flat_ids` vectors and
+        ``fold`` the source's ``(K, C)`` fold, built here when ``None``
+        (a fold-cache miss).  The status holds ``BAD_SOURCE``,
+        ``BAD_WORD`` and ``BAD_CANDIDATE`` for the ids out of range, and
+        when none is set, ``NONFINITE``, ``BELOW_ZERO`` and ``ABOVE_ONE``
+        for the scores outside ``[0, SCORE_UPPER]``; the scores mean
+        nothing when an id bit is set.  The fold is returned whenever
+        the source is in range, so a caller may cache it even when the
+        words or candidates are not.  The serving
+        engine's whole cold path: one native call when the library is
+        loaded, else the numpy bodies.
+        """
+        in_range = 0 <= source < self.estimates.num_users
+        if self._lib is None:
+            return self._retweet_scores_numpy(source, candidates, words, fold, in_range)
+        build = fold is None
+        if build:
+            fold = np.empty(self._fold_shape)
+        scores = np.empty(len(candidates))
+        status = self._lib.cold_retweet_scores(
+            self._tables_address,
+            source if in_range else -1,
+            _buffer_address(words),
+            len(words),
+            _buffer_address(candidates),
+            len(candidates),
+            _buffer_address(fold),
+            build,
+            _buffer_address(scores),
+        )
+        if status & _NO_MEMORY:
+            raise MemoryError("no memory for the topic posterior")
+        return scores, (fold if in_range else None), status
+
+    def _retweet_scores_numpy(
+        self,
+        source: int,
+        candidates: np.ndarray,
+        words: np.ndarray,
+        fold: np.ndarray | None,
+        in_range: bool,
+    ) -> tuple[np.ndarray, np.ndarray | None, int]:
+        """:meth:`retweet_scores` on the numpy bodies."""
+        status = 0 if in_range else BAD_SOURCE
+        if words.size and (words.min() < 0 or words.max() >= self.estimates.vocab_size):
+            status |= BAD_WORD
+        if candidates.size and (
+            candidates.min() < 0 or candidates.max() >= self.estimates.num_users
+        ):
+            status |= BAD_CANDIDATE
+        if fold is None and in_range:
+            fold = self._source_fold_numpy(source)
+        if status or not candidates.size:
+            return np.empty(0), fold, status
+        scores = self._score_candidates_numpy(source, candidates, words, fold)
+        if not np.isfinite(scores).all():
+            status = NONFINITE
+        elif scores.min() < 0:
+            status = BELOW_ZERO
+        elif scores.max() > SCORE_UPPER:
+            status = ABOVE_ONE
+        return scores, fold, status
+
+    def _score_candidates_numpy(
+        self,
+        source: int,
+        candidates: np.ndarray,
+        words: np.ndarray,
+        source_fold: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`score_candidates`' numpy body on checked ids: the oracle."""
+        posterior = self._posterior_numpy(words, source)
+        dst_comms = self._top_communities[candidates]  # (N, S)
+        dst_weights = self._top_memberships[candidates]  # (N, S)
         # influence[n, k] = sum_b dst_weights[n, b] source_fold[k, dst_comms[n, b]]
         gathered = source_fold[:, dst_comms]  # (K, N, S)
         influence = np.einsum("kns,ns->nk", gathered, dst_weights)

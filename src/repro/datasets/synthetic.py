@@ -195,6 +195,14 @@ class SyntheticConfig:
                 raise SyntheticError(f"{name} must be positive")
         if self.mean_links_per_user < 0:
             raise SyntheticError("mean_links_per_user must be >= 0")
+        if self.max_temporal_modes < 1:
+            raise SyntheticError(
+                f"max_temporal_modes must be at least 1, got {self.max_temporal_modes}"
+            )
+        if not self.temporal_floor >= 0:
+            raise SyntheticError(
+                f"temporal_floor must be >= 0, got {self.temporal_floor}"
+            )
         if not 0 < self.eta_within <= 1 or not 0 <= self.eta_between <= 1:
             raise SyntheticError("eta_within/eta_between must lie in (0, 1]")
 

@@ -231,6 +231,8 @@ class ParallelCOLDSampler:
         node_rngs = [
             np.random.default_rng(child) for child in seed_seq.spawn(self.num_nodes)
         ]
+        # One SweepCache per node for the whole fit (in-process executors).
+        node_caches: list[SweepCache | None] = [None] * self.num_nodes
 
         telemetry = TelemetrySession(
             metrics_path=self.metrics_out, trace_path=self.trace_out
@@ -289,7 +291,8 @@ class ParallelCOLDSampler:
                 for iteration in range(1, num_iterations + 1):
                     sweep_start = time.perf_counter()
                     report, churn = self._superstep(
-                        state, hp, shards, cluster, node_rngs, iteration, pool
+                        state, hp, shards, cluster, node_rngs, node_caches,
+                        iteration, pool,
                     )
                     sweep_wall = time.perf_counter() - sweep_start
                     prof = profiling.get_profiler()
@@ -364,6 +367,7 @@ class ParallelCOLDSampler:
         shards: list[Shard],
         cluster: SimulatedCluster,
         node_rngs: list[np.random.Generator],
+        node_caches: list[SweepCache | None],
         iteration: int,
         pool: ProcessWorkerPool | None = None,
     ):
@@ -385,9 +389,15 @@ class ParallelCOLDSampler:
                 attempt = attempt_counters[node]
                 attempt_counters[node] += 1
                 local = locals_[node]  # re-read: reset() swaps in a fresh copy
-                # The cache is derived entirely from the local snapshot, so
-                # building it per attempt keeps crash replays exact.
-                cache = SweepCache(local, hp) if self.fast else None
+                # The cache is derived entirely from the local snapshot, and
+                # refresh is bit-identical to a fresh build, so refreshing
+                # the node's cache per attempt keeps crash replays exact
+                # while its log tables are built once per fit.
+                cache = node_caches[node]
+                if cache is not None:
+                    cache.refresh(local)
+                elif self.fast:
+                    cache = node_caches[node] = SweepCache(local, hp)
                 crash = (
                     plan.crash_for(iteration, node, attempt)
                     if plan is not None

@@ -21,6 +21,15 @@ model raises :class:`~repro.serving.robustness.DegenerateScoreError` —
 which the HTTP layer converts into a circuit-breaker trip — instead of
 emitting garbage scores.
 
+A retweet query, fold-cache miss included, is one foreign call into the
+native library (``_predict.c``, through
+:meth:`DiffusionPredictor.retweet_scores`): it checks the ids, builds the
+fold, scores and applies the guard, and returns status bits that the
+engine turns into the same errors as before.  Its scores agree with the
+numpy bodies of :class:`DiffusionPredictor` (the fallback without a
+compiler) to a relative ``1e-12``, not bit for bit: its ``exp`` is
+libm's, and its sums over TopComm and topics run in another order.
+
 The engine is immutable after construction (caches aside), which is what
 makes the HTTP layer's hot-swap reload safe: in-flight requests keep
 scoring against the engine reference they grabbed at admission while the
@@ -42,9 +51,17 @@ from ..core.influence import (
 )
 from ..core.model import COLDModel
 from ..core.prediction import (
+    ABOVE_ONE,
+    BAD_CANDIDATE,
+    BAD_SOURCE,
+    BAD_WORD,
+    BELOW_ZERO,
+    NONFINITE,
+    SCORE_UPPER,
     DiffusionPredictor,
     PredictionError,
     batch_timestamp_scores,
+    flat_ids,
     link_probability,
 )
 from ..telemetry import trace
@@ -163,26 +180,46 @@ class ModelServer:
         words: list[int],
         deadline: Deadline | None = None,
     ) -> np.ndarray:
-        """Diffusion probabilities of ``source``'s post for each candidate."""
+        """Diffusion probabilities of ``source``'s post for each candidate.
+
+        One :meth:`DiffusionPredictor.retweet_scores` call, which builds
+        the fold on a fold-cache miss (see the module docstring).  A
+        fold is cached whenever the source is in range and the words
+        are, as when the fold was built before the candidate check.
+        """
         if deadline is not None:
             deadline.check("retweet admission")
         if not words:
             raise PredictionError("post must contain at least one word")
-        words = self._validate_words(words)
+        word_ids = flat_ids(words, "words")
+        targets = flat_ids(candidates, "candidates")
         fold = self._fold_cache.get(source)
-        if fold is None:
-            with trace.span("fold_build", source=int(source)):
-                fold = self._predictor.source_fold(int(source))
-            self._fold_cache.put(source, fold)
         if deadline is not None:
             deadline.check("retweet scoring")
         with trace.span(
-            "score_retweet", source=int(source), candidates=len(candidates)
+            "score_retweet", source=int(source), candidates=len(targets),
+            fold_miss=fold is None,
         ):
-            scores = self._predictor.score_candidates(
-                int(source), candidates, words, source_fold=fold
+            scores, built, status = self._predictor.retweet_scores(
+                int(source), targets, word_ids, fold
             )
-        return self._guard("retweet", scores, lower=0.0, upper=1.0 + 1e-9)
+        if fold is None and built is not None and not status & BAD_WORD:
+            self._fold_cache.put(source, built)
+        if status & BAD_WORD:
+            raise PredictionError(
+                f"word id out of range [0, {self.estimates.vocab_size})"
+            )
+        if status & BAD_SOURCE:
+            raise PredictionError(f"source {int(source)} out of range")
+        if status & BAD_CANDIDATE:
+            raise PredictionError("candidate index out of range")
+        if status & NONFINITE:
+            raise DegenerateScoreError("retweet produced non-finite scores")
+        if status & BELOW_ZERO:
+            raise DegenerateScoreError("retweet produced scores below 0.0")
+        if status & ABOVE_ONE:
+            raise DegenerateScoreError(f"retweet produced scores above {SCORE_UPPER}")
+        return scores
 
     def link(
         self,

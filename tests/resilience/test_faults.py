@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.fastgibbs import SweepCache
 from repro.parallel.engine import EngineError, SimulatedCluster
 from repro.parallel.sampler import ParallelCOLDSampler
 from repro.resilience.faults import (
@@ -209,3 +210,43 @@ class TestSamplerRecovery:
         b.fit(tiny_corpus, num_iterations=4)
         assert np.array_equal(a.estimates_.theta, b.estimates_.theta)
         assert np.array_equal(a.estimates_.phi, b.estimates_.phi)
+
+
+class TestNodeCacheRefresh:
+    """Each node keeps one SweepCache for the fit and refreshes it on every
+    attempt after the first, crash replays included."""
+
+    @staticmethod
+    def _plan() -> FaultPlan:
+        return FaultPlan(
+            crashes=(
+                NodeCrash(superstep=2, node=1, progress=0.6),
+                NodeCrash(superstep=3, node=0, progress=0.3, times=2),
+            )
+        )
+
+    def test_crash_replay_refresh_matches_fresh_build(self, tiny_corpus, monkeypatch):
+        refreshes = []
+        original = SweepCache.refresh
+
+        def refresh_and_check(cache, state):
+            original(cache, state)
+            cache.check_consistency(state)
+            refreshes.append(cache)
+
+        monkeypatch.setattr(SweepCache, "refresh", refresh_and_check)
+        refreshed = _sampler(plan=self._plan()).fit(tiny_corpus, num_iterations=4)
+        # Three nodes build once, then refresh on 3 x 3 later attempts and
+        # on the 3 replays of crashed attempts.
+        assert len(refreshes) == 12
+        assert len({id(cache) for cache in refreshes}) == 3
+        refreshed.state_.check_invariants()
+
+        monkeypatch.setattr(
+            SweepCache, "refresh", lambda cache, state: cache.__init__(state, cache.hp)
+        )
+        rebuilt = _sampler(plan=self._plan()).fit(tiny_corpus, num_iterations=4)
+        for name in ("post_comm", "post_topic", "link_src_comm", "link_dst_comm"):
+            np.testing.assert_array_equal(
+                getattr(refreshed.state_, name), getattr(rebuilt.state_, name)
+            )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import fastgibbs, prediction
 from repro.core.estimates import ParameterEstimates
 from repro.core.influence import community_influence, top_influential_users, user_influence
 from repro.core.prediction import (
@@ -52,6 +53,83 @@ class TestRetweet:
         deadline = Deadline(expires_at=-1.0, clock=lambda: clock_now[0])
         with pytest.raises(DeadlineExceeded):
             engine.retweet(0, [1], [0], deadline=deadline)
+
+
+def _numpy_engine(estimates, **kwargs) -> ModelServer:
+    """An engine built as if no library could be loaded: the fallback."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(prediction, "native_kernel", lambda: None)
+        return ModelServer(estimates, **kwargs)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (PredictionError, DegenerateScoreError) as exc:
+        return type(exc), str(exc)
+
+
+class TestNativeRetweet:
+    """The one-call cold path against the engine's numpy fallback."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_library(self):
+        if fastgibbs.native_kernel() is None:
+            pytest.skip("no native kernels (no C compiler)")
+
+    def test_scores_match_numpy_fallback(self, estimates):
+        native, fallback = ModelServer(estimates), _numpy_engine(estimates)
+        candidates = list(range(estimates.num_users))
+        for source in range(estimates.num_users):
+            for words in ([0], [3, 3, 9, 1], list(range(12))):
+                np.testing.assert_allclose(
+                    native.retweet(source, candidates, words),
+                    fallback.retweet(source, candidates, words),
+                    rtol=1e-12,
+                    atol=0,
+                )
+
+    def test_errors_and_fold_cache_match_numpy_fallback(self, estimates):
+        """Same exception type and message for every bad input, and the
+        same fold-cache keys, hits and misses after them."""
+        U, V = estimates.num_users, estimates.vocab_size
+        requests = [
+            (0, [1], []), (0, [1], [V]), (1, [1], [-1, 0]), (U, [1], [0]),
+            (-1, [1], [V]), (2**70, [1], [0]), (2, [U], [0]), (3, [-1], [V]),
+            (3, [1], [[0]]), (4, [[1]], [0]), (2, [1], [0]), (5, [], [0]),
+            (0, [1, 1, 2], [4, 4]),
+        ]
+        engines = ModelServer(estimates, cache_size=4), _numpy_engine(
+            estimates, cache_size=4
+        )
+        outcomes = [
+            [_outcome(lambda: engine.retweet(*request)) for request in requests]
+            for engine in engines
+        ]
+        for native, fallback in zip(*outcomes):
+            if isinstance(native, tuple):
+                assert native == fallback
+            else:
+                np.testing.assert_allclose(native, fallback, rtol=1e-12, atol=0)
+        assert [type(o) for o in outcomes[0]].count(tuple) == 10
+        native, fallback = (engine._fold_cache for engine in engines)
+        assert native.stats() == fallback.stats()
+        assert list(native._entries) == list(fallback._entries) == [2, 5, 0]
+
+    @pytest.mark.parametrize(
+        ("value", "message"),
+        [
+            (np.nan, "retweet produced non-finite scores"),
+            (-1.0, "retweet produced scores below 0.0"),
+            (50.0, "retweet produced scores above 1.000000001"),
+        ],
+    )
+    def test_degenerate_estimates_raise(self, estimates, value, message):
+        for engine in (ModelServer(estimates), _numpy_engine(estimates)):
+            engine._predictor._zeta[...] = value
+            with pytest.raises(DegenerateScoreError) as caught:
+                engine.retweet(0, [1, 2], [0, 1])
+            assert str(caught.value) == message
 
 
 class TestLink:

@@ -19,8 +19,11 @@ from repro.core.influence import (
     InfluenceError,
     _activation_matrix,
     _batched_cascade,
+    _batched_reach,
     _cascade,
+    _live_shape,
     _mean_spreads,
+    _reach,
     community_influence,
     expected_spread,
     greedy_seed_selection,
@@ -498,6 +501,28 @@ class TestNativeCascade:
         np.testing.assert_array_equal(got, want)
         assert native.bit_generator.state == reference.bit_generator.state
         assert native.random() == reference.random()
+
+    @pytest.mark.parametrize("n", [65, 100, 130])
+    def test_reach_matches_oracle_past_one_bitset_word(self, n):
+        """At n > 64 a node's bitset takes two or three words: the general
+        closure loop, on recorded cascades and on random dense graphs."""
+        _native()
+        rng = np.random.default_rng(n)
+        sets = rng.random((6, n)) < 0.05
+        sets[0] = False
+        sets[1, [0, 63, 64, n - 1]] = True
+        probs = rng.random((n, n)) * (rng.random((n, n)) < 3 / n)
+        recorded = np.zeros(_live_shape(5, n), np.uint64)
+        active = np.repeat(sets.any(axis=0, keepdims=True), 5, axis=0)
+        _cascade(probs, active, np.random.default_rng(1), recorded)
+        dense = rng.integers(0, 2**64, _live_shape(5, n), dtype=np.uint64)
+        dense[:, :, -1] &= np.uint64(2 ** (n % 64) - 1)
+        for live in (recorded, dense):
+            got_live, want_live = live.copy(), live.copy()
+            np.testing.assert_array_equal(
+                _reach(got_live, sets), _batched_reach(want_live, sets)
+            )
+            np.testing.assert_array_equal(got_live, want_live)
 
     def test_community_influence_degrees_unchanged(self, estimates, monkeypatch):
         _native()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import fastgibbs, prediction
 from repro.core.estimates import ParameterEstimates
 from repro.core.prediction import (
     DiffusionPredictor,
@@ -326,3 +327,142 @@ class TestPostProbability:
                 prod = np.prod([e.phi[k, w] for w in words])
                 direct += e.pi[2, c] * e.theta[c, k] * prod
         assert value == pytest.approx(np.log(direct), rel=1e-9)
+
+
+def _native():
+    if fastgibbs.native_kernel() is None:
+        pytest.skip("no native kernels (no C compiler)")
+
+
+def numpy_predictor(estimates, top_comm_size=5) -> DiffusionPredictor:
+    """A predictor built as if no library could be loaded: the fallback."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(prediction, "native_kernel", lambda: None)
+        return DiffusionPredictor(estimates, top_comm_size)
+
+
+def _stochastic(rng, rows: int, cols: int, zeros: bool) -> np.ndarray:
+    matrix = rng.random((rows, cols)) + 0.01
+    if zeros:
+        matrix[rng.random((rows, cols)) < 0.3] = 0.0
+        matrix[np.arange(rows), rng.integers(cols, size=rows)] += 0.5
+    return matrix / matrix.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def scoring_cases(draw):
+    """Random estimates with K in {1, 40, 100} and C in {1, 20}, a TopComm
+    size from 1 past C, and a query with repeated words and candidates,
+    possibly no candidate at all."""
+    K, C = draw(st.sampled_from([1, 40, 100])), draw(st.sampled_from([1, 20]))
+    users, vocab = draw(st.integers(1, 12)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros = draw(st.booleans())
+    estimates = ParameterEstimates(
+        pi=_stochastic(rng, users, C, zeros),
+        theta=_stochastic(rng, C, K, zeros),
+        phi=_stochastic(rng, K, vocab, False),
+        psi=np.full((K, C, 2), 0.5),
+        eta=rng.random((C, C)) * (rng.random((C, C)) > 0.3 * zeros),
+    )
+    words = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=12))
+    words += words[: draw(st.integers(0, len(words)))]  # repeats
+    candidates = draw(st.lists(st.integers(0, users - 1), max_size=8))
+    candidates += candidates[:2]
+    return (
+        estimates,
+        draw(st.integers(1, C + 2)),
+        draw(st.integers(0, users - 1)),
+        candidates,
+        words,
+    )
+
+
+class TestNativeScorer:
+    """``cold_retweet_scores`` against the numpy bodies it replaced."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(scoring_cases())
+    def test_scores_and_fold_match_numpy_bodies(self, case):
+        _native()
+        estimates, size, source, candidates, words = case
+        native = DiffusionPredictor(estimates, top_comm_size=size)
+        fallback = numpy_predictor(estimates, top_comm_size=size)
+        want_fold = native._source_fold_numpy(source)
+        want = native._score_candidates_numpy(
+            source, np.array(candidates, np.int64), np.array(words, np.int64), want_fold
+        )
+        fold = native.source_fold(source)
+        np.testing.assert_allclose(fold, want_fold, rtol=1e-12, atol=0)
+        for scores in (
+            native.score_candidates(source, candidates, words),
+            native.score_candidates(source, candidates, words, source_fold=fold),
+        ):
+            assert scores.shape == (len(candidates),)
+            np.testing.assert_allclose(scores, want, rtol=1e-12, atol=0)
+        # The fallback runs the numpy bodies themselves.
+        np.testing.assert_array_equal(fallback.source_fold(source), want_fold)
+        np.testing.assert_array_equal(
+            fallback.score_candidates(source, candidates, words), want
+        )
+
+    @pytest.mark.parametrize(
+        ("source", "candidates", "words"),
+        [
+            (-1, [1], [0]),
+            (10**6, [1], [0]),
+            (2**70, [1], [0]),
+            (0, [1, -1], [0]),
+            (0, [10**6], [0]),
+            (0, [1], [-1]),
+            (0, [1], [10**6]),
+            (0, [1], []),
+            (-1, [-1], [-1]),
+            (0, [-1], [-1]),
+            (-1, [1], [10**6]),
+            (0, [[1]], [0]),
+            (0, [1], [[0]]),
+        ],
+    )
+    def test_bad_input_raises_same_error(self, estimates, source, candidates, words):
+        _native()
+        outcomes = []
+        for predictor in (DiffusionPredictor(estimates), numpy_predictor(estimates)):
+            with pytest.raises(PredictionError) as caught:
+                predictor.score_candidates(source, candidates, words)
+            outcomes.append(str(caught.value))
+        assert outcomes[0] == outcomes[1]
+
+    def test_wrong_fold_shape_rejected(self, estimates):
+        predictor = DiffusionPredictor(estimates)
+        with pytest.raises(PredictionError, match="source_fold must have shape"):
+            predictor.score_candidates(0, [1], [0], source_fold=np.zeros((1, 1)))
+
+    def test_status_bits_match_numpy_fallback(self, estimates):
+        """Both paths flag every bad id at once, and fill the fold whenever
+        the source is in range."""
+        _native()
+        U, V = estimates.num_users, estimates.vocab_size
+        ids = prediction.flat_ids
+        for predictor in (DiffusionPredictor(estimates), numpy_predictor(estimates)):
+            _, fold, status = predictor.retweet_scores(0, ids([U], "c"), ids([V], "w"))
+            assert status == prediction.BAD_WORD | prediction.BAD_CANDIDATE
+            np.testing.assert_allclose(
+                fold, predictor._source_fold_numpy(0), rtol=1e-12, atol=0
+            )
+            _, fold, status = predictor.retweet_scores(-1, ids([0], "c"), ids([0], "w"))
+            assert (fold, status) == (None, prediction.BAD_SOURCE)
+
+    @pytest.mark.parametrize(
+        ("value", "bit"),
+        [(np.nan, prediction.NONFINITE), (-1.0, prediction.BELOW_ZERO),
+         (50.0, prediction.ABOVE_ONE)],
+    )
+    def test_guard_bits_match_numpy_fallback(self, estimates, value, bit):
+        _native()
+        for predictor in (DiffusionPredictor(estimates), numpy_predictor(estimates)):
+            predictor._zeta[...] = value
+            words, candidates = prediction.flat_ids([0, 1], "w"), np.arange(3)
+            scores, _, status = predictor.retweet_scores(0, candidates, words)
+            assert status == bit
+            assert scores.shape == (3,)

@@ -106,6 +106,24 @@ class TestConfigValidation:
         with pytest.raises(SyntheticError):
             config.validate()
 
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            ("max_temporal_modes", 0, "max_temporal_modes must be at least 1, got 0"),
+            ("temporal_floor", -2.0, "temporal_floor must be >= 0, got -2.0"),
+        ],
+    )
+    def test_rejects_bad_temporal_shape(self, field, value, message):
+        """Caught at validation: no mode fails deep in planting, and a
+        negative floor would plant an inverted psi."""
+        from dataclasses import replace
+
+        config = replace(SyntheticConfig(), **{field: value})
+        with pytest.raises(SyntheticError, match=message):
+            config.validate()
+        with pytest.raises(SyntheticError, match=message):
+            generate_corpus(config)
+
     def test_rejects_anchor_overflow(self):
         config = SyntheticConfig(vocab_size=10, num_topics=4, anchors_per_topic=5)
         with pytest.raises(SyntheticError):
