@@ -303,10 +303,13 @@ def _add_predict(subparsers: argparse._SubParsersAction) -> None:
 
 
 def _add_bench(subparsers: argparse._SubParsersAction) -> None:
+    # No prefix matching: a retired ``--sweeps`` would otherwise parse as
+    # ``--sweeps-per-rep``.
     parser = subparsers.add_parser(
         "bench",
         help="benchmark the Gibbs kernels, or quality streaming "
         "(--diagnostics)",
+        allow_abbrev=False,
     )
     parser.add_argument(
         "output", type=Path, nargs="?", default=None,
@@ -326,18 +329,6 @@ def _add_bench(subparsers: argparse._SubParsersAction) -> None:
         "--diagnostics", action="store_true",
         help="benchmark quality-streaming overhead (diagnostics on vs "
         "off) instead of the serial Gibbs kernels",
-    )
-    parser.add_argument(
-        "--stride", type=int, default=10,
-        help="quality-streaming stride for --diagnostics (default: 10)",
-    )
-    parser.add_argument(
-        "--sweeps", type=int, default=20,
-        help="Gibbs sweeps per timed fit for --diagnostics (default: 20)",
-    )
-    parser.add_argument(
-        "--equivalence-sweeps", type=int, default=2,
-        help="sweeps of the --diagnostics draws_match equivalence check",
     )
     parser.add_argument(
         "--compare", action="store_true",
@@ -1038,13 +1029,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(f"benchmarking {len(cases)} case(s): {', '.join(c.name for c in cases)}")
 
     if args.diagnostics:
+        # A stride-10 stream over 20 sweeps meters two stride periods.
         payload = write_diagnostics_benchmark(
             output,
             cases=cases,
-            sweeps=args.sweeps,
+            sweeps=20,
             reps=args.reps,
-            stride=args.stride,
-            equivalence_sweeps=args.equivalence_sweeps,
+            stride=10,
+            equivalence_sweeps=2,
         )
         for record in payload["cases"]:
             print(

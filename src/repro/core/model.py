@@ -329,7 +329,15 @@ class COLDModel:
                 check_invariants=check_invariants,
             )
 
-        hp = self._resolve_hyperparameters(corpus)
+        hp = Hyperparameters.resolve(
+            self.hyperparameters,
+            self.num_communities,
+            self.num_topics,
+            corpus,
+            include_network=self.include_network,
+            prior=self.prior,
+            kappa=self.kappa,
+        )
         state = CountState.initialize(
             corpus,
             self.num_communities,
@@ -1007,18 +1015,6 @@ class COLDModel:
             ) from exc
         model.corpus_ = corpus
         return model
-
-    def _resolve_hyperparameters(self, corpus: SocialCorpus) -> Hyperparameters:
-        if self.hyperparameters is not None:
-            return self.hyperparameters
-        network_corpus = corpus if self.include_network else None
-        if self.prior == "scaled":
-            return Hyperparameters.scaled(
-                self.num_communities, self.num_topics, network_corpus
-            )
-        return Hyperparameters.default(
-            self.num_communities, self.num_topics, network_corpus, kappa=self.kappa
-        )
 
     # -- estimated distributions -------------------------------------------------
 

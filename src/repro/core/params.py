@@ -120,6 +120,31 @@ class Hyperparameters:
             lambda1=0.1,
         )
 
+    @classmethod
+    def resolve(
+        cls,
+        given: "Hyperparameters | None",
+        num_communities: int,
+        num_topics: int,
+        corpus: SocialCorpus,
+        include_network: bool = True,
+        prior: str = "paper",
+        kappa: float = 1.0,
+    ) -> "Hyperparameters":
+        """The prior a model fits ``corpus`` with.
+
+        ``given`` wins when set; otherwise ``prior`` picks :meth:`default`
+        (``"paper"``) or :meth:`scaled`.  Without the network there are no
+        links to count, so ``lambda0`` takes its neutral value.  ``kappa``
+        reaches only :meth:`default`; :meth:`scaled` keeps its own weight.
+        """
+        if given is not None:
+            return given
+        network_corpus = corpus if include_network else None
+        if prior == "scaled":
+            return cls.scaled(num_communities, num_topics, network_corpus)
+        return cls.default(num_communities, num_topics, network_corpus, kappa=kappa)
+
     def with_lambda0(self, lambda0: float) -> "Hyperparameters":
         """Copy with a different ``lambda0`` (used by sensitivity studies)."""
         return replace(self, lambda0=lambda0)

@@ -76,7 +76,15 @@ class COLDPerWordModel:
             raise ModelError("burn_in must lie in [0, num_iterations)")
         if sample_interval <= 0:
             raise ModelError("sample_interval must be positive")
-        hp = self._resolve_hyperparameters(corpus)
+        # No kappa here: the per-word model keeps the default weight 1.0.
+        hp = Hyperparameters.resolve(
+            self.hyperparameters,
+            self.num_communities,
+            self.num_topics,
+            corpus,
+            include_network=self.include_network,
+            prior=self.prior,
+        )
 
         C, K = self.num_communities, self.num_topics
         U, T, V = corpus.num_users, corpus.num_time_slices, corpus.vocab_size
@@ -282,18 +290,6 @@ class COLDPerWordModel:
             n_link_comm + hp.lambda0 + hp.lambda1
         )
         return ParameterEstimates(pi=pi, theta=theta, phi=phi, psi=psi, eta=eta)
-
-    def _resolve_hyperparameters(self, corpus: SocialCorpus) -> Hyperparameters:
-        if self.hyperparameters is not None:
-            return self.hyperparameters
-        network_corpus = corpus if self.include_network else None
-        if self.prior == "scaled":
-            return Hyperparameters.scaled(
-                self.num_communities, self.num_topics, network_corpus
-            )
-        return Hyperparameters.default(
-            self.num_communities, self.num_topics, network_corpus
-        )
 
     @property
     def fitted(self) -> bool:

@@ -206,7 +206,15 @@ class ParallelCOLDSampler:
         if not 0 <= burn_in < num_iterations:
             raise EngineError("burn_in must lie in [0, num_iterations)")
 
-        hp = self._resolve_hyperparameters(corpus)
+        hp = Hyperparameters.resolve(
+            self.hyperparameters,
+            self.num_communities,
+            self.num_topics,
+            corpus,
+            include_network=self.include_network,
+            prior=self.prior,
+            kappa=self.kappa,
+        )
         seed_seq = np.random.SeedSequence(self.seed)
         init_rng = np.random.default_rng(seed_seq.spawn(1)[0])
         state = CountState.initialize(
@@ -609,18 +617,6 @@ class ParallelCOLDSampler:
             if perplexity is not None:
                 record["perplexity"] = perplexity
         telemetry.emit("sweep", **record)
-
-    def _resolve_hyperparameters(self, corpus: SocialCorpus) -> Hyperparameters:
-        if self.hyperparameters is not None:
-            return self.hyperparameters
-        network_corpus = corpus if self.include_network else None
-        if self.prior == "scaled":
-            return Hyperparameters.scaled(
-                self.num_communities, self.num_topics, network_corpus
-            )
-        return Hyperparameters.default(
-            self.num_communities, self.num_topics, network_corpus, kappa=self.kappa
-        )
 
     # -- results ----------------------------------------------------------------
 

@@ -297,6 +297,49 @@ class _WorkerHandle:
     conn: object  # multiprocessing.connection.Connection
 
 
+def _start_context(start_method: str | None):
+    """The pools' process context: ``fork`` where available (cheap
+    spawns), else ``spawn``, unless ``start_method`` names one."""
+    if start_method is None:
+        methods = multiprocessing.get_all_start_methods()
+        start_method = "fork" if "fork" in methods else "spawn"
+    return multiprocessing.get_context(start_method)
+
+
+def _spawn(ctx, target, name: str, worker_id: int, init: dict) -> _WorkerHandle:
+    """Start daemon process ``{name}-{worker_id}`` running
+    ``target(worker_id, init, conn)``; the parent keeps the other end."""
+    parent_conn, child_conn = ctx.Pipe()
+    process = ctx.Process(
+        target=target,
+        args=(worker_id, init, child_conn),
+        name=f"{name}-{worker_id}",
+        daemon=True,
+    )
+    process.start()
+    child_conn.close()
+    _log.debug("spawned %s %d (pid %s)", name, worker_id, process.pid)
+    return _WorkerHandle(worker_id, process, parent_conn)
+
+
+def _reap(handle: _WorkerHandle, stop: bool = True) -> None:
+    """Close a worker's pipe and join it (terminating a stuck one); with
+    ``stop``, first ask it to exit."""
+    if stop:
+        try:
+            handle.conn.send(("stop",))
+        except (BrokenPipeError, OSError):  # pragma: no cover - dead worker
+            pass
+    try:
+        handle.conn.close()
+    except OSError:  # pragma: no cover - already closed
+        pass
+    handle.process.join(timeout=5)
+    if handle.process.is_alive():  # pragma: no cover - stuck worker
+        handle.process.terminate()
+        handle.process.join(timeout=5)
+
+
 def _resolve_target(spec: str):
     """Import ``"package.module:function"`` inside a worker process.
 
@@ -380,10 +423,7 @@ class TaskWorkerPool:
             raise EngineError(f"num_workers must be positive, got {num_workers}")
         self._closed = False
         self.num_workers = num_workers
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = _start_context(start_method)
         self._init = {
             "target": target,
             "common": common or {},
@@ -392,27 +432,9 @@ class TaskWorkerPool:
         self._handles: list[_WorkerHandle] = []
 
     def _spawn(self, worker_id: int) -> _WorkerHandle:
-        parent_conn, child_conn = self._ctx.Pipe()
-        process = self._ctx.Process(
-            target=task_worker_main,
-            args=(worker_id, self._init, child_conn),
-            name=f"cold-task-worker-{worker_id}",
-            daemon=True,
+        return _spawn(
+            self._ctx, task_worker_main, "cold-task-worker", worker_id, self._init
         )
-        process.start()
-        child_conn.close()
-        _log.debug("spawned task worker %d (pid %s)", worker_id, process.pid)
-        return _WorkerHandle(worker_id, process, parent_conn)
-
-    def _reap(self, handle: _WorkerHandle) -> None:
-        try:
-            handle.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        handle.process.join(timeout=5)
-        if handle.process.is_alive():  # pragma: no cover - stuck worker
-            handle.process.terminate()
-            handle.process.join(timeout=5)
 
     def run_all(self, payloads: list[dict]) -> list:
         """Run every payload; returns results in submission order.
@@ -472,11 +494,7 @@ class TaskWorkerPool:
             return
         self._closed = True
         for handle in self._handles:
-            try:
-                handle.conn.send(("stop",))
-            except (BrokenPipeError, OSError):  # pragma: no cover - dead worker
-                pass
-            self._reap(handle)
+            _reap(handle)
         self._handles = []
 
     def __enter__(self) -> "TaskWorkerPool":
@@ -589,10 +607,7 @@ class ProcessWorkerPool:
             setattr(state, name, self._data.arrays[name])
         self._state = state
 
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = _start_context(start_method)
         self._init = {
             "blocks": {
                 "data": self._data.spec(),
@@ -616,27 +631,7 @@ class ProcessWorkerPool:
             raise
 
     def _spawn(self, worker_id: int) -> _WorkerHandle:
-        parent_conn, child_conn = self._ctx.Pipe()
-        process = self._ctx.Process(
-            target=worker_main,
-            args=(worker_id, self._init, child_conn),
-            name=f"cold-worker-{worker_id}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        _log.debug("spawned worker %d (pid %s)", worker_id, process.pid)
-        return _WorkerHandle(worker_id, process, parent_conn)
-
-    def _reap(self, handle: _WorkerHandle) -> None:
-        try:
-            handle.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        handle.process.join(timeout=5)
-        if handle.process.is_alive():  # pragma: no cover - stuck worker
-            handle.process.terminate()
-            handle.process.join(timeout=5)
+        return _spawn(self._ctx, worker_main, "cold-worker", worker_id, self._init)
 
     # -- superstep protocol ------------------------------------------------
 
@@ -666,7 +661,7 @@ class ProcessWorkerPool:
             status, payload = handle.conn.recv()
         except (EOFError, BrokenPipeError, ConnectionResetError, OSError) as exc:
             dead_pid = handle.process.pid
-            self._reap(handle)
+            _reap(handle, stop=False)
             self._workers.put(self._spawn(handle.worker_id))
             if self._telemetry.enabled:
                 self._telemetry.metrics.counter("worker_crashes_total").inc()
@@ -723,11 +718,7 @@ class ProcessWorkerPool:
                 handle = self._workers.get_nowait()
             except queue.Empty:
                 break
-            try:
-                handle.conn.send(("stop",))
-            except (BrokenPipeError, OSError):  # pragma: no cover - dead worker
-                pass
-            self._reap(handle)
+            _reap(handle)
         if self._state is not None:
             for name in ASSIGNMENT_FIELDS:
                 setattr(self._state, name, getattr(self._state, name).copy())

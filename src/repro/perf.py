@@ -16,25 +16,20 @@ Two things keep the numbers honest:
   chain is, its (community, topic) occupancy summary via
   :meth:`~repro.core.state.CountState.top_comm_topic_cells`.
 
-A second harness (:func:`run_telemetry_overhead_case`, gated by
-``benchmarks/perf/test_telemetry_overhead.py``) enforces the telemetry
-layer's off-by-default-cheap contract: per-sweep wall time with
-``metrics_out``/``trace_out`` enabled must stay within a few percent of
-a dark fit, and the drawn chain must be bit-identical either way
-(telemetry never consumes RNG).
-
-A third harness (:func:`run_diagnostics_overhead_case`, gated by
-``benchmarks/perf/test_diagnostics_overhead.py``, written as
-``BENCH_diagnostics.json`` by ``cold bench --diagnostics``) does the
-same for the quality-streaming diagnostics of :mod:`repro.diagnostics`:
-a stride-10 :class:`~repro.diagnostics.quality.QualityStream` must cost
-under 5% per sweep *amortised* — the statistic is the mean (not min)
-per-sweep time, because the stride concentrates the cost on every tenth
-sweep and a min would simply land on an unmetered one — and the drawn
-chain must again be bit-identical with the stream attached or not.
+One ABBA runner (:func:`_overhead_case`) measures what each
+instrumentation layer costs a serial fit: reps alternate a dark and an
+instrumented fit, and ``draws_match`` re-draws a short chain both ways
+(instrumentation never consumes RNG).  A small *arm* per suite states
+what the instrumented fit adds: ``metrics_out`` + ``trace_out``
+(:func:`run_telemetry_overhead_case`), an active phase profiler
+(:func:`run_profiler_overhead_case`), or a stride-10
+:class:`~repro.diagnostics.quality.QualityStream`
+(:func:`run_diagnostics_overhead_case`, ``BENCH_diagnostics.json`` via
+``cold bench --diagnostics``).  Their gates live in ``benchmarks/perf``.
 
 Memory is tracked alongside wall time: every case record carries
-``peak_rss_mb`` (:func:`peak_rss_mb`, the ``getrusage`` high-water mark).
+``peak_rss_mb``, the ``getrusage`` high-water mark read by
+:func:`~repro.telemetry.profiler.memory_gauges`.
 Because ``ru_maxrss`` is a monotonic per-process maximum, the large-scale
 packed harness (:func:`run_packed_scaling_case`, gated by
 ``benchmarks/perf/test_packed_scaling.py``) measures each scale point in
@@ -56,10 +51,12 @@ import math
 import multiprocessing
 import os
 import platform
-import sys
 import tempfile
 import time
+from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -89,14 +86,10 @@ __all__ = [
     "compare_benchmarks",
     "comparison_regressed",
     "diagnostics_draws_match",
-    "draws_match",
     "environment_stamp",
     "machine_fingerprint",
     "metric_direction",
-    "packed_draws_match",
     "packed_scale_config",
-    "peak_rss_mb",
-    "profiler_draws_match",
     "read_history",
     "render_comparison",
     "resolve_baseline",
@@ -107,7 +100,6 @@ __all__ = [
     "run_profile_case",
     "run_profiler_overhead_case",
     "run_telemetry_overhead_case",
-    "telemetry_draws_match",
     "write_benchmark",
     "write_diagnostics_benchmark",
 ]
@@ -117,28 +109,6 @@ __all__ = [
 #: which is how a ``.jsonl`` baseline finds the last run of the same suite.
 GIBBS_BENCHMARK = "collapsed Gibbs sweep, reference vs fast kernels"
 DIAGNOSTICS_BENCHMARK = "quality-streaming diagnostics overhead per Gibbs sweep"
-
-
-def peak_rss_mb(include_children: bool = False) -> float:
-    """Peak resident set size of this process in MB (``getrusage`` high-water).
-
-    ``include_children`` folds in the max over *waited-for* child
-    processes (``RUSAGE_CHILDREN``) — the right reading for fits that ran
-    a worker pool.  Note the counter is monotonic per process: it reports
-    the fattest moment since process start, which is why the packed
-    scaling harness isolates each scale point in a fresh subprocess.
-    Returns 0.0 on platforms without ``resource`` (Windows).
-    """
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX
-        return 0.0
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if include_children:
-        peak = max(peak, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
-    # ru_maxrss is KiB on Linux, bytes on macOS.
-    divisor = 1024 * 1024 if sys.platform == "darwin" else 1024
-    return round(peak / divisor, 1)
 
 
 @dataclass(frozen=True)
@@ -216,24 +186,38 @@ def _states_identical(reference: CountState, candidate: CountState) -> bool:
     )
 
 
-def draws_match(
+def _same_chain(fit: Callable[[bool], CountState | None]) -> bool:
+    """True iff ``fit(False)`` and ``fit(True)`` draw the identical chain.
+
+    Every ``draws_match`` in this module is one call: ``fit`` draws a
+    chain from a fixed seed, and its flag picks the side of the pair.
+    """
+    reference, candidate = fit(False), fit(True)
+    assert reference is not None and candidate is not None
+    return _states_identical(reference, candidate)
+
+
+def _warmed_chain(
     corpus: SocialCorpus,
     hp: Hyperparameters,
     case: BenchCase,
-    num_sweeps: int = 3,
-) -> bool:
-    """True iff both kernel paths draw the identical chain from one seed."""
-    states = []
-    for fast in (False, True):
-        rng = np.random.default_rng(case.seed + 1)
-        state = CountState.initialize(
-            corpus, case.num_communities, case.num_topics, rng
-        )
-        cache = SweepCache(state, hp) if fast else None
-        for _ in range(num_sweeps):
-            sweep(state, hp, rng, cache=cache)
-        states.append(state)
-    return _states_identical(*states)
+    seed: int,
+    sweeps: int,
+    fast: bool = True,
+) -> tuple[CountState, np.random.Generator, SweepCache | None]:
+    """A chain initialised from ``seed`` and advanced ``sweeps`` sweeps.
+
+    Returns the state with its RNG and sweep cache (``None`` on the
+    reference kernels), so callers can keep sweeping it.
+    """
+    rng = np.random.default_rng(seed)
+    state = CountState.initialize(
+        corpus, case.num_communities, case.num_topics, rng
+    )
+    cache = SweepCache(state, hp) if fast else None
+    for _ in range(sweeps):
+        sweep(state, hp, rng, cache=cache)
+    return state, rng, cache
 
 
 def run_case(
@@ -245,52 +229,43 @@ def run_case(
 ) -> dict:
     """Benchmark one case; returns its JSON-ready result record."""
     corpus = case.build_corpus()
-    hp = Hyperparameters.default(
-        case.num_communities, case.num_topics, corpus
-    )
-    seconds: dict[str, float] = {}
-    occupancy: dict | None = None
-    for mode in ("reference", "fast"):
-        rng = np.random.default_rng(case.seed)
-        state = CountState.initialize(
-            corpus, case.num_communities, case.num_topics, rng
-        )
-        cache = SweepCache(state, hp) if mode == "fast" else None
-        for _ in range(warmup):
-            sweep(state, hp, rng, cache=cache)
+    hp = Hyperparameters.default(case.num_communities, case.num_topics, corpus)
+    seconds: dict[bool, float] = {}
+    for fast in (False, True):
+        state, rng, cache = _warmed_chain(corpus, hp, case, case.seed, warmup, fast)
         best = math.inf
         for _ in range(reps):
             start = time.perf_counter()
             for _ in range(sweeps_per_rep):
                 sweep(state, hp, rng, cache=cache)
             best = min(best, (time.perf_counter() - start) / sweeps_per_rep)
-        seconds[mode] = best
-        if mode == "fast":
-            cs, ks, counts = state.top_comm_topic_cells(10)
-            occupancy = {
-                "active_cells": int(len(state.active_comm_topic_cells()[0])),
-                "total_cells": case.num_communities * case.num_topics,
-                "top_cells": [
-                    [int(c), int(k), int(n)]
-                    for c, k, n in zip(cs, ks, counts)
-                ],
-            }
+        seconds[fast] = best
+    # The occupancy of the fast chain, the one timed last.
+    cs, ks, counts = state.top_comm_topic_cells(10)
     return {
         "name": case.name,
         "config": asdict(case),
         "corpus": {
             "num_posts": corpus.num_posts,
             "num_links": len(corpus.links),
-            "mean_post_length": round(
-                float(np.mean(corpus.post_lengths)), 2
-            ),
+            "mean_post_length": round(float(np.mean(corpus.post_lengths)), 2),
         },
-        "reference_seconds_per_sweep": round(seconds["reference"], 5),
-        "fast_seconds_per_sweep": round(seconds["fast"], 5),
-        "speedup": round(seconds["reference"] / seconds["fast"], 2),
-        "draws_match": draws_match(corpus, hp, case, equivalence_sweeps),
-        "occupancy": occupancy,
-        "peak_rss_mb": peak_rss_mb(),
+        "reference_seconds_per_sweep": round(seconds[False], 5),
+        "fast_seconds_per_sweep": round(seconds[True], 5),
+        "speedup": round(seconds[False] / seconds[True], 2),
+        "draws_match": _same_chain(
+            lambda fast: _warmed_chain(
+                corpus, hp, case, case.seed + 1, equivalence_sweeps, fast
+            )[0]
+        ),
+        "occupancy": {
+            "active_cells": int(len(state.active_comm_topic_cells()[0])),
+            "total_cells": case.num_communities * case.num_topics,
+            "top_cells": [
+                [int(c), int(k), int(n)] for c, k, n in zip(cs, ks, counts)
+            ],
+        },
+        "peak_rss_mb": profiling.memory_gauges()["rss_peak_mb"],
     }
 
 
@@ -318,6 +293,12 @@ def run_benchmark(
     }
 
 
+def _write_payload(path: str | Path, payload: dict) -> dict:
+    """Atomically write ``payload`` as indented JSON; returns it."""
+    atomic_write_text(Path(path), json.dumps(payload, indent=2) + "\n")
+    return payload
+
+
 def write_benchmark(
     path: str | Path,
     cases: tuple[BenchCase, ...] = (SMOKE, MEDIUM),
@@ -326,50 +307,113 @@ def write_benchmark(
     sweeps_per_rep: int = 2,
 ) -> dict:
     """Run the benchmark and atomically write its JSON to ``path``."""
-    payload = run_benchmark(
-        cases, warmup=warmup, reps=reps, sweeps_per_rep=sweeps_per_rep
+    return _write_payload(
+        path,
+        run_benchmark(cases, warmup=warmup, reps=reps, sweeps_per_rep=sweeps_per_rep),
     )
-    atomic_write_text(Path(path), json.dumps(payload, indent=2) + "\n")
-    return payload
 
 
-def telemetry_draws_match(
+# ---------------------------------------------------------------------------
+# instrumentation overhead — one ABBA runner, one arm per suite
+# ---------------------------------------------------------------------------
+#
+# An arm is a context manager ``arm(on, run_dir, make_model)`` yielding
+# ``(model, fit_kwargs)`` for the dark (``on=False``) or the instrumented
+# side of a suite; it holds any process-wide switch for the fit's
+# duration.  ``make_model(**kwargs)`` builds the case's seeded model and
+# ``run_dir`` is a fresh directory for its files.
+
+
+@contextmanager
+def _telemetry_arm(on: bool, run_dir: Path, make_model):
+    """Instrumented: ``metrics_out`` and ``trace_out`` both enabled."""
+    if on:
+        yield make_model(
+            metrics_out=run_dir / "metrics.jsonl", trace_out=run_dir / "trace.json"
+        ), {}
+    else:
+        yield make_model(), {}
+
+
+@contextmanager
+def _profiler_arm(on: bool, run_dir: Path, make_model):
+    """Instrumented: an active phase profiler (the kernel's phase timers)."""
+    previous = profiling.set_profiler(profiling.PhaseProfiler() if on else None)
+    try:
+        yield make_model(), {}
+    finally:
+        profiling.set_profiler(previous)
+
+
+def _quality_arm(corpus: SocialCorpus, stride: int, index=None):
+    """Instrumented: a ``stride`` QualityStream, sharing ``index`` if given.
+
+    Both sides write ``metrics_out``, so the delta is the quality stream
+    itself, not the JSONL plumbing the telemetry suite already covers.
+    """
+    from .diagnostics.quality import QualityStream
+
+    @contextmanager
+    def arm(on: bool, run_dir: Path, make_model):
+        model = make_model(metrics_out=run_dir / "metrics.jsonl")
+        stream = QualityStream(corpus, stride=stride, index=index) if on else None
+        yield model, {"diagnostics": stream}
+
+    return arm
+
+
+def _case_model(case: BenchCase, seed: int) -> Callable[..., COLDModel]:
+    """A serial :class:`COLDModel` factory with the case's dimensions."""
+    return partial(
+        COLDModel,
+        num_communities=case.num_communities,
+        num_topics=case.num_topics,
+        seed=seed,
+    )
+
+
+def _arm_draws_match(
+    corpus: SocialCorpus, case: BenchCase, arm, num_sweeps: int
+) -> bool:
+    """True iff ``arm``'s dark and instrumented fits draw the same chain.
+
+    Both are short fits from ``case.seed + 1`` with the likelihood
+    monitored every sweep, their files in a throwaway directory.
+    """
+    make_model = _case_model(case, case.seed + 1)
+    with tempfile.TemporaryDirectory() as tmp:
+
+        def fit(on: bool) -> CountState | None:
+            with arm(on, Path(tmp) / str(on), make_model) as (model, fit_kwargs):
+                model.fit(
+                    corpus,
+                    num_iterations=num_sweeps,
+                    likelihood_interval=1,
+                    **fit_kwargs,
+                )
+            return model.state_
+
+        return _same_chain(fit)
+
+
+def diagnostics_draws_match(
     corpus: SocialCorpus, case: BenchCase, num_sweeps: int = 3
 ) -> bool:
-    """True iff telemetry-on and telemetry-off fits draw the same chain.
+    """True iff a fit with quality streaming draws the identical chain.
 
-    The telemetry layer must never consume RNG; this replays a short fit
-    with metrics + tracing enabled (written to a throwaway directory) and
-    with both disabled, from the same seed, and compares every assignment
-    array bitwise.
+    The stream runs at stride 1, evaluating every sweep: the worst case.
     """
-    states = []
-    with tempfile.TemporaryDirectory() as tmp:
-        for enabled in (False, True):
-            run_dir = Path(tmp) / ("on" if enabled else "off")
-            model = COLDModel(
-                num_communities=case.num_communities,
-                num_topics=case.num_topics,
-                seed=case.seed + 1,
-                metrics_out=run_dir / "metrics.jsonl" if enabled else None,
-                trace_out=run_dir / "trace.json" if enabled else None,
-            )
-            model.fit(corpus, num_iterations=num_sweeps, likelihood_interval=1)
-            assert model.state_ is not None
-            states.append(model.state_)
-    return _states_identical(*states)
+    return _arm_draws_match(corpus, case, _quality_arm(corpus, 1), num_sweeps)
 
 
-def _timed_fit_min_sweep_seconds(
-    model: COLDModel, corpus: SocialCorpus, sweeps: int
-) -> float:
-    """Fit ``model`` and return its fastest inter-sweep wall time.
+def _sweep_times(
+    model: COLDModel, corpus: SocialCorpus, sweeps: int, **fit_kwargs
+) -> list[float]:
+    """Fit ``model`` and return its inter-sweep wall times.
 
-    Sweeps are timed individually via the fit callback (the delta between
-    consecutive callbacks covers the sweep *and* all per-sweep telemetry
-    bookkeeping), and the min is taken — on a noisy machine the floor of
-    many short samples is far more stable than one whole-fit wall time,
-    which is what lets the gate resolve a sub-millisecond overhead.
+    Sweeps are timed individually via the fit callback: the delta between
+    consecutive callbacks covers the sweep *and* all per-sweep
+    instrumentation.  Likelihood monitoring is off, so sweeps dominate.
     """
     times: list[float] = []
     last: float | None = None
@@ -388,136 +432,85 @@ def _timed_fit_min_sweep_seconds(
         sample_interval=1,
         likelihood_interval=0,
         callback=clock,
+        **fit_kwargs,
     )
-    return min(times)
+    return times
 
 
-def run_telemetry_overhead_case(
+def _mean(values: list[float]) -> float:
+    return sum(values) / len(values)
+
+
+def _overhead_case(
     case: BenchCase,
-    sweeps: int = 8,
-    reps: int = 6,
-    equivalence_sweeps: int = 3,
+    corpus: SocialCorpus,
+    arm,
+    statistic: Callable[[list[float]], float],
+    sweeps: int,
+    reps: int,
+    equivalence_sweeps: int,
+    check_arm=None,
 ) -> dict:
-    """Per-sweep cost of a fit with telemetry on vs off; JSON-ready record.
+    """Per-sweep cost of ``arm``'s instrumentation; JSON-ready record.
 
-    Each rep runs a short serial fit dark and one with both
-    ``metrics_out`` and ``trace_out`` enabled (likelihood monitoring off,
-    so the sweeps dominate), alternating which mode goes first (ABBA) so
-    slow machine drift hits both equally.  The statistic per mode is the
-    min over all reps of the min per-sweep wall time (see
-    :func:`_timed_fit_min_sweep_seconds`): on a contended host whole-fit
-    wall times swing by 10%+, while the floor of many short interleaved
-    samples converges on the quiet-machine sweep time for both modes.
-    ``overhead_fraction`` is ``on/off - 1``; the perf gate asserts it
-    stays under 3%.
+    Each rep fits from ``case.seed`` dark and instrumented, alternating
+    which goes first (ABBA); per side the record keeps the min over reps
+    of ``statistic`` of the fit's per-sweep times.  ``overhead_fraction``
+    is ``on/off - 1``.  ``draws_match`` compares the two sides of
+    ``check_arm`` (default ``arm``).
     """
-    corpus = case.build_corpus()
-    best = {"off": math.inf, "on": math.inf}
+    make_model = _case_model(case, case.seed)
+    best = {False: math.inf, True: math.inf}
     with tempfile.TemporaryDirectory() as tmp:
         for rep in range(reps):
-            order = ("off", "on") if rep % 2 == 0 else ("on", "off")
-            for mode in order:
-                run_dir = Path(tmp) / f"{mode}_{rep}"
-                enabled = mode == "on"
-                model = COLDModel(
-                    num_communities=case.num_communities,
-                    num_topics=case.num_topics,
-                    seed=case.seed,
-                    metrics_out=run_dir / "metrics.jsonl" if enabled else None,
-                    trace_out=run_dir / "trace.json" if enabled else None,
-                )
-                best[mode] = min(
-                    best[mode],
-                    _timed_fit_min_sweep_seconds(model, corpus, sweeps),
-                )
+            for on in (False, True) if rep % 2 == 0 else (True, False):
+                run_dir = Path(tmp) / f"{on}_{rep}"
+                with arm(on, run_dir, make_model) as (model, fit_kwargs):
+                    times = _sweep_times(model, corpus, sweeps, **fit_kwargs)
+                best[on] = min(best[on], statistic(times))
     return {
         "name": case.name,
         "config": asdict(case),
         "sweeps": sweeps,
         "reps": reps,
-        "off_seconds_per_sweep": round(best["off"], 5),
-        "on_seconds_per_sweep": round(best["on"], 5),
-        "overhead_fraction": round(best["on"] / best["off"] - 1.0, 4),
-        "draws_match": telemetry_draws_match(
-            corpus, case, num_sweeps=equivalence_sweeps
+        "off_seconds_per_sweep": round(best[False], 5),
+        "on_seconds_per_sweep": round(best[True], 5),
+        "overhead_fraction": round(best[True] / best[False] - 1.0, 4),
+        "draws_match": _arm_draws_match(
+            corpus, case, check_arm or arm, equivalence_sweeps
         ),
-        "peak_rss_mb": peak_rss_mb(),
+        "peak_rss_mb": profiling.memory_gauges()["rss_peak_mb"],
     }
 
 
-def diagnostics_draws_match(
-    corpus: SocialCorpus,
-    case: BenchCase,
-    num_sweeps: int = 3,
-    stride: int = 1,
-) -> bool:
-    """True iff a fit with quality streaming draws the identical chain.
+def run_telemetry_overhead_case(
+    case: BenchCase, sweeps: int = 8, reps: int = 6, equivalence_sweeps: int = 3
+) -> dict:
+    """Per-sweep cost of ``metrics_out`` + ``trace_out`` vs a dark fit.
 
-    The diagnostics layer's contract is the same as telemetry's: strictly
-    read-only over the sampler state, zero RNG consumption.  Replays a
-    short telemetry-enabled fit with a stride-1
-    :class:`~repro.diagnostics.quality.QualityStream` attached (every
-    sweep evaluated — the worst case) and one without, from the same
-    seed, and compares every assignment array bitwise.
+    The statistic is the min over reps of the min per-sweep time: on a
+    contended host the floor of many short interleaved samples resolves
+    a sub-millisecond overhead that whole-fit wall times swing past.
+    The perf gate asserts ``overhead_fraction`` stays under 3%.
     """
-    from .diagnostics.quality import QualityStream
-
-    states = []
-    with tempfile.TemporaryDirectory() as tmp:
-        for enabled in (False, True):
-            run_dir = Path(tmp) / ("on" if enabled else "off")
-            model = COLDModel(
-                num_communities=case.num_communities,
-                num_topics=case.num_topics,
-                seed=case.seed + 1,
-                metrics_out=run_dir / "metrics.jsonl",
-            )
-            stream = QualityStream(corpus, stride=stride) if enabled else None
-            model.fit(
-                corpus,
-                num_iterations=num_sweeps,
-                likelihood_interval=1,
-                diagnostics=stream,
-            )
-            assert model.state_ is not None
-            states.append(model.state_)
-    return _states_identical(*states)
-
-
-def _timed_fit_mean_sweep_seconds(
-    model: COLDModel,
-    corpus: SocialCorpus,
-    sweeps: int,
-    diagnostics=None,
-) -> float:
-    """Fit ``model`` and return its mean inter-sweep wall time.
-
-    The mean — not the min of :func:`_timed_fit_min_sweep_seconds` — is
-    the right statistic for stride-gated work: quality streaming spends
-    its budget on every ``stride``-th sweep, so the min would land on an
-    unmetered sweep and report zero overhead regardless of the true
-    amortised cost.
-    """
-    times: list[float] = []
-    last: float | None = None
-
-    def clock(_iteration: int, _model: COLDModel) -> None:
-        nonlocal last
-        now = time.perf_counter()
-        if last is not None:
-            times.append(now - last)
-        last = now
-
-    model.fit(
-        corpus,
-        num_iterations=sweeps,
-        burn_in=sweeps - 1,
-        sample_interval=1,
-        likelihood_interval=0,
-        callback=clock,
-        diagnostics=diagnostics,
+    return _overhead_case(
+        case, case.build_corpus(), _telemetry_arm, min,
+        sweeps, reps, equivalence_sweeps,
     )
-    return sum(times) / len(times)
+
+
+def run_profiler_overhead_case(
+    case: BenchCase, sweeps: int = 8, reps: int = 6, equivalence_sweeps: int = 3
+) -> dict:
+    """Per-sweep cost of an active phase profiler vs a dark fit.
+
+    Same statistic as :func:`run_telemetry_overhead_case`; the perf gate
+    asserts ``overhead_fraction`` stays under 3%.
+    """
+    return _overhead_case(
+        case, case.build_corpus(), _profiler_arm, min,
+        sweeps, reps, equivalence_sweeps,
+    )
 
 
 def run_diagnostics_overhead_case(
@@ -529,69 +522,31 @@ def run_diagnostics_overhead_case(
 ) -> dict:
     """Amortised per-sweep cost of quality streaming; JSON-ready record.
 
-    Both modes fit with telemetry enabled (so the measured delta is the
-    quality stream itself, not the JSONL plumbing the telemetry gate
-    already covers); the "on" mode attaches a
-    :class:`~repro.diagnostics.quality.QualityStream` at ``stride``.
-    Reps alternate mode order (ABBA) and the statistic per mode is the
-    min over reps of the *mean* per-sweep wall time (see
-    :func:`_timed_fit_mean_sweep_seconds`).  ``sweeps`` should cover at
+    The statistic is the min over reps of the *mean* per-sweep time:
+    the stride puts the stream's cost on every ``stride``-th sweep, so a
+    min would land on an unmetered one.  ``sweeps`` should cover at
     least two stride periods so the amortisation is real.
-    ``overhead_fraction`` is ``on/off - 1`` — the *steady-state* cost:
-    the one-time coherence co-occurrence index build is warmed outside
-    the timed fits (it would dominate at bench-scale sweep counts while
-    vanishing over a real run's hundreds of sweeps) and reported
-    separately as ``index_build_seconds``.  The perf gate asserts the
-    steady-state fraction stays under 5%.
+    ``overhead_fraction`` is the *steady-state* cost: the one-time
+    coherence co-occurrence index build is warmed outside the timed fits
+    (it would dominate at bench-scale sweep counts while vanishing over
+    a real run's hundreds of sweeps), shared across reps, and reported
+    as ``index_build_seconds``.  ``draws_match`` attaches a stride-1
+    stream, the worst case.  The perf gate asserts the steady-state
+    fraction stays under 5%.
     """
-    from .diagnostics.quality import QualityStream
     from .eval.coherence import CooccurrenceIndex
 
     corpus = case.build_corpus()
-    best = {"off": math.inf, "on": math.inf}
-    # The coherence co-occurrence index is a one-time corpus scan that
-    # would otherwise land inside the first metered sweep and swamp the
-    # amortised statistic at bench-scale sweep counts; build it outside
-    # the timed region, share it across reps, report its cost separately.
     index_start = time.perf_counter()
-    warm_index = CooccurrenceIndex(corpus)
+    index = CooccurrenceIndex(corpus)
     index_build_seconds = time.perf_counter() - index_start
-    with tempfile.TemporaryDirectory() as tmp:
-        for rep in range(reps):
-            order = ("off", "on") if rep % 2 == 0 else ("on", "off")
-            for mode in order:
-                run_dir = Path(tmp) / f"{mode}_{rep}"
-                model = COLDModel(
-                    num_communities=case.num_communities,
-                    num_topics=case.num_topics,
-                    seed=case.seed,
-                    metrics_out=run_dir / "metrics.jsonl",
-                )
-                stream = None
-                if mode == "on":
-                    stream = QualityStream(
-                        corpus, stride=stride, index=warm_index
-                    )
-                best[mode] = min(
-                    best[mode],
-                    _timed_fit_mean_sweep_seconds(
-                        model, corpus, sweeps, diagnostics=stream
-                    ),
-                )
-    return {
-        "name": case.name,
-        "config": asdict(case),
-        "sweeps": sweeps,
-        "reps": reps,
+    record = _overhead_case(
+        case, corpus, _quality_arm(corpus, stride, index), _mean,
+        sweeps, reps, equivalence_sweeps, check_arm=_quality_arm(corpus, 1),
+    )
+    return record | {
         "stride": stride,
-        "off_seconds_per_sweep": round(best["off"], 5),
-        "on_seconds_per_sweep": round(best["on"], 5),
-        "overhead_fraction": round(best["on"] / best["off"] - 1.0, 4),
         "index_build_seconds": round(index_build_seconds, 3),
-        "draws_match": diagnostics_draws_match(
-            corpus, case, num_sweeps=equivalence_sweeps
-        ),
-        "peak_rss_mb": peak_rss_mb(),
     }
 
 
@@ -604,35 +559,32 @@ def write_diagnostics_benchmark(
     equivalence_sweeps: int = 3,
 ) -> dict:
     """Run the diagnostics overhead suite and atomically write its JSON."""
-    payload = {
-        "benchmark": DIAGNOSTICS_BENCHMARK,
-        "harness": "repro.perf",
-        **environment_stamp(),
-        "method": {
-            "sweeps": sweeps,
-            "reps": reps,
-            "stride": stride,
-            "statistic": (
-                "min over ABBA reps of mean seconds per sweep "
-                "(mean, not min: stride-gated cost is non-uniform); "
-                "one-time co-occurrence index build excluded, "
-                "reported as index_build_seconds"
-            ),
-            "baseline": "telemetry-enabled fit without a QualityStream",
+    return _write_payload(
+        path,
+        {
+            "benchmark": DIAGNOSTICS_BENCHMARK,
+            "harness": "repro.perf",
+            **environment_stamp(),
+            "method": {
+                "sweeps": sweeps,
+                "reps": reps,
+                "stride": stride,
+                "statistic": (
+                    "min over ABBA reps of mean seconds per sweep "
+                    "(mean, not min: stride-gated cost is non-uniform); "
+                    "one-time co-occurrence index build excluded, "
+                    "reported as index_build_seconds"
+                ),
+                "baseline": "telemetry-enabled fit without a QualityStream",
+            },
+            "cases": [
+                run_diagnostics_overhead_case(
+                    case, sweeps, reps, stride, equivalence_sweeps
+                )
+                for case in cases
+            ],
         },
-        "cases": [
-            run_diagnostics_overhead_case(
-                case,
-                sweeps=sweeps,
-                reps=reps,
-                stride=stride,
-                equivalence_sweeps=equivalence_sweeps,
-            )
-            for case in cases
-        ],
-    }
-    atomic_write_text(Path(path), json.dumps(payload, indent=2) + "\n")
-    return payload
+    )
 
 
 #: Scale points (users) for the out-of-core packed sweep: 1.7x to 167x the
@@ -663,85 +615,68 @@ def packed_scale_config(num_users: int, seed: int = 7) -> SyntheticConfig:
     )
 
 
-def _packed_generate_probe(conn, config_kwargs: dict, path: str) -> None:
-    """Subprocess body: chunk-generate a ``.coldpack`` and self-report.
-
-    Runs in a fresh *spawned* process so the reported ``peak_rss_mb`` is
-    the generation's own high-water mark, untainted by whatever the
-    parent benchmarked earlier (``ru_maxrss`` is monotonic per process).
-    """
+def _packed_generate_probe(config: SyntheticConfig, path: str) -> dict:
+    """Probe: chunk-generate a ``.coldpack``; returns its size and timing."""
     from .datasets.synthetic import generate_packed_corpus
 
-    config = SyntheticConfig(**config_kwargs)
     start = time.perf_counter()
     corpus, _truth = generate_packed_corpus(config, path=path)
     seconds = time.perf_counter() - start
     try:
-        conn.send(
-            {
-                "seconds": seconds,
-                "num_posts": corpus.num_posts,
-                "num_tokens": corpus.num_words,
-                "num_links": corpus.num_links,
-                "file_mb": round(os.path.getsize(path) / 2**20, 2),
-                "peak_rss_mb": peak_rss_mb(include_children=True),
-            }
-        )
+        return {
+            "seconds": seconds,
+            "num_posts": corpus.num_posts,
+            "num_tokens": corpus.num_words,
+            "num_links": corpus.num_links,
+            "file_mb": round(os.path.getsize(path) / 2**20, 2),
+        }
     finally:
         corpus.close()
-        conn.close()
 
 
 def _packed_train_probe(
-    conn,
-    path: str,
-    num_communities: int,
-    num_topics: int,
-    num_nodes: int,
-    num_workers: int | None,
-    sweeps: int,
-    seed: int,
-) -> None:
-    """Subprocess body: mmap-backed ``processes`` fit, self-reported.
-
-    Opens the ``.coldpack`` read-only and fits with the ``processes``
-    executor, so workers map the file instead of receiving pickled
-    posts; ``peak_rss_mb`` folds the worker children in.
-    """
+    path: str, sampler: Callable[[], ParallelCOLDSampler], sweeps: int
+) -> dict:
+    """Probe: fit ``sampler()``, a ``processes``-executor sampler, on the
+    ``.coldpack`` opened read-only, so workers map the file instead of
+    receiving pickled posts; returns the per-sweep timings."""
     from .datasets.packed import PackedCorpus
 
     corpus = PackedCorpus.open(path)
     try:
         start = time.perf_counter()
-        sampler = ParallelCOLDSampler(
-            num_communities=num_communities,
-            num_topics=num_topics,
-            num_nodes=num_nodes,
-            executor="processes",
-            num_workers=num_workers,
-            seed=seed,
-            fast=True,
-        ).fit(corpus, num_iterations=sweeps)
+        report = sampler().fit(corpus, num_iterations=sweeps).report_
         wall = time.perf_counter() - start
-        report = sampler.report_
         assert report is not None
-        per_sweep = min(step.cluster_seconds for step in report.supersteps)
-        conn.send(
-            {
-                "cluster_seconds_per_sweep": per_sweep,
-                "wall_seconds_per_sweep": wall / sweeps,
-                "peak_rss_mb": peak_rss_mb(include_children=True),
-            }
-        )
+        return {
+            "cluster_seconds_per_sweep": min(
+                step.cluster_seconds for step in report.supersteps
+            ),
+            "wall_seconds_per_sweep": wall / sweeps,
+        }
     finally:
         corpus.close()
+
+
+def _probe_main(conn, target, args: tuple) -> None:
+    """Subprocess body: pipe back ``target(*args)`` plus ``peak_rss_mb``.
+
+    Runs in a fresh *spawned* process, so the peak is the probe's own
+    high-water mark (worker children folded in), untainted by whatever
+    the parent benchmarked earlier: ``ru_maxrss`` is monotonic per process.
+    """
+    try:
+        record = target(*args)
+        rss = profiling.memory_gauges(include_children=True)
+        conn.send(record | {"peak_rss_mb": rss["rss_peak_mb"]})
+    finally:
         conn.close()
 
 
 def _run_probe(ctx, target, args: tuple) -> dict:
     """Run a probe function in a fresh process; return what it piped back."""
     receiver, sender = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=target, args=(sender, *args))
+    proc = ctx.Process(target=_probe_main, args=(sender, target, args))
     proc.start()
     sender.close()
     try:
@@ -755,51 +690,6 @@ def _run_probe(ctx, target, args: tuple) -> dict:
     proc.join()
     receiver.close()
     return result
-
-
-def packed_draws_match(
-    path: str | Path,
-    num_communities: int,
-    num_topics: int,
-    num_nodes: int,
-    num_workers: int | None = None,
-    num_sweeps: int = 2,
-    seed: int = 7,
-) -> bool:
-    """True iff mmap-backed and in-RAM fits draw the identical chain.
-
-    Fits the same corpus twice from one seed: once as a materialised
-    :class:`SocialCorpus` on the sequential ``simulated`` oracle, once as
-    the memory-mapped :class:`PackedCorpus` on the ``processes`` executor.
-    This is the packed format's whole correctness claim — out-of-core is
-    a storage decision, not a statistical one — so the scaling harness
-    records it with every run.
-    """
-    from .datasets.packed import PackedCorpus
-
-    packed = PackedCorpus.open(path)
-    try:
-        social = packed.to_social_corpus()
-        states = []
-        for corpus, run_executor, run_workers in (
-            (social, "simulated", None),
-            (packed, "processes", num_workers),
-        ):
-            sampler = ParallelCOLDSampler(
-                num_communities=num_communities,
-                num_topics=num_topics,
-                num_nodes=num_nodes,
-                executor=run_executor,
-                num_workers=run_workers,
-                seed=seed,
-                fast=True,
-            ).fit(corpus, num_iterations=num_sweeps)
-            states.append(sampler.state_)
-    finally:
-        packed.close()
-    reference, candidate = states
-    assert reference is not None and candidate is not None
-    return _states_identical(reference, candidate)
 
 
 def run_packed_scaling_case(
@@ -822,30 +712,31 @@ def run_packed_scaling_case(
     in one process would report the largest one three times.  Draw
     equivalence (mmap ``processes`` vs in-RAM ``simulated``) is checked
     at the smallest scale, where a double fit is cheap, after the last
-    probe has reported.
+    probe has reported.  It is the packed format's whole correctness
+    claim, so every run records it.
     """
+    from .datasets.packed import PackedCorpus
+
     if not scales:
         raise ValueError("scales must not be empty")
     ctx = multiprocessing.get_context("spawn")
+    simulated = partial(
+        ParallelCOLDSampler,
+        num_communities=num_communities,
+        num_topics=num_topics,
+        num_nodes=num_nodes,
+        executor="simulated",
+        seed=seed,
+        fast=True,
+    )
+    mmap_sampler = partial(simulated, executor="processes", num_workers=num_workers)
     points = []
     with tempfile.TemporaryDirectory(prefix="coldpack-bench-") as tmp:
         for num_users in scales:
             config = packed_scale_config(num_users, seed=seed)
             path = os.path.join(tmp, f"scale_{num_users}.coldpack")
-            gen = _run_probe(ctx, _packed_generate_probe, (asdict(config), path))
-            train = _run_probe(
-                ctx,
-                _packed_train_probe,
-                (
-                    path,
-                    num_communities,
-                    num_topics,
-                    num_nodes,
-                    num_workers,
-                    sweeps,
-                    seed,
-                ),
-            )
+            gen = _run_probe(ctx, _packed_generate_probe, (config, path))
+            train = _run_probe(ctx, _packed_train_probe, (path, mmap_sampler, sweeps))
             points.append(
                 {
                     "users": num_users,
@@ -869,15 +760,19 @@ def run_packed_scaling_case(
         # The draws check fits in this process, so it runs after every
         # probe: a spawned probe starts from a copy of this process and
         # its ``ru_maxrss`` would report the check's peak, not its own.
-        draws_ok = packed_draws_match(
-            os.path.join(tmp, f"scale_{min(scales)}.coldpack"),
-            num_communities,
-            num_topics,
-            num_nodes,
-            num_workers=num_workers,
-            num_sweeps=equivalence_sweeps,
-            seed=seed,
-        )
+        # Out-of-core is a storage decision, not a statistical one: the
+        # mmap-backed ``processes`` fit must draw the in-RAM ``simulated``
+        # oracle's chain.
+        packed = PackedCorpus.open(os.path.join(tmp, f"scale_{min(scales)}.coldpack"))
+        try:
+            social = packed.to_social_corpus()
+            draws_ok = _same_chain(
+                lambda mmap: (mmap_sampler() if mmap else simulated())
+                .fit(packed if mmap else social, num_iterations=equivalence_sweeps)
+                .state_
+            )
+        finally:
+            packed.close()
     return {
         "name": "packed_out_of_core",
         "config": {
@@ -936,14 +831,17 @@ def environment_stamp() -> dict:
 
     Keeps the historical top-level ``python``/``numpy`` keys (older
     committed snapshots have only those) and adds ``git_describe`` plus
-    the full :func:`machine_fingerprint`.
+    the full :func:`machine_fingerprint`.  A dirty tree also gets
+    ``git_worktree``, the id of the code that actually ran.
     """
-    from .telemetry.manifest import git_describe
+    from .telemetry.manifest import git_describe, git_worktree
 
+    worktree = git_worktree()
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "git_describe": git_describe(),
+        **({"git_worktree": worktree} if worktree else {}),
         "machine": machine_fingerprint(),
     }
 
@@ -1039,6 +937,8 @@ def append_history(
         "machine": payload.get("machine"),
         "metrics": _metrics_of(payload),
     }
+    if "git_worktree" in payload:
+        record["git_worktree"] = payload["git_worktree"]
     with JsonlWriter(path) as writer:
         return writer.write("bench", **record)
 
@@ -1142,47 +1042,31 @@ def resolve_baseline(
     baseline can be found.
     """
     snapshot_path = Path(snapshot_path)
+    candidate = snapshot_path
     if spec is not None:
         candidate = Path(spec)
-        if candidate.exists():
-            if candidate.suffix == ".jsonl":
-                records = read_history(candidate, benchmark=benchmark)
-                return records[-1] if records else None
-            try:
-                return json.loads(candidate.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError):
-                return None
-        return _git_show_json(spec, snapshot_path)
-    if snapshot_path.exists():
-        try:
-            return json.loads(snapshot_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return None
-    return None
+        if not candidate.exists():
+            return _git_show_json(spec, snapshot_path)
+        if candidate.suffix == ".jsonl":
+            records = read_history(candidate, benchmark=benchmark)
+            return records[-1] if records else None
+    try:
+        return json.loads(candidate.read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError):
+        return None
 
 
 def _git_show_json(ref: str, path: Path) -> dict | None:
     """``git show ref:path`` parsed as JSON; ``None`` on any failure."""
-    import subprocess
+    from .telemetry.manifest import git_output
 
+    top = git_output(["rev-parse", "--show-toplevel"])
+    if top is None:
+        return None
+    shown = git_output(["show", f"{ref}:{os.path.relpath(path.resolve(), top)}"])
     try:
-        top = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            capture_output=True,
-            text=True,
-            timeout=5.0,
-            check=True,
-        ).stdout.strip()
-        relative = os.path.relpath(path.resolve(), top)
-        shown = subprocess.run(
-            ["git", "show", f"{ref}:{relative}"],
-            capture_output=True,
-            text=True,
-            timeout=5.0,
-            check=True,
-        ).stdout
-        return json.loads(shown)
-    except Exception:
+        return None if shown is None else json.loads(shown)
+    except json.JSONDecodeError:
         return None
 
 
@@ -1216,16 +1100,8 @@ def run_profile_case(
     prof = profiling.PhaseProfiler()
     utilization = None
     if executor == "serial":
-        hp = Hyperparameters.default(
-            case.num_communities, case.num_topics, corpus
-        )
-        rng = np.random.default_rng(case.seed)
-        state = CountState.initialize(
-            corpus, case.num_communities, case.num_topics, rng
-        )
-        cache = SweepCache(state, hp)
-        for _ in range(warmup):
-            sweep(state, hp, rng, cache=cache)
+        hp = Hyperparameters.default(case.num_communities, case.num_topics, corpus)
+        state, rng, cache = _warmed_chain(corpus, hp, case, case.seed, warmup)
         previous = profiling.set_profiler(prof)
         total_wall = 0.0
         try:
@@ -1257,13 +1133,8 @@ def run_profile_case(
         total_wall = sum(r["wall_seconds"] for r in records)
         if records:
             utilization = {
-                "busy_fraction": round(
-                    sum(r["busy_fraction"] for r in records) / len(records), 4
-                ),
-                "straggler_ratio": round(
-                    sum(r["straggler_ratio"] for r in records) / len(records),
-                    4,
-                ),
+                key: round(_mean([r[key] for r in records]), 4)
+                for key in ("busy_fraction", "straggler_ratio")
             }
     report = profiling.build_profile_report(prof, total_wall, sweeps)
     return {
@@ -1274,86 +1145,7 @@ def run_profile_case(
         "sweeps": sweeps,
         **report,
         "utilization": utilization,
-        "memory": profiling.memory_gauges(
-            include_children=executor == "processes"
-        ),
+        "memory": profiling.memory_gauges(include_children=executor == "processes"),
         "collapsed": profiling.render_collapsed(prof),
         **environment_stamp(),
-    }
-
-
-def profiler_draws_match(
-    corpus: SocialCorpus, case: BenchCase, num_sweeps: int = 3
-) -> bool:
-    """True iff profiled and dark fits draw the identical chain.
-
-    :func:`~repro.core.fastgibbs.fast_sweep` times its phases only while
-    a profiler is active and never reads the RNG for it, so this is the
-    strongest claim the gate makes: the timed sweep draws the same
-    weights with the same RNG consumption.
-    """
-    states = []
-    for enabled in (False, True):
-        model = COLDModel(
-            num_communities=case.num_communities,
-            num_topics=case.num_topics,
-            seed=case.seed + 1,
-        )
-        previous = profiling.set_profiler(
-            profiling.PhaseProfiler() if enabled else None
-        )
-        try:
-            model.fit(corpus, num_iterations=num_sweeps, likelihood_interval=1)
-        finally:
-            profiling.set_profiler(previous)
-        assert model.state_ is not None
-        states.append(model.state_)
-    return _states_identical(*states)
-
-
-def run_profiler_overhead_case(
-    case: BenchCase,
-    sweeps: int = 8,
-    reps: int = 6,
-    equivalence_sweeps: int = 3,
-) -> dict:
-    """Per-sweep cost of profiling on vs off; JSON-ready record.
-
-    Same ABBA/min-floor discipline as
-    :func:`run_telemetry_overhead_case`: each rep times a dark fit and a
-    fit with an active :class:`~repro.telemetry.profiler.PhaseProfiler`
-    (which turns on the sweep kernel's phase timers),
-    alternating order so machine drift hits both modes equally.  The
-    perf gate asserts ``overhead_fraction`` stays under 3%.
-    """
-    corpus = case.build_corpus()
-    best = {"off": math.inf, "on": math.inf}
-    for rep in range(reps):
-        order = ("off", "on") if rep % 2 == 0 else ("on", "off")
-        for mode in order:
-            model = COLDModel(
-                num_communities=case.num_communities,
-                num_topics=case.num_topics,
-                seed=case.seed,
-            )
-            previous = profiling.set_profiler(
-                profiling.PhaseProfiler() if mode == "on" else None
-            )
-            try:
-                timed = _timed_fit_min_sweep_seconds(model, corpus, sweeps)
-            finally:
-                profiling.set_profiler(previous)
-            best[mode] = min(best[mode], timed)
-    return {
-        "name": case.name,
-        "config": asdict(case),
-        "sweeps": sweeps,
-        "reps": reps,
-        "off_seconds_per_sweep": round(best["off"], 5),
-        "on_seconds_per_sweep": round(best["on"], 5),
-        "overhead_fraction": round(best["on"] / best["off"] - 1.0, 4),
-        "draws_match": profiler_draws_match(
-            corpus, case, num_sweeps=equivalence_sweeps
-        ),
-        "peak_rss_mb": peak_rss_mb(),
     }

@@ -30,11 +30,11 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def git_describe(cwd: str | Path | None = None) -> str | None:
-    """``git describe --always --dirty`` of ``cwd``, or None outside git."""
+def git_output(args: list[str], cwd: str | Path | None = None) -> str | None:
+    """Stripped stdout of ``git <args>`` in ``cwd``; None on failure or no output."""
     try:
         result = subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--tags"],
+            ["git", *args],
             cwd=None if cwd is None else str(cwd),
             capture_output=True,
             text=True,
@@ -45,6 +45,26 @@ def git_describe(cwd: str | Path | None = None) -> str | None:
     if result.returncode != 0:
         return None
     return result.stdout.strip() or None
+
+
+def git_describe(cwd: str | Path | None = None) -> str | None:
+    """``git describe --always --dirty`` of ``cwd``, or None outside git."""
+    return git_output(["describe", "--always", "--dirty", "--tags"], cwd)
+
+
+def git_worktree(cwd: str | Path | None = None) -> str | None:
+    """Content id of a dirty working tree, or None when it is clean.
+
+    ``git describe --dirty`` names only the commit a dirty tree started
+    from.  ``git stash create`` commits the tracked files' working state
+    without moving any ref; its tree id depends on that content alone,
+    so two runs of the same edits share it.  Untracked files are not
+    part of it, as they are not part of ``--dirty``.
+    """
+    stash = git_output(["stash", "create"], cwd)
+    if stash is None:
+        return None
+    return git_output(["rev-parse", f"{stash}^{{tree}}"], cwd)
 
 
 def build_run_manifest(

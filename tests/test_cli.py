@@ -324,6 +324,10 @@ class TestRetiredBenchFlags:
         ["--nodes", "1", "2"],
         ["--executor", "processes"],
         ["--workers", "2"],
+        # Diagnostics settings with one value in use, now constants.
+        ["--stride", "10"],
+        ["--sweeps", "20"],
+        ["--equivalence-sweeps", "2"],
     ]
 
     @pytest.mark.parametrize("flag", RETIRED, ids=lambda flag: flag[0])

@@ -107,3 +107,57 @@ class TestNegativeLinkPrior:
     def test_invalid_community_count(self, tiny_corpus):
         with pytest.raises(ParameterError):
             negative_link_prior(tiny_corpus, 0)
+
+
+class TestResolve:
+    """The one §6.5 prior rule every model fits with."""
+
+    @pytest.fixture()
+    def resolved(self, monkeypatch):
+        """Records every prior a fit resolves."""
+        seen: list[Hyperparameters] = []
+        original = Hyperparameters.resolve.__func__
+
+        def spy(cls, *args, **kwargs):
+            hp = original(cls, *args, **kwargs)
+            seen.append(hp)
+            return hp
+
+        monkeypatch.setattr(Hyperparameters, "resolve", classmethod(spy))
+        return seen
+
+    @pytest.mark.parametrize("prior", ["paper", "scaled"])
+    @pytest.mark.parametrize("include_network", [True, False])
+    def test_three_models_resolve_one_prior(
+        self, tiny_corpus, resolved, prior, include_network
+    ):
+        from repro.core.model import COLDModel
+        from repro.core.perword import COLDPerWordModel
+        from repro.parallel.sampler import ParallelCOLDSampler
+
+        settings = {
+            "num_communities": 3,
+            "num_topics": 4,
+            "prior": prior,
+            "include_network": include_network,
+        }
+        COLDModel(**settings).fit(tiny_corpus, num_iterations=1)
+        ParallelCOLDSampler(num_nodes=2, **settings).fit(
+            tiny_corpus, num_iterations=1
+        )
+        COLDPerWordModel(**settings).fit(tiny_corpus, num_iterations=1)
+        network = tiny_corpus if include_network else None
+        factory = {"paper": Hyperparameters.default, "scaled": Hyperparameters.scaled}
+        assert resolved == [factory[prior](3, 4, network)] * 3
+
+    def test_given_prior_wins(self, tiny_corpus):
+        given = Hyperparameters.default(3, 4).with_lambda0(7.0)
+        assert Hyperparameters.resolve(given, 3, 4, tiny_corpus) is given
+
+    def test_kappa_reaches_only_the_paper_prior(self, tiny_corpus):
+        paper = Hyperparameters.resolve(None, 3, 4, tiny_corpus, kappa=2.0)
+        assert paper == Hyperparameters.default(3, 4, tiny_corpus, kappa=2.0)
+        scaled = Hyperparameters.resolve(
+            None, 3, 4, tiny_corpus, prior="scaled", kappa=2.0
+        )
+        assert scaled == Hyperparameters.scaled(3, 4, tiny_corpus)

@@ -11,12 +11,13 @@ draws matched.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 from repro.perf import (
     MEDIUM,
     SMOKE,
+    _overhead_case,
     packed_scale_config,
-    peak_rss_mb,
     run_benchmark,
     run_case,
     write_benchmark,
@@ -46,6 +47,11 @@ class TestRunCase:
         counts = [n for _c, _k, n in occupancy["top_cells"]]
         assert counts == sorted(counts, reverse=True)
 
+    def test_every_case_record_carries_peak_rss(self):
+        record = run_case(SMOKE, warmup=1, reps=1, sweeps_per_rep=1,
+                          equivalence_sweeps=1)
+        assert record["peak_rss_mb"] > 0
+
     def test_medium_case_dimensions_meet_floors(self):
         # The acceptance floors for the headline benchmark config.
         assert MEDIUM.num_users >= 500
@@ -71,18 +77,34 @@ class TestWriteBenchmark:
         assert payload["harness"] == "repro.perf"
 
 
-class TestPeakRss:
-    def test_helper_reports_positive_megabytes(self):
-        # A Python process with numpy loaded sits well above 10MB; a
-        # plausibility window guards against unit slips (KiB vs bytes).
-        rss = peak_rss_mb()
-        assert 10 < rss < 1024 * 1024
-        assert peak_rss_mb(include_children=True) >= rss
+@contextmanager
+def _noop_arm(on, run_dir, make_model):
+    yield make_model(), {}
 
-    def test_every_case_record_carries_peak_rss(self):
-        record = run_case(SMOKE, warmup=1, reps=1, sweeps_per_rep=1,
-                          equivalence_sweeps=1)
-        assert record["peak_rss_mb"] > 0
+
+@contextmanager
+def _extra_draw_arm(on, run_dir, make_model):
+    model = make_model()
+    if on:
+        model._rng.random()  # one draw the dark side never takes
+    yield model, {}
+
+
+class TestChainCheck:
+    """``draws_match`` can read False: the overhead runner's chain check
+    compares the two sides' draws, not just that both fits ran."""
+
+    def _record(self, arm):
+        return _overhead_case(
+            SMOKE, SMOKE.build_corpus(), arm, min,
+            sweeps=2, reps=1, equivalence_sweeps=2,
+        )
+
+    def test_extra_rng_draw_breaks_the_match(self):
+        assert self._record(_extra_draw_arm)["draws_match"] is False
+
+    def test_noop_arm_matches(self):
+        assert self._record(_noop_arm)["draws_match"] is True
 
 
 class TestPackedScaleConfig:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import copy
 import json
+import re
+import shutil
 import subprocess
 from pathlib import Path
 
@@ -28,8 +30,10 @@ from repro.perf import (
     read_history,
     render_comparison,
     resolve_baseline,
+    run_diagnostics_overhead_case,
     run_profile_case,
     run_profiler_overhead_case,
+    run_telemetry_overhead_case,
 )
 
 PAYLOAD = {
@@ -70,6 +74,37 @@ class TestEnvironmentStamp:
 
     def test_stamp_is_json_serialisable(self):
         json.dumps(environment_stamp())
+
+    @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+    def test_dirty_tree_stamps_its_content(self, tmp_path, monkeypatch):
+        def git(*args):
+            subprocess.run(
+                ["git", *args], cwd=tmp_path, check=True, capture_output=True
+            )
+
+        git("init", "-q")
+        git("config", "user.name", "bench")
+        git("config", "user.email", "bench@example.com")
+        tracked = tmp_path / "code.py"
+        tracked.write_text("x = 1\n")
+        git("add", "code.py")
+        git("commit", "-q", "-m", "initial")
+        monkeypatch.chdir(tmp_path)
+        assert "git_worktree" not in environment_stamp()
+
+        tracked.write_text("x = 2\n")
+        dirty = environment_stamp()
+        assert dirty["git_describe"].endswith("-dirty")
+        assert re.fullmatch(r"[0-9a-f]{40}", dirty["git_worktree"])
+        # The same content keeps its id; other content gets another.
+        assert environment_stamp()["git_worktree"] == dirty["git_worktree"]
+        tracked.write_text("x = 3\n")
+        assert environment_stamp()["git_worktree"] != dirty["git_worktree"]
+        # Stamping moved no ref: the tree is still dirty, no stash listed.
+        listed = subprocess.run(
+            ["git", "stash", "list"], cwd=tmp_path, capture_output=True, text=True
+        )
+        assert listed.stdout == ""
 
 
 class TestMetricDirection:
@@ -233,9 +268,26 @@ class TestProfileHarness:
         assert "machine" in record
 
     def test_smoke_overhead_record(self):
-        record = run_profiler_overhead_case(
-            SMOKE, sweeps=2, reps=1, equivalence_sweeps=2
+        # Every overhead suite runs on SMOKE, each record keeping the key
+        # set its ledger rows were written with, so comparisons against
+        # older runs stay valid.
+        common = {
+            "name", "config", "sweeps", "reps", "off_seconds_per_sweep",
+            "on_seconds_per_sweep", "overhead_fraction", "draws_match",
+            "peak_rss_mb",
+        }
+        suites = (
+            (run_telemetry_overhead_case, {}, set()),
+            (run_profiler_overhead_case, {}, set()),
+            (
+                run_diagnostics_overhead_case,
+                {"stride": 1},
+                {"stride", "index_build_seconds"},
+            ),
         )
-        assert record["draws_match"] is True
-        assert record["off_seconds_per_sweep"] > 0
-        assert record["on_seconds_per_sweep"] > 0
+        for run, kwargs, extra in suites:
+            record = run(SMOKE, sweeps=2, reps=1, equivalence_sweeps=2, **kwargs)
+            assert set(record) == common | extra, run.__name__
+            assert record["draws_match"] is True, run.__name__
+            assert record["off_seconds_per_sweep"] > 0
+            assert record["on_seconds_per_sweep"] > 0
