@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .diffusion import zeta_for_topic
 from .estimates import ParameterEstimates
-from .fastgibbs import _address, native_kernel, pcg64_words
+from .fastgibbs import _buffer_address, native_kernel, pcg64_words
 
 
 class InfluenceError(ValueError):
@@ -146,20 +147,22 @@ def _cascade(
     bit-identical to the numpy kernel's.  The foreign call releases the
     GIL.
     """
-    if live is not None and live.shape != _live_shape(*active.shape):
+    if live is not None and (
+        live.shape != _live_shape(*active.shape) or live.dtype != np.uint64
+    ):
         raise ValueError("live bitsets and activations disagree in shape")
     lib = native_kernel()
     bitgen = rng.bit_generator
     if lib is None or type(bitgen) is not np.random.PCG64:
         return _batched_cascade(probabilities, active, rng, live)
-    probabilities = np.ascontiguousarray(probabilities, dtype=np.float64)
+    # A writable float64 copy only when the caller's matrix is not one.
+    probabilities = np.require(probabilities, np.float64, "CW")
     with pcg64_words(bitgen) as words:
         lib.cold_ic_cascade(
-            _address(probabilities, np.float64), probabilities.shape[0],
-            _address(active.view(np.uint8), np.uint8, writable=True),
-            active.shape[0],
-            None if live is None else _address(live, np.uint64, writable=True),
-            words.ctypes.data,
+            _buffer_address(probabilities), probabilities.shape[0],
+            _buffer_address(active.view(np.uint8)), active.shape[0],
+            None if live is None else _buffer_address(live),
+            _buffer_address(words),
         )
     return active
 
@@ -190,21 +193,38 @@ def _batched_reach(live: np.ndarray, sets: np.ndarray) -> np.ndarray:
     )
 
 
-def _reach(live: np.ndarray, sets: np.ndarray) -> np.ndarray:
-    """:func:`_batched_reach`, natively when the library is loaded."""
-    if live.shape != _live_shape(len(live), sets.shape[1]):
+@lru_cache(maxsize=8)
+def _identity_csr(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The seed-set CSR ``(set_ptr, set_nodes)`` of ``seeds=None``: set
+    ``i`` is node ``i`` alone.  Built once per node count and shared, so
+    never written."""
+    ids = np.arange(n + 1, dtype=np.int64)
+    return ids, ids[:n]
+
+
+def _reach(
+    live: np.ndarray,
+    sets: np.ndarray,
+    csr: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """:func:`_batched_reach`, natively when the library is loaded.
+
+    ``csr`` is ``sets`` as ``(set_ptr, set_nodes)`` int64 arrays, when
+    the caller has it; otherwise it is built from the masks.
+    """
+    if live.shape != _live_shape(len(live), sets.shape[1]) or live.dtype != np.uint64:
         raise ValueError("live bitsets and seed-set masks disagree in shape")
     lib = native_kernel()
     if lib is None:
         return _batched_reach(live, sets)
-    set_ptr = np.zeros(len(sets) + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(sets, axis=1), out=set_ptr[1:])
-    set_nodes = np.nonzero(sets)[1].astype(np.int64)
+    if csr is None:
+        set_ptr = np.zeros(len(sets) + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(sets, axis=1), out=set_ptr[1:])
+        csr = set_ptr, np.nonzero(sets)[1].astype(np.int64)
     counts = np.zeros(len(sets), dtype=np.int64)
     lib.cold_ic_reach(
-        _address(live, np.uint64, writable=True), live.shape[1], live.shape[0],
-        _address(set_ptr, np.int64), _address(set_nodes, np.int64), len(sets),
-        _address(counts, np.int64, writable=True),
+        _buffer_address(live), live.shape[1], live.shape[0],
+        *map(_buffer_address, csr), len(sets), _buffer_address(counts),
     )
     return counts
 
@@ -233,7 +253,8 @@ def _mean_spreads(
         return np.count_nonzero(active.reshape(1, -1), axis=1) / num_simulations
     live = np.zeros(_live_shape(*active.shape), dtype=np.uint64)
     _cascade(probabilities, active, rng, live)
-    return _reach(live, sets) / num_simulations
+    csr = _identity_csr(sets.shape[1]) if seeds is None else None
+    return _reach(live, sets, csr) / num_simulations
 
 
 def independent_cascade(

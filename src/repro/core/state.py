@@ -27,9 +27,9 @@ import numpy as np
 
 from ..datasets.corpus import Post, SocialCorpus, post_columns, unique_links
 
-#: Posts per slice of :meth:`CountState._recount`: bounds the index
-#: columns alive at once.
-_SLICE_POSTS = 256
+#: Unique-word entries per post slice of :meth:`CountState._recount`:
+#: bounds the index columns alive at once.
+_SLICE_WORDS = 1 << 16
 
 #: Word-id span the native unique-word kernel always takes: its scratch
 #: is one int64 stamp per id.  Beyond this and four stamps per token the
@@ -102,6 +102,19 @@ def _unique_word_csr_numpy(
         counts[first],
         np.bincount(owner[first], minlength=len(lengths)),
     )
+
+
+def _count_into(counter: np.ndarray, index: np.ndarray, weights=1) -> None:
+    """``np.add.at`` of ``weights`` at the flat ids ``index`` of ``counter``.
+
+    A 1-D scatter: numpy's ``add.at`` takes it several times faster than
+    a tuple of per-axis indices, and faster than a weighted
+    ``np.bincount`` with no span to allocate (EXPERIMENTS.md).
+    """
+    if counter.flags.c_contiguous:
+        np.add.at(counter.reshape(-1), index, weights)
+    else:
+        np.add.at(counter, np.unravel_index(index, counter.shape), weights)
 
 
 class StateError(ValueError):
@@ -526,36 +539,46 @@ class CountState:
         ``first_post`` and the links from ``first_link`` on, and added to
         ``into`` (default: zero counters).
 
-        Vectorised ``np.add.at`` over the :class:`PostTable` columns and
-        the link array: integer counts, so exactly what one
-        :meth:`add_post` / :meth:`add_link` per item adds.  From
-        ``(0, 0)`` onto zeros this is :meth:`check_invariants`'
-        reference.
+        Vectorised over the :class:`PostTable` columns, in post slices of
+        about ``_SLICE_WORDS`` unique words, and the link array: each
+        counter takes one flat-index :func:`_count_into` per slice.
+        Integer counts, so exactly what one :meth:`add_post` /
+        :meth:`add_link` per item adds.  From ``(0, 0)`` onto zeros this is
+        :meth:`check_invariants`' reference.
         """
         counts = into if into is not None else {
             name: np.zeros_like(getattr(self, name)) for name in self._COUNTERS
         }
+        _, K, T = counts["n_comm_topic_time"].shape
+        C, V = counts["n_user_comm"].shape[1], counts["n_topic_word"].shape[1]
         table = self.posts
-        for lo in range(first_post, len(table), _SLICE_POSTS):
-            posts = slice(lo, lo + _SLICE_POSTS)
-            c, k = self.post_comm[posts], self.post_topic[posts]
-            np.add.at(counts["n_user_comm"], (table.authors[posts], c), 1)
-            np.add.at(counts["n_comm_topic"], (c, k), 1)
-            np.add.at(counts["n_comm_topic_time"], (c, k, table.times[posts]), 1)
-            np.add.at(counts["n_topic_total"], k, table.lengths[posts])
-            offsets = table.offsets[lo:lo + _SLICE_POSTS + 1]
-            words = slice(offsets[0], offsets[-1])
-            np.add.at(
+        offsets = table.offsets
+        lo = first_post
+        while lo < len(table):
+            # The posts whose unique words end within _SLICE_WORDS of lo's
+            # start; at least one.
+            end = np.searchsorted(offsets, offsets[lo] + _SLICE_WORDS, "right") - 1
+            hi = min(max(int(end), lo + 1), len(table))
+            c, k = self.post_comm[lo:hi], self.post_topic[lo:hi]
+            cell = c * K + k
+            _count_into(counts["n_user_comm"], table.authors[lo:hi] * C + c)
+            _count_into(counts["n_comm_topic"], cell)
+            _count_into(counts["n_comm_topic_time"], cell * T + table.times[lo:hi])
+            _count_into(counts["n_topic_total"], k, table.lengths[lo:hi])
+            words = slice(offsets[lo], offsets[hi])
+            rows = np.repeat(k * V, np.diff(offsets[lo:hi + 1]))
+            _count_into(
                 counts["n_topic_word"],
-                (np.repeat(k, np.diff(offsets)), table.unique_words[words]),
+                rows + table.unique_words[words],
                 table.unique_counts[words],
             )
+            lo = hi
         s = self.link_src_comm[first_link:]
         d = self.link_dst_comm[first_link:]
         links = self.links[first_link:]
-        np.add.at(counts["n_user_comm"], (links[:, 0], s), 1)
-        np.add.at(counts["n_user_comm"], (links[:, 1], d), 1)
-        np.add.at(counts["n_link_comm"], (s, d), 1)
+        _count_into(counts["n_user_comm"], links[:, 0] * C + s)
+        _count_into(counts["n_user_comm"], links[:, 1] * C + d)
+        _count_into(counts["n_link_comm"], s * C + d)
         return counts
 
     def _count_from(self, first_post: int, first_link: int) -> None:

@@ -178,14 +178,21 @@ class _ColumnSpool:
         return self.items * self.dtype.itemsize
 
 
+def _joined(chunks: list[np.ndarray]) -> np.ndarray:
+    """The buffered arrays end to end; a lone one as it is, not copied."""
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+
+
 class PackedCorpusWriter:
     """Stream a corpus into a ``.coldpack`` file in bounded memory.
 
     Posts arrive as column batches (:meth:`add_post_columns`; ``add_post``
     and ``add_posts`` are adapters over it) and links as ``(E, 2)``
-    arrays (:meth:`add_links`).  Both are buffered as arrays until
-    ``chunk_tokens`` tokens of post data (or link ids) accumulate, then
-    spooled to per-column temp files that keep a running CRC32;
+    arrays (:meth:`add_links`).  Both are buffered as arrays, and the
+    buffer is spooled to per-column temp files that keep a running CRC32
+    before a batch would take it past ``chunk_tokens`` tokens of post
+    data (or link ids), and once it holds that many (a larger batch is
+    spooled alone, uncopied);
     :meth:`finalize` assembles the checksummed container and atomically
     replaces ``path``.  Every batch is validated against the declared
     dimensions before any of it is buffered — a wild token/user/slice id
@@ -261,8 +268,8 @@ class PackedCorpusWriter:
         # CSR offset columns start with their leading zero.
         self._spools["token_offsets"].append([0])
         self._spools["unique_offsets"].append([0])
-        # Array chunks per post column, spooled when chunk_tokens tokens
-        # (or link ids) have accumulated.
+        # Array chunks per post column, spooled before chunk_tokens
+        # tokens (or link ids) would be exceeded.
         self._post_buffers: dict[str, list[np.ndarray]] = {
             name: [] for name in _POST_COLUMNS
         }
@@ -295,6 +302,8 @@ class PackedCorpusWriter:
         )
         if row >= 0:
             self._reject_post(row, authors, times, lengths, words)
+        if self._buffered_tokens + len(words) > self._chunk_tokens:
+            self._flush_posts()
         authors, times, lengths, words = (
             column.astype(np.int64) for column in (authors, times, lengths, words)
         )
@@ -370,6 +379,8 @@ class PackedCorpusWriter:
         if pairs.size == 0:
             return
         check_links(pairs, self.num_users, self_link_error=PackedCorpusError)
+        if 2 * (self._buffered_links + len(pairs)) > self._chunk_tokens:
+            self._flush_links()
         self._link_buffer.append(pairs.astype(np.int64))
         self.num_links += len(pairs)
         self._buffered_links += len(pairs)
@@ -412,13 +423,13 @@ class PackedCorpusWriter:
     def _flush_posts(self) -> None:
         for name, chunks in self._post_buffers.items():
             if chunks:
-                self._spools[name].append(np.concatenate(chunks))
+                self._spools[name].append(_joined(chunks))
                 chunks.clear()
         self._buffered_tokens = 0
 
     def _flush_links(self) -> None:
         if self._link_buffer:
-            self._spools["links"].append(np.concatenate(self._link_buffer))
+            self._spools["links"].append(_joined(self._link_buffer))
             self._link_buffer.clear()
         self._buffered_links = 0
 

@@ -26,19 +26,24 @@ world (:func:`_choice_cdfs`), drawing exactly what ``Generator.choice``
 would from the same uniforms without rebuilding the CDF per call.  The
 tables have the shapes of the planted tensors.  Both generators consume
 :func:`_planted_columns`, which runs that loop natively
-(``core/_planted.c``, stepping numpy's PCG64 in C) over bounded user
-chunks and hands back columns; a word's draw searches only one bucket
+(``core/_planted.c``, stepping numpy's PCG64 in C) and hands back
+columns: :func:`generate_corpus` draws the whole world's posts in one
+call and keeps its columns, :func:`generate_packed_corpus` draws them
+in chunks of one writer flush.  A word's draw searches only one bucket
 of its phi row, through a guide table built once per world.  The
 planted psi's draws run natively too (``cold_psi_draws``), with numpy
 computing its densities.  The Python loops (:func:`_planted_draws`,
 :func:`_plant_psi_loop`) stay as the oracles the native draws are
 tested against and as the fallback without a C compiler: same draws,
-same generator state after.
+same generator state after.  The vocabulary depends only on its shape
+and is built once per shape (:func:`_world_vocabulary`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
@@ -247,8 +252,9 @@ class GroundTruth:
 def _sample_simplex(rng: np.random.Generator, concentration: float, shape: tuple[int, ...]) -> np.ndarray:
     """Rows of symmetric-Dirichlet draws with the trailing axis normalised."""
     draws = rng.gamma(concentration, 1.0, size=shape)
-    draws = np.maximum(draws, 1e-12)
-    return draws / draws.sum(axis=-1, keepdims=True)
+    np.maximum(draws, 1e-12, out=draws)
+    draws /= draws.sum(axis=-1, keepdims=True)
+    return draws
 
 
 def _plant_phi(config: SyntheticConfig, rng: np.random.Generator) -> np.ndarray:
@@ -256,13 +262,15 @@ def _plant_phi(config: SyntheticConfig, rng: np.random.Generator) -> np.ndarray:
     phi = _sample_simplex(
         rng, config.word_concentration, (config.num_topics, config.vocab_size)
     )
-    anchors = config.anchors_per_topic
-    for k in range(config.num_topics):
-        block = slice(k * anchors, (k + 1) * anchors)
-        boost = rng.dirichlet(np.full(anchors, 2.0)) * config.anchor_strength
-        phi[k] *= 1.0 - config.anchor_strength
-        phi[k, block] += boost
-    return phi / phi.sum(axis=1, keepdims=True)
+    K, anchors = config.num_topics, config.anchors_per_topic
+    # One Dirichlet call for every topic's anchor boost: the same rows,
+    # and the same generator state after, as one call per topic.
+    boosts = rng.dirichlet(np.full(anchors, 2.0), size=K) * config.anchor_strength
+    phi *= 1.0 - config.anchor_strength
+    # Topic k's anchors are the block of columns [k * anchors, (k + 1) * anchors).
+    phi[np.arange(K).repeat(anchors), np.arange(K * anchors)] += boosts.ravel()
+    phi /= phi.sum(axis=1, keepdims=True)
+    return phi
 
 
 def _plant_psi(config: SyntheticConfig, rng: np.random.Generator) -> np.ndarray:
@@ -348,31 +356,46 @@ def plant_parameters(config: SyntheticConfig, rng: np.random.Generator) -> Groun
     return GroundTruth(pi=pi, theta=theta, phi=phi, psi=psi, eta=eta)
 
 
-def _themed_vocabulary(config: SyntheticConfig) -> Vocabulary:
-    """Vocabulary whose anchor ids carry thematic tokens, rest are generic."""
+def _world_vocabulary(config: SyntheticConfig) -> Vocabulary:
+    """The world's frozen vocabulary: generic ``termNNNNN`` tokens, or
+    themed anchor tokens followed by generic ones.
+
+    It depends only on the vocabulary's shape, so each shape's is built
+    once and shared by every world of that shape (a small bounded cache).
+    """
+    if config.themed:
+        return _themed_vocabulary(
+            config.num_topics, config.anchors_per_topic, config.vocab_size
+        )
+    return _generic_vocabulary(config.vocab_size)
+
+
+@lru_cache(maxsize=4)
+def _themed_vocabulary(num_topics: int, anchors: int, vocab_size: int) -> Vocabulary:
+    """Anchor ids carry thematic tokens (topic ``k`` takes theme ``k``
+    modulo the banks, and a bank's ``r``-th reuse of a word gets suffix
+    ``_r``); the rest are generic.  A token that repeats an earlier one
+    (topics sharing a theme) gets its id as a suffix."""
+    themes = list(THEMED_WORDS.values())
     tokens: list[str] = []
-    themes = list(THEMED_WORDS)
-    anchors = config.anchors_per_topic
-    for k in range(config.num_topics):
-        theme = themes[k % len(themes)]
-        bank = THEMED_WORDS[theme]
+    seen: set[str] = set()
+    for k in range(num_topics):
+        bank = themes[k % len(themes)]
         for a in range(anchors):
-            word = bank[a % len(bank)]
-            suffix = "" if a < len(bank) else f"_{a // len(bank)}"
-            tokens.append(f"{word}{suffix}" if suffix else word)
-    # De-duplicate across topics that share a theme.
-    seen: dict[str, int] = {}
-    for idx, token in enumerate(tokens):
-        if token in seen:
-            tokens[idx] = f"{token}_{idx}"
-        seen[tokens[idx]] = idx
-    for v in range(len(tokens), config.vocab_size):
-        tokens.append(f"term{v:05d}")
+            token = bank[a % len(bank)]
+            if a >= len(bank):
+                token = "%s_%d" % (token, a // len(bank))
+            if token in seen:
+                token = "%s_%d" % (token, len(tokens))
+            seen.add(token)
+            tokens.append(token)
+    tokens += map("term%05d".__mod__, range(len(tokens), vocab_size))
     return Vocabulary(tokens).freeze()
 
 
-def _generic_vocabulary(config: SyntheticConfig) -> Vocabulary:
-    return Vocabulary(f"term{v:05d}" for v in range(config.vocab_size)).freeze()
+@lru_cache(maxsize=4)
+def _generic_vocabulary(vocab_size: int) -> Vocabulary:
+    return Vocabulary(map("term%05d".__mod__, range(vocab_size))).freeze()
 
 
 def _choice_cdfs(p: np.ndarray) -> np.ndarray:
@@ -455,10 +478,36 @@ def _planted_draws(
             yield user, target
 
 
-#: Column capacities of one native call (and draws per reference chunk):
-#: posts, words, links.  They bound the columns alive at once; a user
-#: who alone overflows one doubles it.
+#: Default column capacities of one native call (and draws per
+#: reference chunk): posts, words, links.  They bound the columns alive
+#: at once; a user who alone overflows one doubles it.
 _CHUNK_POSTS, _CHUNK_WORDS, _CHUNK_LINKS = 1 << 10, 1 << 14, 1 << 12
+
+
+def _at_least_one_mean(mean: float) -> float:
+    """The mean of ``max(1, Poisson(mean))``: a user's posts, a post's words."""
+    return mean + math.exp(-mean)
+
+
+def _world_capacity(config: SyntheticConfig) -> tuple[int, int, int]:
+    """Posts, words and links capacities that hold the whole world in one
+    native call, unless its totals land over four standard deviations
+    above their means (the words' total compounds the posts').
+
+    Untouched capacity is never resident, and the columns are shrunk to
+    their exact sizes after the call.
+    """
+    words_each = _at_least_one_mean(config.mean_words_per_post)
+    posts = config.num_users * _at_least_one_mean(config.mean_posts_per_user)
+    links = config.num_users * config.mean_links_per_user
+    return tuple(
+        int(mean + 4.0 * math.sqrt(variance)) + 64
+        for mean, variance in (
+            (posts, posts),
+            (posts * words_each, posts * words_each * (1.0 + words_each)),
+            (links, links),
+        )
+    )
 
 
 class _PostColumns(NamedTuple):
@@ -473,15 +522,21 @@ class _PostColumns(NamedTuple):
 
 
 def _planted_columns(
-    config: SyntheticConfig, truth: GroundTruth, rng: np.random.Generator
+    config: SyntheticConfig,
+    truth: GroundTruth,
+    rng: np.random.Generator,
+    capacity: tuple[int, int, int] | None = None,
 ):
     """:func:`_planted_draws` as columns: the draws both generators consume.
 
     Yields :class:`_PostColumns` chunks in author order, then ``(E, 2)``
     int64 link arrays in sorted order.  The native kernels
     (``cold_planted_posts`` / ``cold_planted_links``) draw them when the
-    library loads and ``rng`` is a ``PCG64`` generator; otherwise the
-    reference loop's draws are regrouped.  Natively, each phi row gets a
+    library loads and ``rng`` is a ``PCG64`` generator: each call draws
+    into fresh columns of ``capacity`` (posts, words, links; default the
+    ``_CHUNK_*`` constants), and a chunk owns its post columns, shrunk
+    in place to their sizes.  Otherwise the reference loop's draws are
+    regrouped.  Natively, each phi row gets a
     guide table (``cold_guide_table``, ``(K, m + 1)`` int64 for the
     smallest power of two ``m >= V``, alive only for the posts pass):
     entry ``j`` counts the row's CDF entries ``<= j / m``, so a word's
@@ -525,7 +580,10 @@ def _planted_columns(
     guide = np.empty((K, m + 1), np.int64)
     lib.cold_guide_table(_address(phi, np.float64), K, V, m, guide.ctypes.data)
     filled = np.zeros(2, np.int64)
-    post_cap, word_cap, user = _CHUNK_POSTS, _CHUNK_WORDS, 0
+    post_cap, word_cap, link_cap = capacity or (
+        _CHUNK_POSTS, _CHUNK_WORDS, _CHUNK_LINKS
+    )
+    user = 0
     while user < U:
         columns = [np.empty(post_cap, np.int64) for _ in range(5)]
         words = np.empty(word_cap, np.int64)
@@ -543,11 +601,15 @@ def _planted_columns(
             continue
         user = done
         posts, tokens = filled.tolist()
-        yield _PostColumns(*(column[:posts] for column in columns), words[:tokens])
+        # realloc, mostly in place: no view of these buffers exists yet.
+        for column in columns:
+            column.resize(posts, refcheck=False)
+        words.resize(tokens, refcheck=False)
+        yield _PostColumns(*columns, words)
     del guide
     # Built after the posts pass, as in the reference loop.
     targets = _target_cdfs(truth.pi)
-    link_cap, user = _CHUNK_LINKS, 0
+    user = 0
     while user < U:
         ends = np.empty((2, link_cap), np.int64)
         with pcg64_words(bitgen) as state:
@@ -575,10 +637,7 @@ def _plant_world(
         config = replace(config, seed=seed)
     rng = np.random.default_rng(config.seed)
     truth = plant_parameters(config, rng)
-    vocabulary = (
-        _themed_vocabulary(config) if config.themed else _generic_vocabulary(config)
-    )
-    return config, truth, rng, vocabulary
+    return config, truth, rng, _world_vocabulary(config)
 
 
 def generate_corpus(
@@ -587,18 +646,22 @@ def generate_corpus(
     """Generate a corpus and its planted ground truth.
 
     The draw columns go straight into :meth:`SocialCorpus.from_columns`:
-    no ``Post`` object is built.  ``seed`` overrides ``config.seed`` when
-    given, which keeps call sites that sweep seeds readable.
+    no ``Post`` object is built.  Natively the posts are drawn in one
+    call sized to the whole world (:func:`_world_capacity`), whose
+    columns the corpus keeps as they are; only a world past that size
+    is drawn in chunks and concatenated.  ``seed`` overrides
+    ``config.seed`` when given, which keeps call sites that sweep seeds
+    readable.
     """
     config, truth, rng, vocabulary = _plant_world(config, seed)
     chunks: list[_PostColumns] = []
     links: list[np.ndarray] = [np.zeros((0, 2), np.int64)]
-    for chunk in _planted_columns(config, truth, rng):
-        if isinstance(chunk, np.ndarray):
-            links.append(chunk)
-        else:
-            chunks.append(chunk)
-    columns = _PostColumns(*map(np.concatenate, zip(*chunks)))
+    for chunk in _planted_columns(config, truth, rng, _world_capacity(config)):
+        (links if isinstance(chunk, np.ndarray) else chunks).append(chunk)
+    if len(chunks) == 1:
+        columns = chunks[0]
+    else:
+        columns = _PostColumns(*map(np.concatenate, zip(*chunks)))
     del chunks  # the chunk buffers go before the corpus is checked
     corpus = SocialCorpus.from_columns(
         config.num_users,
@@ -628,12 +691,15 @@ def generate_packed_corpus(
     each chunk of post columns and each link array straight to a
     :class:`~repro.datasets.packed.PackedCorpusWriter` (spooled in
     ``chunk_tokens``-sized flushes) instead of keeping the columns in
-    RAM: no Python runs per post.  Peak RSS is therefore bounded by
-    the planted parameter tensors plus their CDF tables of the same
-    shapes (O(users x communities + topics x vocabulary)) and the
-    writer's ``chunk_tokens`` buffer, however many tokens are generated.
-    At equal seed the corpus is bit-identical to the in-RAM path: same
-    posts, same links, same vocabulary.
+    RAM: no Python runs per post.  A native call draws at most
+    ``chunk_tokens`` words (a user who alone draws more doubles it) and
+    ``chunk_tokens / 2`` links, one writer flush's worth.  Peak RSS is
+    therefore bounded by the planted parameter tensors plus their CDF
+    tables of the same shapes (O(users x communities + topics x
+    vocabulary)), one drawn chunk, and the writer's buffer, which holds
+    under ``2 * chunk_tokens`` tokens before it flushes, however many
+    tokens are generated.  At equal seed the corpus is bit-identical to
+    the in-RAM path: same posts, same links, same vocabulary.
 
     ``keep_latents=True`` records the drawn per-post community/topic
     latents on the returned :class:`GroundTruth` (two O(posts) arrays —
@@ -651,7 +717,11 @@ def generate_packed_corpus(
         chunk_tokens=chunk_tokens,
     )
     try:
-        for chunk in _planted_columns(config, truth, rng):
+        # Room for twice the posts that many words hold on average.
+        words_each = _at_least_one_mean(config.mean_words_per_post)
+        posts = min(chunk_tokens, int(2 * chunk_tokens / words_each) + 64)
+        capacity = (posts, chunk_tokens, max(1, chunk_tokens // 2))
+        for chunk in _planted_columns(config, truth, rng, capacity):
             if isinstance(chunk, np.ndarray):
                 writer.add_links(chunk)
                 continue

@@ -36,7 +36,7 @@ class Vocabulary:
         self._token_to_id: dict[str, int] = {}
         self._id_to_token: list[str] = []
         self._frozen = False
-        self.add_all(tokens)
+        self._append(dict.fromkeys(tokens))
 
     # -- construction ------------------------------------------------------
 
@@ -71,13 +71,25 @@ class Vocabulary:
         :class:`VocabularyError` before any token is added.
         """
         table = self._token_to_id
-        fresh = [token for token in dict.fromkeys(tokens) if token not in table]
-        for token in fresh:
-            if self._frozen or not isinstance(token, str) or not token:
-                self.add(token)  # raises add's error for this token
-        table.update(zip(fresh, range(len(self), len(self) + len(fresh))))
-        self._id_to_token.extend(fresh)
+        self._append(token for token in dict.fromkeys(tokens) if token not in table)
         return np.fromiter(map(table.__getitem__, tokens), np.int64, len(tokens))
+
+    def _append(self, fresh: Iterable[str]) -> None:
+        """Give the distinct new tokens ``fresh`` the next ids, in order.
+
+        All or nothing: the first token :meth:`add` would reject raises
+        its error before any is added.  A batch of exact non-empty
+        ``str`` tokens into an open vocabulary is checked at C speed.
+        """
+        fresh = list(fresh)
+        if fresh and (
+            self._frozen or set(map(type, fresh)) != {str} or "" in fresh
+        ):
+            for token in fresh:
+                if self._frozen or not isinstance(token, str) or not token:
+                    self.add(token)  # raises add's error for this token
+        self._token_to_id.update(zip(fresh, range(len(self), len(self) + len(fresh))))
+        self._id_to_token.extend(fresh)
 
     def freeze(self) -> "Vocabulary":
         """Disallow further additions; returns self for chaining."""

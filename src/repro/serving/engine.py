@@ -123,6 +123,8 @@ class ModelServer:
         self._predictor = DiffusionPredictor(contiguous, top_comm_size)
         self._fold_cache = LRUCache(cache_size)
         self._influence_cache = LRUCache(influence_cache_size)
+        #: Finished influential answers by (topic, sims, size, top_users).
+        self._answer_cache = LRUCache(influence_cache_size)
         self._influence_lock = threading.Lock()
 
     # -- construction ----------------------------------------------------------
@@ -272,11 +274,14 @@ class ModelServer:
         """Influential communities (and users) for ``topic``, cached.
 
         The Monte-Carlo community influence is the expensive part; it is
-        computed once per ``(topic, num_simulations)`` and cached, so a
-        hot topic answers from one matrix-vector product.  ``num_simulations``
-        defaults to ``ic_simulations``.  A value outside ``[1,
-        MAX_IC_SIMULATIONS]``, ``size < 1`` or ``top_users < 0`` raises
-        ``PredictionError`` before any cache lookup or run.
+        computed once per ``(topic, num_simulations)`` and cached.  The
+        finished answer (rankings and rounded lists) is cached too, per
+        ``(topic, num_simulations, size, top_users)``, so a hot query is
+        two cache lookups; ``cached`` reports whether the influence came
+        from its cache.  ``num_simulations`` defaults to
+        ``ic_simulations``.  A value outside ``[1, MAX_IC_SIMULATIONS]``,
+        ``size < 1`` or ``top_users < 0`` raises ``PredictionError``
+        before any cache lookup or run.
         """
         if deadline is not None:
             deadline.check("influential admission")
@@ -315,19 +320,30 @@ class ModelServer:
         assert isinstance(influence, CommunityInfluence)
         if deadline is not None:
             deadline.check("influential ranking")
-        users, user_scores = top_influential_users(
-            self.estimates, influence, size=max(top_users, 1)
-        )
-        self._guard("influential users", user_scores)
+        # A miss recomputes the answer: the influence may be a fresh run.
+        answer_key = (*key, int(size), int(top_users))
+        answer = self._answer_cache.get(answer_key) if cached else None
+        if answer is None:
+            users, user_scores = top_influential_users(
+                self.estimates, influence, size=max(top_users, 1)
+            )
+            self._guard("influential users", user_scores)
+            answer = {
+                "topic": int(topic),
+                "num_simulations": int(sims),
+                "communities": influence.top(
+                    min(size, self.estimates.num_communities)
+                ),
+                "degree": [round(float(d), 6) for d in influence.degree],
+                "top_users": [int(u) for u in users[:top_users]],
+                "user_scores": [round(float(s), 6) for s in user_scores[:top_users]],
+            }
+            self._answer_cache.put(answer_key, answer)
+        # Fresh lists: a caller may edit its answer, never the cached one.
         return {
-            "topic": int(topic),
-            "num_simulations": int(sims),
-            "communities": influence.top(min(size, self.estimates.num_communities)),
-            "degree": [round(float(d), 6) for d in influence.degree],
-            "top_users": [int(u) for u in users[:top_users]],
-            "user_scores": [round(float(s), 6) for s in user_scores[:top_users]],
-            "cached": cached,
-        }
+            name: list(value) if isinstance(value, list) else value
+            for name, value in answer.items()
+        } | {"cached": cached}
 
     # -- validation ------------------------------------------------------------
 

@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.core.influence import community_influence, top_influential_users
 from repro.serving import ColdHTTPServer, ModelServer, ServerConfig
 
 
@@ -15,6 +16,31 @@ def model_path(fitted_model, tmp_path_factory):
     path = tmp_path_factory.mktemp("serving") / "model"
     fitted_model.save(path)
     return path
+
+
+@pytest.fixture(scope="session")
+def influential_answer():
+    """``ModelServer.influential``'s answer computed from scratch:
+    ``answer(estimates, topic, sims, seed, size, top_users, cached)``."""
+
+    def answer(estimates, topic, sims, seed, size, top_users, cached):
+        influence = community_influence(
+            estimates, topic, num_simulations=sims, seed=seed
+        )
+        users, scores = top_influential_users(
+            estimates, influence, size=max(top_users, 1)
+        )
+        return {
+            "topic": topic,
+            "num_simulations": sims,
+            "communities": influence.top(min(size, estimates.num_communities)),
+            "degree": [round(float(d), 6) for d in influence.degree],
+            "top_users": [int(u) for u in users[:top_users]],
+            "user_scores": [round(float(s), 6) for s in scores[:top_users]],
+            "cached": cached,
+        }
+
+    return answer
 
 
 @pytest.fixture(scope="session")

@@ -210,6 +210,36 @@ class TestInfluential:
         assert result["top_users"] == [int(u) for u in users]
         np.testing.assert_allclose(result["user_scores"], np.round(scores, 6))
 
+    def test_hit_answers_from_the_finished_answer(
+        self, estimates, influential_answer, monkeypatch
+    ):
+        """A repeated query reruns no ranking and gives the same answer;
+        an edit to a returned answer never reaches the cache."""
+        engine = ModelServer(estimates, ic_simulations=10, seed=7)
+        shapes = [(1, 0), (2, 3), (2, 5), (estimates.num_communities + 5, 10**6)]
+        first = [engine.influential(0, size=s, top_users=u) for s, u in shapes]
+        assert [answer["cached"] for answer in first] == [False, True, True, True]
+        for (size, top_users), answer in zip(shapes, first):
+            assert answer == influential_answer(
+                estimates, 0, 10, 7, size, top_users, cached=answer["cached"]
+            )
+        ranked = []
+
+        def recording(*args, **kwargs):
+            ranked.append(args)
+            return top_influential_users(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "top_influential_users", recording)
+        again = [engine.influential(0, size=s, top_users=u) for s, u in shapes]
+        assert ranked == []
+        assert again == [{**answer, "cached": True} for answer in first]
+        again[1]["top_users"].append(-1)
+        again[1]["degree"][0] = -1.0
+        assert engine.influential(0, size=2, top_users=3) == {
+            **first[1], "cached": True
+        }
+        assert ranked == []
+
     def test_validates_topic_and_sims(self, engine, estimates):
         with pytest.raises(PredictionError):
             engine.influential(estimates.num_topics)

@@ -8,6 +8,7 @@ from http.client import HTTPConnection
 import numpy as np
 import pytest
 
+from repro.serving import ModelServer
 from repro.serving import engine as engine_module
 from repro.serving.engine import MAX_IC_SIMULATIONS
 
@@ -53,6 +54,22 @@ class TestV1Envelope:
         )
         expected = engine.link(np.array([0]), np.array([1]))
         assert v1["result"]["scores"] == [round(float(s), 9) for s in expected]
+
+    def test_influential_hits_answer_as_a_fresh_run(
+        self, serve, estimates, influential_answer
+    ):
+        """A repeated influential query answers exactly what a fresh run
+        does, ``cached`` aside."""
+        server = serve(engine=ModelServer(estimates, ic_simulations=20, seed=3))
+        body = {"topic": 1, "num_simulations": 5, "size": 3, "top_users": 4}
+        results = [
+            request(server, "POST", "/v1/query/influential", body)[1]["result"]
+            for _ in range(3)
+        ]
+        fresh = influential_answer(
+            estimates, 1, 5, 3, size=3, top_users=4, cached=False
+        )
+        assert results == [fresh] + 2 * [{**fresh, "cached": True}]
 
     def test_errors_are_enveloped_too(self, serve, engine):
         server = serve(engine=engine)

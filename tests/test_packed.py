@@ -24,6 +24,7 @@ import pytest
 from repro.core.model import COLDModel, ModelError
 from repro.core.state import CountState, PostTable
 from repro.datasets.corpus import CorpusValidationError, SocialCorpus
+from repro.datasets import packed as packed_module
 from repro.datasets.io import load_corpus
 from repro.datasets.packed import (
     FORMAT_VERSION,
@@ -185,6 +186,29 @@ class TestByteIdentity:
         for src, dst in small_corpus.links:
             writer.add_link(src, dst)
         assert writer.finalize().read_bytes() == packed_path.read_bytes()
+
+
+    def test_spooled_pieces_stay_within_chunk_tokens(self, tmp_path, monkeypatch):
+        """The buffer is spooled before a batch would take it past
+        ``chunk_tokens``, so every spooled piece fits, unless one batch
+        alone is larger."""
+        pieces = []
+        spool_append = packed_module._ColumnSpool.append
+
+        def recording(spool, values):
+            if spool.name == "tokens":
+                pieces.append(len(values))
+            spool_append(spool, values)
+
+        monkeypatch.setattr(packed_module._ColumnSpool, "append", recording)
+        writer = PackedCorpusWriter(
+            tmp_path / "w.coldpack", num_users=1, num_time_slices=1,
+            vocab_size=10, chunk_tokens=10,
+        )
+        for length in (4, 4, 4, 12, 1, 9, 2):
+            writer.add_post_columns([0], [0], [length], np.arange(length) % 10)
+        writer.finalize()
+        assert pieces == [8, 4, 12, 10, 2]
 
 
 class TestWriterValidation:

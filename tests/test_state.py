@@ -67,15 +67,11 @@ class TestPostTable:
         assert table.unique_words.dtype == table.unique_counts.dtype == np.int64
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        vocab=st.integers(1, 40),
-        data=st.data(),
-        slice_posts=st.integers(1, 6),
-    )
-    def test_from_posts_matches_word_counts_order(self, vocab, data, slice_posts):
+    @given(vocab=st.integers(1, 40), data=st.data())
+    def test_from_posts_matches_word_counts_order(self, vocab, data):
         """Every post's unique words, counts and order are
-        ``Post.word_counts()``'s, whatever the slicing: repeated ids,
-        single-token posts, ids at V - 1."""
+        ``Post.word_counts()``'s: repeated ids, single-token posts, ids
+        at V - 1."""
         word = st.integers(0, vocab - 1) | st.just(vocab - 1)
         posts = data.draw(st.lists(
             st.builds(
@@ -86,8 +82,7 @@ class TestPostTable:
             ),
             max_size=20,
         ))
-        with mock.patch.object(state_module, "_SLICE_POSTS", slice_posts):
-            table = PostTable.from_posts(posts)
+        table = PostTable.from_posts(posts)
         assert table.authors.tolist() == [post.author for post in posts]
         assert table.times.tolist() == [post.timestamp for post in posts]
         assert table.lengths.tolist() == [len(post) for post in posts]
@@ -97,6 +92,93 @@ class TestPostTable:
             expected = post.word_counts()
             assert words.tolist() == list(expected)
             assert counts.tolist() == list(expected.values())
+
+
+def add_at_recount(state, first_post, first_link, into):
+    """``CountState._recount`` as one tuple-index ``np.add.at`` per
+    counter: the scatter the flat-index recount replaced."""
+    posts = slice(first_post, None)
+    table, c, k = state.posts, state.post_comm[posts], state.post_topic[posts]
+    np.add.at(into["n_user_comm"], (table.authors[posts], c), 1)
+    np.add.at(into["n_comm_topic"], (c, k), 1)
+    np.add.at(into["n_comm_topic_time"], (c, k, table.times[posts]), 1)
+    np.add.at(into["n_topic_total"], k, table.lengths[posts])
+    words = slice(table.offsets[first_post], None)
+    np.add.at(
+        into["n_topic_word"],
+        (np.repeat(k, np.diff(table.offsets[first_post:])), table.unique_words[words]),
+        table.unique_counts[words],
+    )
+    s, d = state.link_src_comm[first_link:], state.link_dst_comm[first_link:]
+    links = state.links[first_link:]
+    np.add.at(into["n_user_comm"], (links[:, 0], s), 1)
+    np.add.at(into["n_user_comm"], (links[:, 1], d), 1)
+    np.add.at(into["n_link_comm"], (s, d), 1)
+    return into
+
+
+class TestRecount:
+    """The flat-index recount against tuple-index ``np.add.at``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        data=st.data(),
+        slice_words=st.integers(1, 12),
+        into=st.booleans(),
+        strided=st.booleans(),
+    )
+    def test_matches_add_at_oracle(self, data, slice_words, into, strided):
+        """Any post slicing, partial ``first_post``/``first_link``, onto
+        zeros or onto counts already there (``into=``), C-contiguous or
+        not."""
+        U, T, V = 4, 3, data.draw(st.integers(1, 9))
+        posts = data.draw(st.lists(
+            st.builds(
+                Post,
+                author=st.integers(0, U - 1),
+                words=st.lists(
+                    st.integers(0, V - 1), min_size=1, max_size=8
+                ).map(tuple),
+                timestamp=st.integers(0, T - 1),
+            ),
+            min_size=1, max_size=12,
+        ))
+        links = data.draw(st.lists(
+            st.tuples(st.integers(0, U - 1), st.integers(0, U - 1)).filter(
+                lambda link: link[0] != link[1]
+            ),
+            max_size=10, unique=True,
+        ))
+        corpus = make_corpus(
+            posts, links, num_users=U, num_time_slices=T, vocab_size=V
+        )
+        C, K = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        assignments = np.random.default_rng(data.draw(st.integers(0, 99)))
+        state = CountState.initialize(corpus, C, K, assignments)
+        first_post = data.draw(st.integers(0, state.num_posts))
+        first_link = data.draw(st.integers(0, state.num_links))
+        # Counts already there: every other entry of a wider array, so a
+        # strided counter is not C-contiguous.
+        rng = np.random.default_rng(7)
+        start = {}
+        for name in CountState._COUNTERS:
+            shape = getattr(state, name).shape
+            wide = rng.integers(0, 5, (*shape[:-1], 2 * shape[-1]))
+            start[name] = wide[..., ::2] if strided else wide[..., ::2].copy()
+        want = add_at_recount(
+            state, first_post, first_link,
+            {name: counts.copy() for name, counts in start.items()} if into else {
+                name: np.zeros_like(getattr(state, name))
+                for name in CountState._COUNTERS
+            },
+        )
+        with mock.patch.object(state_module, "_SLICE_WORDS", slice_words):
+            got = state._recount(first_post, first_link, into=start if into else None)
+        assert set(got) == set(want)
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+            if into:
+                assert got[name] is start[name]
 
 
 class TestInitialize:

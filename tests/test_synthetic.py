@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.core import fastgibbs
 from repro.datasets import synthetic
 from repro.datasets.corpus import Post
+from repro.datasets.vocabulary import Vocabulary
 from repro.datasets.synthetic import (
     GroundTruth,
     SyntheticConfig,
@@ -60,6 +61,29 @@ def choice_oracle(config: SyntheticConfig):
             if target != user:
                 links.add((user, target))
     return truth, posts, sorted(links), latents
+
+
+def reference_vocabulary(config: SyntheticConfig) -> Vocabulary:
+    """The world's vocabulary, built token by token from the rules: a
+    generic ``termNNNNN`` per id, themed worlds' anchors first."""
+    tokens = []
+    if config.themed:
+        themes = list(synthetic.THEMED_WORDS.values())
+        for k in range(config.num_topics):
+            bank = themes[k % len(themes)]
+            for a in range(config.anchors_per_topic):
+                word = bank[a % len(bank)]
+                tokens.append(word if a < len(bank) else f"{word}_{a // len(bank)}")
+        seen = set()
+        for idx, token in enumerate(tokens):
+            if token in seen:
+                tokens[idx] = f"{token}_{idx}"
+            seen.add(tokens[idx])
+    tokens += [f"term{v:05d}" for v in range(len(tokens), config.vocab_size)]
+    vocabulary = Vocabulary()
+    for token in tokens:
+        vocabulary.add(token)
+    return vocabulary.freeze()
 
 
 @cache
@@ -298,10 +322,7 @@ class TestChoiceOracle:
         truth, posts, links, latents = cached_choice_oracle(world, seed)
         communities = np.array([c for c, _ in latents])
         topics = np.array([k for _, k in latents])
-        vocabulary = (
-            synthetic._themed_vocabulary(config) if config.themed
-            else synthetic._generic_vocabulary(config)
-        )
+        vocabulary = reference_vocabulary(config)
 
         corpus, ram_truth = generate_corpus(config)
         assert corpus.posts == posts
@@ -448,6 +469,109 @@ class TestNativeDraws:
         assert len(calls) == reference_calls
         for want_column, got_column in zip(want[0], got[0]):
             np.testing.assert_array_equal(got_column, want_column)
+
+
+def _generated(config: SyntheticConfig):
+    """``generate_corpus``'s corpus and truth, and its generator's state after."""
+    plant_world = synthetic._plant_world
+    planted = []
+
+    def recording(*args):
+        planted.append(plant_world(*args))
+        return planted[-1]
+
+    with mock.patch.object(synthetic, "_plant_world", recording):
+        corpus, truth = generate_corpus(config)
+    return corpus, truth, planted[0][2].bit_generator.state
+
+
+def _assert_same_world(got, want) -> None:
+    (corpus, truth, state), (want_corpus, want_truth, want_state) = got, want
+    for name in ("post_authors", "post_times", "post_lengths", "tokens"):
+        np.testing.assert_array_equal(
+            getattr(corpus, name), getattr(want_corpus, name), err_msg=name
+        )
+    np.testing.assert_array_equal(corpus.link_array(), want_corpus.link_array())
+    for name in ("pi", "theta", "phi", "psi", "eta", "post_communities", "post_topics"):
+        np.testing.assert_array_equal(
+            getattr(truth, name), getattr(want_truth, name), err_msg=name
+        )
+    assert corpus.vocabulary.to_list() == want_corpus.vocabulary.to_list()
+    assert state == want_state
+
+
+#: A generic and a themed world; the themed one reuses banks across
+#: topics and words within a topic, so its tokens take both suffixes.
+WHOLE_WORLDS = {
+    "generic": NATIVE_WORLDS["ptrs_posts_mult_words"],
+    "themed": SyntheticConfig(
+        num_users=50, num_topics=14, anchors_per_topic=25, vocab_size=500,
+        themed=True, seed=9,
+    ),
+}
+
+
+class TestWholeWorldCall:
+    """``generate_corpus`` draws the whole world in one native call whose
+    columns the corpus keeps, and draws exactly what chunked calls and
+    the reference loop draw."""
+
+    @pytest.mark.parametrize("world", sorted(WHOLE_WORLDS))
+    def test_same_world_as_tiny_capacities_and_reference_loop(self, world):
+        _native()
+        config = WHOLE_WORLDS[world]
+        whole = _generated(config)
+        with mock.patch.object(synthetic, "_world_capacity", lambda config: (1, 1, 1)):
+            _assert_same_world(_generated(config), whole)
+        with mock.patch.object(fastgibbs, "native_kernel", lambda: None):
+            _assert_same_world(_generated(config), whole)
+        assert whole[0].vocabulary == reference_vocabulary(config)
+
+    def test_one_posts_call_and_no_slack_kept(self, monkeypatch):
+        lib = _native()
+        calls = []
+        posts_call = lib.cold_planted_posts
+
+        def counting(*args):
+            calls.append(args)
+            return posts_call(*args)
+
+        monkeypatch.setattr(lib, "cold_planted_posts", counting)
+        corpus, truth = generate_corpus(replace(MEDIUM_WORLD, seed=3))
+        assert len(calls) == 1
+        for column in (
+            corpus.post_authors, corpus.post_times, corpus.post_lengths,
+            corpus.tokens, truth.post_communities, truth.post_topics,
+        ):
+            owner = column if column.base is None else column.base
+            assert owner.nbytes == column.nbytes
+
+    def test_world_capacity_holds_the_presets(self):
+        for preset in (dataset1, dataset2, benchmark_world):
+            config = _preset_config(preset, seed=3)
+            corpus, _ = generate_corpus(config)
+            posts, words, links = synthetic._world_capacity(config)
+            assert corpus.num_posts <= posts and corpus.num_words <= words
+            assert corpus.num_links <= links
+
+
+class TestWorldVocabulary:
+    @pytest.mark.parametrize("world", sorted(WHOLE_WORLDS))
+    def test_tokens_and_ids_equal_the_rules(self, world):
+        config = WHOLE_WORLDS[world]
+        vocabulary = synthetic._world_vocabulary(config)
+        tokens = vocabulary.to_list()
+        assert vocabulary == reference_vocabulary(config)
+        assert vocabulary._token_to_id == Vocabulary(tokens)._token_to_id
+        assert [vocabulary.id_of(token) for token in tokens] == list(range(len(tokens)))
+        assert vocabulary.frozen and len(vocabulary) == config.vocab_size
+
+    def test_shared_per_shape(self):
+        config = WHOLE_WORLDS["themed"]
+        vocabulary = synthetic._world_vocabulary(config)
+        assert synthetic._world_vocabulary(replace(config, seed=1)) is vocabulary
+        generic = synthetic._world_vocabulary(replace(config, themed=False))
+        assert generic is not vocabulary
 
 
 #: psi worlds: mode counts 1, 2, 3, 5 and T on both sides of the

@@ -1,8 +1,46 @@
 """Unit tests for repro.datasets.vocabulary."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.datasets.vocabulary import Vocabulary, VocabularyError, build_vocabulary
+
+
+class Token(str):
+    """A ``str`` subclass: a valid token of another type."""
+
+
+#: Tokens ``add`` takes or rejects: strings, the empty string, a ``str``
+#: subclass and non-strings.
+tokens = st.one_of(
+    st.sampled_from(["a", "b", "c", "dd"]),
+    st.just(""),
+    st.sampled_from(["a", "e"]).map(Token),
+    st.integers(0, 2),
+    st.none(),
+)
+
+
+def _one_by_one(vocab: Vocabulary, batch: list):
+    """The per-token oracle of a batch: the first token ``add`` rejects
+    raises its error and no token of the batch is added."""
+    before = vocab.to_list()
+    try:
+        for token in batch:
+            vocab.add(token)
+    except VocabularyError as error:
+        vocab._id_to_token[len(before):] = []
+        vocab._token_to_id = {token: i for i, token in enumerate(before)}
+        return str(error)
+    return None
+
+
+def _batched(build):
+    try:
+        return build(), None
+    except VocabularyError as error:
+        return None, str(error)
 
 
 class TestAdd:
@@ -28,6 +66,38 @@ class TestAdd:
     def test_rejects_non_string_token(self):
         with pytest.raises(VocabularyError):
             Vocabulary().add(42)  # type: ignore[arg-type]
+
+
+class TestBatchMatchesAdd:
+    """The constructor and ``add_array`` against one ``add`` per token:
+    same ids in the same order, or the same first error and nothing added."""
+
+    @given(st.lists(tokens, max_size=8))
+    def test_constructor(self, batch):
+        oracle = Vocabulary()
+        error = _one_by_one(oracle, batch)
+        vocab, got = _batched(lambda: Vocabulary(batch))
+        assert got == error
+        if error is None:
+            assert vocab.to_list() == oracle.to_list()
+            assert vocab._token_to_id == oracle._token_to_id
+
+    @given(
+        st.lists(st.sampled_from(["a", "b"]), max_size=3),
+        st.lists(tokens, max_size=8),
+        st.booleans(),
+    )
+    def test_add_array(self, known, batch, frozen):
+        oracle, vocab = Vocabulary(known), Vocabulary(known)
+        if frozen:
+            oracle.freeze(), vocab.freeze()
+        error = _one_by_one(oracle, batch)
+        ids, got = _batched(lambda: vocab.add_array(batch))
+        assert got == error
+        assert vocab.to_list() == oracle.to_list()
+        assert vocab._token_to_id == oracle._token_to_id
+        if error is None:
+            assert ids.tolist() == [oracle.id_of(token) for token in batch]
 
 
 class TestFreeze:
