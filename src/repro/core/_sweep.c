@@ -21,6 +21,29 @@
  *     runs the reference's operations side by side, one topic a lane;
  *   - exp is libm's, which may differ from np.exp by one ULP.
  *
+ * Two exact shortcuts in the Eq. (3) topic draw skip work whose outcome
+ * is already settled; neither changes a draw, a counter or the RNG.
+ *   - Polya denominators: every topic's window sum at its live token
+ *     total depends only on the post length L and the totals, so it is
+ *     cached per L (den_rows) and stamped with den_epoch, which every
+ *     topic-total change bumps; a bind or refresh starts fresh stamps.
+ *     A post recomputes only its own topic's removed window.
+ *   - Certain draws (topic_certificate): with a unique finite arg max t,
+ *     w[t] = exp(0) = 1 exactly and every other floored weight is at
+ *     most b = max(exp(runner-up - max) (1 + 2^-50), floor), which
+ *     covers libm's < 1 ULP error (the subtraction and true exp are
+ *     monotone).  Write eps = 2^-53 and d = K 2^-50 = 8 K eps.  The
+ *     total is at least 1 (adding non-negative terms to 1 never rounds
+ *     below 1), so key = fl(u total) >= u; the running sum before t adds
+ *     t terms <= b in t roundings, at most t b (1 + eps)^t <= t b (1 + d)
+ *     after the bound's own two roundings; so u >= t b (1 + d) reaches
+ *     t.  The total is at most (1 + (K - 1) b)(1 + eps)^K; so
+ *     u < 1 - 2 K b - d (three roundings of at most eps) keeps
+ *     u total <= 1 - (K + 1) b - 8 K eps + 3 eps + 1.01 K eps < 1 - eps,
+ *     which rounds below 1 <= the running sum at t: the scan stops at t.
+ *     Such a draw takes t and skips the K exps, the floor, the total
+ *     and the scan; every other u runs the full draw below.
+ *
  * Uniforms come in pre-drawn (u, one per draw).  A degenerate draw
  * (non-finite or non-positive weight total) is never resolved here: the
  * kernel leaves the state as it was before that draw and returns the
@@ -38,6 +61,7 @@ typedef struct {
     int64_t C, K, T, V, D, E; /* D posts and E links in the corpus */
     int64_t timed;     /* nonzero: time split items into phase_s */
     int64_t pending_c; /* out: community drawn before a degenerate topic draw */
+    int64_t den_epoch; /* bumped on every topic-total change */
     double rho, alpha, epsilon, lambda0, lambda1, K_alpha, T_eps, floor;
     /* PostTable columns and the (E, 2) link array (read only) */
     const int64_t *authors, *times, *lengths, *offsets, *words, *counts;
@@ -48,8 +72,11 @@ typedef struct {
     int64_t *post_comm, *post_topic, *link_src_comm, *link_dst_comm;
     /* SweepCache factors (mutated) and log tables (read only) */
     int64_t *n_comm_total, *word_topic;
+    int64_t *den_stamp; /* per post length: den_epoch its row was built at */
     double *base, *link_factor;
     const double *log_beta, *log_alpha, *log_T_eps, *log_eps, *log_V_beta;
+    /* Polya denominator rows, (max length + 1) x K */
+    double *den_rows;
     /* scratch: 3 * max(C * C, K) + max unique words per post */
     double *scratch;
     /* split items' seconds: posts resample/draw/update, then links' */
@@ -191,19 +218,37 @@ static void touch_link_cell(cold_sweep_ctx *x, int64_t cc)
     x->link_factor[cc] = (n + x->lambda1) / ((n + x->lambda0) + x->lambda1);
 }
 
+/* Polya denominator of every topic at its live token total for posts of
+ * length L: log(n_k + o + V beta), o = 0 .. L - 1, a contiguous window of
+ * the table, summed pairwise as the reference's row-major (K, L) matrix
+ * is.  Rebuilt only when a topic total moved since it was stamped.  The
+ * table reaches the tokens plus the longest post, so the window of the
+ * topic that holds the post (never read from the row) stays inside it. */
+static const double *polya_row(cold_sweep_ctx *x, int64_t L)
+{
+    const int64_t K = x->K;
+    double *row = x->den_rows + L * K;
+    if (x->den_stamp[L] != x->den_epoch) {
+        for (int64_t k = 0; k < K; k++)
+            row[k] = reduce_sum(x->log_V_beta + x->n_topic_total[k], L);
+        x->den_stamp[L] = x->den_epoch;
+    }
+    return row;
+}
+
 /*
  * Eq. (3)'s unnormalised log weights over topics for post p in
  * community c, with the post removed: its own counts come out of old_k's
- * word-topic column and token total for the length of the two Polya
- * sums (and go back after), so every topic's term is the same gather.
- * Uses the scratch rows after the first.
+ * word-topic column for the numerator (and go back after), so every
+ * topic's term is the same gather, and old_k's Polya window starts at
+ * its removed total.  Uses the scratch rows after the first.
  */
 static void topic_log_weights(cold_sweep_ctx *x, int64_t p, int64_t c,
                               double *lw)
 {
     const int64_t C = x->C, K = x->K, T = x->T;
     const int64_t wide = C * C > K ? C * C : K;
-    double *den = x->scratch + wide, *num = den + wide, *terms = num + wide;
+    double *num = x->scratch + wide, *terms = num + wide;
     const int64_t old_c = x->post_comm[p], old_k = x->post_topic[p];
     const int64_t t = x->times[p];
     const double *base = x->base + (c * T + t) * K;
@@ -216,7 +261,6 @@ static void topic_log_weights(cold_sweep_ctx *x, int64_t p, int64_t c,
         if (counts[j] != 1)
             distinct = 0;
     }
-    x->n_topic_total[old_k] -= L;
     if (distinct && K == 1) {
         /* Reference: log(n^v + beta) reduced over one contiguous row,
          * in pairwise order. */
@@ -230,27 +274,94 @@ static void topic_log_weights(cold_sweep_ctx *x, int64_t p, int64_t c,
          * order too. */
         word_sums(x->log_beta, x->word_topic, words, counts, K, W, num);
     }
-    /* Polya denominator: log(n_k + o + V beta), o = 0 .. L - 1, is a
-     * contiguous window of the table, and the reference's row-major
-     * (K, L) matrix sums each window pairwise.  old_k's n_k is the
-     * removed total, so its window stays inside the table. */
-    for (int64_t k = 0; k < K; k++)
-        den[k] = reduce_sum(x->log_V_beta + x->n_topic_total[k], L);
-    x->n_topic_total[old_k] += L;
     for (int64_t j = 0; j < W; j++)
         x->word_topic[words[j] * K + old_k] += counts[j];
+    const double *den = polya_row(x, L);
+    const double den_old =
+        reduce_sum(x->log_V_beta + (x->n_topic_total[old_k] - L), L);
     for (int64_t k = 0; k < K; k++)
         lw[k] = (base[k] + num[k]) - den[k];
     /* The cached base row still counts the post in its own cell. */
+    double base_old = base[old_k];
     if (c == old_c) {
         const int64_t ck = old_c * K + old_k;
         const int64_t n_ck = x->n_comm_topic[ck] - 1;
         const int64_t n_ckt = x->n_ctt[ck * T + t] - 1;
-        lw[old_k] = ((x->log_alpha[n_ck] +
-                      (x->log_eps[n_ckt] - x->log_T_eps[n_ck])) +
-                     num[old_k]) -
-                    den[old_k];
+        base_old = x->log_alpha[n_ck] +
+                   (x->log_eps[n_ckt] - x->log_T_eps[n_ck]);
     }
+    lw[old_k] = (base_old + num[old_k]) - den_old;
+}
+
+/*
+ * A certain topic draw: when the log weights lw have a unique finite arg
+ * max t, bounds[0..1] get the uniforms [lo, hi) for which the full draw
+ * below provably returns t (see the header for the margins), and t is
+ * returned; otherwise -1.
+ */
+static int64_t topic_certificate(const double *lw, int64_t K, double floor,
+                                 double *bounds)
+{
+    double first = lw[0], second = -INFINITY;
+    int64_t t = 0;
+    if (!isfinite(first))
+        return -1;
+    for (int64_t k = 1; k < K; k++) {
+        const double v = lw[k];
+        if (!isfinite(v))
+            return -1;
+        if (v > first) {
+            second = first;
+            first = v;
+            t = k;
+        } else if (v > second) {
+            second = v;
+        }
+    }
+    if (second == first)
+        return -1;
+    const double slack = (double)K * 0x1p-50;
+    double b = exp(second - first) * (1.0 + 0x1p-50);
+    if (!(b >= floor))
+        b = floor;
+    bounds[0] = (double)t * b * (1.0 + slack);
+    bounds[1] = (1.0 - 2.0 * (double)K * b) - slack;
+    return t;
+}
+
+/*
+ * Eq. (3)'s topic draw with uniform u: the index categorical_checked
+ * draws from max(exp(lw - max lw), floor), or -1 when their total is
+ * degenerate.  A certain draw returns at once; otherwise lw is
+ * overwritten with the weights.  A split item (x non-NULL) charges the
+ * weights to resample and the rest to draw.
+ */
+static int64_t draw_topic(cold_sweep_ctx *x, int split, double *last,
+                          double *lw, int64_t K, double u, double floor)
+{
+    double bounds[2];
+    const int64_t sure = topic_certificate(lw, K, floor, bounds);
+    if (sure >= 0 && u >= bounds[0] && u < bounds[1]) {
+        if (split) {
+            lap(x, last, 0);
+            lap(x, last, 1);
+        }
+        return sure;
+    }
+    double top = lw[0];
+    for (int64_t k = 1; k < K; k++)
+        if (!(top >= lw[k] || isnan(top)))
+            top = lw[k];
+    for (int64_t k = 0; k < K; k++)
+        lw[k] = exp(lw[k] - top);
+    floor_weights(lw, K, floor);
+    if (split)
+        lap(x, last, 0);
+    const double total = reduce_sum(lw, K);
+    const int64_t k = degenerate(total) ? -1 : categorical(lw, K, total, u);
+    if (split)
+        lap(x, last, 1);
+    return k;
 }
 
 /*
@@ -326,27 +437,13 @@ int64_t cold_sweep_posts(cold_sweep_ctx *x, const int64_t *order, int64_t n,
             new_k = k_known;
         } else {
             /* Eq. (3) over topics with the post removed. */
-            double *lw = w;
-            topic_log_weights(x, p, new_c, lw);
-            double top = lw[0];
-            for (int64_t k = 1; k < K; k++)
-                if (!(top >= lw[k] || isnan(top)))
-                    top = lw[k];
-            for (int64_t k = 0; k < K; k++)
-                lw[k] = exp(lw[k] - top);
-            floor_weights(lw, K, x->floor);
-            if (split)
-                lap(x, &last, 0);
-            const double total = reduce_sum(lw, K);
-            if (degenerate(total)) {
-                if (split)
-                    lap(x, &last, 1);
+            topic_log_weights(x, p, new_c, w);
+            new_k = draw_topic(x, split, &last, w, K, *u, x->floor);
+            if (new_k < 0) {
                 x->pending_c = new_c;
                 return 2 * i + 1;
             }
-            new_k = categorical(lw, K, total, *u++);
-            if (split)
-                lap(x, &last, 1);
+            u++;
         }
         c_known = k_known = -1;
 
@@ -376,6 +473,7 @@ int64_t cold_sweep_posts(cold_sweep_ctx *x, const int64_t *order, int64_t n,
                 }
                 x->n_topic_total[old_k] -= x->lengths[p];
                 x->n_topic_total[new_k] += x->lengths[p];
+                x->den_epoch++;
             }
             touch_cell(x, old_c, old_k);
             touch_cell(x, new_c, new_k);
@@ -472,4 +570,15 @@ void cold_topic_log_weights(cold_sweep_ctx *x, int64_t p, int64_t c,
                             double *out)
 {
     topic_log_weights(x, p, c, out);
+}
+
+/* The kernel's topic draw from log weights lw (overwritten): the topic,
+ * or -1 for a degenerate total.  bounds gets the certificate's [lo, hi),
+ * both NaN when there is none. */
+int64_t cold_topic_draw(double *lw, int64_t K, double u, double floor,
+                        double *bounds)
+{
+    if (topic_certificate(lw, K, floor, bounds) < 0)
+        bounds[0] = bounds[1] = NAN;
+    return draw_topic(NULL, 0, NULL, lw, K, u, floor);
 }

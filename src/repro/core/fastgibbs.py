@@ -94,6 +94,33 @@ ULP of a cdf boundary — in practice never: the same seed yields the
 reference chain draw for draw, which ``tests/test_fastgibbs.py`` and
 the perf harness check.  The reference kernels remain the oracle;
 ``fast=False`` selects them anywhere a model is built.
+
+Two exact shortcuts in the topic draw skip work whose outcome is
+already settled, with the same draws, counters and RNG stream:
+
+* **Polya rows.**  A topic's denominator window depends only on the
+  post length ``L`` and the topic's token total, so the cache keeps one
+  ``(K,)`` row per length (``(max length + 1) x K`` doubles), stamped
+  with an epoch the kernel bumps on every topic-total change; a bind or
+  :meth:`SweepCache.refresh` starts with no row stamped.  A post sums
+  only its own topic's window at the removed total;
+  :meth:`SweepCache.check_consistency` recomputes every stamped row.
+* **Certain draws.**  Let the log weights have a unique finite arg max
+  ``t`` and write ``eps = 2^-53``.  Then ``w[t] = exp(0) = 1`` exactly
+  and every other floored weight is at most ``b = max(exp(second - max)
+  (1 + 2^-50), floor)``, because the subtraction is monotone and libm's
+  ``exp`` is within one ULP of the true, monotone ``exp``.  Let
+  ``d = K 2^-50``.  Adding non-negative terms to 1 never rounds below 1,
+  so ``u * total`` rounds to at least ``u``.  The prefix before ``t``
+  adds ``t`` terms ``<= b`` and rounds to at most ``t b (1 + eps)^t``,
+  which the bound ``t b (1 + d)`` exceeds after its own two roundings.
+  The total is at most ``(1 + (K - 1) b)(1 + eps)^K``, so
+  ``u < 1 - 2 K b - d`` keeps ``u * total`` below ``1 - eps``, which
+  rounds below the prefix at ``t`` (``>= 1``).  For ``u`` in
+  ``[t b (1 + d), 1 - 2 K b - d)`` the scan provably returns ``t``, and
+  the kernel takes ``t`` without the ``K`` ``exp`` calls, the floor, the
+  total or the scan.  Every other ``u`` runs the full draw.  The kernel
+  entry ``cold_topic_draw`` exposes this draw to the tests.
 """
 
 from __future__ import annotations
@@ -144,11 +171,12 @@ _STATE_ARRAYS = (
     "n_topic_total", "n_link_comm",
     "post_comm", "post_topic", "link_src_comm", "link_dst_comm",
 )
-#: SweepCache arrays, in kernel order: two mutated int64 arrays, then
+#: SweepCache arrays, in kernel order: three mutated int64 arrays, then
 #: float64 arrays (the log tables only read).
 _CACHE_ARRAYS = (
-    "n_comm_total", "word_topic", "base", "link_factor",
-    "log_beta", "log_alpha", "log_T_eps", "log_eps", "log_V_beta", "_scratch",
+    "n_comm_total", "word_topic", "_den_stamp", "base", "link_factor",
+    "log_beta", "log_alpha", "log_T_eps", "log_eps", "log_V_beta",
+    "_den_rows", "_scratch",
 )
 
 
@@ -158,7 +186,9 @@ class _Context(ctypes.Structure):
     _fields_ = (
         [
             (name, ctypes.c_int64)
-            for name in ("C", "K", "T", "V", "D", "E", "timed", "pending_c")
+            for name in (
+                "C", "K", "T", "V", "D", "E", "timed", "pending_c", "den_epoch",
+            )
         ]
         + [
             (name, ctypes.c_double)
@@ -308,6 +338,7 @@ def native_kernel() -> ctypes.CDLL | None:
                 ("cold_reduce_sum", f64, [ptr, i64]),
                 ("cold_categorical", i64, [ptr, i64, f64, f64]),
                 ("cold_topic_log_weights", None, [ptr, i64, i64, ptr]),
+                ("cold_topic_draw", i64, [ptr, i64, f64, f64, ptr]),
                 ("cold_ic_cascade", None, [ptr, i64, ptr, i64, ptr, ptr]),
                 ("cold_ic_reach", None, [ptr, i64, i64, ptr, ptr, i64, ptr]),
                 ("cold_planted_posts", i64,
@@ -408,17 +439,21 @@ def _kernel_arrays(state: CountState) -> tuple[np.ndarray, ...]:
 
 
 def _table_sizes(state: CountState) -> tuple[int, int, int]:
-    """The largest index into each log table: posts, tokens, word frequency.
+    """The largest index into each log table: posts, tokens plus the
+    longest post, word frequency.
 
     No Gibbs move changes them: a count of posts in a cell never exceeds
     the posts counted, a topic's token total (plus an offset below a
-    post's length) never exceeds the tokens, and a topic-word count (plus
-    a repeat index below its multiplicity) never exceeds the word's
-    corpus frequency.
+    post's length) never exceeds the tokens plus the longest post (a
+    cached Polya row sums every topic's window at its live total, the
+    post's own topic included), and a topic-word count (plus a repeat
+    index below its multiplicity) never exceeds the word's corpus
+    frequency.
     """
+    lengths = state.posts.lengths
     return (
         int(state.n_comm_topic.sum()),
-        int(state.n_topic_total.sum()),
+        int(state.n_topic_total.sum()) + (int(lengths.max()) if len(lengths) else 0),
         int(state.n_topic_word.sum(axis=0).max()) if state.n_topic_word.size else 0,
     )
 
@@ -534,6 +569,11 @@ class SweepCache:
             3 * max(self.C * self.C, self.K)
             + (int(spans.max()) if len(spans) else 0)
         )
+        # Polya denominator rows per post length, none stamped yet.
+        lengths = state.posts.lengths
+        rows = (int(lengths.max()) if len(lengths) else 0) + 1
+        self._den_rows = np.empty((rows, self.K))
+        self._den_stamp = np.full(rows, -1, dtype=np.int64)
         hp = self.hp
         ctx = _Context(
             C=self.C, K=self.K, T=self.T, V=self.V,
@@ -548,7 +588,7 @@ class SweepCache:
             _address(array, np.int64, writable=i >= read_only)
             for i, array in enumerate(self._ctx_arrays)
         ] + [
-            _address(getattr(self, name), np.int64 if i < 2 else np.float64)
+            _address(getattr(self, name), np.int64 if i < 3 else np.float64)
             for i, name in enumerate(_CACHE_ARRAYS)
         ]
         fields = [f for f, kind in _Context._fields_ if kind is ctypes.c_void_p]
@@ -572,11 +612,23 @@ class SweepCache:
         return ctx
 
     def check_consistency(self, state: CountState) -> None:
-        """Verify every cache against a from-scratch rebuild (tests/debug)."""
+        """Verify every cache against a from-scratch rebuild (tests/debug).
+
+        The kernel's Polya rows stamped at the current epoch must equal
+        the reference's row-major ``(K, L)`` window sums bit for bit.
+        """
         fresh = SweepCache(state, self.hp)
         for name in self._ARRAYS:
             if not np.array_equal(getattr(self, name), getattr(fresh, name)):
                 raise ValueError(f"SweepCache.{name} inconsistent with state")
+        for length in np.flatnonzero(self._den_stamp == self._ctx.den_epoch):
+            windows = state.n_topic_total[:, None] + np.arange(length)
+            if not np.array_equal(
+                self._den_rows[length], self.log_V_beta[windows].sum(axis=1)
+            ):
+                raise ValueError(
+                    f"SweepCache Polya row {length} inconsistent with state"
+                )
 
 
 # -- the sweep ------------------------------------------------------------------

@@ -304,8 +304,13 @@ class PackedCorpusWriter:
             self._reject_post(row, authors, times, lengths, words)
         if self._buffered_tokens + len(words) > self._chunk_tokens:
             self._flush_posts()
+        # A batch this call spools is read in place; one that stays
+        # buffered is copied, so the caller may reuse its arrays.
+        stays = self._buffered_tokens + len(words) < self._chunk_tokens
+        as_int64 = np.array if stays else np.ascontiguousarray
         authors, times, lengths, words = (
-            column.astype(np.int64) for column in (authors, times, lengths, words)
+            as_int64(column, dtype=np.int64)
+            for column in (authors, times, lengths, words)
         )
         unique_words, unique_counts, unique_sizes = unique_word_csr(words, lengths)
         token_offsets = np.cumsum(lengths)

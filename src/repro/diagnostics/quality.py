@@ -34,7 +34,7 @@ from ..core.estimates import estimate_from_state
 from ..core.likelihood import diagnostic_scalars
 from ..datasets.corpus import SocialCorpus
 from ..eval.clustering import normalized_mutual_information
-from ..eval.coherence import CooccurrenceIndex, umass_coherence
+from ..eval.coherence import CooccurrenceIndex, topic_coherences
 from ..eval.perplexity import cold_perplexity
 from .stats import DiagnosticsError
 
@@ -170,14 +170,8 @@ class QualityStream:
         return record
 
     def _mean_coherence(self, phi: np.ndarray) -> float:
-        if self._index is None:
-            self._index = CooccurrenceIndex(self.corpus)
-        scores = []
-        for k in range(phi.shape[0]):
-            ranked = np.argsort(phi[k])[::-1][: self.top_n]
-            scores.append(
-                umass_coherence(self._index, [int(v) for v in ranked])
-            )
+        self.warm()
+        scores = topic_coherences(phi, self.corpus, self.top_n, index=self._index)
         return float(np.mean(scores))
 
 

@@ -17,6 +17,7 @@ from .coherence import (
     mean_coherence,
     topic_coherences,
     umass_coherence,
+    umass_coherences,
 )
 from .crossval import (
     CrossValError,
@@ -66,4 +67,5 @@ __all__ = [
     "topic_alignment",
     "topic_coherences",
     "umass_coherence",
+    "umass_coherences",
 ]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Sequence
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -132,20 +133,28 @@ def corpus_to_events(corpus: SocialCorpus) -> list[Event]:
     ends = corpus.token_offsets.tolist()
     jitter = 0.1 + 0.8 * (np.arange(corpus.num_posts) % 89) / 89.0
     post_times = corpus.post_times + jitter
+    # Events are tuples: ``tuple.__new__`` over zipped fields builds each
+    # at C speed, with no per-event __init__.
     events: list[Event] = list(map(
-        PostEvent,
-        map(keys.__getitem__, corpus.post_authors.tolist()),
-        map(tuple, map(words.__getitem__, map(slice, ends, ends[1:]))),
-        post_times.tolist(),
+        tuple.__new__,
+        repeat(PostEvent),
+        zip(
+            map(keys.__getitem__, corpus.post_authors.tolist()),
+            map(tuple, map(words.__getitem__, map(slice, ends, ends[1:]))),
+            post_times.tolist(),
+        ),
     ))
     links = corpus.link_array()
     span = float(corpus.num_time_slices)
     times = span * (np.arange(len(links)) + 0.5) / max(len(links), 1)
     events += map(
-        LinkEvent,
-        map(keys.__getitem__, links[:, 0].tolist()),
-        map(keys.__getitem__, links[:, 1].tolist()),
-        times.tolist(),
+        tuple.__new__,
+        repeat(LinkEvent),
+        zip(
+            map(keys.__getitem__, links[:, 0].tolist()),
+            map(keys.__getitem__, links[:, 1].tolist()),
+            times.tolist(),
+        ),
     )
     # One stable argsort of the stamps: the order a stable sort of the
     # events by time gives (posts before links at equal stamps).

@@ -128,6 +128,37 @@ class TestWindowing:
             runs.append(model.state_.post_comm.copy())
         np.testing.assert_array_equal(runs[0], runs[1])
 
+    def test_fast_updates_draw_the_reference_chain(self, stream_world, monkeypatch):
+        """Each update rebuilds the sweep cache over the grown corpus, so
+        it starts with no Polya row stamped; two updates in a row on the
+        native kernel draw the reference kernels' chain."""
+        from repro.core.fastgibbs import SweepCache
+
+        built = []
+        original = SweepCache.__init__
+
+        def init_and_record(cache, state, hp):
+            original(cache, state, hp)
+            built.append(cache)
+            assert (cache._den_stamp == -1).all() and cache._ctx.den_epoch == 0
+
+        monkeypatch.setattr(SweepCache, "__init__", init_and_record)
+        runs = []
+        for fast in (True, False):
+            model, _builder, remainder = stream_world(iterations=10, seed=5)
+            model.fast = fast
+            half = len(remainder) // 2
+            model.update(remainder[:half])
+            model.update(remainder[half:])
+            runs.append(model.state_)
+            if fast:
+                built[-1].check_consistency(model.state_)
+        assert len(built) >= 3  # the bootstrap fit's, then one per update
+        for name in ("post_comm", "post_topic", "link_src_comm", "link_dst_comm"):
+            np.testing.assert_array_equal(
+                getattr(runs[0], name), getattr(runs[1], name)
+            )
+
     def test_per_call_stream_override(self, stream_world):
         model, _builder, remainder = stream_world(iterations=10)
         report = model.update(

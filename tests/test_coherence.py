@@ -12,6 +12,7 @@ from repro.eval.coherence import (
     mean_coherence,
     topic_coherences,
     umass_coherence,
+    umass_coherences,
 )
 
 
@@ -111,3 +112,46 @@ class TestTopicCoherences:
             topic_coherences(np.ones((2, 5)), block_corpus)
         with pytest.raises(CoherenceError):
             topic_coherences(np.ones((2, 8)), block_corpus, top_n=1)
+
+
+class TestBatchedCoherence:
+    """``topic_coherences`` sorts phi once row-wise and scores every pair
+    in one batch; each topic must equal the scalar ``umass_coherence`` of
+    its own 1-D sort."""
+
+    @staticmethod
+    def _scalar(phi, corpus, top_n):
+        index = CooccurrenceIndex(corpus)
+        return [
+            umass_coherence(index, [int(v) for v in np.argsort(row)[::-1][:top_n]])
+            for row in phi
+        ]
+
+    @pytest.mark.parametrize("top_n", [2, 5, 10])
+    def test_each_topic_matches_umass_coherence(self, estimates, tiny_corpus, top_n):
+        # Rounded phi ties many words: the row-wise sort must break the
+        # ties as each 1-D sort does.
+        for phi in (estimates.phi, np.round(estimates.phi, 2)):
+            got = topic_coherences(phi, tiny_corpus, top_n=top_n)
+            np.testing.assert_allclose(
+                got, self._scalar(phi, tiny_corpus, top_n), rtol=0, atol=1e-12
+            )
+
+    def test_quality_stream_mean_matches(self, estimates, tiny_corpus):
+        from repro.diagnostics.quality import QualityStream
+
+        stream = QualityStream(tiny_corpus, top_n=10)
+        want = np.mean(self._scalar(estimates.phi, tiny_corpus, 10))
+        assert abs(stream._mean_coherence(estimates.phi) - want) <= 1e-12
+
+    def test_repeated_and_unseen_words(self, block_corpus):
+        index = CooccurrenceIndex(block_corpus)
+        rows = [[2, 2, 0], [0, 3, 1], [5, 6, 7]]
+        got = umass_coherences(index, np.array(rows))
+        np.testing.assert_allclose(
+            got, [umass_coherence(index, row) for row in rows], rtol=0, atol=1e-12
+        )
+        with pytest.raises(CoherenceError, match="no scorable"):
+            umass_coherences(index, np.array([[0, 1], [3, 4]]))
+        with pytest.raises(CoherenceError, match="epsilon"):
+            umass_coherences(index, np.array([[0, 1]]), epsilon=0.0)

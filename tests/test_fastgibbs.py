@@ -21,10 +21,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import fastgibbs
 from repro.core.fastgibbs import SweepCache
-from repro.core.gibbs import post_topic_log_weights, sweep
+from repro.core.gibbs import (
+    _WEIGHT_FLOOR,
+    categorical_checked,
+    post_topic_log_weights,
+    sweep,
+)
 from repro.core.params import Hyperparameters
 from repro.core.state import CountState, PostTable, StateError
 
@@ -534,6 +541,210 @@ class TestNativeReductionOrder:
                 for j in range(W):
                     want += terms[:, j]
             np.testing.assert_array_equal(got, want, err_msg=(K, W))
+
+
+class _Uniform:
+    """An rng stub for ``categorical_checked``: ``random()`` returns ``u``
+    and the degenerate fallback's ``integers`` returns -1, the kernel's
+    degenerate answer."""
+
+    def __init__(self, u: float) -> None:
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+    def integers(self, n: int) -> int:
+        return -1
+
+
+class TestTopicDraw:
+    """The kernel's Eq. (3) draw, certificate first and then the full
+    draw, against the reference's ``categorical_checked`` on the floored
+    ``exp(lw - max lw)``."""
+
+    @staticmethod
+    def _draw(lw, u):
+        """The kernel's topic and its certificate's [lo, hi) (NaN: none)."""
+        lib = _native()
+        work = np.array(lw, dtype=np.float64)
+        bounds = np.empty(2)
+        got = lib.cold_topic_draw(
+            _ptr(work), len(work), u, _WEIGHT_FLOOR, _ptr(bounds)
+        )
+        return got, bounds
+
+    @staticmethod
+    def _reference(lw, u):
+        with np.errstate(invalid="ignore", over="ignore"):
+            shifted = np.array(lw, dtype=np.float64)
+            shifted -= shifted.max()
+            weights = np.maximum(np.exp(shifted), _WEIGHT_FLOOR)
+        return categorical_checked(weights, _Uniform(u))[0]
+
+    def _check(self, lw, u):
+        got, bounds = self._draw(lw, u)
+        assert got == self._reference(lw, u), (list(lw), u, bounds)
+        return got, bounds
+
+    def _edges(self, lw):
+        """Uniforms on and beside both ends of the certificate (none
+        when it is empty)."""
+        _got, (lo, hi) = self._draw(lw, 0.5)
+        if not lo < hi:
+            return []
+        return [
+            u for u in (
+                lo, np.nextafter(lo, -1.0), np.nextafter(lo, 2.0),
+                np.nextafter(hi, -1.0), hi, np.nextafter(hi, 2.0),
+            )
+            if 0.0 <= u < 1.0
+        ]
+
+    @pytest.mark.parametrize("t", [0, 1, 17, 38, 39])
+    @pytest.mark.parametrize("gap", [6.0, 36.5, 745.0, 2000.0])
+    def test_certificate_edges_and_inside(self, t, gap):
+        """A unique arg max t at each position, runners-up from a few
+        nats to past the weight floor (b at the floor): the draw equals
+        the reference on and beside both certificate edges, and every
+        uniform inside the certificate draws t."""
+        lw = np.full(40, -gap)
+        lw[t] = 0.0
+        lw[(t + 5) % 40] = -gap + 0.25
+        edges = self._edges(lw)
+        assert edges
+        for u in (*edges, 0.0, 0.5, 1 - 2**-53):
+            got, (lo, hi) = self._check(lw, u)
+            if lo <= u < hi:
+                assert got == t
+
+    @pytest.mark.parametrize("t", [0, 13, 20, 39])
+    def test_floor_sum_above_certificate_product(self, t):
+        """Every other weight floored: t floors summed one by one exceed
+        fl(t * floor) for t >= 13, so the lower edge needs its margin."""
+        lw = np.full(40, -800.0)
+        lw[t] = 1.0
+        edges = self._edges(lw)
+        assert edges
+        for u in edges:
+            self._check(lw, u)
+
+    def test_ties_have_no_certificate(self):
+        for lw in ([0.0, 0.0, -5.0], [-3.0, 1.0, 1.0], [2.0] * 40):
+            _got, bounds = self._draw(lw, 0.5)
+            assert np.isnan(bounds).all()
+            for u in (0.0, 0.3, 0.5, 0.7, 1 - 2**-53):
+                self._check(lw, u)
+
+    def test_single_topic(self):
+        for lw in ([0.0], [-1e300], [123.5]):
+            for u in (0.0, 0.5, 1 - 2**-53):
+                got, _bounds = self._check(lw, u)
+                assert got == 0
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+    )
+    @pytest.mark.parametrize("K", [1, 2, 40])
+    def test_non_finite_weights_take_the_full_draw(self, bad, K):
+        lw = np.linspace(0.0, -50.0, K)
+        lw[K // 2] = bad
+        _got, bounds = self._draw(lw, 0.5)
+        assert np.isnan(bounds).all()
+        for u in (0.0, 0.25, 0.5, 1 - 2**-53):
+            self._check(lw, u)
+
+    @given(
+        K=st.integers(1, 100),
+        spread=st.sampled_from([1.0, 10.0, 40.0, 800.0]),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, K, spread, data):
+        lw = np.array(data.draw(st.lists(
+            st.floats(-spread, spread), min_size=K, max_size=K,
+        )))
+        u = data.draw(st.floats(0.0, 1.0, exclude_max=True))
+        for uniform in (u, *self._edges(lw)):
+            self._check(lw, uniform)
+
+
+class TestPolyaRows:
+    """The cached Polya denominator rows: stamped rows are the
+    reference's window sums at the live totals, and every bind or
+    refresh starts from fresh stamps."""
+
+    @staticmethod
+    def _swept_and_stamped(corpus, hp):
+        """A cache after two sweeps, then every post's log weights read
+        (no move), so every length's row is stamped at the live epoch."""
+        lib = _native()
+        rng = np.random.default_rng(3)
+        state = _init(corpus, rng)
+        cache = SweepCache(state, hp)
+        for _ in range(2):
+            sweep(state, hp, rng, cache=cache)
+        ctx = ctypes.addressof(cache._context(state, False))
+        out = np.empty(state.num_topics)
+        for post in range(state.num_posts):
+            lib.cold_topic_log_weights(ctx, post, 0, _ptr(out))
+        current = cache._den_stamp == cache._ctx.den_epoch
+        assert current[np.unique(state.posts.lengths)].all()
+        return state, cache
+
+    def test_stamped_rows_match_after_sweeps(self, tiny_corpus, hp):
+        state, cache = self._swept_and_stamped(tiny_corpus, hp)
+        cache.check_consistency(state)
+
+    def test_stale_row_fails_consistency(self, tiny_corpus, hp):
+        state, cache = self._swept_and_stamped(tiny_corpus, hp)
+        cache._den_rows[int(state.posts.lengths[0]), 0] += 1.0
+        with pytest.raises(ValueError, match="Polya row"):
+            cache.check_consistency(state)
+
+    def test_refresh_resets_stamps(self, tiny_corpus, hp):
+        _native()
+        rng = np.random.default_rng(3)
+        state = _init(tiny_corpus, rng)
+        cache = SweepCache(state, hp)
+        sweep(state, hp, rng, cache=cache)
+        # Move every post to topic 0 behind the cache's back, as a
+        # parallel merge or a window update does, then refresh.
+        for post in range(state.num_posts):
+            state.move_post(post, int(state.post_comm[post]), 0)
+        cache.refresh(state)
+        assert (cache._den_stamp == -1).all() and cache._ctx.den_epoch == 0
+        cache.check_consistency(state)
+
+    def test_parallel_refresh_resets_stamps(self, tiny_corpus, monkeypatch):
+        """Each node's cache is refreshed onto the merged counters every
+        superstep: rows stamped in the last superstep are dropped, and
+        the fit still draws the reference kernels' chain."""
+        from repro.parallel.sampler import ParallelCOLDSampler
+
+        _native()
+        refreshes = []
+        original = SweepCache.refresh
+
+        def refresh_and_record(cache, state):
+            stamped = bool((cache._den_stamp == cache._ctx.den_epoch).any())
+            original(cache, state)
+            fresh = bool((cache._den_stamp == -1).all())
+            refreshes.append((stamped, fresh and cache._ctx.den_epoch == 0))
+            cache.check_consistency(state)
+
+        monkeypatch.setattr(SweepCache, "refresh", refresh_and_record)
+        kwargs = dict(
+            num_communities=3, num_topics=4, num_nodes=2, prior="scaled", seed=0
+        )
+        fast = ParallelCOLDSampler(**kwargs).fit(tiny_corpus, num_iterations=4)
+        assert refreshes and all(fresh for _stamped, fresh in refreshes)
+        assert any(stamped for stamped, _fresh in refreshes)
+        ref = ParallelCOLDSampler(fast=False, **kwargs).fit(
+            tiny_corpus, num_iterations=4
+        )
+        for want, got in zip(_chain_arrays(ref.state_), _chain_arrays(fast.state_)):
+            np.testing.assert_array_equal(want, got)
 
 
 class TestDegenerateDraws:

@@ -187,6 +187,36 @@ class TestByteIdentity:
             writer.add_link(src, dst)
         assert writer.finalize().read_bytes() == packed_path.read_bytes()
 
+    @pytest.mark.parametrize("chunk_tokens", [64, 1 << 20])
+    def test_caller_may_reuse_its_arrays_after_the_call(
+        self, small_corpus, packed_path, tmp_path, chunk_tokens
+    ):
+        """Batches go in as the caller's own int64 arrays, which the
+        caller overwrites after each call: a buffered batch must have
+        been copied, whether it is spooled later or at finalize."""
+        writer = PackedCorpusWriter(
+            tmp_path / "reused.coldpack",
+            num_users=small_corpus.num_users,
+            num_time_slices=small_corpus.num_time_slices,
+            vocab_size=small_corpus.vocab_size,
+            vocabulary=small_corpus.vocabulary,
+            chunk_tokens=chunk_tokens,
+        )
+        ends = small_corpus.token_offsets
+        for lo in range(0, small_corpus.num_posts, 7):
+            hi = min(lo + 7, small_corpus.num_posts)
+            columns = [
+                small_corpus.post_authors[lo:hi].copy(),
+                small_corpus.post_times[lo:hi].copy(),
+                np.diff(ends[lo:hi + 1]),
+                small_corpus.tokens[ends[lo]:ends[hi]].copy(),
+            ]
+            writer.add_post_columns(*columns)
+            for column in columns:
+                column[:] = 0
+        writer.add_links(small_corpus.link_array())
+        assert writer.finalize().read_bytes() == packed_path.read_bytes()
+
 
     def test_spooled_pieces_stay_within_chunk_tokens(self, tmp_path, monkeypatch):
         """The buffer is spooled before a batch would take it past
